@@ -156,16 +156,18 @@ def _fix_endpoint(
     """
     netlist = analyzer.netlist
     before_tns = tns(report.slack_with_margins)
-    path = trace_critical_path(analyzer.compiled, report, endpoint)
+    compiled = analyzer.compiled
+    path = trace_critical_path(compiled, report, endpoint)
 
     # Candidate 1: sizing — pick the path cell with the best estimated gain.
     best_cell = None
     best_gain = 0.0
+    load_cap = compiled.load_cap
     for cell_index in path.cells:
         cell = netlist.cells[cell_index]
         if cell.cell_type.is_port or cell.sizing_headroom <= 0:
             continue
-        gain = _sizing_gain(netlist, cell_index)
+        gain = _sizing_gain(netlist, cell_index, float(load_cap[cell_index]))
         if gain > best_gain:
             best_gain = gain
             best_cell = cell_index
@@ -217,18 +219,24 @@ def _fix_endpoint(
     return (False, config.failed_move_cost, report)
 
 
-def _sizing_gain(netlist: Netlist, cell_index: int) -> float:
+def _sizing_gain(
+    netlist: Netlist, cell_index: int, load: Optional[float] = None
+) -> float:
     """Estimated delay gain of one upsize step on ``cell_index``.
 
     Gain = drive-resistance reduction × driven load, minus the penalty of
     presenting a larger input capacitance to the upstream drivers.
+    ``load`` is the cell's fan-out net load; the optimizer passes the
+    analyzer's compiled ``load_cap``, which holds exactly
+    ``net_load_cap`` of that net (0.0 without one), computed here if omitted.
     """
     cell = netlist.cells[cell_index]
     current = cell.size
     upsized = cell.cell_type.size(cell.size_index + 1)
-    load = 0.0
-    if cell.fanout_net is not None:
-        load = netlist.net_load_cap(cell.fanout_net)
+    if load is None:
+        load = 0.0
+        if cell.fanout_net is not None:
+            load = netlist.net_load_cap(cell.fanout_net)
     gain = (current.drive_resistance - upsized.drive_resistance) * load
     gain += current.intrinsic_delay - upsized.intrinsic_delay
     # Larger input pins slow every upstream driver (drive delay) and degrade

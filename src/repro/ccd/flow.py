@@ -132,7 +132,7 @@ def run_flow(
         with obs.span("flow.begin_sta") as sp_begin:
             begin_report = analyzer.analyze(clock)
             begin_summary = summarize(begin_report)
-            begin_power = report_power(netlist, clock)
+            begin_power = report_power(netlist, clock, analyzer.compiled.load_cap)
 
         # --- endpoint prioritization via margins (RL flow only) ------- #
         margins: Mapping[int, float] = {}
@@ -167,7 +167,7 @@ def run_flow(
         with obs.span("flow.final_sta") as sp_final:
             final_report = analyzer.analyze(clock)
             final_summary = summarize(final_report)
-            final_power = report_power(netlist, clock)
+            final_power = report_power(netlist, clock, analyzer.compiled.load_cap)
     runtime = watch.elapsed
     obs.gauge("flow.endpoints", begin_summary.num_endpoints)
 

@@ -19,6 +19,9 @@ the paper can claim RL-CCD improves timing without degrading power.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Sequence
+
+import numpy as np
 
 from repro.netlist.core import Netlist
 from repro.timing.clock import ClockModel
@@ -66,15 +69,33 @@ def net_switching_power(netlist: Netlist, net_index: int, frequency_ghz: float) 
     return _SWITCHING_COEFF * driver.toggle_rate * cap * frequency_ghz
 
 
-def report_power(netlist: Netlist, clock: ClockModel) -> PowerReport:
-    """Total design power under ``clock`` (frequency = 1/period GHz)."""
+def report_power(
+    netlist: Netlist,
+    clock: ClockModel,
+    load_cap: Optional[Sequence[float]] = None,
+) -> PowerReport:
+    """Total design power under ``clock`` (frequency = 1/period GHz).
+
+    ``load_cap`` optionally gives each cell's fan-out net load, indexed by
+    cell — a current ``TimingAnalyzer.compiled.load_cap``, which holds
+    ``net_load_cap`` of every driven net — so the per-net HPWL and sink-cap
+    sums are not recomputed.  The result is the same either way, bit for bit.
+    """
     frequency = 1.0 / clock.period
     internal = 0.0
     leakage = 0.0
-    for cell in netlist.cells:
+    cells = netlist.cells
+    for cell in cells:
         internal += cell.size.internal_power * cell.toggle_rate
         leakage += cell.size.leakage_power
-    switching = sum(
-        net_switching_power(netlist, i, frequency) for i in range(netlist.num_nets)
-    )
+    if load_cap is None:
+        switching = sum(
+            net_switching_power(netlist, i, frequency) for i in range(netlist.num_nets)
+        )
+    else:
+        loads = np.asarray(load_cap, dtype=np.float64).tolist()
+        switching = sum(
+            _SWITCHING_COEFF * cells[net.driver].toggle_rate * loads[net.driver] * frequency
+            for net in netlist.nets
+        )
     return PowerReport(internal=internal, leakage=leakage, switching=switching)

@@ -44,6 +44,16 @@ byte-for-byte.  Scratch (the seen mask, level buckets) is preallocated in
 the state and reset in O(frontier), so repeated ``analyze()`` calls allocate
 O(frontier), not O(n).
 
+**One storage, two access paths.**  Every vector the scalar loop touches —
+the compiled coefficients, flags and adjacency, the cached arrivals, slews,
+clock arrivals and required times, the seen mask — lives in an
+``array.array`` whose NumPy attribute is an ``np.frombuffer`` view of it
+(:func:`~repro.timing.sta.buffer_backed`).  The scalar loop indexes the
+buffers and so computes on Python floats and ints (the same IEEE-754
+doubles a NumPy scalar carries, without its boxing cost); the kernels, the
+full engine and report assembly use the views.  Neither path has a mirror
+to keep in sync.
+
 Fallback rules (handled by :class:`~repro.timing.sta.TimingAnalyzer`):
 structural edits (``invalidate()`` or an unnotified netlist mutation caught
 by the mutation-version guard), a clock-period change, the first analysis of
@@ -57,9 +67,10 @@ every incremental analysis and asserts the two reports agree within
 
 from __future__ import annotations
 
+import array
 import os
 from dataclasses import dataclass, field
-from typing import Any, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -71,6 +82,7 @@ from repro.timing.sta import (
     TimingReport,
     _backward_required,
     analyze,
+    buffer_backed,
     csr_edge_indices,
 )
 
@@ -98,10 +110,11 @@ ENV_CHECK = "REPRO_STA_CHECK"
 #: the differential fuzz suite to pin byte-equality of the two paths).
 ENV_VEC_THRESHOLD = "REPRO_STA_VEC_THRESHOLD"
 
-#: Default frontier-size threshold for the vectorized kernels.  Measured
-#: crossover on the smoke designs is a few dozen cells per level; below it
-#: numpy's per-call overhead loses to the scalar loop.
-DEFAULT_VEC_THRESHOLD = 64
+#: Default frontier-size threshold for the vectorized kernels: the measured
+#: per-batch crossover of the buffer-backed scalar loop against the NumPy
+#: kernels at 2K and 10K cells (table in docs/timing.md).  Below it NumPy's
+#: per-call overhead loses to the scalar loop.
+DEFAULT_VEC_THRESHOLD = 48
 
 _TRUTHY = ("1", "true", "yes", "on")
 _FALSY = ("0", "false", "no", "off")
@@ -175,62 +188,58 @@ def set_vector_threshold(value: int) -> int:
 class _Frontier:
     """Preallocated frontier scratch: seen mask + per-level buckets.
 
-    Buckets hold a mix of Python ints (scalar pushes) and int64 arrays
-    (vectorized pushes); :func:`_batch_array` / :func:`_batch_list`
-    materialize a level's batch in whichever form its kernel wants.
+    Slot ``k < num_levels`` holds level ``k``'s frontier; one extra last
+    slot holds launch points (flops, input ports), which levelization puts
+    at level 0 beside the combinational cells they drive — the forward
+    sweep runs the source slot before level 0, the backward sweep after it.
+    Scalar pushes append plain ints to ``buckets``, vectorized pushes int64
+    arrays to ``chunks``.  The seen mask is one buffer-backed vector:
+    ``seen_buf`` for the scalar loops, ``seen`` for the kernels.
     ``reset()`` clears only what was touched, so the per-analysis cost is
-    O(frontier) even though the mask is O(n).
+    O(frontier) even though the mask is O(n); the buckets need no clearing
+    because every sweep drains each slot it visits, and it visits them all.
     """
 
-    __slots__ = ("seen", "buckets", "src_batch", "touched")
+    __slots__ = ("seen_buf", "seen", "buckets", "chunks", "touched", "touched_chunks")
 
     def __init__(self, num_levels: int, n: int) -> None:
-        self.seen = np.zeros(n, dtype=bool)
-        self.buckets: List[List[Any]] = [[] for _ in range(max(num_levels, 1))]
-        self.src_batch: List[Any] = []
-        self.touched: List[Any] = []
+        self.seen_buf, self.seen = buffer_backed(np.zeros(n, dtype=bool))
+        self.buckets: List[List[int]] = [[] for _ in range(num_levels + 1)]
+        self.chunks: List[List[np.ndarray]] = [[] for _ in range(num_levels + 1)]
+        self.touched: List[int] = []
+        self.touched_chunks: List[np.ndarray] = []
 
     def reset(self) -> None:
-        seen = self.seen
-        for item in self.touched:
-            seen[item] = False
+        seen_buf = self.seen_buf
+        for c in self.touched:
+            seen_buf[c] = 0
         self.touched.clear()
-        self.src_batch.clear()
-        for bucket in self.buckets:
-            if bucket:
-                del bucket[:]
+        if self.touched_chunks:
+            seen = self.seen
+            for chunk in self.touched_chunks:
+                seen[chunk] = False
+            self.touched_chunks.clear()
 
 
-def _batch_size(items: Sequence[Any]) -> int:
-    total = 0
-    for item in items:
-        total += item.size if isinstance(item, np.ndarray) else 1
-    return total
+def _batch_array(cells: List[int], chunks: List[np.ndarray]) -> np.ndarray:
+    """One slot's frontier as a single int64 array (scalar pushes first)."""
+    if cells:
+        chunks = [np.array(cells, dtype=np.int64), *chunks]
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
-def _batch_list(items: Sequence[Any]) -> List[int]:
-    out: List[int] = []
-    for item in items:
-        if isinstance(item, np.ndarray):
-            out.extend(item.tolist())
-        else:
-            out.append(item)
-    return out
-
-
-def _batch_array(items: Sequence[Any]) -> np.ndarray:
-    arrays: List[np.ndarray] = []
-    ints: List[int] = []
-    for item in items:
-        if isinstance(item, np.ndarray):
-            arrays.append(item)
-        else:
-            ints.append(item)
-    if ints:
-        arrays.append(np.asarray(ints, dtype=np.int64))
-    if len(arrays) == 1:
-        return arrays[0]
-    return np.concatenate(arrays)
+def _bucket_by_level(
+    level_of: np.ndarray, cells: np.ndarray, chunks: List[List[np.ndarray]]
+) -> None:
+    """Append ``cells`` to their levels' chunk lists (one stable argsort)."""
+    levels = level_of[cells]
+    order = np.argsort(levels, kind="stable")
+    cells = cells[order]
+    levels = levels[order]
+    uniq, starts = np.unique(levels, return_index=True)
+    bounds = np.append(starts, cells.size)
+    for i, lv in enumerate(uniq.tolist()):
+        chunks[lv].append(cells[bounds[i] : bounds[i + 1]])
 
 
 @dataclass
@@ -238,10 +247,13 @@ class IncrementalState:
     """One corner's cached analysis in array form.
 
     The cached timing vectors are the canonical state both kernel paths
-    read and write in place; topology, levels and delay coefficients are
-    *not* mirrored — both paths index the compiled arrays directly, so a
-    ``notify_resize`` coefficient patch is immediately visible.  Reports
-    are assembled as fresh copies, so a caller-held
+    read and write in place.  Each is the view of the ``array.array`` kept
+    under its name in ``buffers`` (:func:`~repro.timing.sta.buffer_backed`):
+    the scalar loops index the buffer, the vector kernels and report
+    assembly use the view.  Topology, levels and delay coefficients are
+    *not* mirrored — both paths read the compiled buffers or views, so a
+    ``notify_resize`` coefficient patch is immediately visible.  Reports are
+    assembled as fresh copies, so a caller-held
     :class:`~repro.timing.sta.TimingReport` never changes retroactively.
     """
 
@@ -270,6 +282,16 @@ class IncrementalState:
     #: Preallocated frontier scratch, shared by the forward and backward
     #: sweeps of one analysis (reset between passes).
     scratch: Optional[_Frontier] = None
+    #: Storage of every vector above, keyed by attribute name.
+    buffers: Dict[str, array.array] = field(default_factory=dict, repr=False)
+
+    def set_required_eff(self, values: Optional[np.ndarray]) -> None:
+        """Install a buffer-backed copy of the margin-aware view, or drop it."""
+        if values is None:
+            self.required_eff = None
+            self.buffers.pop("required_eff", None)
+        else:
+            self.buffers["required_eff"], self.required_eff = buffer_backed(values)
 
 
 def build_state(
@@ -291,7 +313,6 @@ def build_state(
             if value != 0.0:
                 skewed.add(f)
 
-    margin_vec = report.margins.copy()
     if report.margins.any():
         # Recompute the margin-aware backward view with the exact same
         # function and inputs the full engine used, so the cached values are
@@ -303,21 +324,30 @@ def build_state(
     else:
         required_eff = None
 
+    # buffer_backed copies, so the state never aliases the returned report.
+    buffers: Dict[str, array.array] = {}
+
+    def keep(name: str, values: np.ndarray) -> np.ndarray:
+        buffers[name], view = buffer_backed(values)
+        return view
+
     state = IncrementalState(
         compiled=compiled,
         period=clock.period,
         num_levels=len(compiled.levels),
-        clock_arrival=clock_arrival,
-        arrival=report.cell_arrival.copy(),
-        slew=report.cell_slew.copy(),
-        ep_arrival=report.arrival.copy(),
-        ep_required=report.required.copy(),
-        margin_vec=margin_vec,
-        required_true=report.cell_required.copy(),
-        required_eff=required_eff,
+        clock_arrival=keep("clock_arrival", clock_arrival),
+        arrival=keep("arrival", report.cell_arrival),
+        slew=keep("slew", report.cell_slew),
+        ep_arrival=keep("ep_arrival", report.arrival),
+        ep_required=keep("ep_required", report.required),
+        margin_vec=keep("margin_vec", report.margins),
+        required_true=keep("required_true", report.cell_required),
+        required_eff=None,
         skewed_flops=skewed,
-        margined=set(np.nonzero(margin_vec)[0].tolist()),
+        margined=set(np.nonzero(report.margins)[0].tolist()),
+        buffers=buffers,
     )
+    state.set_required_eff(required_eff)
     return report, state
 
 
@@ -345,33 +375,37 @@ def incremental_analyze(
     clock arrivals, changed margins — is discovered and handled here.
     """
     compiled = state.compiled
-    is_flop = compiled.is_flop
-    level_of = compiled.level_of
-    ep_pos = compiled.ep_pos
-    eps = compiled.endpoint_cells
-    arrival = state.arrival
-    ca = state.clock_arrival
+    cb = compiled.buffers
+    sb = state.buffers
+    is_flop = cb["is_flop"]
+    is_src = cb["is_src"]
+    level_of = cb["level_of"]
+    ep_pos = cb["ep_pos"]
+    eps = cb["endpoint_cells"]
+    ca = sb["clock_arrival"]
+    src_slot = state.num_levels
 
     dirty = state.pending
     state.pending = set()
 
     fr = state.scratch
     if fr is None:
-        fr = state.scratch = _Frontier(state.num_levels, arrival.shape[0])
+        fr = state.scratch = _Frontier(state.num_levels, state.arrival.shape[0])
     else:
         fr.reset()  # clear the previous analysis' backward-pass residue
     counters = _Counters()
 
-    # Frontier cells are bucketed by topological level; the sweep touches
-    # only levels that hold work and each cell is recomputed at most once.
-    seen = fr.seen
+    # Frontier cells are bucketed by topological level (sources in their
+    # own slot); the sweep touches only slots that hold work and each cell
+    # is recomputed at most once.
+    seen = fr.seen_buf
     buckets = fr.buckets
     touched = fr.touched
     for c in dirty:
         if not seen[c]:
-            seen[c] = True
+            seen[c] = 1
             touched.append(c)
-            buckets[level_of[c]].append(c)
+            buckets[src_slot if is_src[c] else level_of[c]].append(c)
     ep_arr_dirty: Set[int] = set()
     ep_req_dirty: List[int] = []
 
@@ -390,29 +424,29 @@ def incremental_analyze(
         value = clock.arrivals.get(f, 0.0)
         if value != ca[f]:
             ca[f] = value
-            ep_req_dirty.append(int(ep_pos[f]))
+            ep_req_dirty.append(ep_pos[f])
             if not seen[f]:
-                seen[f] = True
+                seen[f] = 1
                 touched.append(f)
-                buckets[level_of[f]].append(f)
+                buckets[src_slot].append(f)
         if value != 0.0:
             skewed.add(f)
         else:
             skewed.discard(f)
 
     # ---- forward re-propagation -------------------------------------- #
-    slew_changed: List[Any] = []
-    _forward_sweep(state, fr, counters, slew_changed, ep_arr_dirty)
+    slew_cells: List[int] = []
+    slew_chunks: List[np.ndarray] = []
+    _forward_sweep(state, fr, counters, slew_cells, slew_chunks, ep_arr_dirty)
 
     # ---- endpoint checks --------------------------------------------- #
-    ep_arrival = state.ep_arrival
-    ep_required = state.ep_required
+    ep_required = sb["ep_required"]
     if ep_arr_dirty:
         _recompute_ep_arrival(state, sorted(ep_arr_dirty))
 
     ep_req_changed: List[int] = []
     period = state.period
-    setup = compiled.setup
+    setup = cb["setup"]
     for pos in ep_req_dirty:
         e = eps[pos]
         if is_flop[e]:
@@ -426,14 +460,14 @@ def incremental_analyze(
     # ---- margins diff (a view: reseeds only the eff backward pass) ---- #
     # Only endpoints named in the mapping or carrying a cached non-zero
     # margin can differ, so this too is O(#margined) rather than O(#eps).
-    margin_vec = state.margin_vec
+    margin_vec = sb["margin_vec"]
     margined = state.margined
     margin_changed: List[int] = []
     if margins:
-        positions = {int(ep_pos[e]) for e in margins if ep_pos[e] >= 0}
+        positions = {ep_pos[e] for e in margins if ep_pos[e] >= 0}
         positions.update(margined)
         for pos in positions:
-            m = float(margins.get(int(eps[pos]), 0.0))
+            m = float(margins.get(eps[pos], 0.0))
             if m != margin_vec[pos]:
                 margin_changed.append(pos)
                 margin_vec[pos] = m
@@ -454,35 +488,48 @@ def incremental_analyze(
     # to its required time moved), the fan-in of re-coefficiented cells
     # (their gate delay as seen from upstream moved), and the fan-in of
     # endpoints whose required seed moved.
-    cell_seeds: List[Any] = list(slew_changed)
+    cell_seeds = slew_cells
     if dirty:
-        rows = compiled.fanin_idx[
-            np.fromiter(dirty, dtype=np.int64, count=len(dirty))
-        ]
-        drivers = rows[rows != _NO_DRIVER]
-        if drivers.size:
-            cell_seeds.append(drivers)
+        fanin = cb["fanin_idx"]
+        max_pins = compiled.fanin_idx.shape[1]
+        for c in dirty:
+            row = c * max_pins
+            for u in fanin[row : row + max_pins]:
+                if u >= 0:
+                    cell_seeds.append(u)
 
     _backward_incremental(
-        state, fr, counters, state.required_true, ep_required, cell_seeds,
+        state,
+        fr,
+        counters,
+        "required_true",
+        (ep_required, state.ep_required),
+        cell_seeds,
+        slew_chunks,
         ep_req_changed,
     )
 
     if not any_margin:
-        state.required_eff = None
+        state.set_required_eff(None)
     else:
         ep_eff_dirty = ep_req_changed + margin_changed
         if state.required_eff is None:
             # Margins just appeared: the eff view currently equals the true
             # view (which the pass above already brought up to date), so
             # only the freshly margined endpoints need re-seeding.
-            state.required_eff = state.required_true.copy()
-            eff_seeds: List[Any] = []
+            state.set_required_eff(state.required_true)
+            eff_cells: List[int] = []
+            eff_chunks: List[np.ndarray] = []
         else:
-            eff_seeds = cell_seeds
-        ep_seed_eff = ep_required - margin_vec
+            eff_cells, eff_chunks = cell_seeds, slew_chunks
         _backward_incremental(
-            state, fr, counters, state.required_eff, ep_seed_eff, eff_seeds,
+            state,
+            fr,
+            counters,
+            "required_eff",
+            buffer_backed(state.ep_required - state.margin_vec),
+            eff_cells,
+            eff_chunks,
             ep_eff_dirty,
         )
 
@@ -492,7 +539,7 @@ def incremental_analyze(
         obs.incr("sta.scalar_levels", counters.scalar)
 
     # ---- assemble the report (fresh arrays: the cache keeps mutating) - #
-    arr = arrival.copy()
+    arr = state.arrival.copy()
     required_true = state.required_true.copy()
     worst_true = np.where(
         np.isfinite(required_true), required_true - arr, np.inf
@@ -504,14 +551,14 @@ def incremental_analyze(
         worst_eff = np.where(
             np.isfinite(required_eff), required_eff - arr, np.inf
         )
-    ep_arr = ep_arrival.copy()
-    ep_req = ep_required.copy()
+    ep_arr = state.ep_arrival.copy()
+    ep_req = state.ep_required.copy()
     report = TimingReport(
-        endpoints=compiled.endpoint_cells,
+        endpoints=compiled.endpoint_cells.copy(),
         arrival=ep_arr,
         required=ep_req,
         slack=ep_req - ep_arr,
-        margins=margin_vec.copy(),
+        margins=state.margin_vec.copy(),
         cell_arrival=arr,
         cell_slew=state.slew.copy(),
         cell_required=required_true,
@@ -528,88 +575,124 @@ def _forward_sweep(
     state: IncrementalState,
     fr: _Frontier,
     counters: _Counters,
-    slew_changed: List[Any],
+    slew_cells: List[int],
+    slew_chunks: List[np.ndarray],
     ep_arr_dirty: Set[int],
 ) -> None:
-    """Level-ordered forward re-propagation of the seeded frontier."""
+    """Level-ordered forward re-propagation of the seeded frontier.
+
+    The source slot runs first, then levels 0, 1, ...  A slot's batch at or
+    above the density threshold takes the vectorized kernels; a smaller one
+    runs the scalar loop below, which reads and writes the buffers bound
+    here once and pushes each moved cell's fan-out inline.
+    """
+    compiled = state.compiled
+    cb = compiled.buffers
+    sb = state.buffers
+    arrival = sb["arrival"]
+    slew = sb["slew"]
+    ca = sb["clock_arrival"]
+    fanin = cb["fanin_idx"]
+    fanin_wire = cb["fanin_wire_delay"]
+    max_pins = compiled.fanin_idx.shape[1]
+    intrinsic = cb["intrinsic"]
+    slew_sens = cb["slew_sens"]
+    drive_res = cb["drive_res"]
+    load_cap = cb["load_cap"]
+    slew_intr = cb["slew_intr"]
+    slew_load = cb["slew_load"]
+    clk_to_q = cb["clk_to_q"]
+    is_flop = cb["is_flop"]
+    is_outport = cb["is_outport"]
+    is_ep = cb["is_ep"]
+    ep_pos = cb["ep_pos"]
+    level_of = cb["level_of"]
+    indptr = cb["fanout_indptr"]
+    sinks = cb["fanout_indices"]
+    seen = fr.seen_buf
     buckets = fr.buckets
-    for k in range(state.num_levels):
-        items = buckets[k]
-        if not items:
+    chunks = fr.chunks
+    touched = fr.touched
+    threshold = _vec_threshold
+    src_slot = state.num_levels
+    for k in (src_slot, *range(src_slot)):
+        cells = buckets[k]
+        level_chunks = chunks[k]
+        if not cells and not level_chunks:
             continue
         buckets[k] = []
-        threshold = _vec_threshold
-        size = _batch_size(items)
+        size = len(cells)
+        if level_chunks:
+            chunks[k] = []
+            for chunk in level_chunks:
+                size += chunk.size
+        counters.frontier += size
+        sources = k == src_slot
         if size >= threshold:
-            cells = _batch_array(items)
-            src_mask = state.compiled.is_src[cells]
-            if src_mask.any():
-                srcs = cells[src_mask]
-                counters.vectorized += 1
-                counters.frontier += int(srcs.size)
-                _forward_src_vec(state, fr, srcs, slew_changed, ep_arr_dirty)
-                combs = cells[~src_mask]
-                # Source commits may push comb cells of this same level
-                # (levelization puts source-only-fed cells at level 0);
-                # fold the freshly landed bucket into this batch.
-                extra = buckets[k]
-                if extra:
-                    buckets[k] = []
-                    combs = np.concatenate([combs, _batch_array(extra)])
+            counters.vectorized += 1
+            batch = _batch_array(cells, level_chunks)
+            if sources:
+                new_arr, new_slew = _forward_src_vec(state, batch)
             else:
-                combs = cells
-            if combs.size:
-                counters.vectorized += 1
-                counters.frontier += int(combs.size)
-                _forward_comb_vec(state, fr, combs, slew_changed, ep_arr_dirty)
-        else:
-            cells_list = _batch_list(items)
-            is_src = state.compiled.is_src
-            srcs = [c for c in cells_list if is_src[c]]
-            combs_list = [c for c in cells_list if not is_src[c]]
-            if srcs:
-                counters.scalar += 1
-                counters.frontier += len(srcs)
-                _forward_src_scalar(state, fr, srcs, slew_changed, ep_arr_dirty)
-                extra = buckets[k]
-                if extra:
-                    buckets[k] = []
-                    combs_list.extend(_batch_list(extra))
-            if combs_list:
-                counters.scalar += 1
-                counters.frontier += len(combs_list)
-                _forward_comb_scalar(
-                    state, fr, combs_list, slew_changed, ep_arr_dirty
-                )
-
-
-def _forward_push_scalar(
-    state: IncrementalState,
-    fr: _Frontier,
-    c: int,
-    ep_arr_dirty: Set[int],
-) -> None:
-    """Scalar fanout expansion of one changed cell (CSR slice walk)."""
-    compiled = state.compiled
-    indptr = compiled.fanout_indptr
-    sinks = compiled.fanout_indices
-    is_flop = compiled.is_flop
-    is_ep = compiled.is_ep
-    ep_pos = compiled.ep_pos
-    level_of = compiled.level_of
-    seen = fr.seen
-    buckets = fr.buckets
-    touched = fr.touched
-    for j in range(indptr[c], indptr[c + 1]):
-        s = int(sinks[j])
-        if is_ep[s]:
-            ep_arr_dirty.add(int(ep_pos[s]))
-        # Flop sinks capture only (their Q arrival never depends on D);
-        # every other sink — comb cells and output ports — re-propagates.
-        if not is_flop[s] and not seen[s]:
-            seen[s] = True
-            touched.append(s)
-            buckets[level_of[s]].append(s)
+                new_arr, new_slew = _forward_comb_vec(state, batch)
+            _forward_commit_vec(
+                state, fr, batch, new_arr, new_slew, slew_chunks, ep_arr_dirty
+            )
+            continue
+        counters.scalar += 1
+        for chunk in level_chunks:
+            cells.extend(chunk.tolist())
+        for c in cells:
+            if sources:
+                self_delay = drive_res[c] * load_cap[c]
+                if is_flop[c]:
+                    new_arr = ca[c] + clk_to_q[c] + self_delay
+                else:
+                    new_arr = self_delay
+            else:
+                best = _NEG_INF
+                row = c * max_pins
+                if is_outport[c]:
+                    # Output ports consume only: no gate delay, no drive.
+                    for p in range(row, row + max_pins):
+                        u = fanin[p]
+                        if u < 0:  # _NO_DRIVER pads unconnected pins
+                            continue
+                        v = arrival[u] + fanin_wire[p]
+                        if v > best:
+                            best = v
+                    new_arr = best + 0.0
+                else:
+                    ic = intrinsic[c]
+                    ss = slew_sens[c]
+                    for p in range(row, row + max_pins):
+                        u = fanin[p]
+                        if u < 0:
+                            continue
+                        v = (arrival[u] + fanin_wire[p]) + (ic + ss * slew[u])
+                        if v > best:
+                            best = v
+                    new_arr = best + drive_res[c] * load_cap[c]
+            new_slew = slew_intr[c] + slew_load[c] * load_cap[c]
+            da = new_arr - arrival[c]
+            ds = new_slew - slew[c]
+            slew_moved = ds > PRUNE_TOL or ds < -PRUNE_TOL
+            if not (slew_moved or da > PRUNE_TOL or da < -PRUNE_TOL):
+                continue
+            arrival[c] = new_arr
+            slew[c] = new_slew
+            if slew_moved:
+                slew_cells.append(c)
+            for s in sinks[indptr[c] : indptr[c + 1]]:
+                if is_ep[s]:
+                    ep_arr_dirty.add(ep_pos[s])
+                # Flop sinks capture only (their Q arrival never depends
+                # on D); every other sink — comb cells and output ports —
+                # re-propagates.
+                if not is_flop[s] and not seen[s]:
+                    seen[s] = 1
+                    touched.append(s)
+                    buckets[level_of[s]].append(s)
 
 
 def _forward_push_vec(
@@ -635,118 +718,13 @@ def _forward_push_vec(
         return
     fresh = np.unique(fresh)
     fr.seen[fresh] = True
-    fr.touched.append(fresh)
-    levels = compiled.level_of[fresh]
-    order = np.argsort(levels, kind="stable")
-    fresh = fresh[order]
-    levels = levels[order]
-    uniq, starts = np.unique(levels, return_index=True)
-    bounds = np.append(starts, fresh.size)
-    buckets = fr.buckets
-    for i, lv in enumerate(uniq.tolist()):
-        buckets[lv].append(fresh[bounds[i] : bounds[i + 1]])
-
-
-def _forward_src_scalar(
-    state: IncrementalState,
-    fr: _Frontier,
-    srcs: List[int],
-    slew_changed: List[Any],
-    ep_arr_dirty: Set[int],
-) -> None:
-    compiled = state.compiled
-    arrival = state.arrival
-    slew = state.slew
-    ca = state.clock_arrival
-    is_flop = compiled.is_flop
-    drive_res = compiled.drive_res
-    load_cap = compiled.load_cap
-    clk_to_q = compiled.clk_to_q
-    slew_intr = compiled.slew_intr
-    slew_load = compiled.slew_load
-    for c in srcs:
-        self_delay = drive_res[c] * load_cap[c]
-        if is_flop[c]:
-            new_arr = ca[c] + clk_to_q[c] + self_delay
-        else:
-            new_arr = self_delay
-        new_slew = slew_intr[c] + slew_load[c] * load_cap[c]
-        da = new_arr - arrival[c]
-        ds = new_slew - slew[c]
-        arr_moved = da > PRUNE_TOL or da < -PRUNE_TOL
-        slew_moved = ds > PRUNE_TOL or ds < -PRUNE_TOL
-        if not (arr_moved or slew_moved):
-            continue
-        arrival[c] = new_arr
-        slew[c] = new_slew
-        if slew_moved:
-            slew_changed.append(c)
-        _forward_push_scalar(state, fr, c, ep_arr_dirty)
-
-
-def _forward_comb_scalar(
-    state: IncrementalState,
-    fr: _Frontier,
-    combs: List[int],
-    slew_changed: List[Any],
-    ep_arr_dirty: Set[int],
-) -> None:
-    compiled = state.compiled
-    arrival = state.arrival
-    slew = state.slew
-    fanin_idx = compiled.fanin_idx
-    fanin_wire = compiled.fanin_wire_delay
-    max_pins = fanin_idx.shape[1]
-    is_outport = compiled.is_outport
-    intrinsic = compiled.intrinsic
-    slew_sens = compiled.slew_sens
-    drive_res = compiled.drive_res
-    load_cap = compiled.load_cap
-    slew_intr = compiled.slew_intr
-    slew_load = compiled.slew_load
-    for c in combs:
-        best = _NEG_INF
-        if is_outport[c]:
-            for p in range(max_pins):
-                u = fanin_idx[c, p]
-                if u == _NO_DRIVER:
-                    continue
-                v = arrival[u] + fanin_wire[c, p]
-                if v > best:
-                    best = v
-            new_arr = best + 0.0
-        else:
-            ic = intrinsic[c]
-            ss = slew_sens[c]
-            for p in range(max_pins):
-                u = fanin_idx[c, p]
-                if u == _NO_DRIVER:
-                    continue
-                v = (arrival[u] + fanin_wire[c, p]) + (ic + ss * slew[u])
-                if v > best:
-                    best = v
-            new_arr = best + drive_res[c] * load_cap[c]
-        new_slew = slew_intr[c] + slew_load[c] * load_cap[c]
-        da = new_arr - arrival[c]
-        ds = new_slew - slew[c]
-        arr_moved = da > PRUNE_TOL or da < -PRUNE_TOL
-        slew_moved = ds > PRUNE_TOL or ds < -PRUNE_TOL
-        if not (arr_moved or slew_moved):
-            continue
-        arrival[c] = new_arr
-        slew[c] = new_slew
-        if slew_moved:
-            slew_changed.append(c)
-        _forward_push_scalar(state, fr, c, ep_arr_dirty)
+    fr.touched_chunks.append(fresh)
+    _bucket_by_level(compiled.level_of, fresh, fr.chunks)
 
 
 def _forward_src_vec(
-    state: IncrementalState,
-    fr: _Frontier,
-    srcs: np.ndarray,
-    slew_changed: List[Any],
-    ep_arr_dirty: Set[int],
-) -> None:
+    state: IncrementalState, srcs: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
     compiled = state.compiled
     self_delay = compiled.drive_res[srcs] * compiled.load_cap[srcs]
     new_arr = np.where(
@@ -757,16 +735,12 @@ def _forward_src_vec(
     new_slew = (
         compiled.slew_intr[srcs] + compiled.slew_load[srcs] * compiled.load_cap[srcs]
     )
-    _forward_commit_vec(state, fr, srcs, new_arr, new_slew, slew_changed, ep_arr_dirty)
+    return new_arr, new_slew
 
 
 def _forward_comb_vec(
-    state: IncrementalState,
-    fr: _Frontier,
-    combs: np.ndarray,
-    slew_changed: List[Any],
-    ep_arr_dirty: Set[int],
-) -> None:
+    state: IncrementalState, combs: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
     compiled = state.compiled
     arrival = state.arrival
     slew = state.slew
@@ -791,9 +765,7 @@ def _forward_comb_vec(
         compiled.slew_intr[combs]
         + compiled.slew_load[combs] * compiled.load_cap[combs]
     )
-    _forward_commit_vec(
-        state, fr, combs, new_arr, new_slew, slew_changed, ep_arr_dirty
-    )
+    return new_arr, new_slew
 
 
 def _forward_commit_vec(
@@ -802,7 +774,7 @@ def _forward_commit_vec(
     cells: np.ndarray,
     new_arr: np.ndarray,
     new_slew: np.ndarray,
-    slew_changed: List[Any],
+    slew_chunks: List[np.ndarray],
     ep_arr_dirty: Set[int],
 ) -> None:
     arrival = state.arrival
@@ -819,7 +791,7 @@ def _forward_commit_vec(
     slew[changed] = new_slew[moved]
     slewed = cells[slew_moved]
     if slewed.size:
-        slew_changed.append(slewed)
+        slew_chunks.append(slewed)
     _forward_push_vec(state, fr, changed, ep_arr_dirty)
 
 
@@ -828,33 +800,37 @@ def _recompute_ep_arrival(
 ) -> None:
     """Recompute endpoint data arrivals for the given positions."""
     compiled = state.compiled
-    arrival = state.arrival
-    ep_arrival = state.ep_arrival
-    eps = compiled.endpoint_cells
-    fanin_idx = compiled.fanin_idx
-    fanin_wire = compiled.fanin_wire_delay
     if len(positions) >= max(_vec_threshold, 1):
+        eps = compiled.endpoint_cells
         pos = np.asarray(positions, dtype=np.int64)
         e = eps[pos]
-        rows = fanin_idx[e]
+        rows = compiled.fanin_idx[e]
         valid = rows != _NO_DRIVER
         drv = np.where(valid, rows, 0)
-        pin_arr = np.where(valid, arrival[drv] + fanin_wire[e], -np.inf)
+        pin_arr = np.where(
+            valid, state.arrival[drv] + compiled.fanin_wire_delay[e], -np.inf
+        )
         best = pin_arr.max(axis=1)
         best[~valid.any(axis=1)] = 0.0
-        ep_arrival[pos] = best
+        state.ep_arrival[pos] = best
         return
-    max_pins = fanin_idx.shape[1]
+    cb = compiled.buffers
+    eps = cb["endpoint_cells"]
+    fanin = cb["fanin_idx"]
+    fanin_wire = cb["fanin_wire_delay"]
+    arrival = state.buffers["arrival"]
+    ep_arrival = state.buffers["ep_arrival"]
+    max_pins = compiled.fanin_idx.shape[1]
     for pos in positions:
-        e = eps[pos]
+        row = eps[pos] * max_pins
         best = _NEG_INF
         hit = False
-        for p in range(max_pins):
-            u = fanin_idx[e, p]
-            if u == _NO_DRIVER:
+        for p in range(row, row + max_pins):
+            u = fanin[p]
+            if u < 0:
                 continue
             hit = True
-            v = arrival[u] + fanin_wire[e, p]
+            v = arrival[u] + fanin_wire[p]
             if v > best:
                 best = v
         ep_arrival[pos] = best if hit else 0.0
@@ -867,187 +843,154 @@ def _backward_incremental(
     state: IncrementalState,
     fr: _Frontier,
     counters: _Counters,
-    required: np.ndarray,
-    ep_seed: np.ndarray,
-    cell_seeds: List[Any],
+    name: str,
+    ep_seed: Tuple[array.array, np.ndarray],
+    seed_cells: List[int],
+    seed_chunks: List[np.ndarray],
     ep_dirty_pos: Iterable[int],
 ) -> None:
-    """Pruned reverse-level sweep updating ``required`` in place.
+    """Pruned reverse-level sweep updating the required view ``name`` in place.
 
-    ``ep_seed`` is the per-endpoint required seed of this view (true:
-    ``ep_required``; margin-aware: ``ep_required − margins``);
-    ``cell_seeds`` are cells to recompute up front (ints or int64 chunks,
-    duplicates fine) and ``ep_dirty_pos`` endpoint positions whose seed
-    moved (their fan-in joins the frontier).
+    ``ep_seed`` is the ``(buffer, view)`` pair of this view's per-endpoint
+    required seed (true: ``ep_required``; margin-aware: ``ep_required −
+    margins``); ``seed_cells`` (ints) and ``seed_chunks`` (int64 arrays)
+    are cells to recompute up front, duplicates fine, and ``ep_dirty_pos``
+    endpoint positions whose seed moved (their fan-in joins the frontier).
     """
     compiled = state.compiled
+    cb = compiled.buffers
+    required = state.buffers[name]
+    required_view = getattr(state, name)
+    ep_seed_buf, ep_seed_view = ep_seed
+    slew = state.buffers["slew"]
+    fanin = cb["fanin_idx"]
+    max_pins = compiled.fanin_idx.shape[1]
+    intrinsic = cb["intrinsic"]
+    slew_sens = cb["slew_sens"]
+    drive_res = cb["drive_res"]
+    load_cap = cb["load_cap"]
+    is_ep = cb["is_ep"]
+    is_comb = cb["is_comb"]
+    is_src = cb["is_src"]
+    ep_pos = cb["ep_pos"]
+    eps = cb["endpoint_cells"]
+    level_of = cb["level_of"]
+    indptr = cb["fanout_indptr"]
+    sinks = cb["fanout_indices"]
+    fanout_wire = cb["fanout_wire_delay"]
+    is_src_view = compiled.is_src
     fr.reset()
-    seen = fr.seen
+    seen = fr.seen_buf
+    seen_view = fr.seen
     buckets = fr.buckets
+    chunks = fr.chunks
     touched = fr.touched
-    src_batch = fr.src_batch
-    is_src = compiled.is_src
-    level_of = compiled.level_of
+    threshold = _vec_threshold
+    src_slot = state.num_levels
 
     # Sources (flops/inports) sit at level 0 alongside the comb cells they
     # drive, so a same-level push would arrive mid-sweep; since sources
-    # never push further, they are batched after the sweep instead (mirror
-    # of the forward pass' two-phase level 0).
+    # never push further, they wait in the source slot, swept last (mirror
+    # of the forward pass' source-first order).
     def push_chunk(cells: np.ndarray) -> None:
-        fresh = cells[~seen[cells]]
+        fresh = cells[~seen_view[cells]]
         if fresh.size == 0:
             return
         fresh = np.unique(fresh)
-        seen[fresh] = True
-        touched.append(fresh)
-        src_mask = is_src[fresh]
+        seen_view[fresh] = True
+        fr.touched_chunks.append(fresh)
+        src_mask = is_src_view[fresh]
         if src_mask.any():
-            src_batch.append(fresh[src_mask])
+            chunks[src_slot].append(fresh[src_mask])
             fresh = fresh[~src_mask]
             if fresh.size == 0:
                 return
-        levels = level_of[fresh]
-        order = np.argsort(levels, kind="stable")
-        fresh = fresh[order]
-        levels = levels[order]
-        uniq, starts = np.unique(levels, return_index=True)
-        bounds = np.append(starts, fresh.size)
-        for i, lv in enumerate(uniq.tolist()):
-            buckets[lv].append(fresh[bounds[i] : bounds[i + 1]])
+        _bucket_by_level(compiled.level_of, fresh, chunks)
 
-    for item in cell_seeds:
-        if isinstance(item, np.ndarray):
-            push_chunk(item)
-        elif not seen[item]:
-            seen[item] = True
-            touched.append(item)
-            if is_src[item]:
-                src_batch.append(item)
-            else:
-                buckets[level_of[item]].append(item)
+    for u in seed_cells:
+        if not seen[u]:
+            seen[u] = 1
+            touched.append(u)
+            buckets[src_slot if is_src[u] else level_of[u]].append(u)
+    for chunk in seed_chunks:
+        push_chunk(chunk)
+    for pos in ep_dirty_pos:
+        row = eps[pos] * max_pins
+        for v in fanin[row : row + max_pins]:
+            if v < 0 or seen[v]:
+                continue
+            seen[v] = 1
+            touched.append(v)
+            buckets[src_slot if is_src[v] else level_of[v]].append(v)
 
-    ep_dirty = list(ep_dirty_pos)
-    if ep_dirty:
-        rows = compiled.fanin_idx[
-            compiled.endpoint_cells[np.asarray(ep_dirty, dtype=np.int64)]
-        ]
-        drivers = rows[rows != _NO_DRIVER]
-        if drivers.size:
-            push_chunk(drivers)
-
-    for k in range(state.num_levels - 1, -1, -1):
-        items = buckets[k]
-        if not items:
+    for k in (*range(src_slot - 1, -1, -1), src_slot):
+        cells = buckets[k]
+        level_chunks = chunks[k]
+        if not cells and not level_chunks:
             continue
+        # Pushes land strictly below level k (or in the source slot),
+        # never behind the sweep — the slot can be drained as-is.
         buckets[k] = []
-        # Pushes land strictly below level k (or in src_batch), never
-        # behind the sweep — the bucket can be drained as-is.
-        size = _batch_size(items)
-        if size >= _vec_threshold:
-            counters.vectorized += 1
-            counters.frontier += size
-            _backward_level_vec(
-                state, required, ep_seed, _batch_array(items), push_chunk
-            )
-        else:
-            counters.scalar += 1
-            counters.frontier += size
-            _backward_level_scalar(
-                state, fr, required, ep_seed, _batch_list(items)
-            )
-
-    srcs = fr.src_batch
-    if srcs:
-        fr.src_batch = []
-        size = _batch_size(srcs)
+        size = len(cells)
+        if level_chunks:
+            chunks[k] = []
+            for chunk in level_chunks:
+                size += chunk.size
         counters.frontier += size
-        if size >= _vec_threshold:
+        # Source requireds are terminal: written unpruned, never pushed
+        # (the full pass masks sources out of the reverse sweep).
+        terminal = k == src_slot
+        if size >= threshold:
             counters.vectorized += 1
-            src_arr = _batch_array(srcs)
-            best = _backward_recompute_vec(state, required, ep_seed, src_arr)
-            required[src_arr] = best
-        else:
-            counters.scalar += 1
-            for u in _batch_list(srcs):
-                required[u] = _backward_recompute_scalar(
-                    state, required, ep_seed, u
-                )
-
-
-def _backward_recompute_scalar(
-    state: IncrementalState,
-    required: np.ndarray,
-    ep_seed: np.ndarray,
-    u: int,
-) -> float:
-    compiled = state.compiled
-    indptr = compiled.fanout_indptr
-    sinks = compiled.fanout_indices
-    wires = compiled.fanout_wire_delay
-    is_ep = compiled.is_ep
-    ep_pos = compiled.ep_pos
-    intrinsic = compiled.intrinsic
-    slew_sens = compiled.slew_sens
-    drive_res = compiled.drive_res
-    load_cap = compiled.load_cap
-    best = _POS_INF
-    su = state.slew[u]
-    for j in range(indptr[u], indptr[u + 1]):
-        s = sinks[j]
-        wire = wires[j]
-        if is_ep[s]:
-            contrib = ep_seed[ep_pos[s]] - wire
-        else:
-            contrib = (
-                required[s]
-                - (intrinsic[s] + slew_sens[s] * su + drive_res[s] * load_cap[s])
-                - wire
-            )
-        if contrib < best:
-            best = contrib
-    return best
-
-
-def _backward_level_scalar(
-    state: IncrementalState,
-    fr: _Frontier,
-    required: np.ndarray,
-    ep_seed: np.ndarray,
-    cells: List[int],
-) -> None:
-    compiled = state.compiled
-    is_comb = compiled.is_comb
-    is_src = compiled.is_src
-    level_of = compiled.level_of
-    fanin_idx = compiled.fanin_idx
-    max_pins = fanin_idx.shape[1]
-    seen = fr.seen
-    buckets = fr.buckets
-    touched = fr.touched
-    src_batch = fr.src_batch
-    for u in cells:
-        new_req = _backward_recompute_scalar(state, required, ep_seed, u)
-        old = required[u]
-        if new_req == old:
+            batch = _batch_array(cells, level_chunks)
+            best = _backward_recompute_vec(state, required_view, ep_seed_view, batch)
+            if terminal:
+                required_view[batch] = best
+            else:
+                _backward_commit_vec(state, required_view, batch, best, push_chunk)
             continue
-        d = new_req - old
-        if -PRUNE_TOL <= d <= PRUNE_TOL:
-            continue
-        required[u] = new_req
-        # Only combinational cells propagate required times upstream; a
-        # changed flop/port required is terminal (the full pass masks
-        # them out of the reverse sweep the same way).
-        if is_comb[u]:
-            for p in range(max_pins):
-                v = fanin_idx[u, p]
-                if v == _NO_DRIVER or seen[v]:
-                    continue
-                seen[v] = True
-                touched.append(v)
-                if is_src[v]:
-                    src_batch.append(int(v))
+        counters.scalar += 1
+        for chunk in level_chunks:
+            cells.extend(chunk.tolist())
+        for u in cells:
+            best = _POS_INF
+            su = slew[u]
+            for j in range(indptr[u], indptr[u + 1]):
+                s = sinks[j]
+                if is_ep[s]:
+                    contrib = ep_seed_buf[ep_pos[s]] - fanout_wire[j]
                 else:
-                    buckets[level_of[v]].append(int(v))
+                    contrib = (
+                        required[s]
+                        - (intrinsic[s] + slew_sens[s] * su + drive_res[s] * load_cap[s])
+                        - fanout_wire[j]
+                    )
+                if contrib < best:
+                    best = contrib
+            if terminal:
+                required[u] = best
+                continue
+            old = required[u]
+            if best == old:
+                continue
+            d = best - old
+            if -PRUNE_TOL <= d <= PRUNE_TOL:
+                continue
+            required[u] = best
+            # Only combinational cells propagate required times upstream; a
+            # changed flop/port required is terminal (the full pass masks
+            # them out of the reverse sweep the same way).
+            if is_comb[u]:
+                row = u * max_pins
+                for v in fanin[row : row + max_pins]:
+                    if v < 0 or seen[v]:
+                        continue
+                    seen[v] = 1
+                    touched.append(v)
+                    if is_src[v]:
+                        buckets[src_slot].append(v)
+                    else:
+                        buckets[level_of[v]].append(v)
 
 
 def _backward_recompute_vec(
@@ -1085,15 +1028,14 @@ def _backward_recompute_vec(
     return best
 
 
-def _backward_level_vec(
+def _backward_commit_vec(
     state: IncrementalState,
     required: np.ndarray,
-    ep_seed: np.ndarray,
     cells: np.ndarray,
+    best: np.ndarray,
     push_chunk,
 ) -> None:
     compiled = state.compiled
-    best = _backward_recompute_vec(state, required, ep_seed, cells)
     old = required[cells]
     # Equality first (mirrors the scalar prune order): both-infinite
     # entries compare equal and never reach the subtraction, so no

@@ -25,8 +25,9 @@ few milliseconds; the CCD engines simply re-run STA after each move batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, TYPE_CHECKING
+import array
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -38,6 +39,34 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.timing.incremental import IncrementalState
 
 _NO_DRIVER = -1
+
+#: ``array`` typecode of each dtype a buffer-backed timing vector may have.
+_TYPECODES = {
+    np.dtype(np.float64): "d",
+    np.dtype(np.int64): "q",
+    np.dtype(np.bool_): "b",
+}
+_DTYPES = {code: dtype for dtype, code in _TYPECODES.items()}
+
+
+def buffer_view(buf: array.array, shape: Optional[Tuple[int, ...]] = None) -> np.ndarray:
+    """The NumPy view of a timing buffer (``np.frombuffer``, no copy)."""
+    view = np.frombuffer(buf, dtype=_DTYPES[buf.typecode])
+    return view if shape is None else view.reshape(shape)
+
+
+def buffer_backed(values: np.ndarray) -> Tuple[array.array, np.ndarray]:
+    """Copy ``values`` into a flat ``array.array``; return ``(buffer, view)``.
+
+    The view is :func:`buffer_view` of the buffer, shaped like ``values``, so
+    the pair names a single storage: vectorized code reads and writes the
+    view, Python-scalar loops index the buffer at C-order flat offsets and
+    get plain ``float``/``int`` values, and each side sees the other's
+    writes with nothing to synchronize.
+    """
+    values = np.ascontiguousarray(values)
+    buf = array.array(_TYPECODES[values.dtype], values.tobytes())
+    return buf, buffer_view(buf, values.shape)
 
 
 def csr_edge_indices(indptr: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -88,6 +117,12 @@ class CompiledTiming:
     in :mod:`repro.timing.incremental` gather over.  Resizes never change
     topology or wire lengths, so :meth:`TimingAnalyzer.notify_resize` leaves
     all of these untouched.
+
+    Every array field is a :func:`buffer_view` of the ``array.array`` stored
+    under the same name in ``buffers`` (``fanin_idx``/``fanin_wire_delay``
+    flattened row-major): the incremental engine's scalar loops index the
+    buffers, everything else uses the views, and a patch through either is
+    a patch of both.
     """
 
     netlist: Netlist
@@ -116,6 +151,7 @@ class CompiledTiming:
     fanout_indices: np.ndarray  # (E,) sink cell per fanout edge
     fanout_wire_delay: np.ndarray  # (E,) wire delay at the sink's pin
     derate: float = 1.0
+    buffers: Dict[str, array.array] = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -376,51 +412,83 @@ def compile_timing(netlist: Netlist, derate: float = 1.0) -> CompiledTiming:
     max_pins = max((c.cell_type.num_inputs for c in netlist.cells), default=1)
     max_pins = max(max_pins, 1)
 
-    fanin_idx = np.full((n, max_pins), _NO_DRIVER, dtype=np.int64)
-    fanin_wire = np.zeros((n, max_pins), dtype=np.float64)
-    load_cap = np.zeros(n, dtype=np.float64)
-    intrinsic = np.zeros(n)
-    drive_res = np.zeros(n)
-    slew_sens = np.zeros(n)
-    slew_intr = np.zeros(n)
-    slew_load = np.zeros(n)
-    is_flop = np.zeros(n, dtype=bool)
-    is_inport = np.zeros(n, dtype=bool)
-    is_outport = np.zeros(n, dtype=bool)
-    clk_to_q = np.zeros(n)
-    setup = np.zeros(n)
-    hold = np.zeros(n)
+    # The per-cell loop fills the buffers directly: an ``array.array`` item
+    # store is several times cheaper than a NumPy scalar store.
+    def cells_buffer(typecode: str) -> array.array:
+        return array.array(typecode, [0]) * n
+
+    fanin = array.array("q", [_NO_DRIVER]) * (n * max_pins)
+    fanin_wire = array.array("d", [0.0]) * (n * max_pins)
+    load_cap = cells_buffer("d")
+    intrinsic = cells_buffer("d")
+    drive_res = cells_buffer("d")
+    slew_sens = cells_buffer("d")
+    slew_intr = cells_buffer("d")
+    slew_load = cells_buffer("d")
+    is_flop = cells_buffer("b")
+    is_inport = cells_buffer("b")
+    is_outport = cells_buffer("b")
+    clk_to_q = cells_buffer("d")
+    setup = cells_buffer("d")
+    hold = cells_buffer("d")
 
     wire_coeff = (
         derate * netlist.parasitic_scale * netlist.library.wire_res_delay_per_um
     )
 
-    for cell in netlist.cells:
+    cells = netlist.cells
+    nets = netlist.nets
+    for cell in cells:
+        i = cell.index
         size = cell.size
-        intrinsic[cell.index] = derate * size.intrinsic_delay
-        drive_res[cell.index] = derate * size.drive_resistance
-        slew_sens[cell.index] = size.slew_sensitivity
-        slew_intr[cell.index] = derate * size.slew_intrinsic
-        slew_load[cell.index] = derate * size.slew_load_factor
-        is_flop[cell.index] = cell.is_sequential
-        is_inport[cell.index] = cell.is_input_port
-        is_outport[cell.index] = cell.is_output_port
+        intrinsic[i] = derate * size.intrinsic_delay
+        drive_res[i] = derate * size.drive_resistance
+        slew_sens[i] = size.slew_sensitivity
+        slew_intr[i] = derate * size.slew_intrinsic
+        slew_load[i] = derate * size.slew_load_factor
+        is_flop[i] = cell.is_sequential
+        is_inport[i] = cell.is_input_port
+        is_outport[i] = cell.is_output_port
         if cell.is_sequential:
             # Clock-to-Q is a real delay and derates with the corner;
             # setup/hold are constraint values and stay corner-independent.
-            clk_to_q[cell.index] = derate * cell.cell_type.clk_to_q
-            setup[cell.index] = cell.cell_type.setup_time
-            hold[cell.index] = cell.cell_type.hold_time
+            clk_to_q[i] = derate * cell.cell_type.clk_to_q
+            setup[i] = cell.cell_type.setup_time
+            hold[i] = cell.cell_type.hold_time
+        row = i * max_pins
         for pin, net_index in enumerate(cell.fanin_nets):
             if net_index is None:
                 continue
-            driver = netlist.nets[net_index].driver
-            fanin_idx[cell.index, pin] = driver
-            driver_cell = netlist.cells[driver]
+            driver = nets[net_index].driver
+            fanin[row + pin] = driver
+            driver_cell = cells[driver]
             dist = abs(driver_cell.x - cell.x) + abs(driver_cell.y - cell.y)
-            fanin_wire[cell.index, pin] = wire_coeff * dist
+            fanin_wire[row + pin] = wire_coeff * dist
         if cell.fanout_net is not None:
-            load_cap[cell.index] = netlist.net_load_cap(cell.fanout_net)
+            load_cap[i] = netlist.net_load_cap(cell.fanout_net)
+
+    buffers: Dict[str, array.array] = {
+        "fanin_idx": fanin,
+        "fanin_wire_delay": fanin_wire,
+        "load_cap": load_cap,
+        "intrinsic": intrinsic,
+        "drive_res": drive_res,
+        "slew_sens": slew_sens,
+        "slew_intr": slew_intr,
+        "slew_load": slew_load,
+        "is_flop": is_flop,
+        "is_inport": is_inport,
+        "is_outport": is_outport,
+        "clk_to_q": clk_to_q,
+        "setup": setup,
+        "hold": hold,
+    }
+    views = {name: buffer_view(buf) for name, buf in buffers.items()}
+    fanin_idx = views["fanin_idx"] = views["fanin_idx"].reshape(n, max_pins)
+    views["fanin_wire_delay"] = views["fanin_wire_delay"].reshape(n, max_pins)
+    flop_view = views["is_flop"]
+    inport_view = views["is_inport"]
+    outport_view = views["is_outport"]
 
     # CSR fanout adjacency from the dense fanin layout: one edge per valid
     # (sink, pin), grouped by driver via a stable argsort so each driver's
@@ -428,12 +496,10 @@ def compile_timing(netlist: Netlist, derate: float = 1.0) -> CompiledTiming:
     sink_rows, sink_pins = np.nonzero(fanin_idx != _NO_DRIVER)
     edge_drivers = fanin_idx[sink_rows, sink_pins]
     order = np.argsort(edge_drivers, kind="stable")
-    fanout_indices = sink_rows[order].astype(np.int64, copy=False)
-    fanout_wire = fanin_wire[sink_rows, sink_pins][order]
     fanout_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(edge_drivers, minlength=n), out=fanout_indptr[1:])
 
-    levels = _levelize(n, sink_rows, edge_drivers, is_flop, is_inport)
+    levels = _levelize(n, sink_rows, edge_drivers, flop_view, inport_view)
     level_of = np.zeros(n, dtype=np.int64)
     for k, level_cells in enumerate(levels):
         level_of[level_cells] = k
@@ -442,34 +508,22 @@ def compile_timing(netlist: Netlist, derate: float = 1.0) -> CompiledTiming:
     ep_pos = np.full(n, -1, dtype=np.int64)
     ep_pos[endpoint_cells] = np.arange(endpoint_cells.size, dtype=np.int64)
 
-    is_src = is_flop | is_inport
+    is_src = flop_view | inport_view
+    derived = {
+        "is_src": is_src,
+        "is_comb": ~(is_src | outport_view),
+        "is_ep": flop_view | outport_view,
+        "endpoint_cells": endpoint_cells,
+        "level_of": level_of,
+        "ep_pos": ep_pos,
+        "fanout_indptr": fanout_indptr,
+        "fanout_indices": sink_rows[order].astype(np.int64, copy=False),
+        "fanout_wire_delay": views["fanin_wire_delay"][sink_rows, sink_pins][order],
+    }
+    for name, values in derived.items():
+        buffers[name], views[name] = buffer_backed(values)
     return CompiledTiming(
-        netlist=netlist,
-        levels=levels,
-        fanin_idx=fanin_idx,
-        fanin_wire_delay=fanin_wire,
-        load_cap=load_cap,
-        intrinsic=intrinsic,
-        drive_res=drive_res,
-        slew_sens=slew_sens,
-        slew_intr=slew_intr,
-        slew_load=slew_load,
-        is_flop=is_flop,
-        is_inport=is_inport,
-        is_outport=is_outport,
-        is_src=is_src,
-        is_comb=~(is_src | is_outport),
-        is_ep=is_flop | is_outport,
-        clk_to_q=clk_to_q,
-        setup=setup,
-        hold=hold,
-        endpoint_cells=endpoint_cells,
-        level_of=level_of,
-        ep_pos=ep_pos,
-        fanout_indptr=fanout_indptr,
-        fanout_indices=fanout_indices,
-        fanout_wire_delay=fanout_wire,
-        derate=derate,
+        netlist=netlist, levels=levels, derate=derate, buffers=buffers, **views
     )
 
 
@@ -661,7 +715,7 @@ def analyze(
             hold_slack[k] = earliest - (clock_arrival[e] + compiled.hold[e])
 
     return TimingReport(
-        endpoints=eps,
+        endpoints=eps.copy(),  # reports never alias the compiled buffers
         arrival=ep_arrival,
         required=ep_required,
         slack=ep_slack,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 
 from repro.ccd.datapath_opt import (
     DatapathConfig,
@@ -62,6 +63,46 @@ class TestSizingGain:
         nl.resize_cell(drv.index, drv.cell_type.max_size_index)
         strong_driver_gain = _sizing_gain(nl, sinks[0].index)
         assert strong_driver_gain >= base_gain
+
+    def test_compiled_load_cap_tracks_net_load_cap(self, fresh_design):
+        """The optimizer reads each cell's load from the analyzer's compiled
+        ``load_cap``; that is only sound while it equals ``net_load_cap`` of
+        the cell's fan-out net through every probe resize, rollback and
+        buffer split (notify_resize re-patches drivers, splits invalidate)."""
+        netlist, period = fresh_design
+        clock = ClockModel.for_netlist(netlist, period)
+        analyzer = TimingAnalyzer(netlist)
+        analyzer.analyze(clock)
+        rng = np.random.default_rng(17)
+
+        def assert_tracks(context):
+            load_cap = analyzer.compiled.load_cap
+            for cell in netlist.cells:
+                expected = 0.0
+                if cell.fanout_net is not None:
+                    expected = netlist.net_load_cap(cell.fanout_net)
+                assert load_cap[cell.index] == expected, (context, cell.index)
+
+        for step in range(30):
+            comb = [
+                c.index
+                for c in netlist.cells
+                if not c.cell_type.is_port and not c.is_sequential and c.sizing_headroom > 0
+            ]
+            cell = int(rng.choice(comb))
+            if step % 5 == 4:
+                nets = [n.index for n in netlist.nets if n.fanout >= 3]
+                _split_net(netlist, int(rng.choice(nets)), keep_on_path=set())
+                analyzer.invalidate()
+            else:
+                previous = netlist.resize_cell(cell, netlist.cells[cell].size_index + 1)
+                analyzer.notify_resize(cell)
+                if step % 2:  # rolled-back probe
+                    analyzer.analyze(clock)
+                    netlist.resize_cell(cell, previous)
+                    analyzer.notify_resize(cell)
+            analyzer.analyze(clock)
+            assert_tracks(f"step {step}")
 
 
 class TestSplitNet:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.ccd.datapath_opt import _split_net
+from repro.ccd.flow import FlowConfig, run_flow
 from repro.netlist.generator import quick_design
 from repro.placement.global_place import PlacementConfig, place_design
 from repro.power.models import (
@@ -13,6 +15,8 @@ from repro.power.models import (
     report_power,
 )
 from repro.timing.clock import ClockModel
+from repro.timing.metrics import choose_clock_period
+from repro.timing.sta import TimingAnalyzer
 
 
 @pytest.fixture
@@ -87,3 +91,33 @@ class TestReport:
                 clock.adjust_arrival(f, clock.bound(f) / 2)
         after = report_power(placed, clock)
         assert after.total == pytest.approx(before.total)
+
+    def test_flow_power_from_compiled_loads_is_bitwise_exact(self, placed):
+        """run_flow reports power from the analyzer's compiled loads; after
+        the flow's resizes, and after a buffer split, that must equal the
+        per-net recomputation of ``report_power(netlist, clock)`` bit for bit."""
+        nominal = placed.library.default_clock_period
+        report = TimingAnalyzer(placed).analyze(ClockModel.for_netlist(placed, nominal))
+        period = choose_clock_period(report, nominal, 0.35)
+        begin = report_power(placed, ClockModel.for_netlist(placed, period))
+        result = run_flow(
+            placed, FlowConfig(clock_period=period), prioritized_endpoints=placed.endpoints()[:4]
+        )
+        assert result.datapath_result.sizing_moves > 0
+        final = report_power(placed, result.clock)
+
+        analyzer = TimingAnalyzer(placed)
+        analyzer.analyze(result.clock)
+        net = max(placed.nets, key=lambda n: n.fanout)
+        _split_net(placed, net.index, keep_on_path=set())
+        analyzer.invalidate()
+        analyzer.analyze(result.clock)
+        split = report_power(placed, result.clock, analyzer.compiled.load_cap)
+        pairs = (
+            (result.begin_power, begin),
+            (result.final_power, final),
+            (split, report_power(placed, result.clock)),
+        )
+        for fast, old_path in pairs:
+            for name in ("internal", "leakage", "switching"):
+                assert getattr(fast, name).hex() == getattr(old_path, name).hex(), name

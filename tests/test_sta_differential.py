@@ -299,3 +299,135 @@ def test_flow_results_identical_incremental_on_vs_off(seed):
     assert on.arrival_adjustments == off.arrival_adjustments  # skew schedule
     assert on.skew_result.commits == off.skew_result.commits
     assert on.datapath_result.total_moves == off.datapath_result.total_moves
+
+
+def _assert_storage_coherent(owner) -> None:
+    """Every buffer-backed vector of ``owner`` is one storage: its NumPy
+    attribute is a view of the buffer and reads the same values."""
+    assert owner.buffers
+    for name, buf in owner.buffers.items():
+        view = getattr(owner, name)
+        flat = np.frombuffer(buf, dtype=view.dtype)
+        assert np.shares_memory(view, flat), name
+        assert np.array_equal(flat, view.ravel(), equal_nan=True), name
+
+
+def test_notify_resize_patches_one_storage():
+    """A coefficient/load patch through the views is the buffer's value too,
+    and a forced-scalar incremental analysis (which reads only the buffers)
+    re-propagates it."""
+    netlist, clock = _build(seed=5)
+    analyzer = TimingAnalyzer(netlist, incremental=True)
+    before = analyzer.analyze(clock)
+    compiled = analyzer.compiled
+    target = next(
+        c
+        for c in netlist.cells
+        if not c.cell_type.is_port
+        and not c.is_sequential
+        and c.sizing_headroom > 0
+        and netlist.fanin_cells(c.index)
+    )
+    netlist.resize_cell(target.index, target.size_index + target.sizing_headroom)
+    analyzer.notify_resize(target.index)
+
+    buffers = compiled.buffers
+    size = target.size
+    assert buffers["drive_res"][target.index] == size.drive_resistance
+    assert buffers["intrinsic"][target.index] == size.intrinsic_delay
+    for driver in netlist.fanin_cells(target.index):
+        expected = netlist.net_load_cap(netlist.cells[driver].fanout_net)
+        assert buffers["load_cap"][driver] == expected
+        assert compiled.load_cap[driver] == expected
+    _assert_storage_coherent(compiled)
+
+    prev = incr.set_vector_threshold(1 << 30)
+    try:
+        report = analyzer.analyze(clock)
+    finally:
+        incr.set_vector_threshold(prev)
+    _assert_storage_coherent(analyzer._states["typ"])
+    assert not np.array_equal(report.cell_arrival, before.cell_arrival)
+    full = TimingAnalyzer(netlist, incremental=False).analyze(clock)
+    for name in FIELDS:
+        assert np.allclose(getattr(report, name), getattr(full, name), rtol=0.0, atol=ATOL), name
+
+
+def test_caller_held_report_survives_probe_cycles():
+    """Reports are copies: 50 datapath-style probe/rollback cycles (with
+    margins on, so the margin-aware view is live too) leave a caller-held
+    incremental report byte-identical, and no report array shares memory
+    with a timing buffer."""
+    netlist, clock = _build(seed=8)
+    analyzer = TimingAnalyzer(netlist, incremental=True)
+    margins = {int(e): 0.05 for e in netlist.endpoints()[:3]}
+    analyzer.analyze(clock, margins)
+    comb = [
+        c.index
+        for c in netlist.cells
+        if not c.cell_type.is_port and not c.is_sequential and c.sizing_headroom > 0
+    ]
+    first = comb[0]
+    previous = netlist.resize_cell(first, netlist.cells[first].size_index + 1)
+    analyzer.notify_resize(first)
+    held = analyzer.analyze(clock, margins)  # an incremental report
+    names = ("endpoints", "margins") + FIELDS
+    frozen = {name: getattr(held, name).tobytes() for name in names}
+
+    rng = np.random.default_rng(8)
+    for step in range(50):
+        cell = int(rng.choice(comb))
+        if netlist.cells[cell].sizing_headroom <= 0:
+            continue
+        old = netlist.resize_cell(cell, netlist.cells[cell].size_index + 1)
+        analyzer.notify_resize(cell)
+        analyzer.analyze(clock, margins if step % 2 else None)
+        netlist.resize_cell(cell, old)
+        analyzer.notify_resize(cell)
+        analyzer.analyze(clock, margins)
+    netlist.resize_cell(first, previous)
+
+    for name in names:
+        assert getattr(held, name).tobytes() == frozen[name], name
+    state = analyzer._states["typ"]
+    views = [getattr(state, n) for n in state.buffers]
+    views += [getattr(analyzer.compiled, n) for n in analyzer.compiled.buffers]
+    views.append(state.scratch.seen)
+    for name in names:
+        for view in views:
+            assert not np.shares_memory(getattr(held, name), view), name
+
+
+@pytest.mark.parametrize("n_cells", (320, 2000))
+def test_flow_identical_forced_scalar_vs_forced_vector(n_cells):
+    """Whole-flow identity: a prioritized CCD flow (margins, skew, datapath
+    probes with rollbacks and buffer splits, final cleanup) gives the same
+    results with every frontier batch on the scalar loop as with every
+    batch on the vectorized kernels."""
+
+    def run(threshold: int):
+        netlist = quick_design(name=f"thr{n_cells}", n_cells=n_cells, seed=5)
+        place_design(netlist, PlacementConfig(seed=5))
+        nominal = netlist.library.default_clock_period
+        scratch = TimingAnalyzer(netlist, incremental=False)
+        report = scratch.analyze(ClockModel.for_netlist(netlist, nominal))
+        period = choose_clock_period(report, nominal, 0.35)
+        prev = incr.set_vector_threshold(threshold)
+        try:
+            return run_flow(
+                netlist,
+                FlowConfig(clock_period=period, incremental_sta=True),
+                prioritized_endpoints=netlist.endpoints()[:6],
+            )
+        finally:
+            incr.set_vector_threshold(prev)
+
+    scalar = run(1 << 30)
+    vector = run(0)
+    assert np.array_equal(scalar.report.slack, vector.report.slack)
+    assert np.array_equal(scalar.report.cell_worst_slack, vector.report.cell_worst_slack)
+    assert scalar.final == vector.final
+    assert scalar.datapath_result == vector.datapath_result
+    assert scalar.datapath_result.total_moves > 0
+    assert scalar.begin_power == vector.begin_power
+    assert scalar.final_power == vector.final_power
