@@ -172,70 +172,3 @@ class EndpointSelectionEnv:
         if self.state is None:
             return []
         return [self.endpoints[p] for p in self.state.selected]
-
-
-class EpisodeBatch:
-    """B concurrent episodes of one environment, run in lockstep.
-
-    Holds one :class:`SelectionState` per batch row and reuses the wrapped
-    environment's own ``features()``/``step()`` logic by temporarily
-    swapping ``env.state`` — per-row transitions are therefore identical to
-    B independent episodes by construction.  The environment's own
-    ``state`` attribute is left untouched, so an unbatched rollout can
-    share the same env object.
-    """
-
-    def __init__(self, env: EndpointSelectionEnv, batch: int):
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
-        self.env = env
-        self.batch = batch
-        self.states: List[SelectionState] = []
-
-    def reset(self) -> List[SelectionState]:
-        """Start ``batch`` fresh episodes; returns the per-row states."""
-        self.states = [
-            SelectionState(
-                valid=np.ones(self.env.num_endpoints, dtype=bool),
-                selected=[],
-                masked=set(),
-            )
-            for _ in range(self.batch)
-        ]
-        return self.states
-
-    @property
-    def done(self) -> bool:
-        """True once every batch row's episode has terminated."""
-        return all(state.done for state in self.states)
-
-    def features(self) -> np.ndarray:
-        """Stacked ``(B, num_cells, num_features)`` feature tensor.
-
-        Rows share every static column (one design); only the "RL masked"
-        column differs per row.  Finished rows keep producing their final
-        mask so the stacked shape stays constant across the lockstep loop
-        (the batched encoder's cache key includes the shape).
-        """
-        if not self.states:
-            raise RuntimeError("call reset() before features()")
-        saved = self.env.state
-        try:
-            rows = []
-            for state in self.states:
-                self.env.state = state
-                rows.append(self.env.features())
-        finally:
-            self.env.state = saved
-        return np.stack(rows, axis=0)
-
-    def step(self, row: int, position: int) -> SelectionState:
-        """Apply ``position`` to batch row ``row``; returns its new state."""
-        if not self.states:
-            raise RuntimeError("call reset() before step()")
-        saved = self.env.state
-        try:
-            self.env.state = self.states[row]
-            return self.env.step(position)
-        finally:
-            self.env.state = saved

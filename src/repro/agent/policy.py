@@ -25,15 +25,14 @@ from typing import List, Optional
 import numpy as np
 
 from repro import obs
-from repro.agent.env import EndpointSelectionEnv, EpisodeBatch
+from repro.agent.env import EndpointSelectionEnv
 from repro.gnn import incremental as gnn_incremental
-from repro.gnn.batched import BatchedEncoderSession
 from repro.gnn.epgnn import EMBED_DIM, EPGNN
 from repro.nn.attention import PointerAttention, logit_stats
 from repro.nn.functional import entropy, masked_log_prob, masked_softmax
 from repro.nn.layers import Module
 from repro.nn.recurrent import LSTMCell
-from repro.nn.tensor import Tensor, scatter_rows, stack
+from repro.nn.tensor import Tensor, stack
 from repro.obs import telemetry as obs_telemetry
 from repro.utils.rng import SeedLike, as_rng
 
@@ -111,7 +110,6 @@ class RLCCDPolicy(Module):
         # reused across rollouts (the reverse adjacency and endpoint lookup
         # are episode-invariant); see repro.gnn.incremental / docs/policy.md.
         self._session: Optional[gnn_incremental.EncoderSession] = None
-        self._batched_session: Optional[BatchedEncoderSession] = None
 
     def encoder_session(
         self, env: EndpointSelectionEnv
@@ -129,25 +127,6 @@ class RLCCDPolicy(Module):
                 self.epgnn, env.graph, env.cones, netlist=env.netlist
             )
             self._session = session
-        return session
-
-    def batched_encoder_session(
-        self, env: EndpointSelectionEnv
-    ) -> BatchedEncoderSession:
-        """The cached :class:`~repro.gnn.batched.BatchedEncoderSession` for
-        ``env`` — separate from the unbatched cache so mixed batched and
-        unbatched rollouts never invalidate each other."""
-        session = self._batched_session
-        if (
-            session is None
-            or session.graph is not env.graph
-            or session.cones is not env.cones
-            or session.gnn is not self.epgnn
-        ):
-            session = BatchedEncoderSession(
-                self.epgnn, env.graph, env.cones, netlist=env.netlist
-            )
-            self._batched_session = session
         return session
 
     def rollout(
@@ -226,128 +205,6 @@ class RLCCDPolicy(Module):
                 )
         return trajectory
 
-    def rollout_batch(
-        self,
-        env: EndpointSelectionEnv,
-        batch: int,
-        rng: SeedLike = None,
-        greedy: bool = False,
-        max_steps: Optional[int] = None,
-        with_entropy: bool = False,
-        incremental: Optional[bool] = None,
-    ) -> List[Trajectory]:
-        """Sample ``batch`` trajectories from one encode+decode pass per step.
-
-        The B episodes advance in lockstep: every step stacks the per-row
-        feature matrices into ``(B, N, F)``, runs one batched EP-GNN encode,
-        one batched LSTM step and one batched attention decode, then samples
-        each still-active episode's action from its own masked row.  One
-        shared ``rng`` draws the active rows in batch order ``b = 0..B-1``,
-        so ``batch=1`` consumes randomness exactly like :meth:`rollout` and
-        reproduces its trajectory bitwise.  Finished episodes stay in the
-        stack (constant shape keeps the batched encoder cache valid) but
-        take no actions and contribute no log-probabilities — their rows
-        are dead tape ends with zero gradient.
-        """
-        rng = as_rng(rng)
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
-        if incremental is None:
-            incremental = gnn_incremental.incremental_enabled()
-        # Non-incremental B>1 still routes through the session for its fused
-        # scatter-free full encode; B=1 stays on the generic EPGNN forward,
-        # which the byte-identity contract pins bitwise to the unbatched
-        # engine.
-        session = (
-            self.batched_encoder_session(env)
-            if incremental or batch > 1
-            else None
-        )
-        episodes = EpisodeBatch(env, batch)
-        states = episodes.reset()
-        if session is not None and incremental:
-            session.begin_episode()
-        trajectories = [Trajectory() for _ in range(batch)]
-        collectors = []
-        for trajectory in trajectories:
-            trajectory.telemetry = collector = obs_telemetry.for_rollout()
-            collectors.append(collector)
-        h, c = self.encoder.initial_state(batch=batch)
-        prev_embedding = Tensor(np.zeros((batch, self.embed_dim)))
-        step_limit = max_steps if max_steps is not None else env.num_endpoints
-        steps_taken = 0
-
-        while not episodes.done and steps_taken < step_limit:
-            with obs.span("policy.step"):
-                features = episodes.features()
-                if session is not None and incremental:
-                    embeddings = session.encode(features)
-                elif session is not None:
-                    embeddings = session.full_encode(features)
-                else:
-                    embeddings = self.epgnn(features, env.graph, env.cones)
-                    obs.incr("gnn.full_encode")
-                h, c = self.encoder(prev_embedding, (h, c))
-                scores = self.decoder.scores(embeddings, h)
-                active = np.array(
-                    [b for b in range(batch) if not states[b].done], dtype=np.int64
-                )
-                valid = np.stack([states[b].valid for b in active])
-                probs = _masked_probabilities(scores.data[active], valid)
-            if greedy:
-                actions = np.array(
-                    [
-                        int(np.argmax(np.where(valid[i], probs[i], -1.0)))
-                        for i in range(active.size)
-                    ],
-                    dtype=np.int64,
-                )
-            else:
-                actions = np.array(
-                    [
-                        int(rng.choice(probs.shape[1], p=probs[i]))
-                        for i in range(active.size)
-                    ],
-                    dtype=np.int64,
-                )
-            active_scores = scores[active]
-            log_probs = masked_log_prob(active_scores, valid, actions)
-            if with_entropy:
-                entropies = entropy(
-                    masked_softmax(active_scores, valid), axis=-1
-                )
-
-            # Next LSTM input: the chosen endpoint's embedding per active
-            # row, zeros for finished rows (their tape ends here anyway).
-            chosen = embeddings[active, actions]
-            prev_embedding = scatter_rows(
-                Tensor(np.zeros((batch, self.embed_dim))), active, chosen
-            )
-
-            for i, b in enumerate(active):
-                trajectory = trajectories[b]
-                step = len(trajectory)
-                action = int(actions[i])
-                trajectory.actions.append(action)
-                trajectory.action_cells.append(env.endpoints[action])
-                trajectory.log_probs.append(log_probs[i])
-                trajectory.probabilities.append(probs[i])
-                if with_entropy:
-                    trajectory.entropies.append(entropies[i])
-                if collectors[b] is not None:
-                    stats = logit_stats(scores.data[b], valid[i], probs[i])
-                states[b] = episodes.step(int(b), action)
-                if collectors[b] is not None:
-                    collectors[b].record_step(
-                        endpoint=env.endpoints[action],
-                        step=step,
-                        masked_after=len(states[b].masked),
-                        entropy=_numpy_entropy(probs[i]),
-                        **stats,
-                    )
-            steps_taken += 1
-        return trajectories
-
 
 def _numpy_entropy(probabilities: np.ndarray) -> float:
     """Shannon entropy of a plain probability vector (zeros contribute 0)."""
@@ -356,26 +213,8 @@ def _numpy_entropy(probabilities: np.ndarray) -> float:
 
 
 def _masked_probabilities(scores: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Plain-numpy masked softmax for sampling (no tape needed).
-
-    1-D scores give one distribution; ``(B, N)`` scores with a matching
-    mask give one distribution per row (each row needs at least one valid
-    position).  Row arithmetic is identical to the 1-D path, so a 1-row
-    batch is bitwise equal to the unbatched call.
-    """
+    """Plain-numpy masked softmax for sampling (no tape needed)."""
     valid = np.asarray(valid, dtype=bool)
-    if scores.ndim == 2:
-        if valid.size == 0 or not valid.any(axis=-1).all():
-            raise ValueError("every batch row needs a valid endpoint to sample")
-        masked = np.where(valid, scores, -np.inf)
-        shifted = masked - masked.max(axis=-1, keepdims=True)
-        exp = np.exp(
-            shifted, where=np.isfinite(shifted), out=np.zeros_like(shifted)
-        )
-        total = exp.sum(axis=-1, keepdims=True)
-        if (total <= 0).any():
-            raise ValueError("every batch row needs a valid endpoint to sample")
-        return exp / total
     if not valid.any():
         raise ValueError("no valid endpoint to sample")
     masked = np.where(valid, scores, -np.inf)

@@ -67,14 +67,6 @@ class TrainConfig:
 
     max_episodes: int = 40
     episodes_per_update: int = 1
-    # Lockstep episode batching: roll out up to ``batch_episodes``
-    # trajectories per encode+decode pass (one (B, N, F) EP-GNN encode, one
-    # batched LSTM step and one batched attention decode per time step) via
-    # :meth:`RLCCDPolicy.rollout_batch`.  1 (the default) keeps the original
-    # one-episode-at-a-time engine byte for byte; values > 1 draw episodes
-    # of each update batch in chunks of ``batch_episodes``.  Batched
-    # histories are deterministic for a fixed seed (see docs/policy.md).
-    batch_episodes: int = 1
     learning_rate: float = 2e-3
     gradient_clip: float = 5.0
     plateau_patience: int = 3  # paper: stop after 3 non-improving iterations
@@ -118,7 +110,6 @@ class TrainConfig:
     def __post_init__(self) -> None:
         check_positive("max_episodes", self.max_episodes)
         check_positive("episodes_per_update", self.episodes_per_update)
-        check_positive("batch_episodes", self.batch_episodes)
         check_positive("learning_rate", self.learning_rate)
         check_positive("plateau_patience", self.plateau_patience)
         check_positive("workers", self.workers)
@@ -233,6 +224,12 @@ def train_rlccd(
         nonlocal episode, best_tns, best_selection
         selection = trajectory.action_cells
         reward = flow_reward.tns  # negative; maximization = improvement
+        # One NaN would poison the running mean for every later advantage.
+        if not np.isfinite(reward):
+            raise ValueError(
+                f"episode {episode}: non-finite reward tns={reward!r} "
+                f"for selection {list(selection)}"
+            )
         norm.update(reward)
         advantage = norm.advantage(reward)
         # Eq. 7: ∇ Σ_t R·log π — we minimize the negated, advantage-
@@ -333,59 +330,7 @@ def train_rlccd(
             batch_improved = False
             batch_size = min(config.episodes_per_update, config.max_episodes - episode)
 
-            if config.batch_episodes > 1:
-                # Lockstep batched rollouts: the update batch is drawn in
-                # chunks of ``batch_episodes`` trajectories, each chunk
-                # sharing one batched encode+decode pass per time step.  All
-                # chunk tapes are held until the gradient step, like the
-                # pool branch below.
-                with obs.span(
-                    "agent.rollout", attrs={"episode": episode, "batch": batch_size}
-                ):
-                    trajectories = []
-                    while len(trajectories) < batch_size:
-                        chunk = min(
-                            config.batch_episodes, batch_size - len(trajectories)
-                        )
-                        if chunk > 1:
-                            trajectories.extend(
-                                policy.rollout_batch(
-                                    env,
-                                    chunk,
-                                    rng=rng,
-                                    max_steps=max_steps,
-                                    with_entropy=config.entropy_coefficient > 0,
-                                    incremental=config.incremental_gnn,
-                                )
-                            )
-                        else:
-                            trajectories.append(
-                                policy.rollout(
-                                    env,
-                                    rng=rng,
-                                    max_steps=max_steps,
-                                    with_entropy=config.entropy_coefficient > 0,
-                                    incremental=config.incremental_gnn,
-                                )
-                            )
-                with obs.span("agent.flow_eval", attrs={"episode": episode}):
-                    selections = [t.action_cells for t in trajectories]
-                    if pool is not None:
-                        rewards = pool.evaluate(selections)
-                    else:
-                        rewards = evaluate_selections(
-                            env.netlist,
-                            flow_config,
-                            selections,
-                            workers=1,
-                            snapshot=snapshot,
-                            cache=cache,
-                        )
-                for trajectory, flow_reward in zip(trajectories, rewards):
-                    improved = process(trajectory, flow_reward, batch_size)
-                    batch_improved = batch_improved or improved
-                del trajectories
-            elif pool is not None:
+            if pool is not None:
                 # Parallel reward evaluation (paper's farm training, §IV-A):
                 # all batch trajectories' tapes are held while workers run.
                 with obs.span(

@@ -178,17 +178,11 @@ def format_bench(payload: Mapping) -> str:
         )
     policy = payload.get("policy") or {}
     if policy.get("incremental_speedup") is not None:
-        combined = policy.get("combined_speedup")
-        combined_note = (
-            f"{combined:.2f}x" if combined is not None else "n/a"
-        )
         lines.append(
-            f"  policy evaluation vs pre-optimization loop: {combined_note} "
-            f"per-step median over {policy.get('steps', '?')} greedy steps "
-            f"({policy.get('endpoints', '?')} endpoints) — incremental "
-            f"EP-GNN vs full re-encode "
-            f"{policy['incremental_speedup']:.2f}x, CSR cone pooling vs "
-            f"loop {policy.get('pooling_speedup', 0.0):.2f}x"
+            f"  policy evaluation: incremental EP-GNN vs full re-encode "
+            f"{policy['incremental_speedup']:.2f}x per-step median over "
+            f"{policy.get('steps', '?')} greedy steps "
+            f"({policy.get('endpoints', '?')} endpoints)"
         )
     distributed = payload.get("distributed") or {}
     dist_engine = distributed.get("distributed") or {}
@@ -202,22 +196,6 @@ def format_bench(payload: Mapping) -> str:
             f"{distributed.get('tasks', '?')} tasks, shared-cache replay "
             f"{replay.get('speedup', 0.0):.0f}x "
             f"(service {service.get('hits', 0)}h/{service.get('misses', 0)}m)"
-        )
-    batch = payload.get("batch") or {}
-    if batch.get("speedup") is not None:
-        full = batch.get("full") or {}
-        incr = batch.get("incremental") or {}
-        incr_speedup = incr.get("speedup")
-        incr_note = (
-            f"{incr_speedup:.2f}x" if incr_speedup is not None else "n/a"
-        )
-        lines.append(
-            f"  batched rollout (B={batch.get('batch_episodes', '?')}): "
-            f"{batch['speedup']:.2f}x per-episode vs B=1 on the full "
-            f"policy path "
-            f"({1e3 * (full.get('batched') or {}).get('per_episode_s', 0.0):.2f} ms/ep "
-            f"vs {1e3 * (full.get('single') or {}).get('per_episode_s', 0.0):.2f} ms/ep), "
-            f"incremental path {incr_note}"
         )
     lines.append(format_phase_table(payload.get("phases", {})))
     return "\n".join(lines)

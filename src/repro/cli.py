@@ -144,14 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "throughput comparison (default 4)",
     )
     bench.add_argument(
-        "--batch-episodes",
-        type=int,
-        default=8,
-        metavar="B",
-        help="stacked episodes per batched policy pass in the batch "
-        "section (default 8)",
-    )
-    bench.add_argument(
         "--actors",
         type=int,
         default=2,
@@ -217,7 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="persistent rollout-pool workers for flow-reward evaluation "
+        help="persistent rollout-pool workers for flow-reward evaluation; "
+        "each update samples one selection per worker "
         "(1 = sequential; see docs/rollout.md)",
     )
     train.add_argument(
@@ -227,8 +220,9 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="distributed actor–learner evaluation: spawn N socket-fed "
         "actor processes sharing the reward cache as a service "
-        "(0 = off; mutually exclusive with --workers > 1; training "
-        "histories are byte-identical either way — see docs/rollout.md)",
+        "(0 = off; mutually exclusive with --workers > 1; like --workers, "
+        "each update samples one selection per actor, and histories match "
+        "--workers N byte for byte — see docs/rollout.md)",
     )
     train.add_argument(
         "--rollout-timeout",
@@ -251,15 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         help="entropy regularization coefficient (0 disables)",
-    )
-    train.add_argument(
-        "--batch-episodes",
-        type=int,
-        default=1,
-        metavar="B",
-        help="roll out B lockstep episodes per batched encode+decode pass "
-        "and update on them together (1 = the original one-episode engine; "
-        "B > 1 also sets episodes-per-update to B)",
     )
 
     report = sub.add_parser(
@@ -495,7 +480,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 episodes=args.episodes,
                 cells=args.cells,
                 rollout_workers=args.workers,
-                batch_episodes=args.batch_episodes,
                 distributed_actors=args.actors,
             ),
             scale_config=scale_config,
@@ -569,8 +553,9 @@ def _dispatch(args: argparse.Namespace) -> int:
                 workload.flow_config,
                 TrainConfig(
                     max_episodes=args.episodes,
-                    episodes_per_update=max(args.batch_episodes, 1),
-                    batch_episodes=args.batch_episodes,
+                    # One selection per rollout process per update, so a
+                    # pool or actor farm has work for each of its members.
+                    episodes_per_update=max(args.workers, args.actors, 1),
                     seed=args.seed,
                     workers=args.workers,
                     actors=args.actors,

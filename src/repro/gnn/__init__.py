@@ -1,6 +1,5 @@
 """EP-GNN endpoint encoder (paper Eq. 2 and Eq. 3)."""
 
-from repro.gnn.batched import BatchedEncoderSession
 from repro.gnn.epgnn import EMBED_DIM, HIDDEN_DIM, NUM_LAYERS, EPGNN, GraphConvLayer
 from repro.gnn.incremental import (
     EncoderSession,
@@ -16,7 +15,6 @@ __all__ = [
     "EMBED_DIM",
     "HIDDEN_DIM",
     "NUM_LAYERS",
-    "BatchedEncoderSession",
     "EncoderSession",
     "check_enabled",
     "incremental_enabled",

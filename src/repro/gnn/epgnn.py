@@ -114,10 +114,6 @@ class EPGNN(Module):
             self.register_module(f"conv{i}", layer)
             self.layers.append(layer)
         self.fc = self.register_module("fc", Linear(hidden_dim, embed_dim, rng=rng))
-        # Cone-pooling strategy: "csr" (one flattened segment-sum over the
-        # ConeIndex CSR, the default) or "loop" (the original per-endpoint
-        # Python loop, kept for the bench comparison and equivalence tests).
-        self.pooling = "csr"
 
     def gamma_values(self) -> List[float]:
         """Per-layer mixing coefficients γ ∈ (0, 1), outermost layer first.
@@ -128,17 +124,11 @@ class EPGNN(Module):
         return [layer.gamma for layer in self.layers]
 
     def node_embeddings(self, features: np.ndarray, graph: MessagePassingGraph) -> Tensor:
-        """Run the Eq.-2 stack over all cells; (num_cells × hidden_dim).
-
-        A stacked ``(B, num_cells, in_features)`` batch of episodes sharing
-        this graph is accepted too and yields ``(B, num_cells, hidden_dim)``;
-        every op vectorizes over the leading axis bitwise-identically to B
-        independent passes.
-        """
+        """Run the Eq.-2 stack over all cells; (num_cells × hidden_dim)."""
         x = Tensor(np.asarray(features, dtype=np.float64))
-        if x.ndim not in (2, 3) or x.shape[-1] != self.in_features:
+        if x.shape[1] != self.in_features:
             raise ValueError(
-                f"feature dim {x.shape[-1]} != model in_features {self.in_features}"
+                f"feature dim {x.shape[1]} != model in_features {self.in_features}"
             )
         for layer in self.layers:
             x = layer(x, graph)
@@ -150,19 +140,10 @@ class EPGNN(Module):
         graph: MessagePassingGraph,
         cones: ConeIndex,
     ) -> Tensor:
-        """Endpoint embeddings ``F_EP`` per Eq. 3 (num_endpoints × embed_dim).
-
-        With batched ``(B, num_cells, in_features)`` features the result is
-        ``(B, num_endpoints, embed_dim)`` — the "loop" pooling ablation stays
-        single-episode, so batched inputs always pool through the CSR path.
-        """
+        """Endpoint embeddings ``F_EP`` per Eq. 3 (num_endpoints × embed_dim)."""
         with obs.span("gnn.forward"):
             nodes = self.node_embeddings(features, graph)
-            if self.pooling == "loop" and nodes.ndim == 2:
-                pooled = self._pool_loop(nodes, cones)
-            else:
-                pooled = self.endpoint_pool(nodes, cones)
-            result = self.fc(pooled)
+            result = self.fc(self.endpoint_pool(nodes, cones))
         obs.incr("gnn.forward_passes")
         return result
 
@@ -187,17 +168,3 @@ class EPGNN(Module):
             nodes.gather_rows(cones.cone_members), seg, len(cones.endpoints)
         )
         return endpoint_rows + cone_sums
-
-    def _pool_loop(self, nodes: Tensor, cones: ConeIndex) -> Tensor:
-        """The original per-endpoint pooling loop (bench/equivalence reference)."""
-        from repro.nn.tensor import stack
-
-        pooled_rows = []
-        for position, endpoint in enumerate(cones.endpoints):
-            own = nodes[endpoint]
-            members = cones.cone_array(position)
-            if members.size:
-                pooled_rows.append(own + nodes.gather_rows(members).sum(axis=0))
-            else:
-                pooled_rows.append(own)
-        return stack(pooled_rows, axis=0)

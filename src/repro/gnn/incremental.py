@@ -150,7 +150,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _segment_sum_sorted(
-    values: np.ndarray, counts: np.ndarray, axis: int = 0
+    values: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
     """Per-segment sums of ``values`` rows grouped contiguously by ``counts``.
 
@@ -158,22 +158,16 @@ def _segment_sum_sorted(
     the ``np.add.at`` scatter in :func:`repro.nn.tensor.segment_sum` for
     sorted contiguous segments (both reduce sequentially in row order, and
     ``0 + v`` is exact), but several times faster.  Empty segments get zero
-    rows (``reduceat`` would repeat a neighbor's row instead).  ``axis``
-    selects the segment axis: the batched encoder reduces ``(B, E, H)``
-    edge stacks along ``axis=1``, one independent lane per batch row.
+    rows (``reduceat`` would repeat a neighbor's row instead).
     """
-    out_shape = list(values.shape)
-    out_shape[axis] = counts.size
-    if values.shape[axis] == 0:
-        return np.zeros(tuple(out_shape), dtype=values.dtype)
+    if values.shape[0] == 0:
+        return np.zeros((counts.size,) + values.shape[1:], dtype=values.dtype)
     starts = np.cumsum(counts) - counts
     if counts.all():
-        return np.add.reduceat(values, starts, axis=axis)
+        return np.add.reduceat(values, starts, axis=0)
     nonempty = counts > 0
-    sums = np.zeros(tuple(out_shape), dtype=values.dtype)
-    index = [slice(None)] * values.ndim
-    index[axis] = nonempty
-    sums[tuple(index)] = np.add.reduceat(values, starts[nonempty], axis=axis)
+    sums = np.zeros((counts.size,) + values.shape[1:], dtype=values.dtype)
+    sums[nonempty] = np.add.reduceat(values, starts[nonempty], axis=0)
     return sums
 
 

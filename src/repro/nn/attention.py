@@ -39,29 +39,11 @@ class PointerAttention(Module):
         self.v = self.register_parameter("v", init.xavier_uniform((hidden_dim,), rng))
 
     def scores(self, embeddings: Tensor, query: Tensor) -> Tensor:
-        """Unmasked attention scores ``A_t ∈ R^{|EP|}`` (Eq. 5, valid branch).
-
-        ``(n, d)`` embeddings with a ``(d_q,)`` query yield ``(n,)`` scores;
-        ``(B, n, d)`` embeddings with a ``(B, d_q)`` query yield ``(B, n)``
-        scores from one fused pass (each batch row attends with its own
-        query — the batched-rollout decode step).
-        """
-        if embeddings.ndim not in (2, 3) or embeddings.shape[-1] != self.embed_dim:
+        """Unmasked attention scores ``A_t ∈ R^{|EP|}`` (Eq. 5, valid branch)."""
+        if embeddings.ndim != 2 or embeddings.shape[1] != self.embed_dim:
             raise ValueError(
-                f"embeddings must have shape (n, {self.embed_dim}) or "
-                f"(B, n, {self.embed_dim}), got {embeddings.shape}"
+                f"embeddings must have shape (n, {self.embed_dim}), got {embeddings.shape}"
             )
-        if embeddings.ndim == 3:
-            if query.shape != (embeddings.shape[0], self.query_dim):
-                raise ValueError(
-                    f"batched query must have shape ({embeddings.shape[0]}, "
-                    f"{self.query_dim}), got {query.shape}"
-                )
-            # (B, 1, hidden) query term broadcasts over the n endpoints.
-            batch = embeddings.shape[0]
-            query_term = (query @ self.w2).reshape(batch, 1, self.hidden_dim)
-            hidden = (embeddings @ self.w1 + query_term).tanh()
-            return hidden @ self.v
         if query.shape != (self.query_dim,):
             raise ValueError(
                 f"query must have shape ({self.query_dim},), got {query.shape}"

@@ -53,37 +53,15 @@ def masked_softmax(logits: Tensor, valid: np.ndarray, axis: int = -1) -> Tensor:
     return exp / total
 
 
-def masked_log_prob(logits: Tensor, valid: np.ndarray, index) -> Tensor:
+def masked_log_prob(logits: Tensor, valid: np.ndarray, index: int) -> Tensor:
     """Log-probability of position ``index`` under the masked softmax.
 
     Computed directly in log space for numerical stability; used by the
     REINFORCE update (paper Eq. 7) where ``log π(a_t | s_t)`` is needed.
-
-    With 1-D ``logits`` and a scalar ``index`` this returns a scalar.  With
-    2-D ``(B, N)`` logits, a ``(B, N)`` mask, and a length-``B`` index array
-    it returns the ``(B,)`` vector of per-episode log-probabilities from one
-    batched pass.
     """
     valid = np.asarray(valid, dtype=bool)
-    if logits.ndim == 2:
-        index = np.asarray(index, dtype=np.int64)
-        batch = logits.shape[0]
-        if index.shape != (batch,):
-            raise ValueError(
-                f"batched masked_log_prob needs {batch} action indices, "
-                f"got shape {index.shape}"
-            )
-        rows = np.arange(batch)
-        if not valid[rows, index].all():
-            raise ValueError("a batched action index is masked out")
-        valid_data = np.where(valid, logits.data, -np.inf)
-        shift = valid_data.max(axis=-1, keepdims=True)
-        shifted = logits - Tensor(shift)
-        exp = where(valid, shifted.exp(), Tensor(np.zeros(logits.shape)))
-        log_total = exp.sum(axis=-1).log()
-        return shifted[rows, index] - log_total
     if logits.ndim != 1:
-        raise ValueError("masked_log_prob expects a 1-D or 2-D logit tensor")
+        raise ValueError("masked_log_prob expects a 1-D logit vector")
     if not valid[index]:
         raise ValueError(f"action index {index} is masked out")
     valid_data = np.where(valid, logits.data, -np.inf)
@@ -118,15 +96,13 @@ def clip_gradient_norm(parameters, max_norm: float) -> float:
     return total
 
 
-def entropy(probabilities: Tensor, eps: float = 1e-12, axis=None) -> Tensor:
+def entropy(probabilities: Tensor, eps: float = 1e-12) -> Tensor:
     """Shannon entropy of a probability vector (zeros contribute zero).
 
     Positions with probability ≤ ``eps`` are treated as exact zeros: their
     ``p·log p`` term — and its gradient — vanish, matching the limit.
-    With ``axis=-1`` and a ``(B, N)`` matrix this yields the ``(B,)`` vector
-    of per-row entropies used by the batched rollout.
     """
     mask = probabilities.data > eps
     # log(1) = 0 at masked positions, so masked terms contribute nothing.
     clamped = where(mask, probabilities, Tensor(np.ones(probabilities.shape)))
-    return -(probabilities * clamped.log()).sum(axis=axis)
+    return -(probabilities * clamped.log()).sum()

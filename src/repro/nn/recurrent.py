@@ -42,39 +42,34 @@ class LSTMCell(Module):
         bias[hidden_size : 2 * hidden_size] = 1.0
         self.bias = self.register_parameter("bias", bias)
 
-    def initial_state(self, batch: int = None) -> Tuple[Tensor, Tensor]:
-        """Zero ``(h_0, c_0)`` per Algorithm 1 line 3.
-
-        With ``batch`` the state is ``(batch, hidden)`` for the batched
-        rollout; without it the classic ``(hidden,)`` vectors are returned.
-        """
-        shape = self.hidden_size if batch is None else (batch, self.hidden_size)
-        return Tensor(np.zeros(shape)), Tensor(np.zeros(shape))
+    def initial_state(self) -> Tuple[Tensor, Tensor]:
+        """Zero ``(h_0, c_0)`` per Algorithm 1 line 3."""
+        return (
+            Tensor(np.zeros(self.hidden_size)),
+            Tensor(np.zeros(self.hidden_size)),
+        )
 
     def forward(self, x: Tensor, state: Tuple[Tensor, Tensor]) -> Tuple[Tensor, Tensor]:
         """One step: returns ``(h_t, c_t)``.
 
-        ``x`` is the embedding of the previously selected endpoint — shape
-        ``(input_size,)``, or ``(B, input_size)`` for a batch of episodes in
-        lockstep; ``state`` is ``(h_{t-1}, c_{t-1})`` with matching rank.
+        ``x`` is the embedding of the previously selected endpoint (shape
+        ``(input_size,)``); ``state`` is ``(h_{t-1}, c_{t-1})``.
         """
         h_prev, c_prev = state
-        if x.ndim not in (1, 2) or x.shape[-1] != self.input_size:
+        if x.shape != (self.input_size,):
             raise ValueError(
-                f"LSTMCell input shape {x.shape} incompatible with "
-                f"input_size={self.input_size}"
+                f"LSTMCell input shape {x.shape} != ({self.input_size},)"
             )
-        if h_prev.ndim != x.ndim or h_prev.shape[-1] != self.hidden_size:
+        if h_prev.shape != (self.hidden_size,):
             raise ValueError(
-                f"LSTMCell hidden shape {h_prev.shape} incompatible with "
-                f"input shape {x.shape}"
+                f"LSTMCell hidden shape {h_prev.shape} != ({self.hidden_size},)"
             )
-        fused = concat([h_prev, x], axis=-1) @ self.weight + self.bias
+        fused = concat([h_prev, x]) @ self.weight + self.bias
         H = self.hidden_size
-        i_gate = fused[..., 0:H].sigmoid()
-        f_gate = fused[..., H : 2 * H].sigmoid()
-        o_gate = fused[..., 2 * H : 3 * H].sigmoid()
-        c_tilde = fused[..., 3 * H : 4 * H].tanh()
+        i_gate = fused[slice(0, H)].sigmoid()
+        f_gate = fused[slice(H, 2 * H)].sigmoid()
+        o_gate = fused[slice(2 * H, 3 * H)].sigmoid()
+        c_tilde = fused[slice(3 * H, 4 * H)].tanh()
         c_t = f_gate * c_prev + i_gate * c_tilde
         h_t = o_gate * c_t.tanh()
         return h_t, c_t
@@ -113,30 +108,25 @@ class GRUCell(Module):
         )
         self.cand_bias = self.register_parameter("cand_bias", init.zeros(hidden_size))
 
-    def initial_state(self, batch: int = None) -> Tuple[Tensor, Tensor]:
-        shape = self.hidden_size if batch is None else (batch, self.hidden_size)
-        zero = Tensor(np.zeros(shape))
+    def initial_state(self) -> Tuple[Tensor, Tensor]:
+        zero = Tensor(np.zeros(self.hidden_size))
         return zero, zero
 
     def forward(self, x: Tensor, state: Tuple[Tensor, Tensor]) -> Tuple[Tensor, Tensor]:
         """One step: returns ``(h_t, h_t)`` (GRU has no separate cell state)."""
         h_prev, _ = state
-        if x.ndim not in (1, 2) or x.shape[-1] != self.input_size:
+        if x.shape != (self.input_size,):
+            raise ValueError(f"GRUCell input shape {x.shape} != ({self.input_size},)")
+        if h_prev.shape != (self.hidden_size,):
             raise ValueError(
-                f"GRUCell input shape {x.shape} incompatible with "
-                f"input_size={self.input_size}"
+                f"GRUCell hidden shape {h_prev.shape} != ({self.hidden_size},)"
             )
-        if h_prev.ndim != x.ndim or h_prev.shape[-1] != self.hidden_size:
-            raise ValueError(
-                f"GRUCell hidden shape {h_prev.shape} incompatible with "
-                f"input shape {x.shape}"
-            )
-        fused = concat([h_prev, x], axis=-1) @ self.gate_weight + self.gate_bias
+        fused = concat([h_prev, x]) @ self.gate_weight + self.gate_bias
         H = self.hidden_size
-        r_gate = fused[..., 0:H].sigmoid()
-        z_gate = fused[..., H : 2 * H].sigmoid()
+        r_gate = fused[slice(0, H)].sigmoid()
+        z_gate = fused[slice(H, 2 * H)].sigmoid()
         candidate = (
-            concat([r_gate * h_prev, x], axis=-1) @ self.cand_weight + self.cand_bias
+            concat([r_gate * h_prev, x]) @ self.cand_weight + self.cand_bias
         ).tanh()
         h_t = (1.0 - z_gate) * h_prev + z_gate * candidate
         return h_t, h_t

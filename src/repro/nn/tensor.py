@@ -195,21 +195,14 @@ class Tensor:
         other = as_tensor(other)
 
         a_nd, b_nd = self.data.ndim, other.data.ndim
-        if a_nd > 3 or b_nd > 2:
-            raise ValueError(
-                "Tensor @ supports 1-D/2-D operands plus a 3-D (batched) "
-                "left operand against a 2-D or 1-D right operand"
-            )
+        if a_nd > 2 or b_nd > 2:
+            raise ValueError("Tensor @ supports only 1-D and 2-D operands")
 
         def backward(grad: np.ndarray) -> None:
             a, b = self.data, other.data
             grad = np.asarray(grad)
             if self.requires_grad:
-                if a_nd == 3 and b_nd == 2:  # (B,m,n)@(n,p) -> (B,m,p)
-                    ga = grad @ b.T
-                elif a_nd == 3 and b_nd == 1:  # (B,m,n)@(n,) -> (B,m)
-                    ga = grad[..., None] * b
-                elif a_nd == 2 and b_nd == 2:
+                if a_nd == 2 and b_nd == 2:
                     ga = grad @ b.T
                 elif a_nd == 2 and b_nd == 1:  # (m,n)@(n,) -> (m,)
                     ga = np.outer(grad, b)
@@ -219,11 +212,7 @@ class Tensor:
                     ga = grad * b
                 self._accumulate(ga.reshape(a.shape))
             if other.requires_grad:
-                if a_nd == 3 and b_nd == 2:
-                    gb = a.reshape(-1, a.shape[-1]).T @ grad.reshape(-1, grad.shape[-1])
-                elif a_nd == 3 and b_nd == 1:
-                    gb = a.reshape(-1, a.shape[-1]).T @ grad.reshape(-1)
-                elif a_nd == 2 and b_nd == 2:
+                if a_nd == 2 and b_nd == 2:
                     gb = a.T @ grad
                 elif a_nd == 2 and b_nd == 1:
                     gb = a.T @ grad
@@ -359,26 +348,16 @@ class Tensor:
         return Tensor._make(self.data[index], (self,), backward)
 
     def gather_rows(self, indices: np.ndarray) -> "Tensor":
-        """Select rows ``indices`` (differentiable).
-
-        On a 2-D tensor this gathers along axis 0; on a 3-D (batched)
-        tensor the leading axis is the batch and rows are gathered along
-        axis 1, sharing one index array across every batch row.
-        """
+        """Select rows ``indices`` from a 2-D tensor (differentiable)."""
         indices = np.asarray(indices, dtype=np.int64)
-        batched = self.data.ndim == 3
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 full = np.zeros_like(self.data)
-                if batched:
-                    np.add.at(full, (slice(None), indices), grad)
-                else:
-                    np.add.at(full, indices, grad)
+                np.add.at(full, indices, grad)
                 self._accumulate(full)
 
-        data = self.data[:, indices] if batched else self.data[indices]
-        return Tensor._make(data, (self,), backward)
+        return Tensor._make(self.data[indices], (self,), backward)
 
     # ------------------------------------------------------------------ #
     # backward pass
@@ -474,22 +453,13 @@ def segment_sum(rows: Tensor, segments: np.ndarray, num_segments: int) -> Tensor
     """
     rows = as_tensor(rows)
     segments = np.asarray(segments, dtype=np.int64)
-    batched = rows.ndim == 3
 
     def backward(grad: np.ndarray) -> None:
         if rows.requires_grad:
-            if batched:
-                rows._accumulate(grad[:, segments])
-            else:
-                rows._accumulate(grad[segments])
+            rows._accumulate(grad[segments])
 
-    if batched:
-        # (B, R, F) rows with one shared segment map: pool along axis 1.
-        data = np.zeros((rows.shape[0], num_segments, rows.shape[2]))
-        np.add.at(data, (slice(None), segments), rows.data)
-    else:
-        data = np.zeros((num_segments, rows.shape[1]))
-        np.add.at(data, segments, rows.data)
+    data = np.zeros((num_segments, rows.shape[1]))
+    np.add.at(data, segments, rows.data)
     return Tensor._make(data, (rows,), backward)
 
 
@@ -526,13 +496,7 @@ def scatter_rows(base: Tensor, indices: np.ndarray, rows: Tensor) -> Tensor:
     indices = np.asarray(indices, dtype=np.int64)
     if indices.ndim != 1:
         raise ValueError("scatter_rows() expects a 1-D index array")
-    batched = base.ndim == 3
-    expected = (
-        (base.shape[0], indices.size) + base.shape[2:]
-        if batched
-        else (indices.size,) + base.shape[1:]
-    )
-    if rows.shape != expected:
+    if rows.shape != (indices.size,) + base.shape[1:]:
         raise ValueError(
             f"rows shape {rows.shape} incompatible with base {base.shape} "
             f"at {indices.size} indices"
@@ -540,20 +504,14 @@ def scatter_rows(base: Tensor, indices: np.ndarray, rows: Tensor) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if rows.requires_grad:
-            rows._accumulate(grad[:, indices] if batched else grad[indices])
+            rows._accumulate(grad[indices])
         if base.requires_grad:
             keep = np.array(grad, dtype=np.float64, copy=True)
-            if batched:
-                keep[:, indices] = 0.0
-            else:
-                keep[indices] = 0.0
+            keep[indices] = 0.0
             base._accumulate(keep)
 
     data = np.array(base.data, copy=True)
-    if batched:
-        data[:, indices] = rows.data
-    else:
-        data[indices] = rows.data
+    data[indices] = rows.data
     return Tensor._make(data, (base, rows), backward)
 
 

@@ -17,12 +17,9 @@ then aggregates the recorder into the ``BENCH_<sha>.json`` schema::
                      {"seconds", "tasks_per_second", "speedup"},
                  "cache": {"hits", "misses", "entries"}},
      "policy": {"steps", "endpoints",
-                "full_loop"/"full"/"incremental":
+                "full"/"incremental":
                     {"seconds", "step_median_s", "step_p90_s"},
-                "incremental_speedup", "pooling_speedup"},
-     "batch": {"batch_episodes", "speedup",
-               "full"/"incremental":
-                   {"single"/"batched": {"per_episode_s"}, "speedup"}},
+                "incremental_speedup"},
      "distributed": {"tasks", "actors", "start_method",
                      "sequential"/"distributed"/"shared_cache_replay":
                          {"seconds", "tasks_per_second", "speedup"},
@@ -78,9 +75,6 @@ class BenchConfig:
     #: Flow evaluations timed per rollout engine (sequential / pooled /
     #: cached replay).
     rollout_tasks: int = 6
-    #: Stacked episodes per batched policy pass in the ``batch`` section
-    #: (compared against the same number of B=1 rollouts).
-    batch_episodes: int = 8
     #: Actor count for the ``distributed`` actor–learner throughput section
     #: (0 skips the section entirely).
     distributed_actors: int = 2
@@ -97,8 +91,6 @@ class BenchConfig:
             raise ValueError("rollout_workers must be >= 1")
         if self.rollout_tasks < 1:
             raise ValueError("rollout_tasks must be >= 1")
-        if self.batch_episodes < 2:
-            raise ValueError("batch_episodes must be >= 2")
         if self.distributed_actors < 0:
             raise ValueError("distributed_actors must be >= 0")
 
@@ -389,7 +381,6 @@ def run_bench(
         sta_compare = _compare_sta_engines(workload)
         rollout_compare = _compare_rollout_engines(workload, config)
         policy_compare = _compare_policy_engines(workload)
-        batch_compare = _compare_batch_engines(workload, config)
         distributed_compare = (
             _compare_distributed_engine(workload, config)
             if config.distributed_actors >= 1
@@ -433,7 +424,6 @@ def run_bench(
         "sta": sta_compare,
         "rollout": rollout_compare,
         "policy": policy_compare,
-        "batch": batch_compare,
         "distributed": distributed_compare,
         "obs": obs_compare,
         "scale": scale_section,
@@ -795,25 +785,20 @@ def _compare_distributed_engine(
 
 
 def _compare_policy_engines(workload: Workload) -> Dict[str, Any]:
-    """Time the same greedy selection episode through three policy engines.
+    """Time the same greedy selection episode through both policy engines.
 
     Returns the ``"policy"`` section of the BENCH payload: per-step
     evaluation latency (the ``policy.step`` recorder phase) for
 
-    * ``full_loop`` — full EP-GNN re-encode with the original per-endpoint
-      cone-pooling Python loop,
-    * ``full`` — full re-encode with the vectorized CSR segment-sum pooling,
+    * ``full`` — full EP-GNN re-encode every step,
     * ``incremental`` — the dirty-region incremental encoder
-      (:mod:`repro.gnn.incremental`),
+      (:mod:`repro.gnn.incremental`, the default),
 
-    plus ``combined_speedup`` (the headline: the incremental + CSR-pooled
-    engine against the pre-optimization full-loop evaluation) and its two
-    factors ``incremental_speedup`` (full vs. incremental medians) and
-    ``pooling_speedup`` (loop vs. CSR medians).
+    plus ``incremental_speedup`` (full vs. incremental medians).
     Each engine replays the identical greedy episode several times and the
     medians pool every step, so one noisy step can't swing them;
-    ``seconds`` is the per-episode average.  All three engines must pick
-    the identical greedy trajectory — the bench doubles as an equivalence
+    ``seconds`` is the per-episode average.  Both engines must pick the
+    identical greedy trajectory — the bench doubles as an equivalence
     check.  Wall-clock only: :func:`strip_timing` drops the section.
     """
 
@@ -824,39 +809,28 @@ def _compare_policy_engines(workload: Workload) -> Dict[str, Any]:
         stats = obs.get_recorder().phases.get("policy.step")
         return list(stats.durations) if stats is not None else []
 
-    engines = (
-        ("full_loop", False, "loop"),
-        ("full", False, "csr"),
-        ("incremental", True, "csr"),
-    )
+    engines = (("full", False), ("incremental", True))
     # The greedy episode is short (a handful of steps), so a single pass
     # yields a median over too few samples to be stable against scheduler
     # noise; repeat the identical episode and pool every step duration.
     repeats = 3
     out: Dict[str, Any] = {}
     actions: Dict[str, List[int]] = {}
-    for key, use_incremental, pooling in engines:
-        previous_pooling = policy.epgnn.pooling
-        policy.epgnn.pooling = pooling
-        try:
-            # One untimed warm-up episode per engine: the first episode
-            # pays one-off costs (encoder-session build, allocator and
-            # cache warm-up) that would skew a per-step comparison.
-            policy.rollout(env, greedy=True, incremental=use_incremental)
-            before = len(step_durations())
-            watch = obs.Stopwatch()
-            for repeat in range(repeats):
-                trajectory = policy.rollout(
-                    env, greedy=True, incremental=use_incremental
+    for key, use_incremental in engines:
+        # One untimed warm-up episode per engine: the first episode pays
+        # one-off costs (encoder-session build, allocator and cache
+        # warm-up) that would skew a per-step comparison.
+        policy.rollout(env, greedy=True, incremental=use_incremental)
+        before = len(step_durations())
+        watch = obs.Stopwatch()
+        for repeat in range(repeats):
+            trajectory = policy.rollout(env, greedy=True, incremental=use_incremental)
+            if repeat and list(trajectory.actions) != actions[key]:
+                raise RuntimeError(
+                    f"{key} policy engine is not deterministic: repeated "
+                    "greedy episodes picked different trajectories"
                 )
-                if repeat and list(trajectory.actions) != actions[key]:
-                    raise RuntimeError(
-                        f"{key} policy engine is not deterministic: repeated "
-                        "greedy episodes picked different trajectories"
-                    )
-                actions[key] = list(trajectory.actions)
-        finally:
-            policy.epgnn.pooling = previous_pooling
+            actions[key] = list(trajectory.actions)
         seconds = watch.elapsed / repeats
         durations = np.asarray(step_durations()[before:], dtype=np.float64)
         out[key] = {
@@ -866,10 +840,10 @@ def _compare_policy_engines(workload: Workload) -> Dict[str, Any]:
                 float(np.quantile(durations, 0.9)) if durations.size else None
             ),
         }
-    if not (actions["full_loop"] == actions["full"] == actions["incremental"]):
+    if actions["full"] != actions["incremental"]:
         raise RuntimeError(
-            "policy engines disagree: full-loop, full and incremental "
-            "evaluation must pick identical greedy trajectories"
+            "policy engines disagree: full and incremental evaluation "
+            "must pick identical greedy trajectories"
         )
 
     def _ratio(numerator: Optional[float], denominator: Optional[float]):
@@ -882,82 +856,6 @@ def _compare_policy_engines(workload: Workload) -> Dict[str, Any]:
     out["incremental_speedup"] = _ratio(
         out["full"]["step_median_s"], out["incremental"]["step_median_s"]
     )
-    out["pooling_speedup"] = _ratio(
-        out["full_loop"]["step_median_s"], out["full"]["step_median_s"]
-    )
-    # The headline PR number: the incremental + CSR-pooled engine against
-    # the pre-optimization evaluation (full re-encode, per-endpoint
-    # pooling loop).  incremental_speedup × pooling_speedup by
-    # construction.
-    out["combined_speedup"] = _ratio(
-        out["full_loop"]["step_median_s"], out["incremental"]["step_median_s"]
-    )
-    return out
-
-
-def _compare_batch_engines(
-    workload: Workload, config: BenchConfig
-) -> Dict[str, Any]:
-    """Per-episode policy-path latency: B single rollouts vs one batched pass.
-
-    Returns the ``"batch"`` section of the BENCH payload.  For each encoder
-    mode (``full`` — every step re-encodes the whole graph; ``incremental``
-    — the dirty-region encoder), it times ``config.batch_episodes`` B=1
-    :meth:`~repro.agent.policy.RLCCDPolicy.rollout` calls against one
-    :meth:`~repro.agent.policy.RLCCDPolicy.rollout_batch` pass over the
-    same number of stacked episodes, and reports each engine's best
-    per-episode seconds plus their ratio.
-
-    Measurement discipline matches the rollout section (single-CPU
-    containers flap badly otherwise): per-engine untimed warm-up pass,
-    then the min over ``repeats`` timed passes.  Every pass reseeds the
-    same rng stream, so repeated passes must sample identical
-    trajectories — checked, making the section double as a determinism
-    gate.  ``speedup`` (the headline) is the full-mode ratio: that is
-    where batching vectorizes real work, while incremental B=1 episodes
-    are already cheap and their batched union dirty region regularly
-    trips the full-encode fallback.  Wall-clock only:
-    :func:`strip_timing` drops the section.
-    """
-    env = workload.env
-    policy = workload.policy
-    batch = config.batch_episodes
-    repeats = 3
-
-    def _pass(batched: bool, incremental: bool) -> List[List[int]]:
-        rng = np.random.default_rng(config.seed + 1)
-        if batched:
-            trajectories = policy.rollout_batch(
-                env, batch, rng=rng, incremental=incremental
-            )
-        else:
-            trajectories = [
-                policy.rollout(env, rng=rng, incremental=incremental)
-                for _ in range(batch)
-            ]
-        return [list(t.actions) for t in trajectories]
-
-    out: Dict[str, Any] = {"batch_episodes": batch}
-    for key, incremental in (("full", False), ("incremental", True)):
-        section: Dict[str, Any] = {}
-        for mode, batched in (("single", False), ("batched", True)):
-            actions = _pass(batched, incremental)  # untimed warm-up
-            best = float("inf")
-            for _ in range(repeats):
-                watch = obs.Stopwatch()
-                timed = _pass(batched, incremental)
-                best = min(best, watch.elapsed / batch)
-                if timed != actions:
-                    raise RuntimeError(
-                        f"batch bench ({key}/{mode}) is not deterministic: "
-                        "reseeded passes sampled different trajectories"
-                    )
-            section[mode] = {"per_episode_s": best}
-        single = section["single"]["per_episode_s"]
-        batched_s = section["batched"]["per_episode_s"]
-        section["speedup"] = single / batched_s if batched_s > 0 else None
-        out[key] = section
-    out["speedup"] = out["full"]["speedup"]
     return out
 
 
@@ -1063,7 +961,6 @@ def strip_timing(payload: Dict[str, Any]) -> Dict[str, Any]:
             "sta",
             "rollout",
             "policy",
-            "batch",
             "distributed",
             "obs",
             "scale",

@@ -75,12 +75,10 @@ def mad(values: Sequence[float]) -> float:
 def section_medians(payload: Mapping[str, Any]) -> Dict[str, float]:
     """Engine-comparison section timings as ``section.…`` pseudo-phases.
 
-    The nightly gate tracks the rollout-pool, distributed actor–learner
-    and batched-policy sections alongside recorder phases, so a pool,
-    transport or batching regression fails the same median+MAD check as
-    any instrumented phase.  Each entry's value
-    is the section's headline seconds for that engine (total pass seconds
-    for rollout engines, per-episode seconds for the batch section).
+    The nightly gate tracks the rollout-pool and distributed actor–learner
+    sections alongside recorder phases, so a pool or transport regression
+    fails the same median+MAD check as any instrumented phase.  Each
+    entry's value is the section's total pass seconds for that engine.
     """
     out: Dict[str, float] = {}
     rollout = payload.get("rollout") or {}
@@ -93,13 +91,6 @@ def section_medians(payload: Mapping[str, Any]) -> Dict[str, float]:
         seconds = (distributed.get(engine) or {}).get("seconds")
         if seconds is not None:
             out[f"section.distributed.{engine}"] = float(seconds)
-    batch = payload.get("batch") or {}
-    for mode in ("full", "incremental"):
-        section = batch.get(mode) or {}
-        for engine in ("single", "batched"):
-            seconds = (section.get(engine) or {}).get("per_episode_s")
-            if seconds is not None:
-                out[f"section.batch.{mode}.{engine}"] = float(seconds)
     # Event-tracing overhead per flow run (PR 7): pins both the tracer's
     # cost when on and the "disabled path is zero-cost" claim when off.
     overhead = (payload.get("obs") or {}).get("trace_overhead_s")

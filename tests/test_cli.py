@@ -37,3 +37,35 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Fig.5" in out
         assert "block11" in out
+
+
+class TestTrainRolloutWorkers:
+    """``train --workers N`` hands its pool N selections per update."""
+
+    def test_pool_receives_workers_selections_per_evaluate(
+        self, capsys, monkeypatch
+    ):
+        from repro.agent import reinforce
+        from repro.agent.parallel import evaluate_selections
+
+        batches = []
+
+        class RecordingPool:
+            def __init__(self, netlist, flow_config, workers, snapshot, **kwargs):
+                self.args = (netlist, flow_config, snapshot)
+
+            def evaluate(self, selections):
+                batches.append(len(selections))
+                netlist, flow_config, snapshot = self.args
+                return evaluate_selections(
+                    netlist, flow_config, selections, workers=1, snapshot=snapshot
+                )
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(reinforce, "RolloutPool", RecordingPool)
+        argv = ["train", "--episodes", "4", "--cells", "120", "--workers", "2"]
+        assert main(argv) == 0
+        assert "episodes run: 4" in capsys.readouterr().out
+        assert batches == [2, 2]

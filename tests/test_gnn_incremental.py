@@ -23,7 +23,7 @@ from repro.agent.reinforce import TrainConfig, train_rlccd
 from repro.ccd.flow import FlowConfig
 from repro.features.table1 import NUM_FEATURES
 from repro.gnn import incremental as gi
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, stack
 
 ATOL = 1e-9
 
@@ -284,15 +284,30 @@ class TestTrainingEquivalence:
         assert len(full.history) == len(fast.history)
 
 
+def _pool_loop(nodes, cones):
+    """Eq.-3 pooling as one Python loop over endpoints (the CSR oracle)."""
+    pooled_rows = []
+    for position, endpoint in enumerate(cones.endpoints):
+        own = nodes[endpoint]
+        members = cones.cone_array(position)
+        if members.size:
+            pooled_rows.append(own + nodes.gather_rows(members).sum(axis=0))
+        else:
+            pooled_rows.append(own)
+    return stack(pooled_rows, axis=0)
+
+
+def _loop_forward(gnn, features, env):
+    """``EPGNN.forward`` with the loop oracle in place of CSR pooling."""
+    nodes = gnn.node_embeddings(features, env.graph)
+    return gnn.fc(_pool_loop(nodes, env.cones))
+
+
 class TestPoolingEquivalence:
     def test_csr_pooling_matches_loop(self, env, policy):
         env.reset()
         features = env.features()
-        policy.epgnn.pooling = "loop"
-        try:
-            loop = policy.epgnn(features, env.graph, env.cones)
-        finally:
-            policy.epgnn.pooling = "csr"
+        loop = _loop_forward(policy.epgnn, features, env)
         csr = policy.epgnn(features, env.graph, env.cones)
         np.testing.assert_allclose(csr.data, loop.data, atol=ATOL, rtol=0.0)
 
@@ -301,9 +316,8 @@ class TestPoolingEquivalence:
         policy_b = RLCCDPolicy(NUM_FEATURES, rng=2)
         env.reset()
         features = env.features()
-        policy_b.epgnn.pooling = "loop"
         out_a = policy_a.epgnn(features, env.graph, env.cones)
-        out_b = policy_b.epgnn(features, env.graph, env.cones)
+        out_b = _loop_forward(policy_b.epgnn, features, env)
         out_a.sum().backward()
         out_b.sum().backward()
         for (name, pa), (_, pb) in zip(

@@ -9,6 +9,7 @@ problems with known optima, independent of the EDA substrate.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.nn.functional import masked_log_prob
 from repro.nn.optim import Adam
@@ -81,42 +82,35 @@ class TestSequentialCredit:
         assert p2[1] > 0.7
 
 
-class TestBatchEpisodesByteIdentity:
-    """``batch_episodes=1`` must leave the trainer byte-identical.
+class TestNonFiniteReward:
+    """The trainer refuses a non-finite flow reward before it can poison the
+    running reward normalization for every later advantage."""
 
-    The trainer branches on ``batch_episodes > 1`` before any batched
-    machinery, so B=1 runs the pre-batching code path verbatim — these
-    tests pin that contract on a real (small) design end to end.
-    """
-
-    def _train(self, small_design, **overrides):
-        import dataclasses as _dc
-
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    def test_non_finite_tns_raises(self, small_design, monkeypatch, bad):
+        from repro.agent import reinforce
         from repro.agent.env import EndpointSelectionEnv
+        from repro.agent.parallel import FlowReward
         from repro.agent.policy import RLCCDPolicy
-        from repro.agent.reinforce import TrainConfig, train_rlccd
         from repro.ccd.flow import FlowConfig
         from repro.features.table1 import NUM_FEATURES
 
+        calls = []
+
+        def fake_evaluate(netlist, flow_config, selections, **kwargs):
+            calls.append(list(selections[0]))
+            tns = -1.0 if len(calls) == 1 else bad
+            return [FlowReward(tns, -0.1, 1, 0.0, len(selections[0]))]
+
+        monkeypatch.setattr(reinforce, "evaluate_selections", fake_evaluate)
         nl, period = small_design
         env = EndpointSelectionEnv(nl, period, rho=0.3)
         policy = RLCCDPolicy(NUM_FEATURES, rng=17)
-        config = TrainConfig(
-            max_episodes=3, seed=6, max_selection_steps=5, **overrides
+        config = reinforce.TrainConfig(
+            max_episodes=3, seed=6, max_selection_steps=5, plateau_patience=5
         )
-        result = train_rlccd(policy, env, FlowConfig(clock_period=period), config)
-        return [_dc.astuple(record) for record in result.history]
-
-    def test_explicit_b1_matches_default_config(self, small_design):
-        default = self._train(small_design)
-        explicit = self._train(small_design, batch_episodes=1)
-        assert default == explicit
-
-    def test_b2_history_deterministic(self, small_design):
-        first = self._train(
-            small_design, episodes_per_update=2, batch_episodes=2
-        )
-        second = self._train(
-            small_design, episodes_per_update=2, batch_episodes=2
-        )
-        assert first == second
+        with pytest.raises(ValueError, match="episode 1: non-finite reward") as err:
+            reinforce.train_rlccd(
+                policy, env, FlowConfig(clock_period=period), config
+            )
+        assert str(calls[1]) in str(err.value)
