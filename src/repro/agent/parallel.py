@@ -125,15 +125,6 @@ class RewardCache:
     stored reward without running the flow.  Eviction is FIFO at
     ``max_entries`` (selections are tiny; the default never evicts in
     practice) and counted in ``evictions``.
-
-    Two access levels share the same store: the *selection* API
-    (:meth:`get`/:meth:`put`) hashes locally and feeds the recorder's
-    ``rollout.cache_*`` counters — the deterministic in-process path —
-    while the *key* API (:meth:`lookup`/:meth:`store`) takes precomputed
-    digest keys and touches no recorder state, which is what the shared
-    cache service of :mod:`repro.agent.distributed` serves over the wire
-    (remote traffic is timing-dependent, so it keeps its own hit/miss
-    stats instead of polluting the deterministic counter set).
     """
 
     def __init__(
@@ -180,15 +171,7 @@ class RewardCache:
         return reward
 
     def put(self, selection: Sequence[int], reward: FlowReward) -> None:
-        self.store(self.key(selection), reward)
-
-    # ---- key-level access (the shared cache service's surface) ------- #
-    def lookup(self, key: str) -> Optional[FlowReward]:
-        """Entry for a precomputed digest key; no counters touched."""
-        return self._entries.get(key)
-
-    def store(self, key: str, reward: FlowReward) -> None:
-        """Insert by precomputed digest key (FIFO-evicting at capacity)."""
+        key = self.key(selection)
         if key not in self._entries and len(self._entries) >= self._max_entries:
             self._entries.popitem(last=False)
             self.evictions += 1

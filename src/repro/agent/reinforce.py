@@ -72,14 +72,6 @@ class TrainConfig:
     plateau_patience: int = 3  # paper: stop after 3 non-improving iterations
     plateau_tolerance: float = 1e-6
     workers: int = 1
-    # Distributed actor–learner evaluation: ``actors >= 1`` replaces the
-    # in-process pool with a socket-fed actor farm
-    # (:class:`~repro.agent.distributed.DistributedEvaluator`) sharing the
-    # reward cache as a service.  Training histories are byte-identical to
-    # the pooled and sequential paths at equal seeds — trajectory sampling
-    # stays on the learner; actors only evaluate deterministic flows.
-    # 0 (the default) disables; mutually exclusive with ``workers > 1``.
-    actors: int = 0
     # Cap on selections per trajectory.  Each step's EP-GNN run stays on the
     # autograd tape until the update, so unbounded trajectories on large
     # designs are a memory hazard; 48 comfortably covers the selection sizes
@@ -114,13 +106,6 @@ class TrainConfig:
         check_positive("plateau_patience", self.plateau_patience)
         check_positive("workers", self.workers)
         check_positive("rollout_timeout", self.rollout_timeout)
-        if self.actors < 0:
-            raise ValueError(f"actors must be non-negative, got {self.actors}")
-        if self.actors >= 1 and self.workers > 1:
-            raise ValueError(
-                "workers > 1 and actors >= 1 are mutually exclusive rollout "
-                "backends; pick one"
-            )
         if self.entropy_coefficient < 0:
             raise ValueError("entropy_coefficient must be non-negative")
 
@@ -297,23 +282,8 @@ def train_rlccd(
     cache = (
         RewardCache.for_context(snapshot, flow_config) if config.reward_cache else None
     )
-    pool: Optional[Any] = None
-    if config.actors >= 1:
-        # Actor–learner farm: same evaluate()/stats()/close() contract as
-        # the pool, but actors are socket-fed processes sharing the reward
-        # cache as a learner-hosted service (docs/rollout.md).
-        from repro.agent.distributed import DistributedEvaluator
-
-        pool = DistributedEvaluator(
-            env.netlist,
-            flow_config,
-            actors=config.actors,
-            snapshot=snapshot,
-            task_timeout=config.rollout_timeout,
-            start_method=config.rollout_start_method,
-            cache=cache,
-        )
-    elif config.workers > 1:
+    pool: Optional[RolloutPool] = None
+    if config.workers > 1:
         pool = RolloutPool(
             env.netlist,
             flow_config,

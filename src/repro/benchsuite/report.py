@@ -184,19 +184,6 @@ def format_bench(payload: Mapping) -> str:
             f"{policy.get('steps', '?')} greedy steps "
             f"({policy.get('endpoints', '?')} endpoints)"
         )
-    distributed = payload.get("distributed") or {}
-    dist_engine = distributed.get("distributed") or {}
-    if dist_engine.get("speedup") is not None:
-        service = distributed.get("cache_service") or {}
-        replay = distributed.get("shared_cache_replay") or {}
-        lines.append(
-            f"  distributed actor–learner ({distributed.get('actors', '?')} "
-            f"actors, {distributed.get('start_method', '?')}): "
-            f"{dist_engine['speedup']:.2f}x vs sequential over "
-            f"{distributed.get('tasks', '?')} tasks, shared-cache replay "
-            f"{replay.get('speedup', 0.0):.0f}x "
-            f"(service {service.get('hits', 0)}h/{service.get('misses', 0)}m)"
-        )
     lines.append(format_phase_table(payload.get("phases", {})))
     return "\n".join(lines)
 

@@ -29,6 +29,8 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from repro import obs
 from repro.ccd.datapath_opt import DatapathConfig, DatapathResult, optimize_datapath
 from repro.ccd.margins import margins_by_amount, margins_to_wns, remove_margins
@@ -103,6 +105,24 @@ def _sta_flow_stats(counters_before: Mapping[str, float]) -> Dict[str, float]:
     return stats
 
 
+def _check_finite_slack(netlist: Netlist, report: TimingReport, boundary: str) -> None:
+    """Refuse a flow boundary whose endpoint slacks are not all finite.
+
+    The reward is TNS, so one NaN slack would otherwise reach training as
+    a NaN reward with nothing louder than a NumPy ``RuntimeWarning``.
+    """
+    finite = np.isfinite(report.slack)
+    if finite.all():
+        return
+    position = int(np.argmin(finite))
+    cell = netlist.cells[int(report.endpoints[position])]
+    raise ValueError(
+        f"{boundary} STA: non-finite slack {float(report.slack[position])!r} "
+        f"at endpoint cell {cell.index} ({cell.name!r}); "
+        f"{int((~finite).sum())} of {finite.size} endpoints affected"
+    )
+
+
 def run_flow(
     netlist: Netlist,
     config: FlowConfig,
@@ -131,6 +151,7 @@ def run_flow(
 
         with obs.span("flow.begin_sta") as sp_begin:
             begin_report = analyzer.analyze(clock)
+            _check_finite_slack(netlist, begin_report, "begin")
             begin_summary = summarize(begin_report)
             begin_power = report_power(netlist, clock, analyzer.compiled.load_cap)
 
@@ -166,6 +187,7 @@ def run_flow(
 
         with obs.span("flow.final_sta") as sp_final:
             final_report = analyzer.analyze(clock)
+            _check_finite_slack(netlist, final_report, "final")
             final_summary = summarize(final_report)
             final_power = report_power(netlist, clock, analyzer.compiled.load_cap)
     runtime = watch.elapsed

@@ -144,14 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "throughput comparison (default 4)",
     )
     bench.add_argument(
-        "--actors",
-        type=int,
-        default=2,
-        metavar="N",
-        help="actor count for the bench's distributed actor–learner "
-        "throughput section (0 skips the section; default 2)",
-    )
-    bench.add_argument(
         "--compare",
         default=None,
         metavar="BASELINE",
@@ -212,17 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="persistent rollout-pool workers for flow-reward evaluation; "
         "each update samples one selection per worker "
         "(1 = sequential; see docs/rollout.md)",
-    )
-    train.add_argument(
-        "--actors",
-        type=int,
-        default=0,
-        metavar="N",
-        help="distributed actor–learner evaluation: spawn N socket-fed "
-        "actor processes sharing the reward cache as a service "
-        "(0 = off; mutually exclusive with --workers > 1; like --workers, "
-        "each update samples one selection per actor, and histories match "
-        "--workers N byte for byte — see docs/rollout.md)",
     )
     train.add_argument(
         "--rollout-timeout",
@@ -480,7 +461,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 episodes=args.episodes,
                 cells=args.cells,
                 rollout_workers=args.workers,
-                distributed_actors=args.actors,
             ),
             scale_config=scale_config,
         )
@@ -553,12 +533,11 @@ def _dispatch(args: argparse.Namespace) -> int:
                 workload.flow_config,
                 TrainConfig(
                     max_episodes=args.episodes,
-                    # One selection per rollout process per update, so a
-                    # pool or actor farm has work for each of its members.
-                    episodes_per_update=max(args.workers, args.actors, 1),
+                    # One selection per pool worker per update, so every
+                    # worker has work.
+                    episodes_per_update=max(args.workers, 1),
                     seed=args.seed,
                     workers=args.workers,
-                    actors=args.actors,
                     rollout_timeout=args.rollout_timeout,
                     reward_cache=not args.no_reward_cache,
                     entropy_coefficient=args.entropy_coef,

@@ -20,11 +20,6 @@ then aggregates the recorder into the ``BENCH_<sha>.json`` schema::
                 "full"/"incremental":
                     {"seconds", "step_median_s", "step_p90_s"},
                 "incremental_speedup"},
-     "distributed": {"tasks", "actors", "start_method",
-                     "sequential"/"distributed"/"shared_cache_replay":
-                         {"seconds", "tasks_per_second", "speedup"},
-                     "cache_service": {"hits", "misses", "puts",
-                                       "evictions", "entries"}},
      "scale": {"seed", "rounds",            # --scale-sweep runs only
                "designs": {"10k"/...: {"cells", "endpoints", ...,
                                        "speedup", "peak_mb",
@@ -75,9 +70,6 @@ class BenchConfig:
     #: Flow evaluations timed per rollout engine (sequential / pooled /
     #: cached replay).
     rollout_tasks: int = 6
-    #: Actor count for the ``distributed`` actor–learner throughput section
-    #: (0 skips the section entirely).
-    distributed_actors: int = 2
 
     def __post_init__(self) -> None:
         if self.episodes < 1:
@@ -91,8 +83,6 @@ class BenchConfig:
             raise ValueError("rollout_workers must be >= 1")
         if self.rollout_tasks < 1:
             raise ValueError("rollout_tasks must be >= 1")
-        if self.distributed_actors < 0:
-            raise ValueError("distributed_actors must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -381,11 +371,6 @@ def run_bench(
         sta_compare = _compare_sta_engines(workload)
         rollout_compare = _compare_rollout_engines(workload, config)
         policy_compare = _compare_policy_engines(workload)
-        distributed_compare = (
-            _compare_distributed_engine(workload, config)
-            if config.distributed_actors >= 1
-            else None
-        )
         obs_compare = _compare_trace_overhead(workload)
 
         state = obs.get_recorder().export_state()
@@ -424,7 +409,6 @@ def run_bench(
         "sta": sta_compare,
         "rollout": rollout_compare,
         "policy": policy_compare,
-        "distributed": distributed_compare,
         "obs": obs_compare,
         "scale": scale_section,
         "total_seconds": total,
@@ -672,118 +656,6 @@ def _compare_rollout_engines(
     }
 
 
-def _compare_distributed_engine(
-    workload: Workload, config: BenchConfig
-) -> Dict[str, Any]:
-    """Time the same fixed selection batch through the actor–learner farm.
-
-    Returns the ``"distributed"`` section of the BENCH payload: sequential
-    in-process evaluation, the socket-fed
-    :class:`~repro.agent.distributed.DistributedEvaluator` with a cold
-    shared cache, and a replay through the warm shared cache service, each
-    with tasks/s and speedup vs sequential.  The reward lists are asserted
-    equal — the socket transport must never change semantics.  Wall-clock
-    only (and the cache-service hit pattern depends on actor interleaving):
-    :func:`strip_timing` drops the whole section.
-
-    Same measurement discipline as the rollout section: actors clipped to
-    the cores actually available, one untimed warm-up batch, min over the
-    same number of passes per engine.
-    """
-    from repro.agent.baselines import select_worst_slack
-    from repro.agent.distributed import DistributedEvaluator
-    from repro.agent.parallel import RewardCache, evaluate_selections
-
-    env = workload.env
-    selections = [
-        select_worst_slack(env, 1 + (k % env.num_endpoints))
-        for k in range(config.rollout_tasks)
-    ]
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover — non-Linux
-        cpus = os.cpu_count() or 1
-    actors = max(1, min(config.distributed_actors, cpus))
-    passes = 2
-
-    watch = obs.Stopwatch()
-    seq_times = []
-    for _ in range(passes):
-        watch.restart()
-        sequential_rewards = evaluate_selections(
-            workload.netlist,
-            workload.flow_config,
-            selections,
-            workers=1,
-            snapshot=workload.snapshot,
-        )
-        seq_times.append(watch.elapsed)
-    sequential_s = min(seq_times)
-
-    cache = RewardCache.for_context(workload.snapshot, workload.flow_config)
-    with DistributedEvaluator(
-        workload.netlist,
-        workload.flow_config,
-        actors=actors,
-        snapshot=workload.snapshot,
-        cache=None,  # attached below: the timed passes must all stay cold
-    ) as evaluator:
-        evaluator.evaluate(selections)  # untimed warm-up batch
-        distributed_times = []
-        for _ in range(passes):
-            watch.restart()
-            distributed_rewards = evaluator.evaluate(selections)
-            distributed_times.append(watch.elapsed)
-        distributed_s = min(distributed_times)
-        stats = evaluator.stats()
-    # The cold evaluator ran without a cache service; replay timing needs a
-    # fresh farm whose actors dial the shared cache from the start.
-    with DistributedEvaluator(
-        workload.netlist,
-        workload.flow_config,
-        actors=actors,
-        snapshot=workload.snapshot,
-        cache=cache,
-    ) as evaluator:
-        evaluator.evaluate(selections)  # untimed: fills cache + service
-        cache.hits = cache.misses = 0  # count only the timed replay
-        watch.restart()
-        cached_rewards = evaluator.evaluate(selections)
-        cached_s = watch.elapsed
-        service_stats = (
-            evaluator.cache_service.stats()
-            if evaluator.cache_service is not None
-            else {"hits": 0, "misses": 0, "puts": 0, "evictions": 0, "entries": 0}
-        )
-    if not (sequential_rewards == distributed_rewards == cached_rewards):
-        raise RuntimeError(
-            "distributed engine disagrees: sequential, actor–learner and "
-            "shared-cache replay must produce identical FlowReward sequences"
-        )
-    # Same post-fork hygiene as the rollout section: collect the dirtied
-    # cyclic-GC bookkeeping outside anyone's timed window.
-    gc.collect()
-
-    tasks = len(selections)
-
-    def _engine(seconds: float) -> Dict[str, Any]:
-        return {
-            "seconds": seconds,
-            "tasks_per_second": tasks / seconds if seconds > 0 else None,
-            "speedup": sequential_s / seconds if seconds > 0 else None,
-        }
-
-    return {
-        "tasks": tasks,
-        "actors": actors,
-        "start_method": stats["start_method"],
-        "sequential": _engine(sequential_s),
-        "distributed": _engine(distributed_s),
-        "shared_cache_replay": _engine(cached_s),
-        "cache_service": service_stats,
-    }
-
-
 def _compare_policy_engines(workload: Workload) -> Dict[str, Any]:
     """Time the same greedy selection episode through both policy engines.
 
@@ -961,7 +833,6 @@ def strip_timing(payload: Dict[str, Any]) -> Dict[str, Any]:
             "sta",
             "rollout",
             "policy",
-            "distributed",
             "obs",
             "scale",
             "total_seconds",

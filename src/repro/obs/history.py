@@ -75,10 +75,10 @@ def mad(values: Sequence[float]) -> float:
 def section_medians(payload: Mapping[str, Any]) -> Dict[str, float]:
     """Engine-comparison section timings as ``section.…`` pseudo-phases.
 
-    The nightly gate tracks the rollout-pool and distributed actor–learner
-    sections alongside recorder phases, so a pool or transport regression
-    fails the same median+MAD check as any instrumented phase.  Each
-    entry's value is the section's total pass seconds for that engine.
+    The nightly gate tracks the rollout-pool section alongside recorder
+    phases, so a pool regression fails the same median+MAD check as any
+    instrumented phase.  Each entry's value is the section's total pass
+    seconds for that engine.
     """
     out: Dict[str, float] = {}
     rollout = payload.get("rollout") or {}
@@ -86,11 +86,6 @@ def section_medians(payload: Mapping[str, Any]) -> Dict[str, float]:
         seconds = (rollout.get(engine) or {}).get("seconds")
         if seconds is not None:
             out[f"section.rollout.{engine}"] = float(seconds)
-    distributed = payload.get("distributed") or {}
-    for engine in ("sequential", "distributed", "shared_cache_replay"):
-        seconds = (distributed.get(engine) or {}).get("seconds")
-        if seconds is not None:
-            out[f"section.distributed.{engine}"] = float(seconds)
     # Event-tracing overhead per flow run (PR 7): pins both the tracer's
     # cost when on and the "disabled path is zero-cost" claim when off.
     overhead = (payload.get("obs") or {}).get("trace_overhead_s")

@@ -3,9 +3,12 @@ the placement flow."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.ccd import flow as flow_module
 from repro.ccd.datapath_opt import DatapathConfig, optimize_datapath
 from repro.ccd.flow import (
     FlowConfig,
@@ -275,3 +278,52 @@ class TestFlow:
         )
         restore_netlist_state(nl, snapshot)
         assert result.final.tns > result.begin.tns  # still optimizes overall
+
+
+class TestFlowBoundaries:
+    """``run_flow`` refuses non-finite endpoint slack at begin and final STA,
+    so a NaN can never become a TNS reward."""
+
+    def test_nan_coordinate_refused_at_begin_sta(self, fresh_design):
+        # Setting a coordinate in code bypasses the validated loader.
+        nl, period = fresh_design
+        flop = next(c for c in nl.cells if c.is_sequential)
+        flop.x = float("nan")
+        with np.errstate(invalid="ignore"):
+            report = TimingAnalyzer(nl).analyze(ClockModel.for_netlist(nl, period))
+        bad = report.endpoints[~np.isfinite(report.slack)]
+        assert bad.size > 0
+        first = nl.cells[int(bad[0])]
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError) as exc:
+            run_flow(nl, FlowConfig(clock_period=period))
+        message = str(exc.value)
+        assert message.startswith("begin STA: non-finite slack nan")
+        assert f"endpoint cell {first.index} ({first.name!r})" in message
+
+    def test_non_finite_slack_refused_at_final_sta(self, fresh_design, monkeypatch):
+        nl, period = fresh_design
+        real_datapath = flow_module.optimize_datapath
+        poisoned = []
+
+        def poison_after_datapath(analyzer, clock, margins, config):
+            result = real_datapath(analyzer, clock, margins, config)
+            real_analyze = analyzer.analyze
+
+            def analyze(*args, **kwargs):
+                report = real_analyze(*args, **kwargs)
+                slack = report.slack.copy()
+                slack[0] = np.inf
+                poisoned.append(int(report.endpoints[0]))
+                return dataclasses.replace(report, slack=slack)
+
+            monkeypatch.setattr(analyzer, "analyze", analyze)
+            return result
+
+        monkeypatch.setattr(flow_module, "optimize_datapath", poison_after_datapath)
+        config = FlowConfig(clock_period=period, final_skew_pass=False)
+        with pytest.raises(ValueError) as exc:
+            run_flow(nl, config)
+        message = str(exc.value)
+        assert message.startswith("final STA: non-finite slack inf")
+        endpoint = nl.cells[poisoned[-1]]
+        assert f"endpoint cell {endpoint.index} ({endpoint.name!r})" in message

@@ -69,3 +69,10 @@ class TestTrainRolloutWorkers:
         assert main(argv) == 0
         assert "episodes run: 4" in capsys.readouterr().out
         assert batches == [2, 2]
+
+    def test_actors_flag_rejected(self, capsys):
+        """``--workers`` is the only rollout-parallelism flag."""
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--actors", "1"])
+        assert exc.value.code == 2
+        assert "--actors" in capsys.readouterr().err

@@ -11,14 +11,13 @@ from repro import obs
 from repro.cli import main
 from repro.obs.bench import load_bench
 
-# --workers 1 / --actors 0 degrade the bench's rollout and distributed
-# comparisons to the in-process sequential path: the enforced-gate tests
-# below time several benches in one process, and forking pool workers or
-# actor processes between them adds enough scheduler noise on small
-# runners to trip the gate on sub-millisecond phases.  Pool and
-# actor–learner timing behaviour is covered by test_parallel /
-# test_rollout_* / test_distributed* instead.
-FAST_BENCH = ["--episodes", "2", "--cells", "240", "--workers", "1", "--actors", "0"]
+# --workers 1 degrades the bench's rollout comparison to the in-process
+# sequential path: the enforced-gate tests below time several benches in
+# one process, and forking pool workers between them adds enough
+# scheduler noise on small runners to trip the gate on sub-millisecond
+# phases.  Pool timing behaviour is covered by test_parallel /
+# test_rollout_* instead.
+FAST_BENCH = ["--episodes", "2", "--cells", "240", "--workers", "1"]
 
 
 @pytest.fixture(autouse=True)

@@ -113,6 +113,24 @@ class TestFaultInjection:
         assert pickle.dumps(first) == pickle.dumps(sequential)
         assert pickle.dumps(second) == pickle.dumps(sequential)
 
+    def test_restarted_pool_reproduces_rewards(self, context, method):
+        """Closing a pool stops every worker; a fresh pool picks the reward
+        stream up byte-identical — no state lives outside the parent."""
+        nl, config, selections, sequential = context
+        first_pool = RolloutPool(nl, config, workers=2, start_method=method, **FAST)
+        try:
+            first = first_pool.evaluate(selections)
+            generation = [w.process for w in first_pool._slots]
+        finally:
+            first_pool.close()
+        assert len(generation) == 2
+        assert not any(process.is_alive() for process in generation)
+        with RolloutPool(nl, config, workers=2, start_method=method, **FAST) as pool:
+            second = pool.evaluate(selections)
+        blob = pickle.dumps(sequential)
+        assert pickle.dumps(first) == blob
+        assert pickle.dumps(second) == blob
+
 
 @pytest.mark.skipif(not fork_available(), reason="platform lacks fork")
 def test_heartbeat_detects_frozen_worker(context):
