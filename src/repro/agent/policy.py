@@ -136,24 +136,18 @@ class RLCCDPolicy(Module):
         greedy: bool = False,
         max_steps: Optional[int] = None,
         with_entropy: bool = False,
-        incremental: Optional[bool] = None,
+        incremental: bool = True,
     ) -> Trajectory:
         """Run one full selection episode (Algorithm 1 lines 3–13).
 
         ``with_entropy=True`` additionally records tape-connected policy
         entropies per step (for entropy-regularized training).
 
-        ``incremental`` selects the EP-GNN re-encode engine for this episode:
-        ``None`` follows the global switch
-        (:func:`repro.gnn.incremental.incremental_enabled`, i.e.
-        ``REPRO_GNN_INCREMENTAL`` / ``--no-incremental-gnn``), ``True``/
-        ``False`` force the incremental or full engine.  Both engines sample
-        identical trajectories; the incremental one only re-encodes the
-        dirty region around newly masked cells each step.
+        ``incremental=False`` re-encodes the whole netlist every step
+        instead of only the dirty region around newly masked cells — the
+        full-encode oracle.  Both engines sample identical trajectories.
         """
         rng = as_rng(rng)
-        if incremental is None:
-            incremental = gnn_incremental.incremental_enabled()
         session = self.encoder_session(env) if incremental else None
         state = env.reset()
         if session is not None:

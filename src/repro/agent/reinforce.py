@@ -92,11 +92,6 @@ class TrainConfig:
     # Pool process start method: None → fork where available, else spawn
     # (REPRO_ROLLOUT_START_METHOD overrides the default).
     rollout_start_method: Optional[str] = None
-    # EP-GNN re-encode engine: None follows the global switch
-    # (REPRO_GNN_INCREMENTAL / --no-incremental-gnn), True/False force the
-    # incremental or full engine for every rollout of this run.  Both
-    # engines sample identical trajectories (see docs/policy.md).
-    incremental_gnn: Optional[bool] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -312,7 +307,6 @@ def train_rlccd(
                             rng=rng,
                             max_steps=max_steps,
                             with_entropy=config.entropy_coefficient > 0,
-                            incremental=config.incremental_gnn,
                         )
                         for _ in range(batch_size)
                     ]
@@ -334,7 +328,6 @@ def train_rlccd(
                             rng=rng,
                             max_steps=max_steps,
                             with_entropy=config.entropy_coefficient > 0,
-                            incremental=config.incremental_gnn,
                         )
                     with obs.span("agent.flow_eval", attrs={"episode": episode}):
                         (flow_reward,) = evaluate_selections(

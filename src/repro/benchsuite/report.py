@@ -156,35 +156,8 @@ def format_bench(payload: Mapping) -> str:
         f"(begin {metrics.get('begin_tns', float('nan')):.3f}), "
         f"RL best TNS {metrics.get('rlccd_best_tns', float('nan')):.3f} "
         f"over {metrics.get('episodes_run', '?')} episodes",
+        format_phase_table(payload.get("phases", {})),
     ]
-    sta = payload.get("sta") or {}
-    sta_speedup = sta.get("sta_speedup")
-    datapath_speedup = sta.get("datapath_speedup")
-    if sta_speedup is not None and datapath_speedup is not None:
-        lines.append(
-            f"  incremental STA vs full engine: {sta_speedup:.2f}x on sta.* "
-            f"phases, {datapath_speedup:.2f}x on the datapath phase"
-        )
-    rollout = payload.get("rollout") or {}
-    pooled = rollout.get("pooled") or {}
-    cached = rollout.get("cached_replay") or {}
-    if pooled.get("speedup") is not None:
-        lines.append(
-            f"  rollout pool ({rollout.get('workers', '?')} workers, "
-            f"{rollout.get('start_method', '?')}): "
-            f"{pooled['speedup']:.2f}x vs sequential over "
-            f"{rollout.get('tasks', '?')} tasks, cached replay "
-            f"{cached.get('speedup', 0.0):.0f}x"
-        )
-    policy = payload.get("policy") or {}
-    if policy.get("incremental_speedup") is not None:
-        lines.append(
-            f"  policy evaluation: incremental EP-GNN vs full re-encode "
-            f"{policy['incremental_speedup']:.2f}x per-step median over "
-            f"{policy.get('steps', '?')} greedy steps "
-            f"({policy.get('endpoints', '?')} endpoints)"
-        )
-    lines.append(format_phase_table(payload.get("phases", {})))
     return "\n".join(lines)
 
 

@@ -54,10 +54,10 @@ class FlowConfig:
     # worsen to design WNS → over-fix) or a float (uniform margin; negative
     # reproduces the rejected "under-fix" variant for the A1 ablation).
     margin_mode: object = "wns"
-    # Incremental STA: None follows the REPRO_STA_INCREMENTAL global
-    # (default on); True/False forces it per run — the lever the
-    # incremental-vs-full equivalence tests and bench comparison use.
-    incremental_sta: Optional[bool] = None
+    # Incremental STA (default); False runs every analysis on the full
+    # engine — the oracle the equivalence tests and perfbench's full-STA
+    # check compare against.
+    incremental_sta: bool = True
 
 
 @dataclass

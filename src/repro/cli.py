@@ -29,11 +29,7 @@ Global observability flags (before the subcommand):
   --spans`` / the report's "Slowest spans" section;
 * ``--metrics-port N`` — serve the live recorder as Prometheus text at
   ``http://127.0.0.1:N/metrics`` for the duration of the command
-  (:mod:`repro.obs.metrics_export`);
-* ``--no-incremental-sta`` — force full STA recomputes everywhere (same as
-  ``REPRO_STA_INCREMENTAL=0``; see ``docs/timing.md``);
-* ``--no-incremental-gnn`` — force full EP-GNN re-encodes in every rollout
-  (same as ``REPRO_GNN_INCREMENTAL=0``; see ``docs/policy.md``).
+  (:mod:`repro.obs.metrics_export`).
 
 Trace consumers: ``python -m repro trace export|validate`` and
 ``python -m repro watch`` (live tail); see ``docs/observability.md``.
@@ -87,20 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "http://127.0.0.1:PORT/metrics while the command runs (0 picks "
         "a free port)",
     )
-    parser.add_argument(
-        "--no-incremental-sta",
-        action="store_true",
-        help="force every timing analysis down the full-recompute path "
-        "(same effect as REPRO_STA_INCREMENTAL=0; for A/B timing runs "
-        "and debugging suspected incremental-STA drift)",
-    )
-    parser.add_argument(
-        "--no-incremental-gnn",
-        action="store_true",
-        help="force every policy rollout down the full EP-GNN re-encode "
-        "path (same effect as REPRO_GNN_INCREMENTAL=0; for A/B runs and "
-        "debugging suspected incremental-encode drift)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     table2 = sub.add_parser("table2", help="regenerate Table II (default vs RL-CCD)")
@@ -136,13 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--episodes", type=int, default=4)
     bench.add_argument("--cells", type=int, default=320)
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="rollout-pool size for the bench's sequential-vs-pooled "
-        "throughput comparison (default 4)",
-    )
     bench.add_argument(
         "--compare",
         default=None,
@@ -326,18 +301,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         obs.set_trace_path(args.trace)
         log.info("tracing run records to %s", args.trace)
 
-    if args.no_incremental_sta:
-        from repro.timing import incremental
-
-        incremental.set_incremental(False)
-        log.info("incremental STA disabled for this invocation")
-
-    if args.no_incremental_gnn:
-        from repro.gnn import incremental as gnn_incremental
-
-        gnn_incremental.set_incremental(False)
-        log.info("incremental EP-GNN encoding disabled for this invocation")
-
     if args.trace_events:
         if not obs.records_active():
             print(
@@ -437,12 +400,27 @@ def _dispatch(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return 2
-        if args.enforce and not (args.compare or args.history):
-            print(
-                "error: --enforce needs --compare BASELINE and/or --history DIR",
-                file=sys.stderr,
-            )
-            return 2
+        # Same for the enforced gate's history: an empty one would pass
+        # vacuously.
+        history = None
+        if args.enforce:
+            from repro.obs.history import RunHistory
+
+            if not (args.compare or args.history):
+                print(
+                    "error: --enforce needs --compare BASELINE and/or --history DIR",
+                    file=sys.stderr,
+                )
+                return 2
+            history = RunHistory.scan(args.history) if args.history else RunHistory()
+            if len(history) == 0 and baseline is not None:
+                history = RunHistory.from_payloads([baseline], [args.compare])
+            if len(history) == 0:
+                print(
+                    f"error: --enforce found no BENCH_*.json runs in {args.history}",
+                    file=sys.stderr,
+                )
+                return 2
 
         scale_config = None
         if args.scale_sweep:
@@ -456,12 +434,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 return 2
 
         payload = run_bench(
-            BenchConfig(
-                seed=args.seed,
-                episodes=args.episodes,
-                cells=args.cells,
-                rollout_workers=args.workers,
-            ),
+            BenchConfig(seed=args.seed, episodes=args.episodes, cells=args.cells),
             scale_config=scale_config,
         )
         if args.update_baseline:
@@ -488,15 +461,9 @@ def _dispatch(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
 
-        if args.enforce:
-            from repro.obs.history import RunHistory, candidate_phases
+        if history is not None:
+            from repro.obs.history import candidate_phases
 
-            if args.history:
-                history = RunHistory.scan(args.history)
-                if len(history) == 0 and baseline is not None:
-                    history = RunHistory.from_payloads([baseline], [args.compare])
-            else:
-                history = RunHistory.from_payloads([baseline], [args.compare])
             failures = history.check(candidate_phases(payload), last_n=10)
             for failure in failures:
                 print(

@@ -4,9 +4,7 @@ from repro.gnn.epgnn import EMBED_DIM, HIDDEN_DIM, NUM_LAYERS, EPGNN, GraphConvL
 from repro.gnn.incremental import (
     EncoderSession,
     check_enabled,
-    incremental_enabled,
     set_check,
-    set_incremental,
 )
 
 __all__ = [
@@ -17,7 +15,5 @@ __all__ = [
     "NUM_LAYERS",
     "EncoderSession",
     "check_enabled",
-    "incremental_enabled",
     "set_check",
-    "set_incremental",
 ]

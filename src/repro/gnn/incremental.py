@@ -36,9 +36,9 @@ Fallback rules (always produce the exact full-path embedding, bitwise):
 first encode of an episode, a netlist ``mutation_version`` bump, a static
 feature column that changed under us (diffed every step, the stale-state
 safety net), a feature-matrix shape change, the dirty region covering
-more than :data:`FULL_FALLBACK_FRACTION` of the cells, and the engine
-being disabled (``REPRO_GNN_INCREMENTAL=0`` / ``--no-incremental-gnn`` /
-``TrainConfig(incremental_gnn=False)``).
+more than :data:`FULL_FALLBACK_FRACTION` of the cells.  A rollout can
+also skip the session altogether (``RLCCDPolicy.rollout(incremental=False)``),
+which is the full-encode oracle the equivalence tests compare against.
 
 Shadow-check mode (``REPRO_GNN_CHECK=1``) re-runs the full encode after
 every incremental one and asserts max |Δ| ≤ :data:`CHECK_ATOL` — the
@@ -67,36 +67,13 @@ CHECK_ATOL = 1e-9
 FULL_FALLBACK_FRACTION = 0.5
 
 
-#: Default-on switch for the incremental encoder; set to a falsy value
-#: (``0``/``false``/``no``/``off``) to force every encode down the full
-#: path.  Per-rollout overrides (``TrainConfig.incremental_gnn``,
-#: ``RLCCDPolicy.rollout(incremental=...)``) beat this global.
-ENV_INCREMENTAL = "REPRO_GNN_INCREMENTAL"
-
 #: Truthy value turns on differential shadow checking of every incremental
 #: encode (expensive: each one also pays a full encode).
 ENV_CHECK = "REPRO_GNN_CHECK"
 
 _TRUTHY = ("1", "true", "yes", "on")
-_FALSY = ("0", "false", "no", "off")
 
-_incremental: bool = (
-    os.environ.get(ENV_INCREMENTAL, "").strip().lower() not in _FALSY
-)
 _check: bool = os.environ.get(ENV_CHECK, "").strip().lower() in _TRUTHY
-
-
-def incremental_enabled() -> bool:
-    """Whether the incremental encoder is globally enabled (default: yes)."""
-    return _incremental
-
-
-def set_incremental(value: bool) -> bool:
-    """Set the global incremental switch; returns the previous value."""
-    global _incremental
-    previous = _incremental
-    _incremental = bool(value)
-    return previous
 
 
 def check_enabled() -> bool:
@@ -574,12 +551,9 @@ class EncoderSession:
 __all__ = [
     "CHECK_ATOL",
     "ENV_CHECK",
-    "ENV_INCREMENTAL",
     "FULL_FALLBACK_FRACTION",
     "EncoderSession",
     "assert_embeddings_equal",
     "check_enabled",
-    "incremental_enabled",
     "set_check",
-    "set_incremental",
 ]

@@ -1,41 +1,34 @@
 """``python -m repro bench`` — the fixed smoke workload CI publishes.
 
 Runs a small, fully seeded design through the default flow and a short
-RL-CCD training (enough episodes to exercise rollout, parallel-free flow
-evaluation and the policy update), with the :mod:`repro.obs` recorder on,
-then aggregates the recorder into the ``BENCH_<sha>.json`` schema::
+RL-CCD training (enough episodes to exercise rollout, flow evaluation and
+the policy update), with the :mod:`repro.obs` recorder on, then
+aggregates the recorder into the ``BENCH_<sha>.json`` schema::
 
     {"schema": "repro-bench/v1", "git_sha": ..., "seed": ..., ...,
      "design": {"name", "cells", "endpoints", "clock_period"},
      "metrics": {...deterministic quality numbers...},
      "counters": {...deterministic event counts...},
      "phases": {"<name>": {"count", "total_s", "median_s", "p90_s", "max_s"}},
-     "sta": {"full": {...}, "incremental": {...}, "sta_speedup": ...,
-             "datapath_speedup": ...},
-     "rollout": {"tasks", "workers", "start_method",
-                 "sequential"/"pooled"/"cached_replay":
-                     {"seconds", "tasks_per_second", "speedup"},
-                 "cache": {"hits", "misses", "entries"}},
-     "policy": {"steps", "endpoints",
-                "full"/"incremental":
-                    {"seconds", "step_median_s", "step_p90_s"},
-                "incremental_speedup"},
+     "obs": {"flow_runs", "disabled"/"enabled": {"flow_seconds"},
+             "span_records_per_flow", "trace_overhead_s"},
      "scale": {"seed", "rounds",            # --scale-sweep runs only
                "designs": {"10k"/...: {"cells", "endpoints", ...,
-                                       "speedup", "peak_mb",
-                                       "per_kcell": {...}}}},
+                                       "peak_mb", "per_kcell": {...}}}},
      "total_seconds": <wall>}
 
 ``metrics``/``counters``/``design`` are deterministic for a fixed seed;
-only ``phases``/``total_seconds``/``host`` carry wall-clock noise — CI
-diffs phase medians against the committed baseline and *warns* (never
-fails) beyond the tolerance, because shared runners are noisy.
+only ``phases``/``obs``/``scale``/``total_seconds``/``host`` carry
+wall-clock noise.  CI diffs phase medians against the committed baseline:
+it warns beyond the tolerance, and with ``--enforce`` fails only beyond
+the noise-aware threshold of :mod:`repro.obs.history`, because shared
+runners are noisy.  Engine-vs-engine throughput lives in the end-to-end
+benchmark under ``perfbench/``, not here.
 """
 
 from __future__ import annotations
 
 import datetime
-import gc
 import json
 import math
 import os
@@ -65,11 +58,6 @@ class BenchConfig:
     episodes: int = 4
     cells: int = 320
     violating_fraction: float = 0.4
-    #: Pool size for the sequential-vs-pooled rollout throughput section.
-    rollout_workers: int = 4
-    #: Flow evaluations timed per rollout engine (sequential / pooled /
-    #: cached replay).
-    rollout_tasks: int = 6
 
     def __post_init__(self) -> None:
         if self.episodes < 1:
@@ -79,10 +67,6 @@ class BenchConfig:
                 f"cells={self.cells} is below the minimum of 50 needed "
                 "for a meaningful workload"
             )
-        if self.rollout_workers < 1:
-            raise ValueError("rollout_workers must be >= 1")
-        if self.rollout_tasks < 1:
-            raise ValueError("rollout_tasks must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -92,22 +76,16 @@ class ScaleSweepConfig:
     Each size builds a vectorized synthetic design
     (:func:`repro.benchsuite.scale.fast_design`), times compile and full
     analysis, then drives ``rounds`` of CCD-style mutation batches (cell
-    resizes plus useful-skew moves) through the incremental engine —
-    once with the vectorized frontier kernels and, up to
-    ``scalar_max_cells``, once with the scalar path forced — timing only
-    the ``analyze()`` calls so the ratio is the STA phase speedup.
+    resizes plus useful-skew moves) through the default incremental
+    engine, timing only the ``analyze()`` calls.
     """
 
     seed: int = 0
     cells: Tuple[int, ...] = (10_000, 50_000, 200_000)
-    #: Mutation rounds per engine pass; each round resizes
+    #: Mutation rounds; each round resizes
     #: ``resizes_per_round`` cells and moves ``max(32, n // 100)`` flops.
     rounds: int = 3
     resizes_per_round: int = 64
-    #: The scalar reference pass is skipped above this size — it is the
-    #: slow path being measured against, and at 200K cells it would
-    #: dominate the sweep's wall time for no extra information.
-    scalar_max_cells: int = 50_000
     violating_fraction: float = 0.4
 
     def __post_init__(self) -> None:
@@ -135,7 +113,7 @@ def run_scale_sweep(config: ScaleSweepConfig = ScaleSweepConfig()) -> Dict[str, 
     """Run the STA scale sweep; returns the ``"scale"`` payload section.
 
     Per design size the entry records absolute seconds (build, timing
-    compile, full analyze, incremental/scalar mutation passes), the
+    compile, full analyze, incremental mutation rounds), the
     process peak RSS after the size finished, and a ``per_kcell`` table —
     the same costs normalized to seconds per 1000 cells.  The normalized
     values are what :func:`repro.obs.history.section_medians` exposes as
@@ -148,7 +126,6 @@ def run_scale_sweep(config: ScaleSweepConfig = ScaleSweepConfig()) -> Dict[str, 
     """
     from repro.benchsuite.scale import fast_design
     from repro.netlist.generator import GeneratorConfig
-    from repro.timing import incremental as sta_incremental
     from repro.timing.clock import ClockModel
     from repro.timing.metrics import choose_clock_period
     from repro.timing.sta import TimingAnalyzer, peak_rss_mb
@@ -180,60 +157,43 @@ def run_scale_sweep(config: ScaleSweepConfig = ScaleSweepConfig()) -> Dict[str, 
         full_analyze_s = watch.elapsed
         period = choose_clock_period(report, nominal, config.violating_fraction)
 
-        def _mutation_pass(design, threshold: int) -> float:
-            """Seeded mutation rounds; returns summed ``analyze()`` seconds."""
-            previous = sta_incremental.set_vector_threshold(threshold)
-            try:
-                rng = np.random.default_rng(config.seed + n)
-                clock = ClockModel.for_netlist(design, period)
-                sweep_analyzer = TimingAnalyzer(design, incremental=True)
-                sweep_analyzer.analyze(clock)
-                comb = [
-                    c.index
-                    for c in design.cells
-                    if not c.cell_type.is_port and not c.is_sequential
-                ]
-                flops = design.sequential_cells()
-                pass_watch = obs.Stopwatch()
-                analyze_s = 0.0
-                for _ in range(config.rounds):
-                    resized = rng.choice(
-                        comb, size=min(config.resizes_per_round, len(comb)),
-                        replace=False,
-                    )
-                    for c in resized:
-                        cell = design.cells[int(c)]
-                        design.resize_cell(
-                            cell.index,
-                            int(rng.integers(0, cell.cell_type.max_size_index + 1)),
-                        )
-                        sweep_analyzer.notify_resize(cell.index)
-                    moved = rng.choice(
-                        flops, size=min(max(32, n // 100), len(flops)),
-                        replace=False,
-                    )
-                    for f in moved:
-                        f = int(f)
-                        room = clock.bound(f) - clock.arrival(f)
-                        if room > 1e-9:
-                            clock.adjust_arrival(f, float(rng.uniform(0.0, room)))
-                    sweep_analyzer.notify_skew(int(f) for f in moved)
-                    pass_watch.restart()
-                    sweep_analyzer.analyze(clock)
-                    analyze_s += pass_watch.elapsed
-                return analyze_s
-            finally:
-                sta_incremental.set_vector_threshold(previous)
-
-        incremental_s = _mutation_pass(
-            netlist, sta_incremental.DEFAULT_VEC_THRESHOLD
-        )
-        scalar_s: Optional[float] = None
-        if n <= config.scalar_max_cells:
-            # Fresh identical design: the vectorized pass mutated sizes and
-            # skews, and the scalar reference must replay the same schedule
-            # from the same start state.
-            scalar_s = _mutation_pass(fast_design(gen), 1 << 30)
+        # Seeded mutation rounds; only the ``analyze()`` calls are timed.
+        rng = np.random.default_rng(config.seed + n)
+        clock = ClockModel.for_netlist(netlist, period)
+        sweep_analyzer = TimingAnalyzer(netlist)
+        sweep_analyzer.analyze(clock)
+        comb = [
+            c.index
+            for c in netlist.cells
+            if not c.cell_type.is_port and not c.is_sequential
+        ]
+        flops = netlist.sequential_cells()
+        incremental_s = 0.0
+        for _ in range(config.rounds):
+            resized = rng.choice(
+                comb, size=min(config.resizes_per_round, len(comb)),
+                replace=False,
+            )
+            for c in resized:
+                cell = netlist.cells[int(c)]
+                netlist.resize_cell(
+                    cell.index,
+                    int(rng.integers(0, cell.cell_type.max_size_index + 1)),
+                )
+                sweep_analyzer.notify_resize(cell.index)
+            moved = rng.choice(
+                flops, size=min(max(32, n // 100), len(flops)),
+                replace=False,
+            )
+            for f in moved:
+                f = int(f)
+                room = clock.bound(f) - clock.arrival(f)
+                if room > 1e-9:
+                    clock.adjust_arrival(f, float(rng.uniform(0.0, room)))
+            sweep_analyzer.notify_skew(int(f) for f in moved)
+            watch.restart()
+            sweep_analyzer.analyze(clock)
+            incremental_s += watch.elapsed
 
         designs[label] = {
             "cells": n,
@@ -243,12 +203,6 @@ def run_scale_sweep(config: ScaleSweepConfig = ScaleSweepConfig()) -> Dict[str, 
             "compile_s": compile_s,
             "full_analyze_s": full_analyze_s,
             "incremental_s": incremental_s,
-            "scalar_s": scalar_s,
-            "speedup": (
-                scalar_s / incremental_s
-                if scalar_s is not None and incremental_s > 0
-                else None
-            ),
             "peak_mb": peak_rss_mb(),
             "per_kcell": {
                 "build": build_s / (n / 1_000),
@@ -368,9 +322,6 @@ def run_bench(
         )
         restore_netlist_state(netlist, workload.snapshot)
 
-        sta_compare = _compare_sta_engines(workload)
-        rollout_compare = _compare_rollout_engines(workload, config)
-        policy_compare = _compare_policy_engines(workload)
         obs_compare = _compare_trace_overhead(workload)
 
         state = obs.get_recorder().export_state()
@@ -406,9 +357,6 @@ def run_bench(
         },
         "counters": {k: v for k, v in sorted(state["counters"].items())},
         "phases": aggregate_phases(state["phases"]),
-        "sta": sta_compare,
-        "rollout": rollout_compare,
-        "policy": policy_compare,
         "obs": obs_compare,
         "scale": scale_section,
         "total_seconds": total,
@@ -418,53 +366,6 @@ def run_bench(
         },
     }
     return payload
-
-
-def _compare_sta_engines(workload: Workload) -> Dict[str, Any]:
-    """Time the same default flow with incremental STA forced off, then on.
-
-    Returns the ``"sta"`` section of the BENCH payload: per-engine wall
-    time of the ``sta.*`` recorder phases accumulated across the whole
-    flow and across its data-path phase alone (the analyze()-heaviest
-    stage and the one the incremental engine exists for), plus the
-    resulting speedup ratios.  Wall-clock only — :func:`strip_timing`
-    drops the whole section for the determinism check.
-    """
-    import dataclasses
-
-    from repro.ccd.flow import restore_netlist_state, run_flow
-
-    def sta_seconds() -> float:
-        phases = obs.get_recorder().phases
-        return sum(
-            stats.total for name, stats in phases.items() if name.startswith("sta.")
-        )
-
-    def datapath_seconds() -> float:
-        stats = obs.get_recorder().phases.get("flow.datapath")
-        return stats.total if stats is not None else 0.0
-
-    out: Dict[str, Any] = {}
-    for key, mode in (("full", False), ("incremental", True)):
-        flow_config = dataclasses.replace(
-            workload.flow_config, incremental_sta=mode
-        )
-        sta_before = sta_seconds()
-        datapath_before = datapath_seconds()
-        watch = obs.Stopwatch()
-        run_flow(workload.netlist, flow_config)
-        out[key] = {
-            "flow_seconds": watch.elapsed,
-            "sta_seconds": sta_seconds() - sta_before,
-            "datapath_seconds": datapath_seconds() - datapath_before,
-        }
-        restore_netlist_state(workload.netlist, workload.snapshot)
-    for field in ("sta_seconds", "datapath_seconds"):
-        denominator = out["incremental"][field]
-        out[f"{field[:-8]}_speedup"] = (
-            out["full"][field] / denominator if denominator > 0 else None
-        )
-    return out
 
 
 def _compare_trace_overhead(workload: Workload) -> Dict[str, Any]:
@@ -551,183 +452,6 @@ def _compare_trace_overhead(workload: Workload) -> Dict[str, Any]:
     # One warm-up + `repeats` timed enabled flows wrote to the sink.
     out["span_records_per_flow"] = span_records // (repeats + 1)
     out["trace_overhead_s"] = max(0.0, statistics.median(diffs))
-    return out
-
-
-def _compare_rollout_engines(
-    workload: Workload, config: BenchConfig
-) -> Dict[str, Any]:
-    """Time the same fixed selection batch through the three rollout paths.
-
-    Returns the ``"rollout"`` section of the BENCH payload: sequential
-    in-process evaluation, the persistent :class:`RolloutPool` (cold
-    cache), and a cached replay through the same pool, each with tasks/s
-    and speedup vs sequential.  The three reward lists are asserted equal —
-    the bench doubles as a determinism check.  Wall-clock only:
-    :func:`strip_timing` drops the section.
-
-    Measurement discipline (single-CPU runners can only reach parity, so
-    fixed overhead must stay out of the timed window): the pool is sized to
-    the cores actually available, one untimed warm-up batch absorbs
-    cold-start effects, and both engines report the **min over the same
-    number of passes** — the standard noise-floor estimator.
-    """
-    from repro.agent.baselines import select_worst_slack
-    from repro.agent.parallel import RewardCache, RolloutPool, evaluate_selections
-
-    env = workload.env
-    selections = [
-        select_worst_slack(env, 1 + (k % env.num_endpoints))
-        for k in range(config.rollout_tasks)
-    ]
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover — non-Linux
-        cpus = os.cpu_count() or 1
-    workers = max(1, min(config.rollout_workers, cpus))
-    passes = 2
-
-    watch = obs.Stopwatch()
-    seq_times = []
-    for _ in range(passes):
-        watch.restart()
-        sequential_rewards = evaluate_selections(
-            workload.netlist,
-            workload.flow_config,
-            selections,
-            workers=1,
-            snapshot=workload.snapshot,
-        )
-        seq_times.append(watch.elapsed)
-    sequential_s = min(seq_times)
-
-    cache = RewardCache.for_context(workload.snapshot, workload.flow_config)
-    with RolloutPool(
-        workload.netlist,
-        workload.flow_config,
-        workers=workers,
-        snapshot=workload.snapshot,
-        cache=None,  # attached below: the timed passes must all stay cold
-    ) as pool:
-        pool.evaluate(selections)  # untimed warm-up batch
-        pooled_times = []
-        for _ in range(passes):
-            watch.restart()
-            pooled_rewards = pool.evaluate(selections)
-            pooled_times.append(watch.elapsed)
-        pooled_s = min(pooled_times)
-        pool.cache = cache
-        pool.evaluate(selections)  # untimed: fills the cache
-        watch.restart()
-        cached_rewards = pool.evaluate(selections)
-        cached_s = watch.elapsed
-        stats = pool.stats()
-    if not (sequential_rewards == pooled_rewards == cached_rewards):
-        raise RuntimeError(
-            "rollout engines disagree: sequential, pooled and cached replay "
-            "must produce identical FlowReward sequences"
-        )
-    # Forking workers dirties the cyclic-GC bookkeeping of the whole parent
-    # heap; collect now so a later bench in the same process doesn't pay for
-    # it inside its timed training phases.
-    gc.collect()
-
-    tasks = len(selections)
-
-    def _engine(seconds: float) -> Dict[str, Any]:
-        return {
-            "seconds": seconds,
-            "tasks_per_second": tasks / seconds if seconds > 0 else None,
-            "speedup": sequential_s / seconds if seconds > 0 else None,
-        }
-
-    return {
-        "tasks": tasks,
-        "workers": stats["workers"],
-        "start_method": stats["start_method"],
-        "sequential": _engine(sequential_s),
-        "pooled": _engine(pooled_s),
-        "cached_replay": _engine(cached_s),
-        "cache": {
-            "hits": stats["cache_hits"],
-            "misses": stats["cache_misses"],
-            "entries": stats["cache_entries"],
-        },
-    }
-
-
-def _compare_policy_engines(workload: Workload) -> Dict[str, Any]:
-    """Time the same greedy selection episode through both policy engines.
-
-    Returns the ``"policy"`` section of the BENCH payload: per-step
-    evaluation latency (the ``policy.step`` recorder phase) for
-
-    * ``full`` — full EP-GNN re-encode every step,
-    * ``incremental`` — the dirty-region incremental encoder
-      (:mod:`repro.gnn.incremental`, the default),
-
-    plus ``incremental_speedup`` (full vs. incremental medians).
-    Each engine replays the identical greedy episode several times and the
-    medians pool every step, so one noisy step can't swing them;
-    ``seconds`` is the per-episode average.  Both engines must pick the
-    identical greedy trajectory — the bench doubles as an equivalence
-    check.  Wall-clock only: :func:`strip_timing` drops the section.
-    """
-
-    env = workload.env
-    policy = workload.policy
-
-    def step_durations() -> List[float]:
-        stats = obs.get_recorder().phases.get("policy.step")
-        return list(stats.durations) if stats is not None else []
-
-    engines = (("full", False), ("incremental", True))
-    # The greedy episode is short (a handful of steps), so a single pass
-    # yields a median over too few samples to be stable against scheduler
-    # noise; repeat the identical episode and pool every step duration.
-    repeats = 3
-    out: Dict[str, Any] = {}
-    actions: Dict[str, List[int]] = {}
-    for key, use_incremental in engines:
-        # One untimed warm-up episode per engine: the first episode pays
-        # one-off costs (encoder-session build, allocator and cache
-        # warm-up) that would skew a per-step comparison.
-        policy.rollout(env, greedy=True, incremental=use_incremental)
-        before = len(step_durations())
-        watch = obs.Stopwatch()
-        for repeat in range(repeats):
-            trajectory = policy.rollout(env, greedy=True, incremental=use_incremental)
-            if repeat and list(trajectory.actions) != actions[key]:
-                raise RuntimeError(
-                    f"{key} policy engine is not deterministic: repeated "
-                    "greedy episodes picked different trajectories"
-                )
-            actions[key] = list(trajectory.actions)
-        seconds = watch.elapsed / repeats
-        durations = np.asarray(step_durations()[before:], dtype=np.float64)
-        out[key] = {
-            "seconds": seconds,
-            "step_median_s": float(np.median(durations)) if durations.size else None,
-            "step_p90_s": (
-                float(np.quantile(durations, 0.9)) if durations.size else None
-            ),
-        }
-    if actions["full"] != actions["incremental"]:
-        raise RuntimeError(
-            "policy engines disagree: full and incremental evaluation "
-            "must pick identical greedy trajectories"
-        )
-
-    def _ratio(numerator: Optional[float], denominator: Optional[float]):
-        if numerator is None or denominator is None or denominator <= 0:
-            return None
-        return numerator / denominator
-
-    out["steps"] = len(actions["full"])
-    out["endpoints"] = env.num_endpoints
-    out["incremental_speedup"] = _ratio(
-        out["full"]["step_median_s"], out["incremental"]["step_median_s"]
-    )
     return out
 
 
@@ -830,9 +554,6 @@ def strip_timing(payload: Dict[str, Any]) -> Dict[str, Any]:
         if k
         not in (
             "phases",
-            "sta",
-            "rollout",
-            "policy",
             "obs",
             "scale",
             "total_seconds",

@@ -73,25 +73,19 @@ def mad(values: Sequence[float]) -> float:
 
 
 def section_medians(payload: Mapping[str, Any]) -> Dict[str, float]:
-    """Engine-comparison section timings as ``section.…`` pseudo-phases.
+    """Wall-clock payload sections as ``section.…`` pseudo-phases.
 
-    The nightly gate tracks the rollout-pool section alongside recorder
-    phases, so a pool regression fails the same median+MAD check as any
-    instrumented phase.  Each entry's value is the section's total pass
-    seconds for that engine.
+    The nightly gate tracks these alongside recorder phases, so a
+    regression in one fails the same median+MAD check as any instrumented
+    phase.
     """
     out: Dict[str, float] = {}
-    rollout = payload.get("rollout") or {}
-    for engine in ("sequential", "pooled", "cached_replay"):
-        seconds = (rollout.get(engine) or {}).get("seconds")
-        if seconds is not None:
-            out[f"section.rollout.{engine}"] = float(seconds)
-    # Event-tracing overhead per flow run (PR 7): pins both the tracer's
-    # cost when on and the "disabled path is zero-cost" claim when off.
+    # Event-tracing overhead per flow run: pins both the tracer's cost when
+    # on and the "disabled path is zero-cost" claim when off.
     overhead = (payload.get("obs") or {}).get("trace_overhead_s")
     if overhead is not None:
         out["section.obs.trace_overhead"] = float(overhead)
-    # STA scale sweep (PR 10): per-kilocell costs at each design size, so
+    # STA scale sweep: per-kilocell costs at each design size, so
     # the gate catches a per-cell cost regression that only shows at scale.
     # Normalized seconds keep every size's metrics above the gate's
     # MIN_COMPARABLE_SECONDS floor.

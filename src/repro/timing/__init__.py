@@ -14,9 +14,7 @@ from repro.timing.incremental import (
     IncrementalState,
     check_enabled,
     incremental_analyze,
-    incremental_enabled,
     set_check,
-    set_incremental,
 )
 from repro.timing.paths import TimingPath, trace_critical_path
 from repro.timing.sta import (
@@ -37,9 +35,7 @@ __all__ = [
     "compile_timing",
     "check_enabled",
     "incremental_analyze",
-    "incremental_enabled",
     "set_check",
-    "set_incremental",
     "TimingSummary",
     "summarize",
     "tns",

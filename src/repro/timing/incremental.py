@@ -95,11 +95,6 @@ PRUNE_TOL = 1e-12
 #: tolerance because pruned residues may accumulate along deep paths.
 CHECK_ATOL = 1e-9
 
-#: Default-on switch for the incremental engine; set to a falsy value
-#: (``0``/``false``/``no``/``off``) to force every analysis down the full
-#: path.  Per-analyzer and per-flow overrides beat this global.
-ENV_INCREMENTAL = "REPRO_STA_INCREMENTAL"
-
 #: Truthy value turns on differential shadow checking of every incremental
 #: analysis (expensive: each one also pays a full analysis).
 ENV_CHECK = "REPRO_STA_CHECK"
@@ -117,11 +112,7 @@ ENV_VEC_THRESHOLD = "REPRO_STA_VEC_THRESHOLD"
 DEFAULT_VEC_THRESHOLD = 48
 
 _TRUTHY = ("1", "true", "yes", "on")
-_FALSY = ("0", "false", "no", "off")
 
-_incremental: bool = (
-    os.environ.get(ENV_INCREMENTAL, "").strip().lower() not in _FALSY
-)
 _check: bool = os.environ.get(ENV_CHECK, "").strip().lower() in _TRUTHY
 
 
@@ -139,19 +130,6 @@ _vec_threshold: int = _env_threshold()
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
-
-
-def incremental_enabled() -> bool:
-    """Whether the incremental engine is globally enabled (default: yes)."""
-    return _incremental
-
-
-def set_incremental(value: bool) -> bool:
-    """Set the global incremental switch; returns the previous value."""
-    global _incremental
-    previous = _incremental
-    _incremental = bool(value)
-    return previous
 
 
 def check_enabled() -> bool:
@@ -1107,7 +1085,6 @@ __all__ = [
     "CHECK_ATOL",
     "DEFAULT_VEC_THRESHOLD",
     "ENV_CHECK",
-    "ENV_INCREMENTAL",
     "ENV_VEC_THRESHOLD",
     "PRUNE_TOL",
     "IncrementalState",
@@ -1115,9 +1092,7 @@ __all__ = [
     "build_state",
     "check_enabled",
     "incremental_analyze",
-    "incremental_enabled",
     "set_check",
-    "set_incremental",
     "set_vector_threshold",
     "vector_threshold",
 ]

@@ -206,8 +206,8 @@ class TimingAnalyzer:
     ``analyze()`` is incremental by default (see
     :mod:`repro.timing.incremental`): dirty cells accumulated from
     :meth:`notify_resize` / :meth:`notify_skew` seed a pruned
-    re-propagation instead of a full sweep.  ``incremental=False`` (or the
-    ``REPRO_STA_INCREMENTAL=0`` environment switch) forces the full engine;
+    re-propagation instead of a full sweep.  ``incremental=False`` forces
+    the full engine (the oracle the incremental one is checked against);
     structural edits, clock-period changes, hold analysis and the first
     analysis of a corner always take the full path.  A netlist mutated
     without notification is caught by the mutation-version guard and
@@ -219,14 +219,13 @@ class TimingAnalyzer:
         self,
         netlist: Netlist,
         corners: Optional[Dict[str, float]] = None,
-        incremental: Optional[bool] = None,
+        incremental: bool = True,
     ):
         self.netlist = netlist
         self.corners: Dict[str, float] = dict(corners or DEFAULT_CORNERS)
         if "typ" not in self.corners:
             self.corners["typ"] = 1.0
-        #: Per-analyzer override of the global incremental switch
-        #: (``None`` = follow :func:`repro.timing.incremental.incremental_enabled`).
+        #: ``False`` sends every analysis down the full engine.
         self.incremental = incremental
         self._compiled: Dict[str, CompiledTiming] = {}
         self._states: Dict[str, "IncrementalState"] = {}
@@ -348,15 +347,10 @@ class TimingAnalyzer:
             # stale read without re-analysis impossible.
             self.invalidate()
 
-        use_inc = (
-            self.incremental
-            if self.incremental is not None
-            else inc.incremental_enabled()
-        )
         compiled = self.compiled_for(corner)
         state = self._states.get(corner)
 
-        if include_hold or not use_inc:
+        if include_hold or not self.incremental:
             # Hold (min-delay) results are not cached incrementally; a
             # plain full run leaves any cached state untouched — its
             # pending set and the clock/margin diffs still cover whatever

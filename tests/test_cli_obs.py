@@ -11,13 +11,8 @@ from repro import obs
 from repro.cli import main
 from repro.obs.bench import load_bench
 
-# --workers 1 degrades the bench's rollout comparison to the in-process
-# sequential path: the enforced-gate tests below time several benches in
-# one process, and forking pool workers between them adds enough
-# scheduler noise on small runners to trip the gate on sub-millisecond
-# phases.  Pool timing behaviour is covered by test_parallel /
-# test_rollout_* instead.
-FAST_BENCH = ["--episodes", "2", "--cells", "240", "--workers", "1"]
+# The smallest bench that still runs the default flow and a training update.
+FAST_BENCH = ["--episodes", "2", "--cells", "240"]
 
 
 @pytest.fixture(autouse=True)
@@ -86,6 +81,18 @@ class TestEnforcedGate:
         assert rc == 2
         assert "--enforce needs" in capsys.readouterr().err
 
+    def test_enforce_with_empty_history_is_one_line_error(self, tmp_path, capsys):
+        empty = tmp_path / "history"
+        empty.mkdir()
+        rc = main(["bench", "--history", str(empty), "--enforce", *FAST_BENCH])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --enforce found no BENCH_*.json runs")
+        assert captured.err.count("\n") == 1
+        # Fails fast: the workload never ran.
+        assert "phase timings" not in captured.out
+
+    @pytest.mark.wallclock
     def test_enforce_passes_against_own_baseline(self, tmp_path, capsys):
         out = str(tmp_path / "BENCH_a.json")
         assert main(["bench", "--out", out, *FAST_BENCH]) == 0
@@ -118,6 +125,7 @@ class TestEnforcedGate:
         assert rc == 1
         assert "::error ::bench regression:" in capsys.readouterr().err
 
+    @pytest.mark.wallclock
     def test_enforce_with_history_directory(self, tmp_path, capsys):
         history_dir = tmp_path / "history"
         history_dir.mkdir()

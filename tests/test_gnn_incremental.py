@@ -51,15 +51,6 @@ def _episode_features(env, rng, max_steps=None):
 
 
 class TestSwitches:
-    def test_set_incremental_roundtrip(self):
-        previous = gi.set_incremental(False)
-        try:
-            assert gi.incremental_enabled() is False
-            gi.set_incremental(True)
-            assert gi.incremental_enabled() is True
-        finally:
-            gi.set_incremental(previous)
-
     def test_set_check_roundtrip(self):
         previous = gi.set_check(True)
         try:
@@ -205,20 +196,6 @@ class TestRolloutEquivalence:
         b = policy.rollout(env, greedy=True, incremental=False)
         assert a.actions == b.actions
 
-    def test_rollout_respects_global_switch(self, env, policy):
-        previous = gi.set_incremental(False)
-        obs.enable()
-        obs.reset()
-        try:
-            policy.rollout(env, rng=5, max_steps=3)
-            counters = obs.get_recorder().counters
-            assert counters.get("gnn.incremental_encode", 0) == 0
-            assert counters.get("gnn.full_encode", 0) >= 1
-        finally:
-            obs.disable()
-            obs.reset()
-            gi.set_incremental(previous)
-
     def test_shadow_check_passes_across_episode(self, env, policy):
         previous = gi.set_check(True)
         try:
@@ -250,33 +227,45 @@ class TestRolloutEquivalence:
 
 
 class TestTrainingEquivalence:
-    def _train(self, small_design, incremental):
+    def _train(self, small_design):
         nl, period = small_design
         env = EndpointSelectionEnv(nl, period, rho=0.3)
         policy = RLCCDPolicy(NUM_FEATURES, rng=21)
-        config = TrainConfig(
-            max_episodes=3,
-            seed=4,
-            max_selection_steps=6,
-            incremental_gnn=incremental,
-        )
+        config = TrainConfig(max_episodes=3, seed=4, max_selection_steps=6)
         return train_rlccd(policy, env, FlowConfig(clock_period=period), config)
 
-    def test_training_history_byte_identical(self, small_design):
+    def _train_full(self, small_design, monkeypatch):
+        """Train with every rollout forced onto the full-encode oracle."""
+        rollout = RLCCDPolicy.rollout
+        calls = []
+
+        def full_rollout(self, env, *args, **kwargs):
+            calls.append(env)
+            return rollout(self, env, *args, incremental=False, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RLCCDPolicy, "rollout", full_rollout)
+            result = self._train(small_design)
+        assert calls, "the trainer never reached the full-encode rollout"
+        return result
+
+    def test_training_history_byte_identical(self, small_design, monkeypatch):
         """Full vs incremental engines: byte-identical training histories."""
-        full = self._train(small_design, incremental=False)
-        fast = self._train(small_design, incremental=True)
+        full = self._train_full(small_design, monkeypatch)
+        fast = self._train(small_design)
         assert full.best_selection == fast.best_selection
         assert full.best_tns == fast.best_tns
         assert len(full.history) == len(fast.history)
         for a, b in zip(full.history, fast.history):
             assert dataclasses.astuple(a) == dataclasses.astuple(b)
 
-    def test_training_history_byte_identical_under_check(self, small_design):
+    def test_training_history_byte_identical_under_check(
+        self, small_design, monkeypatch
+    ):
         previous = gi.set_check(True)
         try:
-            full = self._train(small_design, incremental=False)
-            fast = self._train(small_design, incremental=True)
+            full = self._train_full(small_design, monkeypatch)
+            fast = self._train(small_design)
         finally:
             gi.set_check(previous)
         for a, b in zip(full.history, fast.history):

@@ -25,6 +25,7 @@ from repro.obs.bench import (
     save_bench,
     strip_timing,
 )
+from repro.obs.history import section_medians
 from repro.placement.global_place import place_design
 from repro.timing.clock import ClockModel
 from repro.timing.metrics import choose_clock_period
@@ -309,6 +310,10 @@ class TestBench:
         assert payload["design"]["endpoints"] > 0
         assert payload["metrics"]["default_tns"] <= 0.0
         assert payload["total_seconds"] > 0.0
+        # The run record only: engine-vs-engine timing lives in perfbench.
+        assert not {"sta", "rollout", "policy"} & set(payload)
+        assert payload["obs"]["trace_overhead_s"] >= 0.0
+        assert "section.obs.trace_overhead" in section_medians(payload)
         for stats in payload["phases"].values():
             assert stats["count"] >= 1
             assert stats["p90_s"] >= stats["median_s"] >= 0.0

@@ -215,6 +215,7 @@ class TestRolloutPool:
         assert isinstance(reward, FlowReward)
 
 
+@pytest.mark.wallclock
 class TestPooledThroughputRegression:
     @pytest.mark.skipif(not fork_available(), reason="platform lacks fork")
     def test_pooled_not_slower_than_sequential(self, context):
