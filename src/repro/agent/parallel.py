@@ -854,49 +854,31 @@ class RolloutPool:
 
 
 # ---------------------------------------------------------------------- #
-# Convenience API (kept for one-shot callers and backwards compatibility)
+# In-process evaluation (the trainer's single-worker path)
 # ---------------------------------------------------------------------- #
 def evaluate_selections(
     netlist: Netlist,
     flow_config: FlowConfig,
     selections: Sequence[List[int]],
-    workers: int = 1,
     snapshot: Optional[NetlistState] = None,
     cache: Optional[RewardCache] = None,
-    task_timeout: float = 120.0,
-    start_method: Optional[str] = None,
 ) -> List[FlowReward]:
-    """Evaluate each selection's flow reward from the same begin state.
+    """Evaluate each selection's flow reward in-process, from the same begin state.
 
-    One-shot wrapper over :class:`RolloutPool`; training loops should hold
-    a pool open across batches instead (the snapshot then ships to workers
-    once per run, not once per call).  The caller's netlist is left exactly
-    at ``snapshot`` (taken here if not provided); results are identical
-    sequential or pooled because flows are deterministic.
+    The sequential counterpart of :meth:`RolloutPool.evaluate`; results are
+    identical because flows are deterministic.  The caller's netlist is
+    left exactly at ``snapshot`` (taken here if not provided).
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if snapshot is None:
         snapshot = snapshot_netlist_state(netlist)
-    if workers == 1 or len(selections) <= 1:
-        results: List[FlowReward] = []
-        for selection in selections:
-            selection = list(selection)
-            cached = cache.get(selection) if cache is not None else None
-            if cached is None:
-                cached = _evaluate_one((netlist, snapshot, flow_config, selection))
-                if cache is not None:
-                    cache.put(selection, cached)
-            results.append(cached)
-        restore_netlist_state(netlist, snapshot)
-        return results
-    with RolloutPool(
-        netlist,
-        flow_config,
-        workers=min(workers, len(selections)),
-        snapshot=snapshot,
-        task_timeout=task_timeout,
-        start_method=start_method,
-        cache=cache,
-    ) as pool:
-        return pool.evaluate(selections)
+    results: List[FlowReward] = []
+    for selection in selections:
+        selection = list(selection)
+        cached = cache.get(selection) if cache is not None else None
+        if cached is None:
+            cached = _evaluate_one((netlist, snapshot, flow_config, selection))
+            if cache is not None:
+                cache.put(selection, cached)
+        results.append(cached)
+    restore_netlist_state(netlist, snapshot)
+    return results

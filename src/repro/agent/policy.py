@@ -81,28 +81,16 @@ class RLCCDPolicy(Module):
         embed_dim: int = EMBED_DIM,
         lstm_hidden: int = EMBED_DIM,
         attn_hidden: int = EMBED_DIM,
-        encoder_type: str = "lstm",
         rng: SeedLike = None,
     ):
-        """``encoder_type``: "lstm" (paper Eq. 4) or "gru" (the lighter
-        encoder-architecture ablation)."""
         super().__init__()
         rng = as_rng(rng)
         self.in_features = in_features
         self.embed_dim = embed_dim
-        self.encoder_type = encoder_type
         self.epgnn = self.register_module("epgnn", EPGNN(in_features, embed_dim=embed_dim, rng=rng))
-        if encoder_type == "lstm":
-            encoder = LSTMCell(embed_dim, lstm_hidden, rng=rng)
-        elif encoder_type == "gru":
-            from repro.nn.recurrent import GRUCell
-
-            encoder = GRUCell(embed_dim, lstm_hidden, rng=rng)
-        else:
-            raise ValueError(
-                f"encoder_type must be 'lstm' or 'gru', got {encoder_type!r}"
-            )
-        self.encoder = self.register_module("encoder", encoder)
+        self.encoder = self.register_module(
+            "encoder", LSTMCell(embed_dim, lstm_hidden, rng=rng)
+        )
         self.decoder = self.register_module(
             "decoder", PointerAttention(embed_dim, lstm_hidden, attn_hidden, rng=rng)
         )

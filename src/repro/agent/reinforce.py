@@ -52,7 +52,7 @@ from repro.ccd.flow import (
 from repro.nn.functional import clip_gradient_norm
 from repro.nn.optim import Adam
 from repro.utils.rng import as_rng
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_non_negative, check_positive
 
 
 @dataclass(frozen=True)
@@ -89,18 +89,17 @@ class TrainConfig:
     # entropy collapses) replay their stored FlowReward instead of
     # re-running the flow.  Rewards are identical either way.
     reward_cache: bool = True
-    # Pool process start method: None → fork where available, else spawn
-    # (REPRO_ROLLOUT_START_METHOD overrides the default).
-    rollout_start_method: Optional[str] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
         check_positive("max_episodes", self.max_episodes)
         check_positive("episodes_per_update", self.episodes_per_update)
         check_positive("learning_rate", self.learning_rate)
+        check_positive("gradient_clip", self.gradient_clip)
         check_positive("plateau_patience", self.plateau_patience)
         check_positive("workers", self.workers)
         check_positive("rollout_timeout", self.rollout_timeout)
+        check_non_negative("max_selection_steps", self.max_selection_steps)
         if self.entropy_coefficient < 0:
             raise ValueError("entropy_coefficient must be non-negative")
 
@@ -285,7 +284,6 @@ def train_rlccd(
             workers=config.workers,
             snapshot=snapshot,
             task_timeout=config.rollout_timeout,
-            start_method=config.rollout_start_method,
             cache=cache,
         )
 
@@ -334,7 +332,6 @@ def train_rlccd(
                             env.netlist,
                             flow_config,
                             [trajectory.action_cells],
-                            workers=1,
                             snapshot=snapshot,
                             cache=cache,
                         )

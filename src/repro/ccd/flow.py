@@ -162,9 +162,6 @@ def run_flow(
                 margins = margins_to_wns(begin_report, prioritized)
             else:
                 margins = margins_by_amount(prioritized, float(config.margin_mode))
-            # Margins are a view: analyze() diffs them itself, nothing to
-            # dirty (see TimingAnalyzer.notify_margins).
-            analyzer.notify_margins()
 
         # --- clock-path optimization: useful skew --------------------- #
         with obs.span("flow.skew") as sp_skew:
@@ -172,7 +169,6 @@ def run_flow(
 
         # --- margins removed (Algorithm 1 line 16) -------------------- #
         margins = remove_margins(margins)
-        analyzer.notify_margins()
 
         # --- remaining placement optimization: data-path fixing ------- #
         with obs.span("flow.datapath") as sp_datapath:

@@ -2,28 +2,29 @@
 
 Models the clock-path half of commercial CCD the way production engines
 behave: endpoints are processed **sequentially in (margin-aware) criticality
-order**, each adjustment is a *slack-balancing trade*, and committed flops
-are locked for the remainder of the run.
+order**, each adjustment borrows slack from the other side of a flop, and
+committed flops are locked for the remainder of the run.
 
 For an endpoint captured at flop *f*, delaying *f*'s clock by δ adds δ of
 slack to the endpoint but removes δ from every path *launched* from *f*.
-The engine moves toward the **balance point** of the two sides, in the
-margin-aware slack view::
+The engine takes only what the launch side can spare, in the margin-aware
+slack view::
 
     δ = min( capture deficit,                      # don't fix past target
-             ½ · (launch slack − capture slack),   # stop at the balance point
+             max(0, launch slack),                 # never push launch below 0
              remaining physical bound )            # clock-tree flexibility
 
-Crucially this is a trade, not a free lunch: when the capture side looks
-much worse than the launch side, the engine willingly pushes launch-side
-paths *toward or below zero* — slack is stolen from other endpoints.  A
-symmetric recovery phase pulls flops earlier when their launch side is the
-worse one.  Because each flop is adjusted once and locked (like a committed
-clock-tree edit), **processing order determines who wins contended slack** —
-which is precisely the lever endpoint prioritization operates.
+That floor at zero is the safety rail of production engines: the engine
+never makes a launch path violate on its own, so margins are the only way
+to make it fix an endpoint past its true need.  A symmetric recovery phase
+pulls flops earlier when their launch side violates, taking at most the
+capture slack they have to spare.  Because each flop is adjusted once and
+locked (like a committed clock-tree edit), **processing order determines
+who wins contended slack** — which is precisely the lever endpoint
+prioritization operates.
 
 Margins are that lever (Algorithm 1 line 14): an endpoint margined to WNS
-is (a) processed first, (b) balanced as if it were critically violating, so
+is (a) processed first, (b) fixed as if it were critically violating, so
 its *true* slack is pushed far positive — the "over-fix" — and (c) flops
 launching into it see a terrible margin-aware launch side, so no later
 adjustment steals its data-path slack back.  Whether a given over-fix helps
@@ -60,27 +61,11 @@ class UsefulSkewConfig:
     # and is guaranteed clock-path attention it would otherwise never get.
     attention_fraction: float = 0.25
     min_attention: int = 8
-    # "conservative": never push the (margin-aware) launch side below zero —
-    #   the safety rail of production engines; margins are then the only way
-    #   to make the engine fix an endpoint past its true need.
-    # "balance": classical slack balancing — move to the midpoint of the two
-    #   sides even if the donor goes negative (kept for the engine ablation).
-    mode: str = "conservative"
-    # Hold safety: when True the capture phase also runs min-delay analysis
-    # and never delays a flop's clock past its hold slack (delaying capture
-    # erodes hold one-for-one).  Off by default: the placement-stage flows
-    # of the paper's experiments fix hold later in the flow, as real tools
-    # do; the hold-aware variant exists for the full-flow extension.
-    respect_hold: bool = False
     epsilon: float = 1e-9
 
     def __post_init__(self) -> None:
         check_positive("passes", self.passes)
         check_positive("reanalyze_every", self.reanalyze_every)
-        if self.mode not in ("conservative", "balance"):
-            raise ValueError(
-                f"mode must be 'conservative' or 'balance', got {self.mode!r}"
-            )
         if not 0.0 < self.attention_fraction <= 1.0:
             raise ValueError(
                 f"attention_fraction must be in (0, 1], got {self.attention_fraction}"
@@ -131,14 +116,8 @@ def _optimize_useful_skew(
         }
 
     for _pass in range(config.passes):
-        report = analyzer.analyze(clock, margins, include_hold=config.respect_hold)
+        report = analyzer.analyze(clock, margins)
         apparent = apparent_map(report)
-        hold_by_cell: Dict[int, float] = {}
-        if config.respect_hold and report.hold_slack is not None:
-            hold_by_cell = {
-                int(e): float(h)
-                for e, h in zip(report.endpoints, report.hold_slack)
-            }
         progressed = False
         result.passes_run += 1
 
@@ -163,14 +142,8 @@ def _optimize_useful_skew(
             if bound_left <= eps:
                 continue  # output port, rigid flop, or bound used up
             launch = float(report.cell_worst_slack_margined[flop])
-            if config.mode == "conservative":
-                room = max(0.0, launch) if np.isfinite(launch) else np.inf
-            else:
-                room = 0.5 * (launch - cap_slack) if np.isfinite(launch) else np.inf
+            room = max(0.0, launch) if np.isfinite(launch) else np.inf
             delta = min(-cap_slack, room, bound_left)
-            if config.respect_hold:
-                hold_room = hold_by_cell.get(flop, np.inf)
-                delta = min(delta, max(0.0, hold_room))
             if delta <= eps:
                 continue
             clock.adjust_arrival(flop, delta)
@@ -198,14 +171,7 @@ def _optimize_useful_skew(
                 if not np.isfinite(launch) or launch >= -eps:
                     continue
                 cap_slack = apparent.get(flop, np.inf)
-                if config.mode == "conservative":
-                    room = max(0.0, cap_slack) if np.isfinite(cap_slack) else np.inf
-                else:
-                    room = (
-                        0.5 * (cap_slack - launch)
-                        if np.isfinite(cap_slack)
-                        else np.inf
-                    )
+                room = max(0.0, cap_slack) if np.isfinite(cap_slack) else np.inf
                 bound_left = clock.bound(flop) + clock.arrival(flop)
                 delta = min(-launch, room, bound_left)
                 if delta <= eps:

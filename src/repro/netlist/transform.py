@@ -4,13 +4,9 @@ The paper constructs EP-GNN message-passing edges "using the netlist
 transformation technique proposed in [4]" (Lu & Lim, ICCAD 2022): each
 multi-pin net is decomposed into directed driver→sink edges so the GNN sees
 signal flow rather than hyperedges.  Eq. 2 aggregates over the local
-neighborhood ``N(v)``; we expose three edge modes so the ablation benches can
-compare them:
-
-* ``"forward"``   — driver→sink edges only (signal direction);
-* ``"backward"``  — sink→driver edges only (fan-in direction);
-* ``"bidirectional"`` (default) — both, which is what neighborhood mean
-  aggregation over ``N(v)`` implies.
+neighborhood ``N(v)``, so every driver→sink edge is paired with its
+sink→driver reverse: a cell's neighbours are its fan-in drivers and its
+fan-out sinks.
 
 The result is a CSR-style adjacency usable for vectorized mean aggregation.
 """
@@ -22,8 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.netlist.core import Netlist
-
-_MODES = ("forward", "backward", "bidirectional")
 
 
 @dataclass(frozen=True)
@@ -38,7 +32,6 @@ class MessagePassingGraph:
     num_nodes: int
     indptr: np.ndarray
     neighbor_index: np.ndarray
-    mode: str
 
     @property
     def num_edges(self) -> int:
@@ -54,8 +47,10 @@ class MessagePassingGraph:
     def mean_aggregate(self, features: np.ndarray) -> np.ndarray:
         """Mean of neighbor feature rows per node (zeros where degree 0).
 
-        Plain-numpy helper used by tests; the differentiable version lives in
-        :mod:`repro.gnn.epgnn`.
+        Plain-numpy version of Eq. 2's neighbour mean, used where no
+        gradient is needed: the incremental encoder's full encode of the
+        static features and placement refinement.  The differentiable
+        version lives in :mod:`repro.gnn.epgnn`.
         """
         features = np.asarray(features)
         out = np.zeros((self.num_nodes, features.shape[1]))
@@ -70,27 +65,23 @@ class MessagePassingGraph:
         return np.repeat(np.arange(self.num_nodes), self.degree())
 
 
-def to_message_passing_graph(netlist: Netlist, mode: str = "bidirectional") -> MessagePassingGraph:
-    """Decompose nets into pairwise message-passing edges.
+def to_message_passing_graph(netlist: Netlist) -> MessagePassingGraph:
+    """Decompose nets into pairwise message-passing edges, both directions.
 
     Flop boundaries are *not* broken here — the GNN may propagate information
     across registers (the paper's features include power/physical attributes
     that are meaningful across sequential boundaries); timing-path semantics
     are enforced separately by the STA and fan-in cone computation.
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     n = netlist.num_cells
     src: list = []
     dst: list = []
     for net in netlist.nets:
         for sink_cell, _pin in net.sinks:
-            if mode in ("forward", "bidirectional"):
-                src.append(net.driver)
-                dst.append(sink_cell)
-            if mode in ("backward", "bidirectional"):
-                src.append(sink_cell)
-                dst.append(net.driver)
+            src.append(net.driver)
+            dst.append(sink_cell)
+            src.append(sink_cell)
+            dst.append(net.driver)
     if src:
         src_arr = np.asarray(src, dtype=np.int64)
         dst_arr = np.asarray(dst, dtype=np.int64)
@@ -101,6 +92,4 @@ def to_message_passing_graph(netlist: Netlist, mode: str = "bidirectional") -> M
         src_arr = np.empty(0, dtype=np.int64)
         counts = np.zeros(n, dtype=np.int64)
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    return MessagePassingGraph(
-        num_nodes=n, indptr=indptr, neighbor_index=src_arr, mode=mode
-    )
+    return MessagePassingGraph(num_nodes=n, indptr=indptr, neighbor_index=src_arr)

@@ -20,7 +20,7 @@ from repro.nn.functional import (
 )
 from repro.nn.layers import MLP, Linear, Module
 from repro.nn.optim import SGD, Adam, Optimizer
-from repro.nn.recurrent import GRUCell, LSTMCell
+from repro.nn.recurrent import LSTMCell
 from repro.nn.serialization import load_into, load_state, save_state
 from repro.nn.tensor import Tensor, as_tensor, concat, stack, where
 
@@ -41,7 +41,6 @@ __all__ = [
     "Linear",
     "MLP",
     "LSTMCell",
-    "GRUCell",
     "PointerAttention",
     "Optimizer",
     "SGD",

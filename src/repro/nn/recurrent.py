@@ -77,59 +77,3 @@ class LSTMCell(Module):
     def __repr__(self) -> str:
         return f"LSTMCell(input_size={self.input_size}, hidden_size={self.hidden_size})"
 
-
-class GRUCell(Module):
-    """Single-step GRU — an encoder-architecture ablation for the agent.
-
-    The paper motivates the LSTM only as "a renowned sequence encoding
-    network"; a GRU has the same sequential-encoding role with ~25% fewer
-    parameters.  :class:`repro.agent.policy.RLCCDPolicy` accepts either via
-    its ``encoder_type`` argument.  The state is ``(h, h)`` so both cells
-    share the ``(hidden, cell)`` tuple interface.
-    """
-
-    def __init__(self, input_size: int, hidden_size: int, rng: SeedLike = None):
-        super().__init__()
-        if input_size <= 0 or hidden_size <= 0:
-            raise ValueError("GRUCell dimensions must be positive")
-        rng = as_rng(rng)
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        # Fused [h, x] -> 2 * hidden for the reset/update gates.
-        self.gate_weight = self.register_parameter(
-            "gate_weight",
-            init.xavier_uniform((hidden_size + input_size, 2 * hidden_size), rng),
-        )
-        self.gate_bias = self.register_parameter("gate_bias", init.zeros(2 * hidden_size))
-        # Candidate state uses the reset-gated hidden.
-        self.cand_weight = self.register_parameter(
-            "cand_weight",
-            init.xavier_uniform((hidden_size + input_size, hidden_size), rng),
-        )
-        self.cand_bias = self.register_parameter("cand_bias", init.zeros(hidden_size))
-
-    def initial_state(self) -> Tuple[Tensor, Tensor]:
-        zero = Tensor(np.zeros(self.hidden_size))
-        return zero, zero
-
-    def forward(self, x: Tensor, state: Tuple[Tensor, Tensor]) -> Tuple[Tensor, Tensor]:
-        """One step: returns ``(h_t, h_t)`` (GRU has no separate cell state)."""
-        h_prev, _ = state
-        if x.shape != (self.input_size,):
-            raise ValueError(f"GRUCell input shape {x.shape} != ({self.input_size},)")
-        if h_prev.shape != (self.hidden_size,):
-            raise ValueError(
-                f"GRUCell hidden shape {h_prev.shape} != ({self.hidden_size},)"
-            )
-        fused = concat([h_prev, x]) @ self.gate_weight + self.gate_bias
-        H = self.hidden_size
-        r_gate = fused[slice(0, H)].sigmoid()
-        z_gate = fused[slice(H, 2 * H)].sigmoid()
-        candidate = (
-            concat([r_gate * h_prev, x]) @ self.cand_weight + self.cand_bias
-        ).tanh()
-        h_t = (1.0 - z_gate) * h_prev + z_gate * candidate
-        return h_t, h_t
-
-    def __repr__(self) -> str:
-        return f"GRUCell(input_size={self.input_size}, hidden_size={self.hidden_size})"

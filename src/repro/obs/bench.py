@@ -148,7 +148,7 @@ def run_scale_sweep(config: ScaleSweepConfig = ScaleSweepConfig()) -> Dict[str, 
 
         watch.restart()
         analyzer = TimingAnalyzer(netlist, incremental=False)
-        compiled = analyzer.compiled_for("typ")
+        compiled = analyzer.compiled
         compile_s = watch.elapsed
 
         nominal = netlist.library.default_clock_period

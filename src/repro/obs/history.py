@@ -153,6 +153,41 @@ class PhaseBaseline:
     runs: int
 
 
+def regression_threshold(
+    base: PhaseBaseline,
+    k: float = DEFAULT_MAD_K,
+    min_runs: int = MIN_RUNS_FOR_MAD,
+    fallback_tolerance: float = FALLBACK_TOLERANCE,
+    min_seconds: float = MIN_COMPARABLE_SECONDS,
+) -> Optional[float]:
+    """The median above which a phase counts as regressed against ``base``.
+
+    With history median *m* and across-run MAD:
+
+    * ``base.runs >= min_runs`` — ``m + max(k·MAD, NOISE_FLOOR_RATIO·m,
+      ABS_NOISE_FLOOR_S)``;
+    * thinner history — ``m·(1 + fallback_tolerance)``, but never tighter
+      than ``m + ABS_NOISE_FLOOR_S``.
+
+    ``None`` when *m* is below ``min_seconds``: the phase is too fast for a
+    stable comparison and is never flagged.  The enforced gate
+    (:meth:`RunHistory.check`) and the report's status column both decide
+    through this function, so they cannot disagree.
+    """
+    if base.median_s < min_seconds:
+        return None
+    if base.runs >= min_runs:
+        return base.median_s + max(
+            k * base.mad_s,
+            NOISE_FLOOR_RATIO * base.median_s,
+            ABS_NOISE_FLOOR_S,
+        )
+    return max(
+        base.median_s * (1.0 + fallback_tolerance),
+        base.median_s + ABS_NOISE_FLOOR_S,
+    )
+
+
 @dataclass(frozen=True)
 class Regression:
     """One enforced-gate failure: a phase median beyond its threshold."""
@@ -274,16 +309,10 @@ class RunHistory:
     ) -> List[Regression]:
         """Enforced regression check of a candidate's ``phases`` table.
 
-        Threshold per phase (history median *m*, across-run MAD):
-
-        * ``runs >= min_runs`` — ``m + max(k·MAD, NOISE_FLOOR_RATIO·m,
-          ABS_NOISE_FLOOR_S)``;
-        * thinner history — ``m·(1 + fallback_tolerance)``, but never
-          tighter than ``m + ABS_NOISE_FLOOR_S``.
-
-        Phases faster than ``min_seconds`` or absent from history are
-        skipped (same floors as the advisory diff).  Returns the failures,
-        empty when the candidate is within bounds.
+        Each phase is held to :func:`regression_threshold`.  Phases faster
+        than ``min_seconds`` or absent from history are skipped (same floors
+        as the advisory diff).  Returns the failures, empty when the
+        candidate is within bounds.
         """
         if k <= 0:
             raise ValueError("k must be positive")
@@ -291,19 +320,13 @@ class RunHistory:
         failures: List[Regression] = []
         for phase, stats in sorted(candidate_phases.items()):
             base = baselines.get(phase)
-            if base is None or base.median_s < min_seconds:
+            if base is None:
                 continue
-            if base.runs >= min_runs:
-                threshold = base.median_s + max(
-                    k * base.mad_s,
-                    NOISE_FLOOR_RATIO * base.median_s,
-                    ABS_NOISE_FLOOR_S,
-                )
-            else:
-                threshold = max(
-                    base.median_s * (1.0 + fallback_tolerance),
-                    base.median_s + ABS_NOISE_FLOOR_S,
-                )
+            threshold = regression_threshold(
+                base, k, min_runs, fallback_tolerance, min_seconds
+            )
+            if threshold is None:
+                continue
             candidate = float(stats["median_s"])
             if candidate > threshold:
                 failures.append(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.obs.history import RunHistory, median
+from repro.obs.history import RunHistory, median, regression_threshold
 from repro.viz.ascii_plots import line_plot, sparkline
 
 #: Endpoints shown in the selection-frequency heat (most-selected first).
@@ -301,7 +301,8 @@ def _render_flow_phases(
             if base is None:
                 row += " — | — | no history |"
             else:
-                regressed = median(values) > base.median_s + 3.0 * base.mad_s
+                threshold = regression_threshold(base)
+                regressed = threshold is not None and median(values) > threshold
                 status = "**regressed**" if regressed else "ok"
                 row += (
                     f" {1e3 * base.median_s:.3f} ms | {1e3 * base.mad_s:.3f} ms "

@@ -80,7 +80,7 @@ def place_design(netlist: Netlist, config: PlacementConfig = PlacementConfig()) 
     if not movable or config.refinement_sweeps == 0:
         return
 
-    graph = to_message_passing_graph(netlist, mode="bidirectional")
+    graph = to_message_passing_graph(netlist)
     coords = np.array([[c.x, c.y] for c in netlist.cells])
     movable_idx = np.array([c.index for c in movable])
     lows = np.array([regions[c.cluster][:2] for c in movable])

@@ -22,8 +22,8 @@ times per flow run.  This module keeps the *last* analysis alive as an
   same pruning rule;
 * **margins stay a view**: they only reseed the margin-aware backward pass
   (``required_eff``); arrivals, slews and true required times are never
-  dirtied by applying or removing them (that is why
-  :meth:`TimingAnalyzer.notify_margins` is a documented no-op).
+  dirtied by applying or removing them, so ``analyze()`` diffs the margin
+  mapping itself and needs no notification.
 
 Every recomputation mirrors the full pass' arithmetic *expression by
 expression*, so a recomputed value from unchanged inputs is bitwise equal
@@ -56,9 +56,8 @@ to keep in sync.
 
 Fallback rules (handled by :class:`~repro.timing.sta.TimingAnalyzer`):
 structural edits (``invalidate()`` or an unnotified netlist mutation caught
-by the mutation-version guard), a clock-period change, the first analysis of
-a corner, and ``include_hold=True`` all run the full engine and refresh the
-cached state.
+by the mutation-version guard), a clock-period change and the first analysis
+all run the full engine and refresh the cached state.
 
 Shadow-check mode (``REPRO_STA_CHECK=1``) re-runs the full engine after
 every incremental analysis and asserts the two reports agree within
@@ -222,7 +221,7 @@ def _bucket_by_level(
 
 @dataclass
 class IncrementalState:
-    """One corner's cached analysis in array form.
+    """The analyzer's cached analysis in array form.
 
     The cached timing vectors are the canonical state both kernel paths
     read and write in place.  Each is the view of the ``array.array`` kept
@@ -255,7 +254,7 @@ class IncrementalState:
     #: Endpoint positions with a non-zero cached margin (keeps the margin
     #: diff O(#margined)).
     margined: Set[int] = field(default_factory=set)
-    #: Cells dirtied by notify_* since the last analysis of this corner.
+    #: Cells dirtied by notify_* since the last analysis.
     pending: Set[int] = field(default_factory=set)
     #: Preallocated frontier scratch, shared by the forward and backward
     #: sweeps of one analysis (reset between passes).
@@ -276,10 +275,9 @@ def build_state(
     compiled: CompiledTiming,
     clock: ClockModel,
     margins: Optional[Mapping[int, float]] = None,
-    include_hold: bool = False,
 ) -> Tuple[TimingReport, IncrementalState]:
     """Run the full engine once and capture its state for future increments."""
-    report = analyze(compiled, clock, margins, include_hold=include_hold)
+    report = analyze(compiled, clock, margins)
     n = compiled.fanin_idx.shape[0]
 
     clock_arrival = np.zeros(n)

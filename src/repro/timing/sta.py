@@ -143,14 +143,12 @@ class CompiledTiming:
     is_ep: np.ndarray  # flop or output port (capture points)
     clk_to_q: np.ndarray
     setup: np.ndarray
-    hold: np.ndarray
     endpoint_cells: np.ndarray  # endpoint cell indices, canonical order
     level_of: np.ndarray  # (n,) topological level per cell
     ep_pos: np.ndarray  # (n,) endpoint position per cell, -1 elsewhere
     fanout_indptr: np.ndarray  # (n+1,) CSR row pointers over fanout edges
     fanout_indices: np.ndarray  # (E,) sink cell per fanout edge
     fanout_wire_delay: np.ndarray  # (E,) wire delay at the sink's pin
-    derate: float = 1.0
     buffers: Dict[str, array.array] = field(default_factory=dict, repr=False)
 
 
@@ -172,9 +170,6 @@ class TimingReport:
     cell_required: np.ndarray  # true output required per cell (+inf if unconstrained)
     cell_worst_slack: np.ndarray  # true worst slack of paths through each cell
     cell_worst_slack_margined: np.ndarray  # margin-aware worst slack view
-    # Hold (min-delay) results; populated only when analyze(..., include_hold=True):
-    hold_slack: Optional[np.ndarray] = None  # per endpoint (+inf at ports)
-    cell_min_arrival: Optional[np.ndarray] = None  # earliest output arrival
 
     @property
     def slack_with_margins(self) -> np.ndarray:
@@ -189,56 +184,40 @@ class TimingReport:
         return float(self.slack[pos[0]])
 
 
-#: Default corner derates: typical, pessimistic-late (setup signoff) and
-#: optimistic-early (hold signoff).
-DEFAULT_CORNERS: Dict[str, float] = {"typ": 1.0, "slow": 1.08, "fast": 0.92}
-
-
 class TimingAnalyzer:
     """STA facade bound to a netlist; recompile after netlist mutations.
 
-    Supports multi-corner analysis: ``analyze(..., corner="slow")`` runs on
-    a compiled view whose delays are scaled by the corner's derate
-    (:data:`DEFAULT_CORNERS` by default; override via ``corners``).
-    Compiled views are cached per corner and updated together on
-    :meth:`notify_resize`.
+    Holds one compiled view of the netlist and, once analyzed, one
+    :class:`~repro.timing.incremental.IncrementalState`;
+    :meth:`notify_resize` patches that view in place.
 
     ``analyze()`` is incremental by default (see
     :mod:`repro.timing.incremental`): dirty cells accumulated from
     :meth:`notify_resize` / :meth:`notify_skew` seed a pruned
     re-propagation instead of a full sweep.  ``incremental=False`` forces
     the full engine (the oracle the incremental one is checked against);
-    structural edits, clock-period changes, hold analysis and the first
-    analysis of a corner always take the full path.  A netlist mutated
-    without notification is caught by the mutation-version guard and
-    triggers ``invalidate()`` — a stale read without re-analysis is
-    impossible.
+    structural edits, clock-period changes and the first analysis always
+    take the full path.  A netlist mutated without notification is caught
+    by the mutation-version guard and triggers ``invalidate()`` — a stale
+    read without re-analysis is impossible.
     """
 
-    def __init__(
-        self,
-        netlist: Netlist,
-        corners: Optional[Dict[str, float]] = None,
-        incremental: bool = True,
-    ):
+    def __init__(self, netlist: Netlist, incremental: bool = True):
         self.netlist = netlist
-        self.corners: Dict[str, float] = dict(corners or DEFAULT_CORNERS)
-        if "typ" not in self.corners:
-            self.corners["typ"] = 1.0
         #: ``False`` sends every analysis down the full engine.
         self.incremental = incremental
-        self._compiled: Dict[str, CompiledTiming] = {}
-        self._states: Dict[str, "IncrementalState"] = {}
+        self._compiled: Optional[CompiledTiming] = None
+        self._state: Optional["IncrementalState"] = None
         self._expected_version: int = netlist.mutation_version
 
     def invalidate(self) -> None:
-        """Drop all compiled views (call after structural mutations)."""
-        self._compiled = {}
-        self._states = {}
+        """Drop the compiled view (call after structural mutations)."""
+        self._compiled = None
+        self._state = None
         self._expected_version = self.netlist.mutation_version
 
     def notify_resize(self, cell_index: int) -> None:
-        """Incrementally update every cached corner after one resize.
+        """Incrementally update the compiled view after one resize.
 
         A size change touches only (a) the cell's own delay/slew
         coefficients and (b) the load capacitance of every driver feeding
@@ -257,24 +236,24 @@ class TimingAnalyzer:
             if net_index is None:
                 continue
             dirty.add(netlist.nets[net_index].driver)
-        for compiled in self._compiled.values():
-            d = compiled.derate
-            compiled.intrinsic[i] = d * size.intrinsic_delay
-            compiled.drive_res[i] = d * size.drive_resistance
+        compiled = self._compiled
+        if compiled is not None:
+            compiled.intrinsic[i] = size.intrinsic_delay
+            compiled.drive_res[i] = size.drive_resistance
             compiled.slew_sens[i] = size.slew_sensitivity
-            compiled.slew_intr[i] = d * size.slew_intrinsic
-            compiled.slew_load[i] = d * size.slew_load_factor
+            compiled.slew_intr[i] = size.slew_intrinsic
+            compiled.slew_load[i] = size.slew_load_factor
             for net_index in cell.fanin_nets:
                 if net_index is None:
                     continue
                 driver = netlist.nets[net_index].driver
                 compiled.load_cap[driver] = netlist.net_load_cap(net_index)
-        # The resize is now fully reflected in the compiled views: mark the
+        # The resize is now fully reflected in the compiled view: mark the
         # touched cells timing-stale so the next analyze() re-propagates
         # them, and acknowledge the netlist mutation so the version guard
         # does not force a needless recompile.
-        for state in self._states.values():
-            state.pending.update(dirty)
+        if self._state is not None:
+            self._state.pending.update(dirty)
         self._expected_version = netlist.mutation_version
 
     def notify_skew(self, flop_indices: Iterable[int]) -> None:
@@ -286,58 +265,29 @@ class TimingAnalyzer:
         an *unnotified* skew edit is caught regardless — this hook is a
         fast path, not a correctness requirement).
         """
-        flops = [int(f) for f in flop_indices]
-        for state in self._states.values():
-            state.pending.update(flops)
-
-    def notify_margins(self) -> None:
-        """Documented no-op: margins are a view and must not dirty timing.
-
-        Endpoint margins only reseed the margin-aware backward pass
-        (``slack_with_margins``/``cell_worst_slack_margined``); arrivals,
-        slews and true required times are untouched by applying or removing
-        them.  ``analyze()`` diffs the margin mapping itself, so there is
-        nothing to record here — the hook exists so call sites can state
-        intent (and so a future margin model that *does* perturb timing has
-        a seam to hook into).
-        """
+        if self._state is not None:
+            self._state.pending.update(int(f) for f in flop_indices)
 
     @property
     def compiled(self) -> CompiledTiming:
-        return self.compiled_for("typ")
-
-    def compiled_for(self, corner: str) -> CompiledTiming:
-        """The (cached) compiled timing graph of one corner."""
-        if corner not in self.corners:
-            raise KeyError(
-                f"unknown corner {corner!r}; available: {sorted(self.corners)}"
-            )
-        if corner not in self._compiled:
+        """The (cached) compiled timing graph."""
+        if self._compiled is None:
             with obs.span("sta.compile"):
-                self._compiled[corner] = compile_timing(
-                    self.netlist, derate=self.corners[corner]
-                )
+                self._compiled = compile_timing(self.netlist)
             obs.gauge("sta.peak_mb.compile", peak_rss_mb())
-        return self._compiled[corner]
+        return self._compiled
 
     def analyze(
         self,
         clock: ClockModel,
         margins: Optional[Mapping[int, float]] = None,
-        include_hold: bool = False,
-        corner: str = "typ",
     ) -> TimingReport:
         """Run STA under ``clock``; see :class:`TimingReport`.
 
-        Dispatches to the incremental engine when enabled and a cached
-        :class:`~repro.timing.incremental.IncrementalState` for the corner
-        is still valid; otherwise runs the full engine (and, when
-        incremental mode is on, captures its state for future increments).
-
-        ``include_hold=True`` additionally runs the min-delay pass and fills
-        ``hold_slack`` / ``cell_min_arrival`` (conventionally run at the
-        ``"fast"`` corner, where races are worst); hold analysis always
-        takes the full path.
+        Dispatches to the incremental engine when enabled and the cached
+        :class:`~repro.timing.incremental.IncrementalState` is still valid;
+        otherwise runs the full engine (and, when incremental mode is on,
+        captures its state for future increments).
         """
         from repro.timing import incremental as inc
 
@@ -347,17 +297,13 @@ class TimingAnalyzer:
             # stale read without re-analysis impossible.
             self.invalidate()
 
-        compiled = self.compiled_for(corner)
-        state = self._states.get(corner)
+        compiled = self.compiled
+        state = self._state
 
-        if include_hold or not self.incremental:
-            # Hold (min-delay) results are not cached incrementally; a
-            # plain full run leaves any cached state untouched — its
-            # pending set and the clock/margin diffs still cover whatever
-            # happens before the next incremental call.
+        if not self.incremental:
             with obs.span("sta.full_update"):
                 obs.incr("sta.full_analyze")
-                report = analyze(compiled, clock, margins, include_hold=include_hold)
+                report = analyze(compiled, clock, margins)
             obs.gauge("sta.peak_mb.analyze", peak_rss_mb())
             return report
 
@@ -368,8 +314,7 @@ class TimingAnalyzer:
         ):
             with obs.span("sta.full_update"):
                 obs.incr("sta.full_analyze")
-                report, state = inc.build_state(compiled, clock, margins)
-                self._states[corner] = state
+                report, self._state = inc.build_state(compiled, clock, margins)
             obs.gauge("sta.peak_mb.analyze", peak_rss_mb())
             return report
 
@@ -392,16 +337,8 @@ class TimingAnalyzer:
         return report
 
 
-def compile_timing(netlist: Netlist, derate: float = 1.0) -> CompiledTiming:
-    """Build the array representation of the current netlist state.
-
-    ``derate`` scales every delay-producing coefficient (intrinsic, drive,
-    slew factors, wire delay) — the standard corner model: a *slow* corner
-    derates late (>1), a *fast* corner derates early (<1).  Capacitances
-    and sequential setup/hold constraints are corner-independent here.
-    """
-    if derate <= 0:
-        raise ValueError(f"derate must be positive, got {derate}")
+def compile_timing(netlist: Netlist) -> CompiledTiming:
+    """Build the array representation of the current netlist state."""
     n = netlist.num_cells
     max_pins = max((c.cell_type.num_inputs for c in netlist.cells), default=1)
     max_pins = max(max_pins, 1)
@@ -424,31 +361,25 @@ def compile_timing(netlist: Netlist, derate: float = 1.0) -> CompiledTiming:
     is_outport = cells_buffer("b")
     clk_to_q = cells_buffer("d")
     setup = cells_buffer("d")
-    hold = cells_buffer("d")
 
-    wire_coeff = (
-        derate * netlist.parasitic_scale * netlist.library.wire_res_delay_per_um
-    )
+    wire_coeff = netlist.parasitic_scale * netlist.library.wire_res_delay_per_um
 
     cells = netlist.cells
     nets = netlist.nets
     for cell in cells:
         i = cell.index
         size = cell.size
-        intrinsic[i] = derate * size.intrinsic_delay
-        drive_res[i] = derate * size.drive_resistance
+        intrinsic[i] = size.intrinsic_delay
+        drive_res[i] = size.drive_resistance
         slew_sens[i] = size.slew_sensitivity
-        slew_intr[i] = derate * size.slew_intrinsic
-        slew_load[i] = derate * size.slew_load_factor
+        slew_intr[i] = size.slew_intrinsic
+        slew_load[i] = size.slew_load_factor
         is_flop[i] = cell.is_sequential
         is_inport[i] = cell.is_input_port
         is_outport[i] = cell.is_output_port
         if cell.is_sequential:
-            # Clock-to-Q is a real delay and derates with the corner;
-            # setup/hold are constraint values and stay corner-independent.
-            clk_to_q[i] = derate * cell.cell_type.clk_to_q
+            clk_to_q[i] = cell.cell_type.clk_to_q
             setup[i] = cell.cell_type.setup_time
-            hold[i] = cell.cell_type.hold_time
         row = i * max_pins
         for pin, net_index in enumerate(cell.fanin_nets):
             if net_index is None:
@@ -475,7 +406,6 @@ def compile_timing(netlist: Netlist, derate: float = 1.0) -> CompiledTiming:
         "is_outport": is_outport,
         "clk_to_q": clk_to_q,
         "setup": setup,
-        "hold": hold,
     }
     views = {name: buffer_view(buf) for name, buf in buffers.items()}
     fanin_idx = views["fanin_idx"] = views["fanin_idx"].reshape(n, max_pins)
@@ -516,9 +446,7 @@ def compile_timing(netlist: Netlist, derate: float = 1.0) -> CompiledTiming:
     }
     for name, values in derived.items():
         buffers[name], views[name] = buffer_backed(values)
-    return CompiledTiming(
-        netlist=netlist, levels=levels, derate=derate, buffers=buffers, **views
-    )
+    return CompiledTiming(netlist=netlist, levels=levels, buffers=buffers, **views)
 
 
 def _levelize(
@@ -577,18 +505,8 @@ def analyze(
     compiled: CompiledTiming,
     clock: ClockModel,
     margins: Optional[Mapping[int, float]] = None,
-    include_hold: bool = False,
 ) -> TimingReport:
-    """Forward + backward STA under ``clock`` (see module docstring).
-
-    Setup (max-delay) analysis always runs; ``include_hold=True`` adds the
-    min-delay pass: earliest arrivals propagate with ``min`` instead of
-    ``max`` and each flop's hold check is
-    ``hold_slack = min_arrival(D) − (clock_arrival + t_hold)`` — data must
-    not race through and corrupt the *same-edge* capture.  Delaying a flop's
-    clock (positive useful skew) therefore erodes its hold slack one-for-one,
-    which is the guard :class:`repro.ccd.useful_skew.UsefulSkewConfig`
-    ``respect_hold`` enforces."""
+    """Forward + backward setup STA under ``clock`` (see module docstring)."""
     n = compiled.fanin_idx.shape[0]
     arrival = np.zeros(n)
     slew = np.zeros(n)
@@ -691,23 +609,6 @@ def analyze(
         np.isfinite(required_eff), required_eff - arrival, np.inf
     )
 
-    # ---------------- optional hold (min-delay) pass ------------------- #
-    hold_slack = None
-    min_arrival = None
-    if include_hold:
-        min_arrival = _forward_min_arrival(compiled, slew, clock_arrival)
-        hold_slack = np.full(eps.size, np.inf)
-        for k, e in enumerate(eps):
-            if not compiled.is_flop[e]:
-                continue  # ports have no same-edge race check
-            pins = [
-                min_arrival[d] + compiled.fanin_wire_delay[e, p]
-                for p, d in enumerate(compiled.fanin_idx[e])
-                if d != _NO_DRIVER
-            ]
-            earliest = min(pins) if pins else np.inf
-            hold_slack[k] = earliest - (clock_arrival[e] + compiled.hold[e])
-
     return TimingReport(
         endpoints=eps.copy(),  # reports never alias the compiled buffers
         arrival=ep_arrival,
@@ -719,60 +620,7 @@ def analyze(
         cell_required=required_true,
         cell_worst_slack=worst_slack_true,
         cell_worst_slack_margined=worst_slack_eff,
-        hold_slack=hold_slack,
-        cell_min_arrival=min_arrival,
     )
-
-
-def _forward_min_arrival(
-    compiled: CompiledTiming, slew: np.ndarray, clock_arrival: np.ndarray
-) -> np.ndarray:
-    """Earliest-arrival forward pass (min over pins; same delay model).
-
-    Uses the already-computed (max-corner) slews — a conservative single-
-    corner simplification: real min-delay analysis would use a fast corner,
-    but the structural behaviour (short paths race, skew erodes hold) is
-    identical.
-    """
-    n = compiled.fanin_idx.shape[0]
-    min_arrival = np.zeros(n)
-    src_driver_delay = compiled.drive_res * compiled.load_cap
-    for level_cells in compiled.levels:
-        if level_cells.size == 0:
-            continue
-        lc = level_cells
-        flop_mask = compiled.is_flop[lc]
-        inport_mask = compiled.is_inport[lc]
-        comb_mask = ~(flop_mask | inport_mask)
-        if flop_mask.any():
-            f = lc[flop_mask]
-            min_arrival[f] = (
-                clock_arrival[f] + compiled.clk_to_q[f] + src_driver_delay[f]
-            )
-        if inport_mask.any():
-            p = lc[inport_mask]
-            min_arrival[p] = src_driver_delay[p]
-        if comb_mask.any():
-            c = lc[comb_mask]
-            drivers = compiled.fanin_idx[c]
-            valid = drivers != _NO_DRIVER
-            drv = np.where(valid, drivers, 0)
-            in_arr = np.where(
-                valid, min_arrival[drv] + compiled.fanin_wire_delay[c], np.inf
-            )
-            in_slew = np.where(valid, slew[drv], 0.0)
-            gate_delay = (
-                compiled.intrinsic[c][:, None]
-                + compiled.slew_sens[c][:, None] * in_slew
-            )
-            outport = compiled.is_outport[c]
-            per_pin = in_arr + np.where(outport[:, None], 0.0, gate_delay)
-            a = per_pin.min(axis=1)
-            a = a + np.where(
-                outport, 0.0, compiled.drive_res[c] * compiled.load_cap[c]
-            )
-            min_arrival[c] = a
-    return min_arrival
 
 
 def _backward_required(

@@ -247,6 +247,14 @@ class TestTrainer:
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
 
+    def test_unrunnable_clip_and_step_cap_rejected_at_construction(self):
+        # Refused before any rollout or flow runs; only 0 means uncapped.
+        with pytest.raises(ValueError, match="gradient_clip"):
+            TrainConfig(gradient_clip=0.0)
+        with pytest.raises(ValueError, match="max_selection_steps"):
+            TrainConfig(max_selection_steps=-3)
+        assert TrainConfig(max_selection_steps=0).max_selection_steps == 0
+
     def test_training_runs_and_restores(self, small_design):
         nl, period = small_design
         env = EndpointSelectionEnv(nl, period, rho=0.3)

@@ -82,8 +82,6 @@ class TestUsefulSkew:
         with pytest.raises(ValueError):
             UsefulSkewConfig(passes=0)
         with pytest.raises(ValueError):
-            UsefulSkewConfig(mode="yolo")
-        with pytest.raises(ValueError):
             UsefulSkewConfig(attention_fraction=0.0)
         with pytest.raises(ValueError):
             UsefulSkewConfig(min_attention=0)
@@ -104,9 +102,7 @@ class TestUsefulSkew:
     def test_conservative_never_creates_new_violations(self, fresh_design):
         nl, period, analyzer, clock, report = _context(fresh_design)
         healthy_before = set(report.endpoints[report.slack >= 0].tolist())
-        optimize_useful_skew(
-            analyzer, clock, config=UsefulSkewConfig(mode="conservative")
-        )
+        optimize_useful_skew(analyzer, clock)
         after = analyzer.analyze(clock)
         healthy_after = set(after.endpoints[after.slack >= -1e-9].tolist())
         assert healthy_before <= healthy_after

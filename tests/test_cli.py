@@ -58,7 +58,7 @@ class TestTrainRolloutWorkers:
                 batches.append(len(selections))
                 netlist, flow_config, snapshot = self.args
                 return evaluate_selections(
-                    netlist, flow_config, selections, workers=1, snapshot=snapshot
+                    netlist, flow_config, selections, snapshot=snapshot
                 )
 
             def close(self):

@@ -193,31 +193,28 @@ class TestValidate:
 
 class TestTransform:
     def test_bidirectional_doubles_edges(self, tiny_pipeline):
-        fwd = to_message_passing_graph(tiny_pipeline, mode="forward")
-        both = to_message_passing_graph(tiny_pipeline, mode="bidirectional")
-        assert both.num_edges == 2 * fwd.num_edges
+        g = to_message_passing_graph(tiny_pipeline)
+        sink_pins = sum(len(net.sinks) for net in tiny_pipeline.nets)
+        assert g.num_edges == 2 * sink_pins
 
     def test_forward_edges_follow_signal(self, tiny_pipeline):
         nl = tiny_pipeline
-        g = to_message_passing_graph(nl, mode="forward")
+        g = to_message_passing_graph(nl)
         g1 = nl.cell_by_name("g1").index
         ff1 = nl.cell_by_name("ff1").index
-        assert g1 in g.neighbors(ff1)  # g1 drives ff1 -> edge into ff1
+        assert g1 in g.neighbors(ff1)  # g1 drives ff1: driver -> sink
 
     def test_backward_mode(self, tiny_pipeline):
+        """Every driver -> sink edge is paired with its sink -> driver reverse."""
         nl = tiny_pipeline
-        g = to_message_passing_graph(nl, mode="backward")
+        g = to_message_passing_graph(nl)
         g1 = nl.cell_by_name("g1").index
         ff1 = nl.cell_by_name("ff1").index
         assert ff1 in g.neighbors(g1)
 
-    def test_invalid_mode_raises(self, tiny_pipeline):
-        with pytest.raises(ValueError):
-            to_message_passing_graph(tiny_pipeline, mode="sideways")
-
     def test_mean_aggregate_correct(self, tiny_pipeline):
         nl = tiny_pipeline
-        g = to_message_passing_graph(nl, mode="bidirectional")
+        g = to_message_passing_graph(nl)
         feats = np.arange(nl.num_cells, dtype=float)[:, None]
         agg = g.mean_aggregate(feats)
         for v in range(nl.num_cells):

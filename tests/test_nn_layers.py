@@ -345,90 +345,3 @@ class TestSerialization:
         save_state(Linear(2, 2, rng=0), path)
         assert load_state(path)
 
-
-class TestGRUCell:
-    def test_initial_state_zero_pair(self):
-        from repro.nn.recurrent import GRUCell
-
-        cell = GRUCell(3, 5, rng=0)
-        h, c = cell.initial_state()
-        np.testing.assert_array_equal(h.data, np.zeros(5))
-        np.testing.assert_array_equal(c.data, np.zeros(5))
-
-    def test_step_returns_same_tensor_twice(self):
-        from repro.nn.recurrent import GRUCell
-        from repro.nn.tensor import Tensor
-
-        cell = GRUCell(3, 5, rng=0)
-        h, c = cell(Tensor(np.ones(3)), cell.initial_state())
-        assert h is c
-
-    def test_invalid_dims(self):
-        from repro.nn.recurrent import GRUCell
-
-        with pytest.raises(ValueError):
-            GRUCell(0, 4)
-
-    def test_shape_checks(self):
-        from repro.nn.recurrent import GRUCell
-        from repro.nn.tensor import Tensor
-
-        cell = GRUCell(3, 5, rng=0)
-        with pytest.raises(ValueError):
-            cell(Tensor(np.zeros(4)), cell.initial_state())
-        with pytest.raises(ValueError):
-            cell(Tensor(np.zeros(3)), (Tensor(np.zeros(4)), Tensor(np.zeros(4))))
-
-    def test_gate_equations_numeric(self, rng):
-        from repro.nn.recurrent import GRUCell
-        from repro.nn.tensor import Tensor
-
-        cell = GRUCell(2, 3, rng=0)
-        x = rng.normal(size=2)
-        h0 = rng.normal(size=3)
-        fused = np.concatenate([h0, x]) @ cell.gate_weight.data + cell.gate_bias.data
-
-        def sig(v):
-            return 1 / (1 + np.exp(-v))
-
-        r, z = sig(fused[:3]), sig(fused[3:])
-        cand = np.tanh(
-            np.concatenate([r * h0, x]) @ cell.cand_weight.data + cell.cand_bias.data
-        )
-        expected = (1 - z) * h0 + z * cand
-        h, _ = cell(Tensor(x), (Tensor(h0), Tensor(h0)))
-        np.testing.assert_allclose(h.data, expected, atol=1e-10)
-
-    def test_fewer_parameters_than_lstm(self):
-        from repro.nn.recurrent import GRUCell, LSTMCell
-
-        gru = GRUCell(16, 16, rng=0)
-        lstm = LSTMCell(16, 16, rng=0)
-        assert gru.num_parameters() < lstm.num_parameters()
-
-    def test_gradients_flow(self, rng):
-        from repro.nn.recurrent import GRUCell
-        from repro.nn.tensor import Tensor
-
-        cell = GRUCell(2, 3, rng=0)
-        h, c = cell(Tensor(rng.normal(size=2)), cell.initial_state())
-        (h * h).sum().backward()
-        for p in cell.parameters():
-            assert p.grad is not None
-
-
-class TestPolicyEncoderChoice:
-    def test_gru_policy_rolls_out(self, small_design=None):
-        from repro.agent.policy import RLCCDPolicy
-        from repro.features.table1 import NUM_FEATURES
-
-        policy = RLCCDPolicy(NUM_FEATURES, encoder_type="gru", rng=0)
-        assert policy.encoder_type == "gru"
-        assert policy.num_parameters() > 0
-
-    def test_unknown_encoder_rejected(self):
-        from repro.agent.policy import RLCCDPolicy
-        from repro.features.table1 import NUM_FEATURES
-
-        with pytest.raises(ValueError):
-            RLCCDPolicy(NUM_FEATURES, encoder_type="transformer")

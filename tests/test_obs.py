@@ -8,7 +8,7 @@ import logging
 import pytest
 
 from repro import obs
-from repro.agent.parallel import evaluate_selections, fork_available
+from repro.agent.parallel import RolloutPool, fork_available
 from repro.ccd.flow import (
     FlowConfig,
     restore_netlist_state,
@@ -156,13 +156,10 @@ class TestInstrumentation:
         netlist = small_design()
         snapshot = snapshot_netlist_state(netlist)
         obs.reset()  # drop the parent's own snapshot-time activity
-        rewards = evaluate_selections(
-            netlist,
-            FlowConfig(clock_period=CLOCK_PERIOD),
-            [[], []],
-            workers=2,
-            snapshot=snapshot,
-        )
+        with RolloutPool(
+            netlist, FlowConfig(clock_period=CLOCK_PERIOD), workers=2, snapshot=snapshot
+        ) as pool:
+            rewards = pool.evaluate([[], []])
         assert len(rewards) == 2
         recorder = obs.get_recorder()
         # Both forked children's flow spans landed in the parent recorder.

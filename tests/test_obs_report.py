@@ -113,7 +113,26 @@ class TestReportSections:
         assert "history median" in text
         assert "| skew | 1 | 34.000 ms" in text
         assert "ok |" in text
-        # begin_sta at 12 ms vs 1 ms baseline → regressed at 3×MAD.
+        # begin_sta at 12 ms vs a 1 ms baseline is past the gate's threshold.
         assert "**regressed**" in text
         # Phases with no history row say so instead of guessing.
         assert "no history |" in text
+
+    def test_status_agrees_with_enforced_gate(self):
+        # One 10 ms run of history: the gate allows 2.5x, so 10.1 ms is ok
+        # in both the report and RunHistory.check.
+        payload = {
+            "schema": "repro-bench/v1",
+            "created_at": "2026-01-01T00:00:00Z",
+            "phases": {"flow.skew": {"count": 1, "median_s": 0.010}},
+        }
+        history = RunHistory.from_payloads([payload])
+        flow = {"kind": "flow", "phases": {"skew": 0.0101}}
+        assert history.check({"flow.skew": {"median_s": 0.0101}}) == []
+        text = render_report([flow], history=history, source="t")
+        assert "| skew | 1 | 10.100 ms" in text
+        assert "**regressed**" not in text
+        # Past the gate's threshold, both flag it.
+        slow = {"kind": "flow", "phases": {"skew": 0.030}}
+        assert history.check({"flow.skew": {"median_s": 0.030}}) != []
+        assert "**regressed**" in render_report([slow], history=history, source="t")

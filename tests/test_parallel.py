@@ -28,17 +28,10 @@ def context(small_design):
 
 
 class TestEvaluateSelections:
-    def test_invalid_workers_raise(self, context):
-        nl, period, env = context
-        with pytest.raises(ValueError):
-            evaluate_selections(nl, FlowConfig(clock_period=period), [[]], workers=0)
-
     def test_sequential_returns_one_reward_per_selection(self, context):
         nl, period, env = context
         selections = [select_worst_slack(env, k) for k in (0, 2, 5)]
-        rewards = evaluate_selections(
-            nl, FlowConfig(clock_period=period), selections, workers=1
-        )
+        rewards = evaluate_selections(nl, FlowConfig(clock_period=period), selections)
         assert len(rewards) == 3
         for reward, selection in zip(rewards, selections):
             assert isinstance(reward, FlowReward)
@@ -76,12 +69,10 @@ class TestEvaluateSelections:
     def test_parallel_matches_sequential(self, context):
         nl, period, env = context
         selections = [select_random(env, 3, rng=i) for i in range(3)]
-        seq = evaluate_selections(
-            nl, FlowConfig(clock_period=period), selections, workers=1
-        )
-        par = evaluate_selections(
-            nl, FlowConfig(clock_period=period), selections, workers=3
-        )
+        config = FlowConfig(clock_period=period)
+        seq = evaluate_selections(nl, config, selections)
+        with RolloutPool(nl, config, workers=3) as pool:
+            par = pool.evaluate(selections)
         assert seq == par
 
 
@@ -113,7 +104,7 @@ class TestRewardCache:
         selection = select_worst_slack(env, 3)
         assert cache.get(selection) is None
         (reward,) = evaluate_selections(
-            nl, config, [selection], workers=1, snapshot=snapshot, cache=cache
+            nl, config, [selection], snapshot=snapshot, cache=cache
         )
         assert cache.get(selection) == reward
         assert cache.hits == 1 and cache.misses == 2
@@ -125,13 +116,13 @@ class TestRewardCache:
         cache = RewardCache.for_context(snapshot, config)
         selections = [select_worst_slack(env, k) for k in (0, 2, 4)]
         first = evaluate_selections(
-            nl, config, selections, workers=1, snapshot=snapshot, cache=cache
+            nl, config, selections, snapshot=snapshot, cache=cache
         )
         replay = evaluate_selections(
-            nl, config, selections, workers=1, snapshot=snapshot, cache=cache
+            nl, config, selections, snapshot=snapshot, cache=cache
         )
         uncached = evaluate_selections(
-            nl, config, selections, workers=1, snapshot=snapshot
+            nl, config, selections, snapshot=snapshot
         )
         assert pickle.dumps(first) == pickle.dumps(replay) == pickle.dumps(uncached)
         assert cache.hits == len(selections)
@@ -174,7 +165,7 @@ class TestRolloutPool:
         with RolloutPool(nl, config, workers=1) as pool:
             assert pool.start_method is None
             rewards = pool.evaluate(selections)
-        direct = evaluate_selections(nl, config, selections, workers=1)
+        direct = evaluate_selections(nl, config, selections)
         assert rewards == direct
 
     @pytest.mark.skipif(not fork_available(), reason="platform lacks fork")
@@ -186,8 +177,8 @@ class TestRolloutPool:
         with RolloutPool(nl, config, workers=2, start_method="fork") as pool:
             one = pool.evaluate(batch1)
             two = pool.evaluate(batch2)
-        assert one == evaluate_selections(nl, config, batch1, workers=1)
-        assert two == evaluate_selections(nl, config, batch2, workers=1)
+        assert one == evaluate_selections(nl, config, batch1)
+        assert two == evaluate_selections(nl, config, batch2)
 
     def test_closed_pool_rejects_evaluate(self, context):
         nl, period, env = context
@@ -247,7 +238,7 @@ class TestPooledThroughputRegression:
             return best
 
         sequential = best_of(
-            lambda: evaluate_selections(nl, config, selections, workers=1)
+            lambda: evaluate_selections(nl, config, selections)
         )
         with RolloutPool(nl, config, workers=2, start_method="fork") as pool:
             pool.evaluate(selections)  # untimed warm-up batch

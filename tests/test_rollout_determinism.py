@@ -48,7 +48,7 @@ def test_reward_sequences_identical_across_backends(context):
     ]
 
     sequential = evaluate_selections(
-        nl, config, selections, workers=1, snapshot=snapshot
+        nl, config, selections, snapshot=snapshot
     )
     cache = RewardCache.for_context(snapshot, config)
     with RolloutPool(
@@ -80,7 +80,6 @@ def _train(nl, period, workers: int, reward_cache: bool, seed: int = 3):
             episodes_per_update=2,
             workers=workers,
             reward_cache=reward_cache,
-            rollout_start_method=START_METHOD if workers > 1 else None,
             seed=seed,
         ),
     )

@@ -51,7 +51,7 @@ def context(small_design):
     env = EndpointSelectionEnv(nl, period)
     config = FlowConfig(clock_period=period)
     selections = [select_worst_slack(env, k) for k in (1, 2, 3, 4)]
-    sequential = evaluate_selections(nl, config, selections, workers=1)
+    sequential = evaluate_selections(nl, config, selections)
     return nl, config, selections, sequential
 
 

@@ -346,7 +346,7 @@ def test_notify_resize_patches_one_storage():
         report = analyzer.analyze(clock)
     finally:
         incr.set_vector_threshold(prev)
-    _assert_storage_coherent(analyzer._states["typ"])
+    _assert_storage_coherent(analyzer._state)
     assert not np.array_equal(report.cell_arrival, before.cell_arrival)
     full = TimingAnalyzer(netlist, incremental=False).analyze(clock)
     for name in FIELDS:
@@ -389,7 +389,7 @@ def test_caller_held_report_survives_probe_cycles():
 
     for name in names:
         assert getattr(held, name).tobytes() == frozen[name], name
-    state = analyzer._states["typ"]
+    state = analyzer._state
     views = [getattr(state, n) for n in state.buffers]
     views += [getattr(analyzer.compiled, n) for n in analyzer.compiled.buffers]
     views.append(state.scratch.seen)

@@ -119,7 +119,6 @@ def test_remove_margins_round_trip_under_incremental(design):
 
     removed = remove_margins(margins)
     assert removed == {}
-    analyzer.notify_margins()
     after = analyzer.analyze(clock, removed)
     for name in ("slack", "arrival", "required", "cell_worst_slack"):
         assert np.array_equal(getattr(after, name), getattr(before, name)), name

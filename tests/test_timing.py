@@ -357,154 +357,3 @@ def test_property_skew_shift_is_exact(seed, skew):
         skew, abs=1e-9
     )
 
-
-class TestHoldAnalysis:
-    def test_hold_fields_absent_by_default(self, small_design):
-        nl, period = small_design
-        rep = TimingAnalyzer(nl).analyze(ClockModel.for_netlist(nl, period))
-        assert rep.hold_slack is None
-        assert rep.cell_min_arrival is None
-
-    def test_hold_fields_present_when_requested(self, small_design):
-        nl, period = small_design
-        rep = TimingAnalyzer(nl).analyze(
-            ClockModel.for_netlist(nl, period), include_hold=True
-        )
-        assert rep.hold_slack is not None
-        assert rep.hold_slack.shape == rep.slack.shape
-        assert rep.cell_min_arrival is not None
-
-    def test_min_arrival_never_exceeds_max(self, small_design):
-        nl, period = small_design
-        rep = TimingAnalyzer(nl).analyze(
-            ClockModel.for_netlist(nl, period), include_hold=True
-        )
-        assert np.all(rep.cell_min_arrival <= rep.cell_arrival + 1e-9)
-
-    def test_ports_have_infinite_hold_slack(self, small_design):
-        nl, period = small_design
-        rep = TimingAnalyzer(nl).analyze(
-            ClockModel.for_netlist(nl, period), include_hold=True
-        )
-        for k, e in enumerate(rep.endpoints):
-            if not nl.cells[int(e)].is_sequential:
-                assert rep.hold_slack[k] == np.inf
-
-    def test_capture_skew_erodes_hold_exactly(self, tiny_pipeline):
-        nl = tiny_pipeline
-        ff2 = nl.cell_by_name("ff2").index
-        analyzer = TimingAnalyzer(nl)
-        clock = ClockModel.for_netlist(nl, 0.8)
-        base = analyzer.analyze(clock, include_hold=True)
-        k = int(np.nonzero(base.endpoints == ff2)[0][0])
-        clock.set_arrival(ff2, 0.05)
-        after = analyzer.analyze(clock, include_hold=True)
-        assert base.hold_slack[k] - after.hold_slack[k] == pytest.approx(0.05)
-
-    def test_hold_slack_positive_on_tiny_pipeline(self, tiny_pipeline):
-        """Zero-skew short paths with clk-to-q > hold time never race."""
-        nl = tiny_pipeline
-        rep = TimingAnalyzer(nl).analyze(
-            ClockModel.for_netlist(nl, 0.8), include_hold=True
-        )
-        flop_holds = [
-            rep.hold_slack[k]
-            for k, e in enumerate(rep.endpoints)
-            if nl.cells[int(e)].is_sequential
-        ]
-        assert all(h > 0 for h in flop_holds)
-
-    def test_respect_hold_guard_limits_skew(self, fresh_design):
-        """The hold-aware engine never leaves a flop with negative hold."""
-        from repro.ccd.useful_skew import UsefulSkewConfig, optimize_useful_skew
-
-        nl, period = fresh_design
-        analyzer = TimingAnalyzer(nl)
-        clock = ClockModel.for_netlist(nl, period)
-        optimize_useful_skew(
-            analyzer, clock, config=UsefulSkewConfig(respect_hold=True)
-        )
-        rep = analyzer.analyze(clock, include_hold=True)
-        base = TimingAnalyzer(nl).analyze(
-            ClockModel.for_netlist(nl, period), include_hold=True
-        )
-        # Guarded skew must not create hold violations on flops whose hold
-        # slack was healthy at zero skew.
-        for k, e in enumerate(rep.endpoints):
-            if not nl.cells[int(e)].is_sequential:
-                continue
-            if base.hold_slack[k] > 1e-9:
-                assert rep.hold_slack[k] >= -1e-6
-
-
-class TestMultiCorner:
-    def test_default_corners_available(self, small_design):
-        nl, period = small_design
-        analyzer = TimingAnalyzer(nl)
-        assert set(analyzer.corners) == {"typ", "slow", "fast"}
-
-    def test_unknown_corner_raises(self, small_design):
-        nl, period = small_design
-        with pytest.raises(KeyError, match="unknown corner"):
-            TimingAnalyzer(nl).analyze(
-                ClockModel.for_netlist(nl, period), corner="cryogenic"
-            )
-
-    def test_invalid_derate_raises(self, small_design):
-        from repro.timing.sta import compile_timing
-
-        nl, _ = small_design
-        with pytest.raises(ValueError):
-            compile_timing(nl, derate=0.0)
-
-    def test_slow_corner_worse_slack(self, small_design):
-        nl, period = small_design
-        analyzer = TimingAnalyzer(nl)
-        clock = ClockModel.for_netlist(nl, period)
-        typ = analyzer.analyze(clock)
-        slow = analyzer.analyze(clock, corner="slow")
-        fast = analyzer.analyze(clock, corner="fast")
-        assert slow.slack.min() < typ.slack.min()
-        assert fast.slack.min() > typ.slack.min()
-        assert np.all(slow.arrival >= typ.arrival - 1e-12)
-        assert np.all(fast.arrival <= typ.arrival + 1e-12)
-
-    def test_derate_scales_arrival_exactly(self, small_design):
-        """Linear delay model: arrivals scale exactly with the derate."""
-        nl, period = small_design
-        analyzer = TimingAnalyzer(nl, corners={"typ": 1.0, "x2": 2.0})
-        clock = ClockModel.for_netlist(nl, period)
-        typ = analyzer.analyze(clock)
-        doubled = analyzer.analyze(clock, corner="x2")
-        np.testing.assert_allclose(doubled.arrival, 2.0 * typ.arrival, rtol=1e-9)
-
-    def test_notify_resize_updates_all_corners(self, fresh_design):
-        nl, period = fresh_design
-        analyzer = TimingAnalyzer(nl)
-        clock = ClockModel.for_netlist(nl, period)
-        analyzer.analyze(clock)
-        analyzer.analyze(clock, corner="slow")  # cache both corners
-        cell = next(
-            c for c in nl.cells if not c.cell_type.is_port and c.sizing_headroom > 0
-        )
-        before_slow = analyzer.analyze(clock, corner="slow").slack.copy()
-        nl.resize_cell(cell.index, cell.size_index + 1)
-        analyzer.notify_resize(cell.index)
-        after_slow = analyzer.analyze(clock, corner="slow").slack
-        assert not np.allclose(before_slow, after_slow)
-        # The incremental update must equal a fresh compile.
-        fresh = TimingAnalyzer(nl).analyze(clock, corner="slow").slack
-        np.testing.assert_allclose(after_slow, fresh, atol=1e-12)
-
-    def test_hold_at_fast_corner(self, small_design):
-        nl, period = small_design
-        analyzer = TimingAnalyzer(nl)
-        clock = ClockModel.for_netlist(nl, period)
-        typ = analyzer.analyze(clock, include_hold=True)
-        fast = analyzer.analyze(clock, include_hold=True, corner="fast")
-        flops = [
-            k for k, e in enumerate(typ.endpoints) if nl.cells[int(e)].is_sequential
-        ]
-        # Fast corner = earlier min arrivals = tighter hold.
-        for k in flops[:10]:
-            assert fast.hold_slack[k] <= typ.hold_slack[k] + 1e-12

@@ -280,7 +280,7 @@ class TestCrossProcessCorrelation:
 
     def test_rewards_identical_with_tracing_on(self, pool_context, sink, method):
         nl, config, selections = pool_context
-        sequential = evaluate_selections(nl, config, selections, workers=1)
+        sequential = evaluate_selections(nl, config, selections)
         tracing.enable()
         with RolloutPool(nl, config, workers=2, start_method=method) as pool:
             traced = pool.evaluate(selections)

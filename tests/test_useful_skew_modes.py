@@ -1,5 +1,6 @@
-"""Focused tests for the useful-skew engine's attention window, modes and
-prioritization mechanics (the heart of the reproduction)."""
+"""Focused tests for the useful-skew engine's attention window, its
+launch-side floor and prioritization mechanics (the heart of the
+reproduction)."""
 
 from __future__ import annotations
 
@@ -90,28 +91,15 @@ class TestAttentionWindow:
 
 
 class TestModes:
-    def test_balance_mode_runs_and_respects_bounds(self, fresh_design):
-        nl, analyzer, clock, report = _context(fresh_design)
-        optimize_useful_skew(
-            analyzer, clock, config=UsefulSkewConfig(mode="balance")
-        )
-        for f, v in clock.arrivals.items():
-            assert abs(v) <= clock.bound(f) + 1e-9
-
     def test_balance_can_trade_where_conservative_wont(self, fresh_design):
-        """Balance mode may push donors negative; conservative never does."""
+        """The launch-side floor never pushes a healthy endpoint negative."""
         nl, analyzer, clock, report = _context(fresh_design)
         healthy = set(report.endpoints[report.slack >= 0].tolist())
 
-        cons_clock = clock.copy()
-        optimize_useful_skew(
-            analyzer, cons_clock, config=UsefulSkewConfig(mode="conservative")
-        )
-        cons_after = analyzer.analyze(cons_clock)
-        cons_healthy = set(
-            cons_after.endpoints[cons_after.slack >= -1e-9].tolist()
-        )
-        assert healthy <= cons_healthy
+        optimize_useful_skew(analyzer, clock)
+        after = analyzer.analyze(clock)
+        still_healthy = set(after.endpoints[after.slack >= -1e-9].tolist())
+        assert healthy <= still_healthy
 
     def test_commit_locking_within_run(self, fresh_design):
         """A flop adjusted in pass 1 is never re-adjusted in later passes."""
@@ -135,8 +123,6 @@ class TestModes:
     def test_engine_never_hurts_tns_in_conservative_mode(self, fresh_design):
         nl, analyzer, clock, report = _context(fresh_design)
         before = tns(report.slack)
-        optimize_useful_skew(
-            analyzer, clock, config=UsefulSkewConfig(mode="conservative")
-        )
+        optimize_useful_skew(analyzer, clock)
         after = tns(analyzer.analyze(clock).slack)
         assert after >= before - 1e-9
