@@ -21,11 +21,24 @@ returns the final clock; callers that need repeated runs from the same
 starting point (every RL episode!) snapshot state with
 :func:`snapshot_netlist_state` / :func:`restore_netlist_state`, which is two
 orders of magnitude cheaper than re-generating or deep-copying the design.
+
+**Begin-state timing is compiled once per snapshot.**  Every flow after a
+restore starts from the same timing state, so the first one keeps a
+pristine copy of its compiled view, its begin incremental state, its begin
+report and its begin power (a *begin bundle*).  A later flow that starts
+at the same restore, with incremental STA and the same clock period, runs
+on buffer copies of that bundle instead of recompiling the netlist and
+re-running begin STA and power.  Anything else — a mutation after the
+restore (``mutation_version`` moved), another snapshot, another period,
+``incremental_sta=False`` — takes the from-scratch path.  Bundles live in
+a module-level weak-key map, never on the netlist, so pickling a netlist
+never pickles compiled views (see ``docs/timing.md``).
 """
 
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -37,9 +50,17 @@ from repro.ccd.margins import margins_by_amount, margins_to_wns, remove_margins
 from repro.ccd.useful_skew import UsefulSkewConfig, UsefulSkewResult, optimize_useful_skew
 from repro.netlist.core import Netlist
 from repro.power.models import PowerReport, report_power
+from repro.timing import incremental as inc
 from repro.timing.clock import ClockModel
+from repro.timing.incremental import IncrementalState
 from repro.timing.metrics import TimingSummary, summarize
-from repro.timing.sta import TimingAnalyzer, TimingReport
+from repro.timing.sta import (
+    CompiledTiming,
+    TimingAnalyzer,
+    TimingReport,
+    buffer_mismatches,
+    compile_timing,
+)
 
 
 @dataclass(frozen=True)
@@ -123,6 +144,111 @@ def _check_finite_slack(netlist: Netlist, report: TimingReport, boundary: str) -
     )
 
 
+@dataclass(frozen=True)
+class _BeginTiming:
+    """Begin-state timing of one restored snapshot at one clock period.
+
+    ``compiled`` and ``state`` are pristine: no flow runs on them, only on
+    the copies :meth:`analyzer` hands out.  The report, summary and power
+    report are never mutated, so flows share them.  ``compiled`` is kept
+    detached (``netlist=None``): the bundle map is weak-keyed by the
+    netlist, and a strong reference from its value would keep the netlist
+    alive forever.
+    """
+
+    snapshot: "NetlistState"
+    period: float
+    compiled: CompiledTiming
+    state: IncrementalState
+    report: TimingReport
+    summary: TimingSummary
+    power: PowerReport
+
+    def analyzer(self, netlist: Netlist) -> TimingAnalyzer:
+        """An analyzer for ``netlist`` at its current version, on fresh copies."""
+        compiled = self.compiled.copy()
+        compiled.netlist = netlist
+        return TimingAnalyzer.resume(
+            compiled, self.state.copy(compiled), netlist.mutation_version
+        )
+
+
+#: Per netlist: the snapshot it was last restored to and the
+#: ``mutation_version`` that restore left.
+_restored: "weakref.WeakKeyDictionary[Netlist, Tuple[NetlistState, int]]" = (
+    weakref.WeakKeyDictionary()
+)
+#: Per netlist: the begin bundle of the last snapshot a flow started from.
+_begin_timing: "weakref.WeakKeyDictionary[Netlist, _BeginTiming]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _check_begin(
+    netlist: Netlist, begin: _BeginTiming, compiled: CompiledTiming, clock: ClockModel
+) -> None:
+    """Shadow check: a copied begin compile and the bundle's begin power
+    must equal a fresh compile and a fresh power report."""
+    drift = buffer_mismatches(compiled.buffers, compile_timing(netlist).buffers)
+    if report_power(netlist, clock, compiled.load_cap) != begin.power:
+        drift.append("begin power")
+    if drift:
+        raise RuntimeError(
+            "begin-state timing drift: the copied begin state differs from "
+            f"a fresh one in {', '.join(drift)} — the netlist was changed "
+            "after restore_netlist_state without a mutation_version bump "
+            "(cell coordinates and toggle rates are unversioned)"
+        )
+
+
+def _begin_sta(
+    netlist: Netlist, config: FlowConfig, clock: ClockModel
+) -> Tuple[TimingAnalyzer, TimingReport, TimingSummary, PowerReport]:
+    """A flow's analyzer and begin timing and power.
+
+    Served by copies of the snapshot's begin bundle when it may serve this
+    flow (module docstring); otherwise compiled and analyzed from scratch,
+    keeping a new bundle when the netlist still sits at a restore.
+    """
+    # The snapshot the netlist sits at, if nothing mutated it since.
+    restored = _restored.get(netlist) if config.incremental_sta else None
+    snapshot = None
+    if restored is not None and restored[1] == netlist.mutation_version:
+        snapshot = restored[0]
+    begin = _begin_timing.get(netlist) if snapshot is not None else None
+    if (
+        begin is not None
+        and begin.snapshot is snapshot
+        and begin.period == config.clock_period
+    ):
+        obs.incr("flow.begin_copies")
+        analyzer = begin.analyzer(netlist)
+        if inc.check_enabled():
+            _check_begin(netlist, begin, analyzer.compiled, clock)
+        _check_finite_slack(netlist, begin.report, "begin")
+        return analyzer, begin.report, begin.summary, begin.power
+
+    analyzer = TimingAnalyzer(netlist, incremental=config.incremental_sta)
+    report = analyzer.analyze(clock)
+    _check_finite_slack(netlist, report, "begin")
+    summary = summarize(report)
+    power = report_power(netlist, clock, analyzer.compiled.load_cap)
+    if snapshot is not None:
+        # Copy before notify_resize patches the live view.
+        compiled = analyzer.compiled.copy()
+        compiled.netlist = None
+        _begin_timing[netlist] = _BeginTiming(
+            snapshot=snapshot,
+            period=config.clock_period,
+            compiled=compiled,
+            state=analyzer.state.copy(compiled),
+            report=report,
+            summary=summary,
+            power=power,
+        )
+    return analyzer, report, summary, power
+
+
 def run_flow(
     netlist: Netlist,
     config: FlowConfig,
@@ -146,14 +272,12 @@ def run_flow(
         name: obs.get_recorder().counters.get(name, 0.0) for name in sta_counters
     }
     with obs.span("flow.run", attrs={"prioritized": len(prioritized)}):
-        analyzer = TimingAnalyzer(netlist, incremental=config.incremental_sta)
         clock = ClockModel.for_netlist(netlist, config.clock_period)
 
         with obs.span("flow.begin_sta") as sp_begin:
-            begin_report = analyzer.analyze(clock)
-            _check_finite_slack(netlist, begin_report, "begin")
-            begin_summary = summarize(begin_report)
-            begin_power = report_power(netlist, clock, analyzer.compiled.load_cap)
+            analyzer, begin_report, begin_summary, begin_power = _begin_sta(
+                netlist, config, clock
+            )
 
         # --- endpoint prioritization via margins (RL flow only) ------- #
         margins: Mapping[int, float] = {}
@@ -331,7 +455,14 @@ def snapshot_netlist_state(
 
 
 def restore_netlist_state(netlist: Netlist, state: NetlistState) -> None:
-    """Undo flow mutations: drop inserted buffers, restore sizes and wiring."""
+    """Undo flow mutations: drop inserted buffers, restore sizes and wiring.
+
+    The restore bumps ``mutation_version``, so any ``TimingAnalyzer`` that
+    lived through the episode recompiles.  It also records ``state`` and
+    the version it left, so the next :func:`run_flow` can start from the
+    snapshot's begin bundle (module docstring) while nothing has mutated
+    the netlist since.
+    """
     # Remove cells/nets appended after the snapshot (buffer insertions only
     # ever append, never reorder).
     del netlist.cells[state.num_cells :]
@@ -350,6 +481,7 @@ def restore_netlist_state(netlist: Netlist, state: NetlistState) -> None:
     # TimingAnalyzer that lived through the episode recompiles instead of
     # trusting caches patched by mid-episode notify_resize() calls.
     netlist.mutation_version += 1
+    _restored[netlist] = (state, netlist.mutation_version)
 
     if state.verify_summary is not None and obs.verify_enabled():
         assert state.verify_clock_period is not None

@@ -106,21 +106,6 @@ def assert_embeddings_equal(
         )
 
 
-def _reverse_csr(graph: MessagePassingGraph) -> Tuple[np.ndarray, np.ndarray]:
-    """CSR over "who aggregates me": cell u → cells v with u ∈ N(v).
-
-    Equal to the forward CSR for the default ``bidirectional`` mode, but
-    built explicitly so the ``forward``/``backward`` edge-mode ablations
-    stay correct.
-    """
-    src = graph.neighbor_index
-    dst = graph._edge_dst()
-    order = np.argsort(src, kind="stable")
-    counts = np.bincount(src, minlength=graph.num_nodes)
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    return indptr, dst[order]
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Plain-numpy mirror of :meth:`Tensor.sigmoid` (same ±60 clip)."""
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
@@ -294,7 +279,7 @@ def _pool_fc_rows(
 class EncoderSession:
     """Per-``(policy, env)`` incremental EP-GNN encoding state.
 
-    Built once per environment (reverse adjacency, endpoint lookup) and
+    Built once per environment (edge owners, endpoint lookup) and
     reset per episode with :meth:`begin_episode`; :meth:`encode` then
     serves each RL step either incrementally or — on any fallback
     trigger — with a cache-refreshing full encode that is bitwise equal
@@ -312,7 +297,6 @@ class EncoderSession:
         self.graph = graph
         self.cones = cones
         self.netlist = netlist if netlist is not None else cones.netlist
-        self._rev_indptr, self._rev_index = _reverse_csr(graph)
         self._inv_degree = 1.0 / np.maximum(graph.degree(), 1).astype(np.float64)
         # Edge → owning-row maps for the mask-select gathers: selecting a
         # CSR's edges through a boolean row-membership mask replaces the
@@ -320,10 +304,6 @@ class EncoderSession:
         # (and preserves CSR edge order, so segment sums stay bitwise).
         self._fwd_owner = graph._edge_dst()
         self._fwd_counts = np.diff(graph.indptr)
-        self._rev_owner = np.repeat(
-            np.arange(graph.num_nodes, dtype=np.int64),
-            np.diff(self._rev_indptr),
-        )
         self._cone_owner = np.repeat(
             np.arange(len(cones.endpoints), dtype=np.int64),
             np.diff(cones.cone_indptr),
@@ -358,7 +338,10 @@ class EncoderSession:
             obs.incr("gnn.incremental_encode")
             return self._emb
 
-        # Grow the dirty region one reverse-adjacency hop per layer.
+        # Grow the dirty region one adjacency hop per layer.  The graph is
+        # bidirectional, so the rows that aggregate u are exactly N(u); the
+        # forward CSR serves as its own reverse (only mask membership
+        # matters here, not edge order).
         # Boolean membership masks + frontier-only neighbor selects beat
         # repeated ``np.union1d`` sorts; ``np.nonzero`` keeps the rows
         # sorted exactly as ``union1d`` would, and the masks double as the
@@ -369,7 +352,7 @@ class EncoderSession:
         regions = [dirty]
         region_masks = [frontier_mask]
         for _ in range(len(self.gnn.layers)):
-            neighbors = self._rev_index[frontier_mask[self._rev_owner]]
+            neighbors = self.graph.neighbor_index[frontier_mask[self._fwd_owner]]
             fresh_mask = np.zeros_like(in_region)
             fresh_mask[neighbors] = True
             fresh_mask &= ~in_region

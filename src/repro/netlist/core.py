@@ -119,17 +119,31 @@ class Netlist:
         # Per-flop useful-skew flexibility in ns (filled by the generator or
         # user; the useful-skew engine clamps adjustments to ±bound).
         self.skew_bounds: Dict[int, float] = {}
-        # Wire-parasitic multiplier applied on top of the library's per-µm
-        # coefficients.  1.0 = placement-stage estimates; the full-flow
-        # extension raises it at later stages to model extracted parasitics.
-        self.parasitic_scale: float = 1.0
+        self._parasitic_scale: float = 1.0
         # Monotonic counter bumped by every mutator (add_cell/add_net/
-        # connect/resize_cell/insert_buffer).  TimingAnalyzer compares it
-        # against the version it last compiled/was notified at, so a
-        # mutation that skipped notify_resize()/invalidate() can never be
-        # read stale.  restore_netlist_state() bumps it too — a restore is
-        # a bulk mutation from the analyzer's point of view.
+        # connect/resize_cell/insert_buffer/parasitic_scale writes).
+        # TimingAnalyzer compares it against the version it last
+        # compiled/was notified at, so a mutation that skipped
+        # notify_resize()/invalidate() can never be read stale.
+        # restore_netlist_state() bumps it too — a restore is a bulk
+        # mutation from the analyzer's point of view.  Cell coordinates are
+        # not versioned: place a design before analyzing or snapshotting it.
         self.mutation_version: int = 0
+
+    @property
+    def parasitic_scale(self) -> float:
+        """Wire-parasitic multiplier on the library's per-µm coefficients.
+
+        1.0 = placement-stage estimates; the full-flow extension raises it
+        at later stages to model extracted parasitics.  Every wire delay
+        and wire cap depends on it, so a write is a mutation.
+        """
+        return self._parasitic_scale
+
+    @parasitic_scale.setter
+    def parasitic_scale(self, value: float) -> None:
+        self._parasitic_scale = value
+        self.mutation_version += 1
 
     # ------------------------------------------------------------------ #
     # construction
@@ -233,7 +247,7 @@ class Netlist:
             else:
                 cap += sink.size.input_cap
         cap += (
-            self.parasitic_scale
+            self._parasitic_scale
             * self.library.wire_cap_per_um
             * self.net_hpwl(net_index)
         )

@@ -57,7 +57,9 @@ to keep in sync.
 Fallback rules (handled by :class:`~repro.timing.sta.TimingAnalyzer`):
 structural edits (``invalidate()`` or an unnotified netlist mutation caught
 by the mutation-version guard), a clock-period change and the first analysis
-all run the full engine and refresh the cached state.
+all run the full engine and refresh the cached state.  An analyzer made by
+:meth:`~repro.timing.sta.TimingAnalyzer.resume` starts with a cached state
+(a copy of a flow's begin state), so its first analysis is incremental.
 
 Shadow-check mode (``REPRO_STA_CHECK=1``) re-runs the full engine after
 every incremental analysis and asserts the two reports agree within
@@ -82,6 +84,7 @@ from repro.timing.sta import (
     _backward_required,
     analyze,
     buffer_backed,
+    buffer_view,
     csr_edge_indices,
 )
 
@@ -269,6 +272,30 @@ class IncrementalState:
             self.buffers.pop("required_eff", None)
         else:
             self.buffers["required_eff"], self.required_eff = buffer_backed(values)
+
+    def copy(self, compiled: CompiledTiming) -> "IncrementalState":
+        """An independent copy bound to ``compiled`` (a copy of ours).
+
+        Every buffer is copied and its view rebuilt; the sets are copied
+        too (all empty at a begin state).  The frontier scratch is not
+        shared: the copy builds its own on its first incremental analysis.
+        """
+        buffers = {name: buf[:] for name, buf in self.buffers.items()}
+        views = {
+            name: buffer_view(buf, getattr(self, name).shape)
+            for name, buf in buffers.items()
+        }
+        views.setdefault("required_eff", None)
+        return IncrementalState(
+            compiled=compiled,
+            period=self.period,
+            num_levels=self.num_levels,
+            skewed_flops=set(self.skewed_flops),
+            margined=set(self.margined),
+            pending=set(self.pending),
+            buffers=buffers,
+            **views,
+        )
 
 
 def build_state(

@@ -151,6 +151,36 @@ class CompiledTiming:
     fanout_wire_delay: np.ndarray  # (E,) wire delay at the sink's pin
     buffers: Dict[str, array.array] = field(default_factory=dict, repr=False)
 
+    def copy(self) -> "CompiledTiming":
+        """An independent copy: every buffer copied, the views rebuilt on them.
+
+        ``levels`` and ``netlist`` are shared, since nothing patches them
+        (:meth:`TimingAnalyzer.notify_resize` writes coefficients and loads
+        only).  A patch of the copy never reaches the original.
+        """
+        buffers = {name: buf[:] for name, buf in self.buffers.items()}
+        views = {
+            name: buffer_view(buf, getattr(self, name).shape)
+            for name, buf in buffers.items()
+        }
+        return CompiledTiming(
+            netlist=self.netlist, levels=self.levels, buffers=buffers, **views
+        )
+
+
+def buffer_mismatches(
+    ours: Mapping[str, array.array], theirs: Mapping[str, array.array]
+) -> List[str]:
+    """Names of the buffers that are missing on one side or differ in bytes."""
+    return sorted(
+        name
+        for name in set(ours) | set(theirs)
+        if name not in ours
+        or name not in theirs
+        or ours[name].typecode != theirs[name].typecode
+        or ours[name].tobytes() != theirs[name].tobytes()
+    )
+
 
 @dataclass
 class TimingReport:
@@ -210,6 +240,23 @@ class TimingAnalyzer:
         self._state: Optional["IncrementalState"] = None
         self._expected_version: int = netlist.mutation_version
 
+    @classmethod
+    def resume(
+        cls, compiled: CompiledTiming, state: "IncrementalState", version: int
+    ) -> "TimingAnalyzer":
+        """An incremental analyzer whose cache is ``compiled`` and ``state``.
+
+        ``version`` is the netlist ``mutation_version`` both are valid at;
+        the caller vouches for that.  The next ``analyze()`` under the
+        state's clock period is incremental, so a flow started from a copy
+        of a begin state skips the compile and the begin full analysis.
+        """
+        analyzer = cls(compiled.netlist)
+        analyzer._compiled = compiled
+        analyzer._state = state
+        analyzer._expected_version = version
+        return analyzer
+
     def invalidate(self) -> None:
         """Drop the compiled view (call after structural mutations)."""
         self._compiled = None
@@ -267,6 +314,11 @@ class TimingAnalyzer:
         """
         if self._state is not None:
             self._state.pending.update(int(f) for f in flop_indices)
+
+    @property
+    def state(self) -> Optional["IncrementalState"]:
+        """The cached incremental state (``None`` before the first analysis)."""
+        return self._state
 
     @property
     def compiled(self) -> CompiledTiming:

@@ -211,6 +211,19 @@ class TestStaOnGenerated:
         after = analyzer.analyze(clock)
         assert not np.allclose(before.slack, after.slack)
 
+    def test_parasitic_scale_write_is_not_read_stale(self, fresh_design):
+        """A live analyzer must see a parasitic-scale change (every wire
+        delay and wire cap moves) exactly as a fresh analyzer does."""
+        nl, period = fresh_design
+        analyzer = TimingAnalyzer(nl)
+        clock = ClockModel.for_netlist(nl, period)
+        analyzer.analyze(clock)
+        nl.parasitic_scale *= 1.5
+        live = analyzer.analyze(clock)
+        fresh = TimingAnalyzer(nl).analyze(clock)
+        assert tns(live.slack) == tns(fresh.slack)
+        assert np.array_equal(live.cell_arrival, fresh.cell_arrival)
+
     def test_cycle_detection_guard(self):
         """Compile raises on a netlist with an (invalid) comb cycle."""
         from repro.netlist.core import Netlist
