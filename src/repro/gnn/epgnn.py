@@ -74,14 +74,9 @@ def _mean_aggregate(features: Tensor, graph: MessagePassingGraph) -> Tensor:
     # Segment-sum by destination node via a (sparse pattern) matmul-free
     # scatter: build once per call; graph topology is static per design.
     dst = graph._edge_dst()
-    summed = _segment_sum(gathered, dst, graph.num_nodes)
+    summed = segment_sum(gathered, dst, graph.num_nodes)
     degree = np.maximum(graph.degree(), 1)[:, None]
     return summed * Tensor(1.0 / degree)
-
-
-# Re-exported for backward compatibility; the differentiable segment-sum now
-# lives in :mod:`repro.nn.tensor` where the incremental encoder shares it.
-_segment_sum = segment_sum
 
 
 class EPGNN(Module):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.netlist.core import Netlist
+from repro.nn.tensor import scatter_add_rows
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ class MessagePassingGraph:
         """
         features = np.asarray(features)
         out = np.zeros((self.num_nodes, features.shape[1]))
-        np.add.at(out, self._edge_dst(), features[self.neighbor_index])
+        scatter_add_rows(out, self._edge_dst(), features[self.neighbor_index])
         deg = self.degree()
         nonzero = deg > 0
         out[nonzero] /= deg[nonzero, None]

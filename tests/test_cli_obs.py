@@ -125,6 +125,30 @@ class TestEnforcedGate:
         assert rc == 1
         assert "::error ::bench regression:" in capsys.readouterr().err
 
+    def test_history_directory_loads_as_historical_runs(self, tmp_path, capsys):
+        """Load-independent twin of the wall-clock test below: the history
+        records claim every phase took 1000 s, so the gate's verdict never
+        depends on how fast this host runs the candidate."""
+        out = str(tmp_path / "BENCH_seed.json")
+        assert main(["bench", "--out", out, *FAST_BENCH]) == 0
+        capsys.readouterr()
+        payload = load_bench(out)
+        for stats in payload["phases"].values():
+            stats["median_s"] = 1000.0
+        if "trace_overhead_s" in (payload.get("obs") or {}):
+            payload["obs"]["trace_overhead_s"] = 1000.0
+        history_dir = tmp_path / "history"
+        history_dir.mkdir()
+        for i in range(3):
+            with open(history_dir / f"BENCH_{i}.json", "w") as handle:
+                json.dump(payload, handle)
+        rc = main(
+            ["bench", "--out", str(tmp_path / "BENCH_new.json"),
+             "--history", str(history_dir), "--enforce", *FAST_BENCH]
+        )
+        assert rc == 0
+        assert "against 3 historical runs" in capsys.readouterr().err
+
     @pytest.mark.wallclock
     def test_enforce_with_history_directory(self, tmp_path, capsys):
         history_dir = tmp_path / "history"

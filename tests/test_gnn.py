@@ -116,12 +116,11 @@ class TestEPGNN:
             assert p.grad is not None, f"no grad for {name}"
 
     def test_segment_sum_gradient(self, rng):
-        from repro.gnn.epgnn import _segment_sum
-        from repro.nn.tensor import Tensor
+        from repro.nn.tensor import Tensor, segment_sum
 
         rows = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         segments = np.array([0, 0, 1, 2, 2])
-        out = _segment_sum(rows, segments, 3)
+        out = segment_sum(rows, segments, 3)
         np.testing.assert_allclose(out.data[0], rows.data[:2].sum(axis=0))
         (out * out).sum().backward()
         assert rows.grad is not None

@@ -2,15 +2,26 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.gnn.incremental
+import repro.netlist.transform
+import repro.nn.tensor
+from repro.agent.env import EndpointSelectionEnv
+from repro.agent.policy import RLCCDPolicy
+from repro.agent.reinforce import TrainConfig, train_rlccd
+from repro.ccd.flow import FlowConfig
+from repro.features.table1 import NUM_FEATURES
 from repro.nn.tensor import (
     Tensor,
     concat,
     outer,
+    scatter_add_rows,
     scatter_rows,
     segment_sum,
     stack,
@@ -402,6 +413,132 @@ class TestSegmentOps:
             return (scatter_rows(Tensor(base), indices, t) ** 2).sum()
 
         check_gradient(build_rows, replacement)
+
+
+def _add_at(dst, index, values):
+    """The reference scatter: numpy's own ``np.add.at`` on a copy of ``dst``."""
+    expected = dst.copy()
+    np.add.at(expected, index, values)
+    return expected
+
+
+def _wide_values(rng, shape):
+    """Signed values whose magnitudes span 1e-8 to 1e8."""
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+
+
+class TestScatterAddRows:
+    @pytest.mark.parametrize("width", [1, 3, 14, 32])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bytes_equal_add_at_with_duplicates(self, width, seed):
+        rng = np.random.default_rng(seed)
+        dst = _wide_values(rng, (7, width))
+        index = rng.integers(0, 7, size=200)  # ~30 hits per row
+        values = _wide_values(rng, (200, width))
+        expected = _add_at(dst, index, values)
+        scatter_add_rows(dst, index, values)
+        assert dst.tobytes() == expected.tobytes()
+
+    def test_one_dimensional_destination(self, rng):
+        dst = _wide_values(rng, 9)
+        index = rng.integers(0, 9, size=60)
+        values = _wide_values(rng, 60)
+        expected = _add_at(dst, index, values)
+        scatter_add_rows(dst, index, values)
+        assert dst.tobytes() == expected.tobytes()
+
+    def test_empty_index_leaves_destination(self, rng):
+        dst = _wide_values(rng, (4, 3))
+        before = dst.copy()
+        scatter_add_rows(dst, np.empty(0, dtype=np.int64), np.empty((0, 3)))
+        assert dst.tobytes() == before.tobytes()
+
+    def test_negative_indices_match(self, rng):
+        dst = np.zeros((5, 4))
+        index = np.array([-1, 0, -5, -1, 2])
+        values = _wide_values(rng, (5, 4))
+        expected = _add_at(dst, index, values)
+        scatter_add_rows(dst, index, values)
+        assert dst.tobytes() == expected.tobytes()
+
+    def test_non_contiguous_destination_rejected(self):
+        dst = np.zeros((4, 6))[:, ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            scatter_add_rows(dst, np.array([0]), np.ones((1, 3)))
+
+
+class TestGradientOwnership:
+    def test_no_two_gradients_alias(self, rng):
+        """Owned hand-overs and in-place accumulation never share a buffer:
+        mutating one tensor's ``.grad`` leaves every other one unchanged."""
+        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        base = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        h = x @ w
+        picked = h.gather_rows(np.array([0, 0, 2, 4]))
+        summed = segment_sum(picked, np.array([0, 1, 1, 2]), 3)
+        out = scatter_rows(base, np.array([1, 3, 5]), summed)
+        twice = x + x
+        loss = (out * out).sum() + (twice * h.gather_rows(np.arange(5))[:, :3]).sum()
+        seed_grad = np.ones_like(loss.data)
+        loss.backward(seed_grad)
+        tensors = [x, w, base, h, picked, summed, out, twice, loss]
+        assert all(t.grad is not None for t in tensors)
+        for i, a in enumerate(tensors):
+            assert not np.shares_memory(a.grad, seed_grad)
+            for b in tensors[i + 1:]:
+                assert not np.shares_memory(a.grad, b.grad)
+        snapshots = [t.grad.copy() for t in tensors]
+        for i, target in enumerate(tensors):
+            target.grad[...] = np.nan
+            for j, other in enumerate(tensors):
+                if j != i:
+                    assert other.grad.tobytes() == snapshots[j].tobytes()
+            target.grad[...] = snapshots[i]
+
+    def test_second_backward_accumulates(self, rng):
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        x = Tensor(rng.normal(size=(4, 3)))
+        (x @ w).sum().backward()
+        first = w.grad.copy()
+        (x @ w).sum().backward()
+        np.testing.assert_array_equal(w.grad, first + first)
+
+
+def _copying_accumulate(self, grad):
+    """The reference accumulate: copy on first use, then ``grad + new``."""
+    if self.grad is None:
+        self.grad = np.array(grad, dtype=np.float64, copy=True)
+    else:
+        self.grad = self.grad + grad
+
+
+class TestTrainingEquivalence:
+    """The scatter kernel and in-place accumulation change no bit of a
+    training run: a reference on 2-D ``np.add.at`` and copying accumulation
+    gives the same parameters and history on the same machine."""
+
+    def _train(self, small_design):
+        netlist, period = small_design
+        env = EndpointSelectionEnv(netlist, period)
+        policy = RLCCDPolicy(NUM_FEATURES, rng=3)
+        config = TrainConfig(max_episodes=4, seed=7)
+        result = train_rlccd(policy, env, FlowConfig(clock_period=period), config)
+        params = {name: p.data.tobytes() for name, p in policy.named_parameters()}
+        history = [dataclasses.astuple(record) for record in result.history]
+        return params, history
+
+    def test_kernel_matches_add_at_reference(self, small_design, monkeypatch):
+        shipped = self._train(small_design)
+        with monkeypatch.context() as patch:
+            for module in (repro.nn.tensor, repro.gnn.incremental, repro.netlist.transform):
+                patch.setattr(module, "scatter_add_rows", np.add.at)
+            patch.setattr(Tensor, "_accumulate", _copying_accumulate)
+            patch.setattr(Tensor, "_accumulate_owned", _copying_accumulate)
+            reference = self._train(small_design)
+        assert len(shipped[1]) == 4
+        assert shipped[0] == reference[0]
+        assert shipped[1] == reference[1]
 
 
 class TestComposite:
