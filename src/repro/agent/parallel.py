@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.obs import tracing
+from repro.obs import records, tracing
 from repro.ccd.flow import (
     FlowConfig,
     NetlistState,
@@ -66,6 +66,18 @@ START_METHOD_ENV_VAR = "REPRO_ROLLOUT_START_METHOD"
 
 #: Heartbeat period of the worker-side daemon thread (seconds).
 HEARTBEAT_INTERVAL = 0.05
+
+#: Counters of the ``rollout`` run record.  The pool keeps all of them; the
+#: sequential trainer reports ``tasks`` and ``batches``, and zero faults.
+ROLLOUT_COUNTERS = (
+    "batches",
+    "tasks",
+    "worker_restarts",
+    "task_timeouts",
+    "worker_crashes",
+    "corrupt_results",
+    "sequential_fallbacks",
+)
 
 
 @dataclass(frozen=True)
@@ -227,21 +239,25 @@ def _apply_fault(action: Optional[str]) -> bool:
 def _worker_main(conn, heartbeat, blob) -> None:
     """Long-lived worker: load the design once, then serve tasks forever.
 
-    ``blob`` — ``(netlist, snapshot, flow_config, obs_enabled, fault_spec,
-    trace_ctx)`` — is shipped exactly once: inherited copy-on-write under
-    ``fork``, pickled once per worker under ``spawn``.  Tasks arriving on
-    ``conn`` carry only the selection (plus the submitter's span id).
-    ``trace_ctx`` (``None`` with tracing off) activates a *buffered* tracer:
-    workers never write the sink file; their span events ship back inside
-    result messages and the parent replays them, which behaves identically
-    under fork and spawn.
+    ``blob`` — ``(netlist, snapshot, flow_config, obs_enabled, records_on,
+    fault_spec, trace_ctx)`` — is shipped exactly once: inherited
+    copy-on-write under ``fork``, pickled once per worker under ``spawn``.
+    Tasks arriving on ``conn`` carry only the selection (plus the
+    submitter's span id).  Workers never write the sink file: with
+    ``records_on`` (the parent's :func:`repro.obs.records.tracing`) every
+    record they emit — ``flow``, ``span``, any kind — is buffered and ships
+    back inside the result message, and the parent replays it.
+    ``trace_ctx`` (``None`` with tracing off) installs the worker's span
+    tracer, whose events take the same route.
     """
-    netlist, snapshot, flow_config, obs_enabled, fault_spec, trace_ctx = blob
+    netlist, snapshot, flow_config, obs_enabled, records_on, fault_spec, trace_ctx = blob
     if obs_enabled or trace_ctx is not None:
         obs.enable()
-    # Fork children inherit the parent's tracer (sink closure included);
-    # drop it before optionally installing the buffered one below.
-    tracing.child_reset()
+    # A fork child inherits the parent's tracer and sink path; a spawn child
+    # re-reads REPRO_OBS / REPRO_TRACE_EVENTS at import.  Drop both, so the
+    # buffer is the only way out for this worker's records.
+    tracing.disable()
+    records.buffer_records(records_on)
     # Warm-up: one empty-selection flow faults in the copy-on-write pages
     # (fork) and per-process caches that the first flow run touches, so the
     # first *real* task is not billed for process warm-up (the smoke-scale
@@ -251,6 +267,7 @@ def _worker_main(conn, heartbeat, blob) -> None:
         _evaluate_one((netlist, snapshot, flow_config, []))
     except BaseException:  # noqa: BLE001 — warm-up must never kill the worker
         pass
+    records.drain()  # the warm-up flow is not a task: its records are dropped
     # Post-fork GC hygiene: everything alive now (the inherited parent heap
     # plus warm-up leftovers) is long-lived from this worker's perspective;
     # freezing it keeps the cyclic collector from rescanning it on every
@@ -259,7 +276,7 @@ def _worker_main(conn, heartbeat, blob) -> None:
     gc.freeze()
     obs.child_reset()
     if trace_ctx is not None:
-        tracing.enable_buffered(trace_ctx["trace_id"], trace_ctx["worker"])
+        tracing.enable(trace_ctx["trace_id"], trace_ctx["worker"])
     # Ready goes out before the first heartbeat, so a nonzero heartbeat
     # timestamp implies the ready message is already in the pipe.
     conn.send(("ready", os.getpid()))
@@ -296,7 +313,7 @@ def _worker_main(conn, heartbeat, blob) -> None:
                     task_id,
                     attempt,
                     f"{type(exc).__name__}: {exc}",
-                    tracing.drain_buffer(),
+                    records.drain(),
                 )
             )
             continue
@@ -308,12 +325,12 @@ def _worker_main(conn, heartbeat, blob) -> None:
                     attempt,
                     ("not", "a", "reward"),
                     None,
-                    tracing.drain_buffer(),
+                    records.drain(),
                 )
             )
             continue
         conn.send(
-            ("ok", task_id, attempt, reward, obs.export_state(), tracing.drain_buffer())
+            ("ok", task_id, attempt, reward, obs.export_state(), records.drain())
         )
     conn.close()
 
@@ -417,15 +434,7 @@ class RolloutPool:
         self._closed = False
         self._slots: List[_Worker] = []
         self._ctx = None
-        self.stats_counters: Dict[str, int] = {
-            "batches": 0,
-            "tasks": 0,
-            "worker_restarts": 0,
-            "task_timeouts": 0,
-            "worker_crashes": 0,
-            "corrupt_results": 0,
-            "sequential_fallbacks": 0,
-        }
+        self.stats_counters: Dict[str, int] = dict.fromkeys(ROLLOUT_COUNTERS, 0)
 
         # workers == 1 runs sequentially unless a start method is explicitly
         # requested (fault tests pin a single real worker process that way).
@@ -494,6 +503,7 @@ class RolloutPool:
             self.snapshot,
             self.flow_config,
             obs.enabled(),
+            records.tracing(),
             self.fault_spec,
             tracing.worker_context(slot),
         )
@@ -544,13 +554,12 @@ class RolloutPool:
 
     def stats(self) -> Dict[str, Any]:
         """Pool-health summary (the ``rollout`` run-record payload)."""
-        out: Dict[str, Any] = dict(self.stats_counters)
-        out["workers"] = self.workers
-        out["start_method"] = self.start_method or "sequential"
-        out["cache_hits"] = self.cache.hits if self.cache is not None else 0
-        out["cache_misses"] = self.cache.misses if self.cache is not None else 0
-        out["cache_entries"] = len(self.cache) if self.cache is not None else 0
-        return out
+        return rollout_stats(
+            self.stats_counters,
+            self.workers,
+            self.start_method or "sequential",
+            self.cache,
+        )
 
     # ---- failure handling -------------------------------------------- #
     def _count(self, name: str, amount: int = 1) -> None:
@@ -794,24 +803,24 @@ class RolloutPool:
                 if kind == "ready":
                     worker.ready = True
                     continue
-                # Worker-shipped trace events are replayed into the sink
-                # even for stale results — the flow work really happened;
-                # the trace should show it.
-                tracing.ingest(message[-1])
+                # Worker-shipped records are replayed into the sink even
+                # for failed, corrupt or stale attempts — the flow work
+                # really happened; the trace should show it.
+                records.ingest(message[-1])
                 if not worker.pending:
                     continue  # stale result from a task already failed over
                 # The worker serves its pipe FIFO, so a live result always
                 # answers the head of ``pending``.
                 index, task_id, attempt = worker.pending[0]
                 if kind == "err":
-                    _, r_task, r_attempt, detail, _events = message
+                    _, r_task, r_attempt, detail, _records = message
                     if (r_task, r_attempt) != (task_id, attempt):
                         continue
                     self._fail_task(
                         slot, f"worker error: {detail}", results, queue, selections
                     )
                     continue
-                _, r_task, r_attempt, reward, child_state, _events = message
+                _, r_task, r_attempt, reward, child_state, _records = message
                 if (r_task, r_attempt) != (task_id, attempt):
                     continue  # stale: the task was retried elsewhere
                 if not _valid_reward(reward, selections[index]):
@@ -856,6 +865,23 @@ class RolloutPool:
 # ---------------------------------------------------------------------- #
 # In-process evaluation (the trainer's single-worker path)
 # ---------------------------------------------------------------------- #
+def rollout_stats(
+    counters: Mapping[str, int],
+    workers: int,
+    start_method: str,
+    cache: Optional[RewardCache],
+) -> Dict[str, Any]:
+    """The ``rollout`` run-record payload: every :data:`ROLLOUT_COUNTERS`
+    key (missing ones count 0) plus the worker and cache figures."""
+    out: Dict[str, Any] = {name: int(counters.get(name, 0)) for name in ROLLOUT_COUNTERS}
+    out["workers"] = workers
+    out["start_method"] = start_method
+    out["cache_hits"] = cache.hits if cache is not None else 0
+    out["cache_misses"] = cache.misses if cache is not None else 0
+    out["cache_entries"] = len(cache) if cache is not None else 0
+    return out
+
+
 def evaluate_selections(
     netlist: Netlist,
     flow_config: FlowConfig,

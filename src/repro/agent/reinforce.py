@@ -40,7 +40,12 @@ import numpy as np
 from repro import obs
 from repro.obs import telemetry as obs_telemetry
 from repro.agent.env import EndpointSelectionEnv
-from repro.agent.parallel import RewardCache, RolloutPool, evaluate_selections
+from repro.agent.parallel import (
+    RewardCache,
+    RolloutPool,
+    evaluate_selections,
+    rollout_stats,
+)
 from repro.agent.policy import RLCCDPolicy, Trajectory
 from repro.ccd.flow import (
     FlowConfig,
@@ -197,6 +202,8 @@ def train_rlccd(
     # has run, so records are staged in ``process`` and emitted after it.
     selection_counts: Counter = Counter()
     pending_records: List[Dict[str, Any]] = []
+    # The sequential path's ``tasks`` / ``batches`` for the rollout record.
+    sequential_counts: Counter = Counter()
 
     def process(trajectory: Trajectory, flow_reward, batch_size: int) -> bool:
         """Norm update, REINFORCE backward, bookkeeping; returns improved."""
@@ -319,6 +326,7 @@ def train_rlccd(
             else:
                 # Sequential: interleave rollout → evaluate → backward so only
                 # one trajectory's autograd tape is alive at a time.
+                sequential_counts["batches"] += 1
                 for _ in range(batch_size):
                     with obs.span("agent.rollout", attrs={"episode": episode}):
                         trajectory = policy.rollout(
@@ -335,6 +343,7 @@ def train_rlccd(
                             snapshot=snapshot,
                             cache=cache,
                         )
+                    sequential_counts["tasks"] += 1
                     improved = process(trajectory, flow_reward, batch_size)
                     batch_improved = batch_improved or improved
                     del trajectory
@@ -366,17 +375,11 @@ def train_rlccd(
                     converged = True
                     break
     finally:
-        if obs.records_active() and (pool is not None or cache is not None):
-            stats: Dict[str, Any] = (
+        if obs.records_active():
+            stats = (
                 pool.stats()
                 if pool is not None
-                else {
-                    "workers": 1,
-                    "start_method": "sequential",
-                    "cache_hits": cache.hits,
-                    "cache_misses": cache.misses,
-                    "cache_entries": len(cache),
-                }
+                else rollout_stats(sequential_counts, 1, "sequential", cache)
             )
             stats["seed"] = config.seed
             stats["design_fingerprint"] = env.design_fingerprint()

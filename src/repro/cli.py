@@ -119,30 +119,17 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--episodes", type=int, default=4)
     bench.add_argument("--cells", type=int, default=320)
     bench.add_argument(
-        "--compare",
+        "--history",
         default=None,
-        metavar="BASELINE",
-        help="diff phase medians against a committed BENCH_*.json baseline "
-        "and warn on regressions (add --enforce to fail instead)",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.2,
-        help="relative median regression tolerance for --compare (default 0.2)",
+        metavar="PATH",
+        help="a BENCH_*.json baseline or a directory of past runs; phase "
+        "medians beyond the noise-aware threshold (3×MAD over the runs, or a "
+        "generous fallback with fewer than 3) print as ::warning lines",
     )
     bench.add_argument(
         "--enforce",
         action="store_true",
-        help="exit nonzero when a phase median exceeds the noise-aware "
-        "threshold (3×MAD over --history runs, or a generous fallback "
-        "against the single --compare baseline)",
-    )
-    bench.add_argument(
-        "--history",
-        default=None,
-        metavar="DIR",
-        help="directory of past BENCH_*.json runs for MAD-based enforcement",
+        help="turn --history regressions into ::error lines and exit 1",
     )
     bench.add_argument(
         "--update-baseline",
@@ -211,8 +198,9 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--history",
         default=None,
-        metavar="DIR",
-        help="directory of past BENCH_*.json / *.jsonl runs for phase trends",
+        metavar="PATH",
+        help="a BENCH_*.json run or a directory of them; adds history median "
+        "and status columns to the flow phase table",
     )
     report.add_argument(
         "--last",
@@ -379,45 +367,27 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro.obs.bench import (
             BenchConfig,
             ScaleSweepConfig,
-            compare_bench,
             default_output_name,
-            load_bench,
             run_bench,
             save_bench,
             update_baseline,
         )
 
-        # Load the baseline up front so a bad --compare path fails before
-        # the (slow) workload runs, not after — with a one-line error, not
-        # a traceback (missing file and corrupt/foreign JSON alike).
-        baseline = None
-        if args.compare:
-            try:
-                baseline = load_bench(args.compare)
-            except (OSError, ValueError) as exc:
-                print(
-                    f"error: cannot load bench baseline {args.compare}: {exc}",
-                    file=sys.stderr,
-                )
-                return 2
-        # Same for the enforced gate's history: an empty one would pass
-        # vacuously.
+        if args.enforce and not args.history:
+            print("error: --enforce needs --history PATH", file=sys.stderr)
+            return 2
+        # Load the history up front so a bad path fails before the (slow)
+        # workload runs, not after — with a one-line error, not a traceback
+        # (missing file and corrupt/foreign JSON alike).  An empty history
+        # would pass vacuously.
         history = None
-        if args.enforce:
-            from repro.obs.history import RunHistory
-
-            if not (args.compare or args.history):
-                print(
-                    "error: --enforce needs --compare BASELINE and/or --history DIR",
-                    file=sys.stderr,
-                )
+        if args.history:
+            history = _load_history(args.history)
+            if history is None:
                 return 2
-            history = RunHistory.scan(args.history) if args.history else RunHistory()
-            if len(history) == 0 and baseline is not None:
-                history = RunHistory.from_payloads([baseline], [args.compare])
             if len(history) == 0:
                 print(
-                    f"error: --enforce found no BENCH_*.json runs in {args.history}",
+                    f"error: found no BENCH_*.json runs in {args.history}",
                     file=sys.stderr,
                 )
                 return 2
@@ -448,32 +418,22 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(format_bench(payload))
             print(f"wrote {out}", file=sys.stderr)
 
-        if baseline is not None:
-            warnings = compare_bench(baseline, payload, tolerance=args.tolerance)
-            for warning in warnings:
-                # GitHub Actions turns `::warning ::` lines into annotations;
-                # locally they read fine as plain stderr output.
-                print(f"::warning ::bench regression: {warning}", file=sys.stderr)
-            if not warnings:
-                print(
-                    f"no phase median regressed beyond "
-                    f"{100.0 * args.tolerance:.0f}% of {args.compare}",
-                    file=sys.stderr,
-                )
-
         if history is not None:
             from repro.obs.history import candidate_phases
 
             failures = history.check(candidate_phases(payload), last_n=10)
+            # GitHub Actions turns `::warning ::` / `::error ::` lines into
+            # annotations; locally they read fine as plain stderr output.
+            severity = "error" if args.enforce else "warning"
             for failure in failures:
                 print(
-                    f"::error ::bench regression: {failure.message()}",
+                    f"::{severity} ::bench regression: {failure.message()}",
                     file=sys.stderr,
                 )
             if failures:
-                return 1
+                return 1 if args.enforce else 0
             print(
-                f"enforced bench gate passed against {len(history)} "
+                f"bench gate passed against {len(history)} "
                 f"historical run{'s' if len(history) != 1 else ''}",
                 file=sys.stderr,
             )
@@ -527,7 +487,6 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "report":
         import os
 
-        from repro.obs.history import RunHistory
         from repro.obs.report import render_report
 
         try:
@@ -535,7 +494,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: cannot read trace {args.trace}: {exc}", file=sys.stderr)
             return 2
-        history = RunHistory.scan(args.history) if args.history else None
+        history = None
+        if args.history:
+            history = _load_history(args.history)
+            if history is None:
+                return 2
         text = render_report(
             trace_records,
             history=history,
@@ -605,6 +568,17 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     return 1
+
+
+def _load_history(path: str):
+    """``RunHistory.scan(path)``, or ``None`` after a one-line error."""
+    from repro.obs.history import RunHistory
+
+    try:
+        return RunHistory.scan(path)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot load bench history {path}: {exc}", file=sys.stderr)
+        return None
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:

@@ -7,13 +7,13 @@ Small, dependency-free pieces (see ``docs/observability.md``):
   (``obs.incr("skew.commits")``) and gauges; fork-safe merge for the
   parallel trainer; strict no-op when disabled;
 * :mod:`repro.obs.records` — structured JSONL run records behind
-  ``REPRO_OBS=<path>`` / ``--trace`` (schema ``repro-obs/v2``, with a
-  backward-compatible v1 reader);
+  ``REPRO_OBS=<path>`` / ``--trace`` (schema ``repro-obs/v2``), buffered
+  inside rollout workers and replayed by the parent;
 * :mod:`repro.obs.telemetry` — per-episode RL internals (entropy,
   attention-logit stats, gradient norms, selection trajectories) nested
   into ``episode`` records;
 * :mod:`repro.obs.history` — the run-history store indexing past
-  ``BENCH_*.json`` / trace files and computing median+MAD baselines;
+  ``BENCH_*.json`` runs and computing median+MAD baselines;
 * :mod:`repro.obs.report` — the ``python -m repro report`` dashboard;
 * :mod:`repro.obs.profiling` — ``--profile`` (cProfile + tracemalloc
   into ``profile`` records);
@@ -54,15 +54,12 @@ from repro.obs.core import (
 from repro.obs.logging import get_logger, setup_logging, verbosity_to_level
 from repro.obs.records import (
     SCHEMA,
-    SCHEMA_V1,
-    SUPPORTED_SCHEMAS,
     emit,
     env_trace_path,
     git_sha,
     read_records,
     set_trace_path,
     trace_path,
-    upgrade_record,
 )
 
 # Whether the JSONL sink is connected.  ``records.tracing`` keeps its name
@@ -79,8 +76,6 @@ __all__ = [
     "Span",
     "Stopwatch",
     "SCHEMA",
-    "SCHEMA_V1",
-    "SUPPORTED_SCHEMAS",
     "child_reset",
     "disable",
     "emit",
@@ -103,7 +98,6 @@ __all__ = [
     "span",
     "trace_path",
     "tracing",
-    "upgrade_record",
     "verbosity_to_level",
     "verify_enabled",
 ]

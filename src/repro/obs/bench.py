@@ -19,11 +19,11 @@ aggregates the recorder into the ``BENCH_<sha>.json`` schema::
 
 ``metrics``/``counters``/``design`` are deterministic for a fixed seed;
 only ``phases``/``obs``/``scale``/``total_seconds``/``host`` carry
-wall-clock noise.  CI diffs phase medians against the committed baseline:
-it warns beyond the tolerance, and with ``--enforce`` fails only beyond
-the noise-aware threshold of :mod:`repro.obs.history`, because shared
-runners are noisy.  Engine-vs-engine throughput lives in the end-to-end
-benchmark under ``perfbench/``, not here.
+wall-clock noise.  ``--history`` holds phase medians to the noise-aware
+threshold of :mod:`repro.obs.history` (the committed baseline in CI): a
+phase beyond it is a warning, and with ``--enforce`` a failure.
+Engine-vs-engine throughput lives in the end-to-end benchmark under
+``perfbench/``, not here.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import os
 import platform
 import statistics
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -43,11 +43,6 @@ from repro.obs import core as obs
 from repro.obs import records
 
 BENCH_SCHEMA = "repro-bench/v1"
-
-#: Phase medians whose baseline/candidate ratio exceeds ``1 + tolerance``
-#: are flagged by :func:`compare_bench`; below this floor a phase is too
-#: fast for a stable ratio on shared hardware.
-MIN_COMPARABLE_SECONDS = 1e-4
 
 
 @dataclass(frozen=True)
@@ -120,7 +115,7 @@ def run_scale_sweep(config: ScaleSweepConfig = ScaleSweepConfig()) -> Dict[str, 
     ``section.scale.<label>.<metric>`` pseudo-phases for the nightly
     median+MAD gate: per-cell cost is the quantity that must stay flat as
     designs grow, and normalization keeps every metric above the gate's
-    :data:`MIN_COMPARABLE_SECONDS` floor at every size.
+    :data:`repro.obs.history.MIN_COMPARABLE_SECONDS` floor at every size.
 
     Wall-clock only — :func:`strip_timing` drops the section.
     """
@@ -506,40 +501,6 @@ def load_bench(path: str) -> Dict[str, Any]:
 
 def default_output_name() -> str:
     return f"BENCH_{records.git_sha()}.json"
-
-
-def compare_bench(
-    baseline: Dict[str, Any],
-    candidate: Dict[str, Any],
-    tolerance: float = 0.2,
-) -> List[str]:
-    """Human-readable warnings for phase medians regressed beyond tolerance.
-
-    Advisory only (CI warns, never fails): returns one line per phase whose
-    candidate median exceeds the baseline median by more than
-    ``tolerance`` (relative), skipping sub-:data:`MIN_COMPARABLE_SECONDS`
-    phases where scheduler noise dominates.
-    """
-    if tolerance < 0:
-        raise ValueError("tolerance must be non-negative")
-    warnings: List[str] = []
-    base_phases = baseline.get("phases", {})
-    for name, cand in sorted(candidate.get("phases", {}).items()):
-        base = base_phases.get(name)
-        if base is None:
-            continue
-        base_median = float(base["median_s"])
-        cand_median = float(cand["median_s"])
-        if base_median < MIN_COMPARABLE_SECONDS:
-            continue
-        if cand_median > base_median * (1.0 + tolerance):
-            warnings.append(
-                f"phase {name}: median {cand_median * 1e3:.3f} ms vs baseline "
-                f"{base_median * 1e3:.3f} ms "
-                f"(+{100.0 * (cand_median / base_median - 1.0):.0f}%, "
-                f"tolerance {100.0 * tolerance:.0f}%)"
-            )
-    return warnings
 
 
 def strip_timing(payload: Dict[str, Any]) -> Dict[str, Any]:

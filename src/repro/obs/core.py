@@ -4,8 +4,8 @@ The recorder is the in-memory half of the observability layer
 (:mod:`repro.obs`).  Hot paths instrument themselves with
 
 * ``with obs.span("sta.full_update"): ...`` — a monotonic phase timer
-  (nestable: a span opened inside another span records under its own name
-  and the active stack is tracked per thread);
+  (nestable: a span opened inside another span records under its own name;
+  the event tracer, when installed, keeps the per-thread parent stack);
 * ``obs.incr("skew.commits")`` — a counter;
 * ``obs.gauge("flow.endpoints", n)`` — a last-value gauge.
 
@@ -66,24 +66,12 @@ class Recorder:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._tls = threading.local()
         self.pid = os.getpid()
         self.phases: Dict[str, PhaseStats] = {}
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
 
-    # ---- span bookkeeping ------------------------------------------- #
-    def _stack(self) -> List[str]:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = []
-            self._tls.stack = stack
-        return stack
-
-    def span_stack(self) -> List[str]:
-        """Names of the spans currently open on this thread (outer first)."""
-        return list(self._stack())
-
+    # ---- phases ----------------------------------------------------- #
     def add_phase(self, name: str, elapsed: float) -> None:
         with self._lock:
             stats = self.phases.get(name)
@@ -142,7 +130,15 @@ TRACE_INHERIT = object()
 
 
 class Span:
-    """Recording timer context manager (only built while enabled)."""
+    """Recording timer context manager (only built while enabled).
+
+    One object carries both halves of a span: the phase timing the recorder
+    aggregates (``elapsed``) and, while an event tracer is installed, the
+    event identity it emits (``span_id``, ``parent_id``, wall-clock ``ts``),
+    filled in by ``Tracer.open``.  ``parent_id`` holds the requested parent
+    until then: an explicit id, ``None`` for a root, or
+    :data:`TRACE_INHERIT`.
+    """
 
     __slots__ = (
         "name",
@@ -150,8 +146,9 @@ class Span:
         "_recorder",
         "_start",
         "elapsed",
-        "_trace",
-        "_trace_parent",
+        "span_id",
+        "parent_id",
+        "ts",
     )
 
     def __init__(
@@ -166,26 +163,22 @@ class Span:
         self._recorder = recorder
         self._start = 0.0
         self.elapsed: Optional[float] = None
-        self._trace = None
-        self._trace_parent = trace_parent
+        self.span_id: Optional[str] = None
+        self.parent_id = trace_parent
+        self.ts = 0.0
 
     def __enter__(self) -> "Span":
-        self._recorder._stack().append(self.name)
         tracer = _tracer
         if tracer is not None:
-            self._trace = tracer.begin(self.name, self._trace_parent)
+            tracer.open(self)
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.elapsed = time.perf_counter() - self._start
-        stack = self._recorder._stack()
-        if stack and stack[-1] == self.name:
-            stack.pop()
-        token = self._trace
-        if token is not None:
-            self._trace = None
-            token.finish(self.elapsed, self.attrs)
+        tracer = _tracer
+        if tracer is not None and self.span_id is not None:
+            tracer.close(self)
         self._recorder.add_phase(self.name, self.elapsed)
         return False
 
@@ -232,10 +225,11 @@ _recorder = Recorder()
 _enabled: bool = bool(os.environ.get(ENV_VAR, "").strip())
 _verify: bool = os.environ.get(VERIFY_ENV_VAR, "").strip().lower() in _TRUTHY
 
-#: Installed event tracer (see :mod:`repro.obs.tracing`) or ``None``.  Spans
-#: check this exactly once per ``__enter__``; with no tracer installed the
-#: cost is one module-global load + branch, and the disabled-recorder path
-#: (the shared ``_NULL_SPAN``) never reaches it at all.
+#: Installed event tracer (see :mod:`repro.obs.tracing`) or ``None``; the
+#: only tracer reference.  Spans check it once on enter and once on exit;
+#: with no tracer installed the cost is one module-global load + branch
+#: each, and the disabled-recorder path (the shared ``_NULL_SPAN``) never
+#: reaches it at all.
 _tracer: Optional[Any] = None
 
 
@@ -243,10 +237,6 @@ def set_tracer(tracer: Optional[Any]) -> None:
     """Install (or remove, with ``None``) the event tracer Span hooks into."""
     global _tracer
     _tracer = tracer
-
-
-def get_tracer() -> Optional[Any]:
-    return _tracer
 
 
 def enabled() -> bool:

@@ -1,9 +1,7 @@
 """Run-history store: index past runs, compute noise-aware baselines.
 
-A *run* is either a ``BENCH_*.json`` payload (:mod:`repro.obs.bench`) or a
-JSONL trace (:mod:`repro.obs.records`); both are indexed by
-``(git_sha, created_at, seed)``.  The store answers two questions the
-single-baseline diff of PR 1 could not:
+A *run* is a ``BENCH_*.json`` payload (:mod:`repro.obs.bench`), indexed
+by ``(git_sha, created_at, seed)``.  The store answers two questions:
 
 * **What is normal?** — per-phase baselines over the last *N* runs as
   *median + MAD* (median absolute deviation), the standard robust
@@ -11,8 +9,10 @@ single-baseline diff of PR 1 could not:
   it would shift a mean/stddev pair.
 * **Is this a regression or noise?** — :meth:`RunHistory.check` flags a
   candidate phase only when its median exceeds the history median by more
-  than ``k×MAD`` (default ``k=3``) *and* a relative noise floor, so the
-  CI gate can be enforced (nonzero exit) instead of advisory.
+  than ``k×MAD`` (default ``k=3``) *and* a relative noise floor.  That is
+  the one regression rule: ``bench --history`` prints its failures as
+  warnings, or as errors with a nonzero exit under ``--enforce``, and the
+  report's status column decides through it too.
 
 With fewer than ``min_runs`` historical runs the MAD is meaningless
 (zero for a single run), so the check falls back to a generous relative
@@ -26,10 +26,13 @@ import glob
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.obs import records as obs_records
-from repro.obs.bench import BENCH_SCHEMA, MIN_COMPARABLE_SECONDS
+from repro.obs.bench import BENCH_SCHEMA, load_bench
+
+#: Below this history median a phase is too fast for a stable ratio on
+#: shared hardware and is never flagged.
+MIN_COMPARABLE_SECONDS = 1e-4
 
 #: Enforcement default: candidate median must exceed history median by more
 #: than this many MADs to fail the gate.
@@ -134,17 +137,6 @@ class BenchRun:
 
 
 @dataclass(frozen=True)
-class TraceRun:
-    """One indexed JSONL trace (episode/flow/profile records)."""
-
-    path: str
-    git_shas: Tuple[str, ...]
-    seeds: Tuple[int, ...]
-    episodes: int
-    kinds: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class PhaseBaseline:
     """Robust per-phase timing baseline over the indexed runs."""
 
@@ -170,7 +162,7 @@ def regression_threshold(
       than ``m + ABS_NOISE_FLOOR_S``.
 
     ``None`` when *m* is below ``min_seconds``: the phase is too fast for a
-    stable comparison and is never flagged.  The enforced gate
+    stable comparison and is never flagged.  The bench gate
     (:meth:`RunHistory.check`) and the report's status column both decide
     through this function, so they cannot disagree.
     """
@@ -190,7 +182,7 @@ def regression_threshold(
 
 @dataclass(frozen=True)
 class Regression:
-    """One enforced-gate failure: a phase median beyond its threshold."""
+    """One bench-gate failure: a phase median beyond its threshold."""
 
     phase: str
     candidate_s: float
@@ -208,19 +200,14 @@ class Regression:
 
 
 class RunHistory:
-    """Immutable index of past bench payloads and traces."""
+    """Immutable index of past bench payloads."""
 
-    def __init__(
-        self,
-        benches: Sequence[BenchRun] = (),
-        traces: Sequence[TraceRun] = (),
-    ) -> None:
+    def __init__(self, benches: Sequence[BenchRun] = ()) -> None:
         # Oldest first, deterministically: created_at (ISO strings sort
         # chronologically), then path as tie-breaker.
         self.benches: List[BenchRun] = sorted(
             benches, key=lambda run: (run.created_at, run.path)
         )
-        self.traces: List[TraceRun] = sorted(traces, key=lambda run: run.path)
 
     def __len__(self) -> int:
         return len(self.benches)
@@ -241,45 +228,28 @@ class RunHistory:
         )
 
     @classmethod
-    def scan(cls, root: str) -> "RunHistory":
-        """Index every bench JSON and JSONL trace under ``root``.
+    def scan(cls, path: str) -> "RunHistory":
+        """Index one ``BENCH_*.json`` file, or every one under a directory.
 
-        Unreadable or foreign files are skipped (a history directory often
+        A file must load (:func:`repro.obs.bench.load_bench` raises
+        :class:`OSError` / :class:`ValueError` otherwise).  In a directory,
+        unreadable or foreign files are skipped (a history directory often
         accumulates partial runs); the scan itself never raises for them.
         """
+        if not os.path.isdir(path):
+            return cls([BenchRun.from_payload(load_bench(path), path)])
         benches: List[BenchRun] = []
-        traces: List[TraceRun] = []
-        for path in sorted(glob.glob(os.path.join(root, "**", "*.json"), recursive=True)):
+        for name in sorted(glob.glob(os.path.join(path, "**", "*.json"), recursive=True)):
             try:
-                with open(path) as handle:
+                with open(name) as handle:
                     payload = json.load(handle)
             except (OSError, ValueError):
                 continue
             if isinstance(payload, dict) and payload.get("schema") == BENCH_SCHEMA:
-                benches.append(BenchRun.from_payload(payload, path))
-        for path in sorted(glob.glob(os.path.join(root, "**", "*.jsonl"), recursive=True)):
-            try:
-                recs = obs_records.read_records(path)
-            except (OSError, ValueError):
-                continue
-            traces.append(
-                TraceRun(
-                    path=path,
-                    git_shas=tuple(
-                        sorted({str(r.get("git_sha", "unknown")) for r in recs})
-                    ),
-                    seeds=tuple(
-                        sorted(
-                            {int(r["seed"]) for r in recs if r.get("seed") is not None}
-                        )
-                    ),
-                    episodes=sum(1 for r in recs if r.get("kind") == "episode"),
-                    kinds=tuple(sorted({str(r.get("kind")) for r in recs})),
-                )
-            )
-        return cls(benches=benches, traces=traces)
+                benches.append(BenchRun.from_payload(payload, name))
+        return cls(benches)
 
-    # ---- baselines and the enforced gate ----------------------------- #
+    # ---- baselines and the regression check -------------------------- #
     def phase_baselines(self, last_n: int = 10) -> Dict[str, PhaseBaseline]:
         """Median + MAD of each phase's per-run medians, last ``last_n`` runs.
 
@@ -307,12 +277,11 @@ class RunHistory:
         fallback_tolerance: float = FALLBACK_TOLERANCE,
         min_seconds: float = MIN_COMPARABLE_SECONDS,
     ) -> List[Regression]:
-        """Enforced regression check of a candidate's ``phases`` table.
+        """Regression check of a candidate's ``phases`` table.
 
         Each phase is held to :func:`regression_threshold`.  Phases faster
-        than ``min_seconds`` or absent from history are skipped (same floors
-        as the advisory diff).  Returns the failures, empty when the
-        candidate is within bounds.
+        than ``min_seconds`` or absent from history are skipped.  Returns
+        the failures, empty when the candidate is within bounds.
         """
         if k <= 0:
             raise ValueError("k must be positive")

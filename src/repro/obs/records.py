@@ -12,15 +12,15 @@ record emitted before the crash and concurrent readers (``tail -f``, CI log
 scrapers) always see whole lines.  Timing fields live under ``phases`` /
 ``*_seconds`` keys; everything else is deterministic for a fixed seed, which
 is what the determinism test in ``tests/test_telemetry.py`` pins down.
+Readers accept ``repro-obs/v2`` only.
 
-Schema history:
-
-* ``repro-obs/v1`` — PR 1's envelope; ``episode`` records carry only the
-  reward-level fields (tns/wns/nve/num_selected/advantage).
-* ``repro-obs/v2`` — adds the nested ``telemetry`` object to ``episode``
-  records (:mod:`repro.obs.telemetry`) and the ``profile`` record kind
-  (:mod:`repro.obs.profiling`).  v1 files remain readable:
-  :func:`read_records` upgrades them in memory via :func:`upgrade_record`.
+Worker processes never write the sink.  :func:`buffer_records` turns a
+worker's :func:`emit` into an append to an in-memory list; the worker ships
+:func:`drain` inside each result message and the parent replays the items
+through :func:`ingest`, which stamps the parent's envelope.  That is one
+channel for every record kind, and it behaves the same under ``fork``
+(where the child inherits the sink path) and ``spawn`` (where the child
+re-reads ``REPRO_OBS`` at import).
 """
 
 from __future__ import annotations
@@ -29,19 +29,17 @@ import json
 import os
 import subprocess
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs import core
 
-SCHEMA_V1 = "repro-obs/v1"
 SCHEMA = "repro-obs/v2"
-
-#: Schemas :func:`read_records` accepts (oldest first).
-SUPPORTED_SCHEMAS = (SCHEMA_V1, SCHEMA)
 
 _lock = threading.Lock()
 _trace_path: Optional[str] = None
 _git_sha: Optional[str] = None
+#: Worker-side record buffer (``None`` outside a buffering worker).
+_buffer: Optional[List[Tuple[str, Dict[str, Any]]]] = None
 
 
 def env_trace_path() -> Optional[str]:
@@ -71,14 +69,16 @@ def set_trace_path(path: Optional[str]) -> None:
 
     Setting a sink implies enabling the recorder — a trace with empty phase
     data would be useless.  The parent directory is created eagerly so a
-    bad path fails here, not at the first record mid-run.
+    bad path fails here, not at the first record mid-run.  It also ends
+    worker-side buffering (:func:`buffer_records`).
     """
-    global _trace_path
+    global _trace_path, _buffer
     if path:
         parent = os.path.dirname(os.path.abspath(path))
         os.makedirs(parent, exist_ok=True)
     with _lock:
         _trace_path = path
+        _buffer = None
     if path:
         core.enable()
 
@@ -88,8 +88,37 @@ def trace_path() -> Optional[str]:
 
 
 def tracing() -> bool:
-    """Whether run records are being written."""
-    return _trace_path is not None
+    """Whether run records are being written (or buffered, in a worker)."""
+    return _trace_path is not None or _buffer is not None
+
+
+def buffer_records(on: bool) -> None:
+    """Worker side: disconnect the sink; with ``on``, buffer records instead.
+
+    Called once at worker start.  ``on`` is the parent's :func:`tracing`
+    flag, so a worker records exactly when its parent does, whatever sink
+    the start method left it with.
+    """
+    global _trace_path, _buffer
+    with _lock:
+        _trace_path = None
+        _buffer = [] if on else None
+
+
+def drain() -> List[Tuple[str, Dict[str, Any]]]:
+    """Return and clear the buffered ``(kind, payload)`` items."""
+    global _buffer
+    with _lock:
+        if not _buffer:
+            return []
+        out, _buffer = _buffer, []
+    return out
+
+
+def ingest(items: Optional[Iterable[Tuple[str, Dict[str, Any]]]]) -> None:
+    """Parent side: re-emit worker-drained items with this process's envelope."""
+    for kind, payload in items or ():
+        emit(kind, payload)
 
 
 def git_sha() -> str:
@@ -116,8 +145,13 @@ def emit(kind: str, payload: Dict[str, Any]) -> None:
     """Append one run record (no-op when no sink is configured).
 
     The envelope keys (``schema``, ``kind``, ``git_sha``) win over payload
-    keys of the same name.
+    keys of the same name.  In a buffering worker the record goes to the
+    buffer instead, without an envelope.
     """
+    buffer = _buffer
+    if buffer is not None:
+        buffer.append((kind, dict(payload)))
+        return
     path = _trace_path
     if path is None:
         return
@@ -141,35 +175,11 @@ def _jsonify(value: Any) -> Any:
     return str(value)
 
 
-def upgrade_record(record: Dict[str, Any]) -> Dict[str, Any]:
-    """Lift one record to the current schema (returns v2 records as-is).
+def read_records(path: str) -> list:
+    """Parse a JSONL trace back into a list of dicts.
 
-    v1 → v2 is purely additive: ``episode`` records gain an explicit
-    ``telemetry: null`` so v2 consumers can distinguish "telemetry was off /
-    predates telemetry" from "telemetry collected nothing".  Unknown
-    schemas raise — silently passing them through would defeat the check.
-    """
-    schema = record.get("schema")
-    if schema == SCHEMA:
-        return record
-    if schema != SCHEMA_V1:
-        raise ValueError(
-            f"record schema {schema!r} is not one of {SUPPORTED_SCHEMAS}"
-        )
-    upgraded = dict(record)
-    upgraded["schema"] = SCHEMA
-    if upgraded.get("kind") == "episode":
-        upgraded.setdefault("telemetry", None)
-    return upgraded
-
-
-def read_records(path: str, upgrade: bool = True) -> list:
-    """Parse a JSONL trace back into a list of dicts (schema-checked).
-
-    Accepts every schema in :data:`SUPPORTED_SCHEMAS`; with ``upgrade=True``
-    (the default) older records come back lifted to the current schema, so
-    downstream consumers (``repro report``, the history store) only ever
-    see the v2 shape.
+    Every record must carry :data:`SCHEMA`; any other schema raises a
+    :class:`ValueError` naming the line.
     """
     records = []
     with open(path) as handle:
@@ -190,12 +200,12 @@ def read_records(path: str, upgrade: bool = True) -> list:
                 core.incr("obs.records.truncated")
                 break
             raise
-        if record.get("schema") not in SUPPORTED_SCHEMAS:
+        if record.get("schema") != SCHEMA:
             raise ValueError(
-                f"record schema {record.get('schema')!r} not in "
-                f"{SUPPORTED_SCHEMAS} at {path}:{number}"
+                f"record schema {record.get('schema')!r} is not {SCHEMA!r} "
+                f"at {path}:{number}"
             )
-        records.append(upgrade_record(record) if upgrade else record)
+        records.append(record)
     return records
 
 

@@ -134,7 +134,7 @@ def _render_entropy(episodes: Sequence[Mapping[str, Any]]) -> List[str]:
     mean_entropy = _telemetry_series(episodes, "entropy_mean")
     lines = ["## Policy entropy", ""]
     if not mean_entropy:
-        lines.extend(["(no telemetry in this trace — v1 records or telemetry off)", ""])
+        lines.extend(["(no telemetry in this trace — telemetry off)", ""])
         return lines
     first = _telemetry_series(episodes, "entropy_first")
     last = _telemetry_series(episodes, "entropy_last")
@@ -254,7 +254,7 @@ def _render_rollout(rollouts: Sequence[Mapping[str, Any]]) -> List[str]:
         lines.append(
             f"| {record.get('workers', '?')} "
             f"| {record.get('start_method', '?')} "
-            f"| {record.get('tasks', lookups)} "
+            f"| {record.get('tasks', 0)} "
             f"| {hits} | {rate} "
             f"| {record.get('worker_restarts', 0)} "
             f"| {record.get('task_timeouts', 0)} "

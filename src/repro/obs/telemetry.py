@@ -125,10 +125,10 @@ def episode_payload(
 ) -> Dict[str, Any]:
     """Assemble the full v2 ``episode`` payload.
 
-    ``base`` carries the v1-compatible fields (episode, seed, reward, tns,
+    ``base`` carries the reward-level fields (episode, seed, reward, tns,
     wns, nve, num_selected, advantage); everything telemetry-specific nests
-    under ``telemetry`` so v1 consumers that only look at top-level keys
-    keep working unchanged.  Gradient norms are stitched in by the trainer
+    under ``telemetry``, so consumers that only look at top-level keys
+    ignore it.  Gradient norms are stitched in by the trainer
     after the optimizer step (see ``agent.reinforce``), since they only
     exist once the episode's update has run.
     """

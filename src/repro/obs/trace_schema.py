@@ -144,7 +144,7 @@ _VALIDATORS = {
 
 
 def validate_record(record: Mapping[str, Any], location: str = "record") -> str:
-    """Validate one (schema-upgraded) record; returns its kind.
+    """Validate one record; returns its kind.
 
     Raises :class:`ValueError` with ``location`` in the message on the
     first violation.
@@ -152,11 +152,8 @@ def validate_record(record: Mapping[str, Any], location: str = "record") -> str:
     if not isinstance(record, Mapping):
         _fail(location, f"record is {type(record).__name__}, expected object")
     schema = record.get("schema")
-    if schema not in obs_records.SUPPORTED_SCHEMAS:
-        _fail(
-            location,
-            f"schema {schema!r} not in {obs_records.SUPPORTED_SCHEMAS}",
-        )
+    if schema != obs_records.SCHEMA:
+        _fail(location, f"schema {schema!r} is not {obs_records.SCHEMA!r}")
     kind = _require(record, "kind", str, location)
     _require(record, "git_sha", str, location)
     validator = _VALIDATORS.get(kind)

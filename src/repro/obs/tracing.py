@@ -23,21 +23,22 @@ already pins.  Consumers:
 * ``repro report`` — the "Slowest spans" section.
 
 Cross-process correlation: :class:`repro.agent.parallel.RolloutPool`
-ships :func:`worker_context` to each worker, which activates a *buffered*
-tracer (:func:`enable_buffered`) — workers never touch the sink file;
-their events travel back inside result messages and the parent replays
-them through :func:`ingest`.  That works identically under fork and
-spawn, and span ids stay unique because they are prefixed with the
-emitting pid.  The submitting side passes its open span id in the task
-payload, and the worker opens its ``rollout.task`` span with that id as
-an explicit ``trace_parent``, so worker-side spans re-parent correctly
-under the submitting rollout step.
+ships :func:`worker_context` to each worker, which installs an ordinary
+tracer (:func:`enable` with its ``worker`` slot).  Span records go through
+:func:`repro.obs.records.emit`, which buffers inside a worker, so they
+travel back to the parent in result messages like every other record
+kind (:func:`repro.obs.records.buffer_records`).  Span ids stay
+unique across processes because they are prefixed with the emitting pid.
+The submitting side passes its open span id in the task payload, and the
+worker opens its ``rollout.task`` span with that id as an explicit
+``trace_parent``, so worker-side spans re-parent correctly under the
+submitting rollout step.
 
 Enablement: the tracer piggybacks on the records sink — it is on only
 when a sink is configured *and* events were requested (``--trace-events``
 or ``REPRO_TRACE_EVENTS=1``).  Disabled, the only residue is one
-module-global load + branch inside ``Span.__enter__`` on the
-recorder-enabled path; the recorder-disabled path is untouched.
+module-global load + branch in ``Span.__enter__`` and ``__exit__`` on
+the recorder-enabled path; the recorder-disabled path is untouched.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import os
 import threading
 import time
 import uuid
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.obs import core, records
 
@@ -59,47 +60,19 @@ ENV_VAR = "REPRO_TRACE_EVENTS"
 TRACE_SCHEMA = "repro-trace/v1"
 
 
-class _OpenSpan:
-    """Begin-side token for one in-flight span; finished by ``Span.__exit__``."""
-
-    __slots__ = ("_tracer", "span_id", "parent_id", "name", "ts")
-
-    def __init__(
-        self,
-        tracer: "Tracer",
-        span_id: str,
-        parent_id: Optional[str],
-        name: str,
-        ts: float,
-    ) -> None:
-        self._tracer = tracer
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.name = name
-        self.ts = ts
-
-    def finish(self, elapsed: float, attrs: Optional[Dict[str, Any]]) -> None:
-        self._tracer._end(self, elapsed, attrs)
-
-
 class Tracer:
-    """Per-process span-event factory with a pluggable sink.
+    """Per-process span-event factory; events go out as ``span`` run records
+    (:func:`repro.obs.records.emit`, which buffers inside a pool worker).
 
     Span ids are ``"<pid hex>-<counter hex>"`` — unique within a process by
     the counter, across processes by the pid prefix, so a fork inheriting
-    the parent's counter state still cannot collide.  The parent stack is
-    thread-local, mirroring the recorder's span stack.
+    the parent's counter state still cannot collide.  The stack of open
+    span ids (the parents of new spans) is thread-local.
     """
 
-    def __init__(
-        self,
-        trace_id: str,
-        sink: Callable[[Dict[str, Any]], None],
-        worker: Optional[int] = None,
-    ) -> None:
+    def __init__(self, trace_id: str, worker: Optional[int] = None) -> None:
         self.trace_id = trace_id
         self.worker = worker
-        self._sink = sink
         self._pid = os.getpid()
         self._counter = itertools.count(1)
         self._tls = threading.local()
@@ -120,31 +93,29 @@ class Tracer:
         stack = self._stack()
         return stack[-1] if stack else None
 
-    def begin(self, name: str, parent: Any = core.TRACE_INHERIT) -> _OpenSpan:
+    def open(self, span: "core.Span") -> None:
+        """Give ``span`` its event identity and push it as the open parent."""
         stack = self._stack()
-        if parent is core.TRACE_INHERIT:
-            parent_id = stack[-1] if stack else None
-        else:
-            parent_id = parent
-        span_id = self._new_span_id()
-        stack.append(span_id)
-        return _OpenSpan(self, span_id, parent_id, name, time.time())
+        if span.parent_id is core.TRACE_INHERIT:
+            span.parent_id = stack[-1] if stack else None
+        span.span_id = self._new_span_id()
+        span.ts = time.time()
+        stack.append(span.span_id)
 
-    def _end(
-        self, token: _OpenSpan, elapsed: float, attrs: Optional[Dict[str, Any]]
-    ) -> None:
+    def close(self, span: "core.Span") -> None:
+        """Pop ``span`` off the parent stack and emit its record."""
         stack = self._stack()
-        if stack and stack[-1] == token.span_id:
+        if stack and stack[-1] == span.span_id:
             stack.pop()
         self._emit(
             {
-                "name": token.name,
-                "span_id": token.span_id,
-                "parent_id": token.parent_id,
+                "name": span.name,
+                "span_id": span.span_id,
+                "parent_id": span.parent_id,
                 "ph": "X",
-                "ts": token.ts,
-                "dur": float(elapsed),
-                "attrs": dict(attrs) if attrs else {},
+                "ts": span.ts,
+                "dur": float(span.elapsed),
+                "attrs": dict(span.attrs) if span.attrs else {},
             }
         )
 
@@ -167,55 +138,27 @@ class Tracer:
         payload["trace_id"] = self.trace_id
         payload["pid"] = self._pid
         payload["worker"] = self.worker
-        self._sink(payload)
+        records.emit("span", payload)
 
 
 # ---------------------------------------------------------------------- #
-# Module-level state: the installed tracer and the worker-side buffer.
+# Module-level API over the tracer installed in ``core._tracer``.
 # ---------------------------------------------------------------------- #
-_tracer: Optional[Tracer] = None
-_buffer: List[Dict[str, Any]] = []
-
-
-def _records_sink(payload: Dict[str, Any]) -> None:
-    records.emit("span", payload)
-
-
 def enabled() -> bool:
     """Whether span events are being recorded in this process."""
-    return _tracer is not None
+    return core._tracer is not None
 
 
-def get_tracer() -> Optional[Tracer]:
-    return _tracer
-
-
-def enable(trace_id: Optional[str] = None) -> Tracer:
+def enable(trace_id: Optional[str] = None, worker: Optional[int] = None) -> Tracer:
     """Install a tracer writing span records to the JSONL sink.
 
     Implies enabling the recorder (events come from ``obs.span``, which is
     a no-op while the recorder is off).  Records still need a configured
-    sink (:func:`repro.obs.records.set_trace_path`) to land anywhere.
+    sink (:func:`repro.obs.records.set_trace_path`) to land anywhere; in a
+    pool worker that sink is the record buffer, and ``worker`` is the
+    slot stamped on every event.
     """
-    global _tracer
-    tracer = Tracer(trace_id or uuid.uuid4().hex[:16], _records_sink)
-    _tracer = tracer
-    core.enable()
-    core.set_tracer(tracer)
-    return tracer
-
-
-def enable_buffered(trace_id: str, worker: int) -> Tracer:
-    """Install a worker-side tracer that buffers events in memory.
-
-    Pool workers must not append to the sink file (spawn workers do not
-    even know its path); they accumulate events here and ship them back in
-    result messages (:func:`drain_buffer` → :func:`ingest` in the parent).
-    """
-    global _tracer
-    del _buffer[:]
-    tracer = Tracer(trace_id, _buffer.append, worker=worker)
-    _tracer = tracer
+    tracer = Tracer(trace_id or uuid.uuid4().hex[:16], worker)
     core.enable()
     core.set_tracer(tracer)
     return tracer
@@ -223,51 +166,18 @@ def enable_buffered(trace_id: str, worker: int) -> Tracer:
 
 def disable() -> None:
     """Remove the installed tracer (the recorder's state is untouched)."""
-    global _tracer
-    _tracer = None
     core.set_tracer(None)
-
-
-def child_reset() -> None:
-    """Start a worker process from a clean tracing state.
-
-    A forked child inherits the parent's tracer — including its sink
-    closure — so worker bodies drop it before (optionally) installing a
-    buffered tracer of their own.
-    """
-    disable()
-    del _buffer[:]
-
-
-def drain_buffer() -> List[Dict[str, Any]]:
-    """Return and clear the buffered events (worker side)."""
-    out = list(_buffer)
-    del _buffer[:]
-    return out
-
-
-def ingest(events: Optional[List[Dict[str, Any]]]) -> None:
-    """Replay worker-shipped events into the parent's JSONL sink.
-
-    Events keep their original pid/worker/span ids — the envelope layer
-    only stamps schema/kind/git_sha — so cross-process parent links
-    survive the round trip.
-    """
-    if not events:
-        return
-    for event in events:
-        records.emit("span", event)
 
 
 def current_span_id() -> Optional[str]:
     """Innermost open span id on this thread, or ``None`` (also when off)."""
-    tracer = _tracer
+    tracer = core._tracer
     return tracer.current_span_id() if tracer is not None else None
 
 
 def instant(name: str, attrs: Optional[Dict[str, Any]] = None) -> None:
     """Emit an instant event (no-op while tracing is off)."""
-    tracer = _tracer
+    tracer = core._tracer
     if tracer is not None:
         tracer.instant(name, attrs)
 
@@ -278,7 +188,7 @@ def worker_context(slot: int) -> Optional[Dict[str, Any]]:
     ``None`` while tracing is off, so the task-payload cost of the
     disabled path is exactly one ``None`` field.
     """
-    tracer = _tracer
+    tracer = core._tracer
     if tracer is None:
         return None
     return {"trace_id": tracer.trace_id, "worker": slot}

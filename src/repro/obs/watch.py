@@ -31,7 +31,6 @@ class RecordFollower:
     def __init__(self, path: str) -> None:
         self.path = path
         self._offset = 0
-        self._line_number = 0
 
     def poll(self) -> Iterator[Dict[str, Any]]:
         """Yield every *complete* record appended since the last poll."""
@@ -42,7 +41,6 @@ class RecordFollower:
         if size < self._offset:
             # The file shrank: a new run truncated/recreated it.
             self._offset = 0
-            self._line_number = 0
         if size == self._offset:
             return
         with open(self.path, "rb") as handle:
@@ -55,7 +53,6 @@ class RecordFollower:
             return
         self._offset += end + 1
         for raw in chunk[: end + 1].splitlines():
-            self._line_number += 1
             line = raw.decode("utf-8", errors="replace").strip()
             if not line:
                 continue
@@ -65,10 +62,9 @@ class RecordFollower:
                 # A live stream should survive one bad line (e.g. a crashed
                 # writer's torn record followed by a restart's output).
                 continue
-            try:
-                yield obs_records.upgrade_record(record)
-            except ValueError:
-                continue
+            # A record of another schema is skipped the same way.
+            if isinstance(record, dict) and record.get("schema") == obs_records.SCHEMA:
+                yield record
 
 
 def follow_records(
@@ -107,7 +103,7 @@ def render_watch_line(record: Mapping[str, Any]) -> Optional[str]:
     kind = record.get("kind")
     if kind == "episode":
         telemetry = record.get("telemetry") or {}
-        entropy = telemetry.get("policy_entropy_mean")
+        entropy = telemetry.get("entropy_mean")
         entropy_part = f" entropy={entropy:.3f}" if entropy is not None else ""
         return (
             f"episode {record.get('episode'):>4}  "

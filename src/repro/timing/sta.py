@@ -326,7 +326,8 @@ class TimingAnalyzer:
         if self._compiled is None:
             with obs.span("sta.compile"):
                 self._compiled = compile_timing(self.netlist)
-            obs.gauge("sta.peak_mb.compile", peak_rss_mb())
+            if obs.enabled():
+                obs.gauge("sta.peak_mb.compile", peak_rss_mb())
         return self._compiled
 
     def analyze(
@@ -356,7 +357,8 @@ class TimingAnalyzer:
             with obs.span("sta.full_update"):
                 obs.incr("sta.full_analyze")
                 report = analyze(compiled, clock, margins)
-            obs.gauge("sta.peak_mb.analyze", peak_rss_mb())
+            if obs.enabled():
+                obs.gauge("sta.peak_mb.analyze", peak_rss_mb())
             return report
 
         if (
@@ -367,7 +369,8 @@ class TimingAnalyzer:
             with obs.span("sta.full_update"):
                 obs.incr("sta.full_analyze")
                 report, self._state = inc.build_state(compiled, clock, margins)
-            obs.gauge("sta.peak_mb.analyze", peak_rss_mb())
+            if obs.enabled():
+                obs.gauge("sta.peak_mb.analyze", peak_rss_mb())
             return report
 
         with obs.span("sta.incremental_analyze"):

@@ -33,10 +33,10 @@ def clean_obs(monkeypatch):
 class TestBenchBaselineErrors:
     def test_missing_baseline_is_one_line_error(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
-        rc = main(["bench", "--compare", missing, *FAST_BENCH])
+        rc = main(["bench", "--history", missing, *FAST_BENCH])
         assert rc == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: cannot load bench baseline")
+        assert captured.err.startswith("error: cannot load bench history")
         assert captured.err.count("\n") == 1
         # Fails fast: the workload never ran.
         assert "phase timings" not in captured.out
@@ -44,16 +44,16 @@ class TestBenchBaselineErrors:
     def test_corrupt_baseline_is_one_line_error(self, tmp_path, capsys):
         corrupt = tmp_path / "corrupt.json"
         corrupt.write_text("{truncated")
-        rc = main(["bench", "--compare", str(corrupt), *FAST_BENCH])
+        rc = main(["bench", "--history", str(corrupt), *FAST_BENCH])
         assert rc == 2
-        assert "error: cannot load bench baseline" in capsys.readouterr().err
+        assert "error: cannot load bench history" in capsys.readouterr().err
 
     def test_foreign_schema_baseline_rejected(self, tmp_path, capsys):
         foreign = tmp_path / "foreign.json"
         foreign.write_text(json.dumps({"schema": "not-a-bench"}))
-        rc = main(["bench", "--compare", str(foreign), *FAST_BENCH])
+        rc = main(["bench", "--history", str(foreign), *FAST_BENCH])
         assert rc == 2
-        assert "error: cannot load bench baseline" in capsys.readouterr().err
+        assert "error: cannot load bench history" in capsys.readouterr().err
 
 
 class TestUpdateBaseline:
@@ -79,7 +79,7 @@ class TestEnforcedGate:
     def test_enforce_needs_a_history_source(self, capsys):
         rc = main(["bench", "--enforce", *FAST_BENCH])
         assert rc == 2
-        assert "--enforce needs" in capsys.readouterr().err
+        assert "--enforce needs --history" in capsys.readouterr().err
 
     def test_enforce_with_empty_history_is_one_line_error(self, tmp_path, capsys):
         empty = tmp_path / "history"
@@ -87,7 +87,7 @@ class TestEnforcedGate:
         rc = main(["bench", "--history", str(empty), "--enforce", *FAST_BENCH])
         assert rc == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: --enforce found no BENCH_*.json runs")
+        assert captured.err.startswith("error: found no BENCH_*.json runs")
         assert captured.err.count("\n") == 1
         # Fails fast: the workload never ran.
         assert "phase timings" not in captured.out
@@ -99,31 +99,47 @@ class TestEnforcedGate:
         capsys.readouterr()
         rc = main(
             ["bench", "--out", str(tmp_path / "BENCH_b.json"),
-             "--compare", out, "--enforce", *FAST_BENCH]
+             "--history", out, "--enforce", *FAST_BENCH]
         )
         assert rc == 0
         captured = capsys.readouterr()
-        assert "enforced bench gate passed" in captured.err
+        assert "bench gate passed against 1 historical run" in captured.err
         assert "::error" not in captured.err
 
-    def test_enforce_fails_on_injected_slowdown(self, tmp_path, capsys):
+    @staticmethod
+    def _fast_baseline(tmp_path, capsys) -> str:
+        """Acceptance scenario: a baseline claiming every phase used to run
+        5x faster, so the (honest) candidate looks 5x regressed."""
         out = str(tmp_path / "BENCH_a.json")
         assert main(["bench", "--out", out, *FAST_BENCH]) == 0
         capsys.readouterr()
-        # Acceptance scenario: make the baseline claim every phase used to
-        # run 5x faster, so the (honest) candidate looks 5x regressed.
         payload = load_bench(out)
         for stats in payload["phases"].values():
             stats["median_s"] = stats["median_s"] / 5.0
         doctored = str(tmp_path / "BENCH_fast.json")
         with open(doctored, "w") as handle:
             json.dump(payload, handle)
+        return doctored
+
+    def test_enforce_fails_on_injected_slowdown(self, tmp_path, capsys):
+        doctored = self._fast_baseline(tmp_path, capsys)
         rc = main(
             ["bench", "--out", str(tmp_path / "BENCH_b.json"),
-             "--compare", doctored, "--enforce", *FAST_BENCH]
+             "--history", doctored, "--enforce", *FAST_BENCH]
         )
         assert rc == 1
         assert "::error ::bench regression:" in capsys.readouterr().err
+
+    def test_history_without_enforce_only_warns(self, tmp_path, capsys):
+        doctored = self._fast_baseline(tmp_path, capsys)
+        rc = main(
+            ["bench", "--out", str(tmp_path / "BENCH_b.json"),
+             "--history", doctored, *FAST_BENCH]
+        )
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "::warning ::bench regression:" in err
+        assert "::error" not in err
 
     def test_history_directory_loads_as_historical_runs(self, tmp_path, capsys):
         """Load-independent twin of the wall-clock test below: the history
@@ -204,6 +220,22 @@ class TestTrainAndProfile:
         assert "episode 0:" in captured.err
         kinds = [r["kind"] for r in obs.read_records(trace)]
         assert "episode" in kinds and "train" in kinds
+
+    def test_sequential_and_pooled_rollout_records_share_keys(self, tmp_path, capsys):
+        keys = {}
+        for workers in (1, 2):
+            trace = str(tmp_path / f"w{workers}.jsonl")
+            rc = main(
+                ["--trace", trace, "train", "--episodes", "2", "--cells", "240",
+                 "--workers", str(workers), "--no-reward-cache"]
+            )
+            assert rc == 0
+            (rollout,) = [
+                r for r in obs.read_records(trace) if r["kind"] == "rollout"
+            ]
+            assert rollout["tasks"] == 2
+            keys[workers] = set(rollout)
+        assert keys[1] == keys[2]
 
     def test_profile_without_sink_is_an_error(self, capsys):
         rc = main(["--profile", "blocks"])
@@ -332,6 +364,11 @@ class TestWatchCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "episode" in out and "train" in out
+        episodes = [line for line in out.splitlines() if line.startswith("episode")]
+        assert len(episodes) == 2
+        assert all("entropy=" in line for line in episodes)
+        (rollout,) = [line for line in out.splitlines() if line.startswith("rollout")]
+        assert "tasks=2" in rollout
 
     def test_watch_spans_mode_prints_span_lines(self, tmp_path, capsys):
         from repro.obs import tracing

@@ -69,7 +69,7 @@ class TestRunHistoryIndex:
         assert run.git_sha == "abc"
         assert run.seed == 0
 
-    def test_scan_indexes_benches_and_traces(self, tmp_path):
+    def test_scan_indexes_benches_and_ignores_traces(self, tmp_path):
         for i in range(2):
             (tmp_path / f"BENCH_{i}.json").write_text(
                 json.dumps(_payload({"a": 0.1}, created_at=f"2026-01-0{i + 1}T00:00:00Z"))
@@ -84,10 +84,7 @@ class TestRunHistoryIndex:
         trace.write_text("".join(json.dumps(r) + "\n" for r in records))
         history = RunHistory.scan(str(tmp_path))
         assert len(history) == 2
-        (trace_run,) = history.traces
-        assert trace_run.episodes == 1
-        assert trace_run.kinds == ("episode", "flow")
-        assert trace_run.seeds == (0,)
+        assert all(run.path.endswith(".json") for run in history.benches)
 
     def test_scan_skips_foreign_and_corrupt_files(self, tmp_path):
         (tmp_path / "other.json").write_text('{"schema": "something-else"}')
@@ -95,7 +92,24 @@ class TestRunHistoryIndex:
         (tmp_path / "corrupt.jsonl").write_text("not json\n")
         history = RunHistory.scan(str(tmp_path))
         assert len(history) == 0
-        assert history.traces == []
+
+    def test_scan_file_is_a_one_run_history(self, tmp_path):
+        path = tmp_path / "BENCH_baseline.json"
+        path.write_text(json.dumps(_payload({"a": 0.1})))
+        history = RunHistory.scan(str(path))
+        (run,) = history.benches
+        assert run.path == str(path)
+        assert run.phase_medians == {"a": 0.1}
+
+    @pytest.mark.parametrize(
+        "content", [None, "{nope", '{"schema": "something-else"}']
+    )
+    def test_scan_file_raises_on_bad_input(self, tmp_path, content):
+        path = tmp_path / "BENCH_bad.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises((OSError, ValueError)):
+            RunHistory.scan(str(path))
 
 
 class TestPhaseBaselines:

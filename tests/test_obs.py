@@ -19,7 +19,6 @@ from repro.netlist.generator import quick_design
 from repro.obs.bench import (
     BenchConfig,
     aggregate_phases,
-    compare_bench,
     load_bench,
     run_bench,
     save_bench,
@@ -70,16 +69,11 @@ class TestRecorder:
     def test_span_nesting(self):
         obs.enable()
         with obs.span("unit.outer"):
-            assert obs.get_recorder().span_stack() == ["unit.outer"]
             with obs.span("unit.inner"):
-                assert obs.get_recorder().span_stack() == [
-                    "unit.outer",
-                    "unit.inner",
-                ]
+                pass
             with obs.span("unit.inner"):
                 pass
         recorder = obs.get_recorder()
-        assert recorder.span_stack() == []
         assert recorder.phases["unit.outer"].count == 1
         assert recorder.phases["unit.inner"].count == 2
         # Children ran inside the parent, so the parent's time bounds theirs.
@@ -117,6 +111,23 @@ class TestRecorder:
         assert recorder.counters == {}
         assert recorder.gauges == {}
         assert obs.export_state() is None
+
+    def test_disabled_flow_never_reads_peak_rss(self, monkeypatch):
+        """STA's memory gauges cost a getrusage call each; while the
+        recorder is off, no flow may pay for it."""
+        from repro.timing import sta
+
+        calls = []
+
+        def counting_peak_rss_mb():
+            calls.append(1)
+            return 0.0
+
+        monkeypatch.setattr(sta, "peak_rss_mb", counting_peak_rss_mb)
+        obs.disable()
+        netlist = small_design()
+        run_flow(netlist, FlowConfig(clock_period=CLOCK_PERIOD))
+        assert calls == []
 
     def test_export_merge_roundtrip(self):
         obs.enable()
@@ -325,26 +336,6 @@ class TestBench:
         # and the timing strip really removed the nondeterministic fields
         assert "total_seconds" not in strip_timing(first)
 
-    def test_compare_flags_only_meaningful_regressions(self):
-        baseline = {
-            "phases": {
-                "slow.phase": {"median_s": 0.010},
-                "fast.phase": {"median_s": 1e-6},
-                "fine.phase": {"median_s": 0.010},
-            }
-        }
-        candidate = {
-            "phases": {
-                "slow.phase": {"median_s": 0.020},  # 2x: flagged
-                "fast.phase": {"median_s": 1e-3},  # below floor: ignored
-                "fine.phase": {"median_s": 0.0105},  # +5%: within tolerance
-                "new.phase": {"median_s": 0.5},  # no baseline: ignored
-            }
-        }
-        warnings = compare_bench(baseline, candidate, tolerance=0.2)
-        assert len(warnings) == 1
-        assert "slow.phase" in warnings[0]
-
     def test_aggregate_phases_quantiles(self):
         stats = aggregate_phases(
             {"p": {"count": 4, "total": 10.0, "durations": [1.0, 2.0, 3.0, 4.0]}}
@@ -379,14 +370,21 @@ class TestCliBench:
         assert payload["schema"] == "repro-bench/v1"
         captured = capsys.readouterr()
         assert "phase timings" in captured.out
-        # Self-comparison never warns.
+        # A baseline whose phases claim 1000 s passes the gate on any host.
+        for stats in payload["phases"].values():
+            stats["median_s"] = 1000.0
+        payload["obs"]["trace_overhead_s"] = 1000.0
+        slow = tmp_path / "BENCH_slow.json"
+        save_bench(payload, str(slow))
         assert (
             main(["bench", "--out", str(out), "--episodes", "2", "--cells", "240",
-                  "--compare", str(out), "--tolerance", "1000"])
+                  "--history", str(slow), "--enforce"])
             == 0
         )
         captured = capsys.readouterr()
         assert "::warning" not in captured.err
+        assert "::error" not in captured.err
+        assert "bench gate passed against 1 historical run" in captured.err
 
     def test_cli_trace_flag_writes_records(self, tmp_path, monkeypatch, capsys):
         from repro.cli import main

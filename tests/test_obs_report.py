@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -71,28 +72,27 @@ class TestGoldenReport:
         assert "error: cannot read trace" in capsys.readouterr().err
 
 
+    def test_cli_report_history_file_or_bad_path(self, capsys, tmp_path):
+        baseline = tmp_path / "BENCH_base.json"
+        baseline.write_text(json.dumps({
+            "schema": "repro-bench/v1",
+            "created_at": "2026-01-01T00:00:00Z",
+            "phases": {"flow.skew": {"count": 1, "median_s": 0.034}},
+        }))
+        assert main(["report", CANNED_TRACE, "--history", str(baseline)]) == 0
+        assert "history median" in capsys.readouterr().out
+        rc = main(["report", CANNED_TRACE, "--history", str(tmp_path / "nope.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load bench history")
+        assert err.count("\n") == 1
+
+
 class TestReportSections:
     def test_empty_trace_renders_placeholder(self):
         text = render_report([], source="empty")
         assert "# repro run report — empty" in text
         assert "(no episode records in this trace)" in text
-
-    def test_v1_episodes_render_without_telemetry_sections(self):
-        records = [
-            {
-                "schema": "repro-obs/v1",
-                "kind": "episode",
-                "git_sha": "abc",
-                "episode": 0,
-                "tns": -1.0,
-                "advantage": 0.0,
-                "num_selected": 2,
-            }
-        ]
-        upgraded = [obs.upgrade_record(r) for r in records]
-        text = render_report(upgraded, source="v1")
-        assert "## Training curves" in text
-        assert "(no telemetry in this trace" in text
 
     def test_history_adds_trend_columns(self):
         records = obs.read_records(CANNED_TRACE)

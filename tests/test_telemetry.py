@@ -220,46 +220,6 @@ class TestSchemaV2:
         (record,) = obs.read_records(path)
         assert record["schema"] == "repro-obs/v2"
 
-    def test_v1_records_upgrade_in_memory(self, tmp_path):
-        path = str(tmp_path / "v1.jsonl")
-        v1 = {
-            "schema": "repro-obs/v1",
-            "kind": "episode",
-            "git_sha": "abc",
-            "episode": 0,
-            "tns": -1.0,
-        }
-        with open(path, "w") as handle:
-            handle.write(json.dumps(v1) + "\n")
-        (record,) = obs.read_records(path)
-        assert record["schema"] == "repro-obs/v2"
-        assert record["telemetry"] is None  # explicit "predates telemetry"
-        assert record["tns"] == -1.0
-
-    def test_mixed_v1_v2_file_reads(self, tmp_path):
-        path = str(tmp_path / "mixed.jsonl")
-        with open(path, "w") as handle:
-            handle.write(
-                json.dumps({"schema": "repro-obs/v1", "kind": "flow", "x": 1})
-                + "\n"
-            )
-            handle.write(
-                json.dumps({"schema": "repro-obs/v2", "kind": "flow", "x": 2})
-                + "\n"
-            )
-        records = obs.read_records(path)
-        assert [r["x"] for r in records] == [1, 2]
-        assert all(r["schema"] == obs.SCHEMA for r in records)
-
-    def test_upgrade_preserves_raw_with_flag_off(self, tmp_path):
-        path = str(tmp_path / "v1.jsonl")
-        with open(path, "w") as handle:
-            handle.write(
-                json.dumps({"schema": "repro-obs/v1", "kind": "flow"}) + "\n"
-            )
-        (record,) = obs.read_records(path, upgrade=False)
-        assert record["schema"] == "repro-obs/v1"
-
     def test_unknown_schema_rejected(self, tmp_path):
         path = str(tmp_path / "bad.jsonl")
         with open(path, "w") as handle:
@@ -267,7 +227,10 @@ class TestSchemaV2:
         with pytest.raises(ValueError, match="v99"):
             obs.read_records(path)
 
-    def test_v1_flow_upgrade_does_not_add_telemetry(self):
-        upgraded = obs.upgrade_record({"schema": "repro-obs/v1", "kind": "flow"})
-        assert upgraded["schema"] == obs.SCHEMA
-        assert "telemetry" not in upgraded
+    def test_other_schema_rejected_with_line(self, tmp_path):
+        path = str(tmp_path / "old.jsonl")
+        with open(path, "w") as handle:
+            handle.write(json.dumps({"schema": "repro-obs/v2", "kind": "flow"}) + "\n")
+            handle.write(json.dumps({"schema": "repro-obs/v1", "kind": "flow"}) + "\n")
+        with pytest.raises(ValueError, match=r"repro-obs/v1.*old\.jsonl:2"):
+            obs.read_records(path)

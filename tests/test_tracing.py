@@ -1,6 +1,6 @@
-"""Tests for event-level tracing: the tracer itself, cross-process span
-correlation through the rollout pool (fork and spawn, including across
-retry/respawn), the Chrome trace-event exporter, the trace schema
+"""Tests for event-level tracing: the tracer itself, the worker-to-parent
+record channel, cross-process span correlation through the rollout pool
+(fork and spawn, including across retry/respawn), the Chrome trace-event exporter, the trace schema
 validator, the Prometheus metrics exporter, and the live watch follower."""
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import os
 import pickle
 import urllib.error
 import urllib.request
+from collections import Counter
 
 import pytest
 
@@ -17,13 +18,14 @@ from repro import obs
 from repro.agent.baselines import select_worst_slack
 from repro.agent.env import EndpointSelectionEnv
 from repro.agent.parallel import (
+    START_METHOD_ENV_VAR,
     RolloutPool,
     _task_message,
     evaluate_selections,
     fork_available,
 )
-from repro.ccd.flow import FlowConfig, snapshot_netlist_state
-from repro.obs import tracing
+from repro.ccd.flow import FlowConfig
+from repro.obs import records, tracing
 from repro.obs.metrics_export import (
     CONTENT_TYPE,
     MetricsServer,
@@ -148,33 +150,56 @@ class TestTracer:
             assert tracing.current_span_id() == outer_id
         assert tracing.current_span_id() is None
 
+    def test_span_closed_by_exception_emits_and_pops(self, sink):
+        tracing.enable()
+        with obs.span("unit.outer"):
+            with pytest.raises(RuntimeError):
+                with obs.span("unit.failed"):
+                    raise RuntimeError("boom")
+            with obs.span("unit.next"):
+                pass
+        by_name = {r["name"]: r for r in _spans(sink)}
+        outer_id = by_name["unit.outer"]["span_id"]
+        assert by_name["unit.failed"]["parent_id"] == outer_id
+        assert by_name["unit.next"]["parent_id"] == outer_id
+        assert tracing.current_span_id() is None
+
     def test_buffered_mode_ships_and_ingests(self, sink):
-        tracing.enable_buffered("t-buffered", worker=3)
+        """Worker side of the record channel: every kind is buffered."""
+        records.buffer_records(True)
+        tracing.enable("t-buffered", worker=3)
         with obs.span("unit.work"):
             pass
-        assert _spans(sink) == []  # buffered: nothing hit the file
-        events = tracing.drain_buffer()
-        assert len(events) == 1
-        assert events[0]["worker"] == 3
-        assert tracing.drain_buffer() == []  # drained exactly once
-        tracing.ingest(events)
-        (record,) = _spans(sink)
-        assert record["worker"] == 3
-        assert record["trace_id"] == "t-buffered"
-        assert record["pid"] == os.getpid()
+        obs.emit("flow", {"endpoints": 3})
+        assert records.tracing()
+        assert not os.path.exists(sink)  # buffered: nothing hit the file
+        items = records.drain()
+        assert [kind for kind, _ in items] == ["span", "flow"]
+        assert records.drain() == []  # drained exactly once
+        obs.set_trace_path(sink)  # the parent's side of the channel
+        records.ingest(items)
+        span, flow = obs.read_records(sink)
+        assert span["kind"] == "span" and flow["kind"] == "flow"
+        assert span["worker"] == 3
+        assert span["trace_id"] == "t-buffered"
+        assert span["pid"] == os.getpid()
+        assert flow["endpoints"] == 3
+        for record in (span, flow):  # the envelope is stamped on ingest
+            assert record["schema"] == obs.SCHEMA
+            assert record["git_sha"] == obs.git_sha()
 
     def test_ingest_none_and_empty_are_noops(self, sink):
-        tracing.ingest(None)
-        tracing.ingest([])
+        records.ingest(None)
+        records.ingest([])
         assert not os.path.exists(sink)  # nothing was ever written
 
-    def test_child_reset_clears_tracer_and_buffer(self, sink):
-        tracing.enable_buffered("t-child", worker=0)
-        with obs.span("unit.work"):
-            pass
-        tracing.child_reset()
-        assert not tracing.enabled()
-        assert tracing.drain_buffer() == []
+    def test_buffer_off_drops_records_and_leaves_no_sink(self, sink):
+        records.buffer_records(False)
+        assert not records.tracing()
+        assert records.trace_path() is None
+        obs.emit("flow", {"endpoints": 3})
+        assert records.drain() == []
+        assert not os.path.exists(sink)
 
     def test_worker_context_round_trip(self, sink):
         assert tracing.worker_context(0) is None  # off → no payload cost
@@ -191,6 +216,41 @@ class TestTracer:
         monkeypatch.setenv(tracing.ENV_VAR, "1")
         tracing._init_from_env()
         assert not tracing.enabled()
+
+
+@pytest.mark.parametrize("sink_from", ["set_trace_path", "env"])
+@pytest.mark.parametrize("method", START_METHODS)
+def test_pooled_training_records_match_across_start_methods(
+    tmp_path, monkeypatch, method, sink_from
+):
+    """A traced 2-worker training run writes one ``flow`` record per task
+    plus the best-flow replay, and none for the workers' warm-up flows,
+    whichever start method runs the workers and however the sink was set."""
+    from repro.cli import main
+
+    path = str(tmp_path / "trace.jsonl")
+    monkeypatch.setenv(START_METHOD_ENV_VAR, method)
+    argv = ["--trace-events", "train", "--workers", "2", "--episodes", "4",
+            "--cells", "240", "--no-reward-cache"]
+    if sink_from == "env":
+        # What ``import repro`` does with REPRO_OBS set; spawned workers
+        # re-read the variable at their own import.
+        monkeypatch.setenv(obs.ENV_VAR, path)
+        obs.set_trace_path(path)
+    else:
+        argv = ["--trace", path] + argv
+    assert main(argv) == 0
+    trace = obs.read_records(path)
+    (rollout,) = [r for r in trace if r["kind"] == "rollout"]
+    assert rollout["start_method"] == method
+    tasks = rollout["tasks"]
+    assert tasks == 4
+    kinds = Counter(r["kind"] for r in trace if r["kind"] != "span")
+    assert kinds == {"episode": 4, "flow": tasks + 1, "rollout": 1, "train": 1}
+    assert all(r["prioritized"] > 0 for r in trace if r["kind"] == "flow")
+    spans = Counter(r["name"] for r in trace if r["kind"] == "span")
+    assert spans["rollout.task"] == tasks
+    assert spans["flow.run"] == tasks + 1
 
 
 @pytest.fixture
@@ -484,6 +544,16 @@ class TestWatch:
         (second,) = follower.poll()
         assert second["endpoints"] == 4
 
+    def test_follower_skips_other_schemas(self, tmp_path):
+        path = str(tmp_path / "live.jsonl")
+        with open(path, "w") as handle:
+            for schema in ("repro-obs/v1", obs.SCHEMA):
+                handle.write(json.dumps(
+                    {"schema": schema, "kind": "flow", "git_sha": "a", "endpoints": 1}
+                ) + "\n")
+        (record,) = RecordFollower(path).poll()
+        assert record["schema"] == obs.SCHEMA
+
     def test_follower_resets_on_truncation(self, tmp_path):
         path = str(tmp_path / "live.jsonl")
         line = json.dumps(
@@ -507,7 +577,7 @@ class TestWatch:
         episode = {
             "kind": "episode", "episode": 7, "tns": -1.5, "wns": -0.2,
             "nve": 3, "num_selected": 4, "advantage": 0.25,
-            "telemetry": {"policy_entropy_mean": 1.5},
+            "telemetry": {"entropy_mean": 1.5},
         }
         line = render_watch_line(episode)
         assert "episode" in line and "tns=-1.500" in line and "entropy=1.500" in line
