@@ -68,7 +68,8 @@ START_METHOD_ENV_VAR = "REPRO_ROLLOUT_START_METHOD"
 HEARTBEAT_INTERVAL = 0.05
 
 #: Counters of the ``rollout`` run record.  The pool keeps all of them; the
-#: sequential trainer reports ``tasks`` and ``batches``, and zero faults.
+#: trainer reports its own episodes as ``tasks`` and updates as
+#: ``batches`` (and zero faults when it runs without a pool).
 ROLLOUT_COUNTERS = (
     "batches",
     "tasks",
@@ -370,7 +371,7 @@ class _Worker:
         self.conn = conn
         self.heartbeat = heartbeat
         self.ready = False
-        # FIFO of (index, task_id, attempt) tuples submitted to this worker
+        # FIFO of (task_id, attempt) tuples submitted to this worker
         # (batched submission: several tasks may be in its pipe at once; the
         # worker serves them in order, so results arrive head-first).
         self.pending: deque = deque()
@@ -384,10 +385,12 @@ class RolloutPool:
     """Persistent, fault-tolerant farm of flow-evaluation workers.
 
     Create once per training run (the snapshot ships to each worker a
-    single time), call :meth:`evaluate` per update batch, and :meth:`close`
-    (or use as a context manager) when training ends.  ``workers <= 1`` or
-    an unavailable start method silently degrade to sequential in-process
-    evaluation — results are identical either way.
+    single time), :meth:`submit` selections as they are sampled and
+    :meth:`evaluate` them when their rewards are needed, or evaluate a
+    whole batch at once; :meth:`close` (or use as a context manager) when
+    training ends.  ``workers <= 1`` or an unavailable start method
+    silently degrade to sequential in-process evaluation — results are
+    identical either way.
     """
 
     def __init__(
@@ -431,6 +434,14 @@ class RolloutPool:
         self.fault_spec = dict(fault_spec) if fault_spec else None
         self._log = obs.get_logger("agent.rollout")
         self._next_task_id = 0
+        # Task state between submission and collection: the dispatch queue
+        # of (task_id, attempt), each task's selection, finished rewards,
+        # and per selection the tickets that :meth:`evaluate` has yet to
+        # collect, oldest first.
+        self._queue: deque = deque()
+        self._selections: Dict[int, Tuple[int, ...]] = {}
+        self._rewards: Dict[int, FlowReward] = {}
+        self._submitted: Dict[Tuple[int, ...], deque] = {}
         self._closed = False
         self._slots: List[_Worker] = []
         self._ctx = None
@@ -596,14 +607,7 @@ class RolloutPool:
         replacement.restarts = restarts
         self._slots[slot] = replacement
 
-    def _fail_task(
-        self,
-        slot: int,
-        reason: str,
-        results: List[Optional[FlowReward]],
-        queue: deque,
-        selections: Sequence[Sequence[int]],
-    ) -> None:
+    def _fail_task(self, slot: int, reason: str) -> None:
         """A busy slot failed: respawn it and retry or sequentially finish
         its head task (bounded retries keep a poisoned task from looping).
 
@@ -615,7 +619,7 @@ class RolloutPool:
         """
         worker = self._slots[slot]
         assert worker.pending
-        index, task_id, attempt = worker.pending.popleft()
+        task_id, attempt = worker.pending.popleft()
         tail = list(worker.pending)
         worker.pending.clear()
         worker.deadline = None
@@ -623,243 +627,237 @@ class RolloutPool:
             "rollout task %d attempt %d failed (%s)", task_id, attempt, reason
         )
         self._respawn_slot(slot)
-        for entry in reversed(tail):
-            queue.appendleft(entry)
+        self._queue.extendleft(reversed(tail))
         if attempt + 1 > self.max_retries:
             self._count("sequential_fallbacks")
             tracing.instant(
                 "rollout.degrade",
                 {"task_id": task_id, "attempt": attempt, "reason": reason},
             )
-            results[index] = self._evaluate_sequential(selections[index])
+            self._finish_sequential(task_id)
         else:
             tracing.instant(
                 "rollout.retry",
                 {"task_id": task_id, "attempt": attempt + 1, "reason": reason},
             )
-            queue.appendleft((index, task_id, attempt + 1))
+            self._queue.appendleft((task_id, attempt + 1))
 
-    def _evaluate_sequential(self, selection: Sequence[int]) -> FlowReward:
-        reward = _evaluate_one(
-            (self.netlist, self.snapshot, self.flow_config, list(selection))
-        )
+    def _finish_sequential(self, task_id: int) -> None:
+        args = (self.netlist, self.snapshot, self.flow_config, list(self._selections[task_id]))
+        self._rewards[task_id] = _evaluate_one(args)
         restore_netlist_state(self.netlist, self.snapshot)
-        return reward
 
     # ---- evaluation -------------------------------------------------- #
-    def evaluate(self, selections: Sequence[Sequence[int]]) -> List[FlowReward]:
-        """Evaluate each selection's flow reward from the pool's snapshot.
+    def submit(self, selection: Sequence[int]) -> None:
+        """Start evaluating ``selection`` without waiting for its reward.
 
-        Returns rewards in ``selections`` order, byte-identical to a
-        sequential run regardless of caching, worker failures or retries.
-        The caller's netlist is left at the snapshot state.
+        A cache hit settles at once; a miss becomes a task, dispatched to a
+        ready worker before this returns (under the caller's open span,
+        which parents the worker's ``rollout.task`` span), or run in place
+        by a pool without worker processes.  A later
+        :meth:`evaluate` of an equal selection collects it; equal
+        selections are collected in submission order.
         """
         if self._closed:
             raise RuntimeError("RolloutPool is closed")
-        selections = [list(sel) for sel in selections]
-        results: List[Optional[FlowReward]] = [None] * len(selections)
+        selection = tuple(int(s) for s in selection)
+        self._submitted.setdefault(selection, deque()).append(self._enqueue(selection))
+        self._step(0.0, time.monotonic())
+
+    def evaluate(self, selections: Sequence[Sequence[int]]) -> List[FlowReward]:
+        """Evaluate each selection's flow reward from the pool's snapshot.
+
+        Selections already :meth:`submit`-ted are collected (oldest equal
+        submission first); the rest are submitted here.  Blocks until all
+        are done and returns rewards in ``selections`` order, byte-identical
+        to a sequential run regardless of caching, worker failures or
+        retries.  The caller's netlist is left at the snapshot state.
+        """
+        if self._closed:
+            raise RuntimeError("RolloutPool is closed")
+        selections = [tuple(int(s) for s in sel) for sel in selections]
         self._count("batches")
-        self._count("tasks", len(selections))
-
-        # Cache pass: hits replay instantly, misses become pool tasks.
-        queue: deque = deque()
-        for index, selection in enumerate(selections):
-            cached = self.cache.get(selection) if self.cache is not None else None
-            if cached is not None:
-                results[index] = cached
-            else:
-                queue.append((index, self._next_task_id, 0))
-                self._next_task_id += 1
-
-        with obs.span(
-            "rollout.evaluate",
-            attrs={"tasks": len(queue), "cache_hits": len(selections) - len(queue)},
-        ):
-            if self.start_method is None or self.alive_workers() == 0:
-                for index, _, _ in queue:
-                    results[index] = self._evaluate_sequential(selections[index])
-            else:
-                self._run_pooled(queue, results, selections)
-
-        missing = [i for i, r in enumerate(results) if r is None]
-        if missing:  # pragma: no cover — defensive; degradation fills all
-            raise RuntimeError(f"rollout pool lost tasks {missing}")
+        # A ticket is the cached FlowReward of a hit or the task id of a miss.
+        tickets = [self._claim(selection) for selection in selections]
+        tasks = [t for t in tickets if not isinstance(t, FlowReward)]
+        attrs = {"tasks": len(tasks), "cache_hits": len(tickets) - len(tasks)}
+        with obs.span("rollout.evaluate", attrs=attrs):
+            start = time.monotonic()
+            while not all(t in self._rewards for t in tasks):
+                self._step(0.05, start)
+        rewards = [t if isinstance(t, FlowReward) else self._collect(t) for t in tickets]
         if self.cache is not None:
-            for selection, reward in zip(selections, results):
+            for selection, reward in zip(selections, rewards):
                 self.cache.put(selection, reward)
         restore_netlist_state(self.netlist, self.snapshot)
-        return list(results)
+        return rewards
 
-    def _run_pooled(
-        self,
-        queue: deque,
-        results: List[Optional[FlowReward]],
-        selections: Sequence[Sequence[int]],
-    ) -> None:
-        start = time.monotonic()
-        # The id of the open ``rollout.evaluate`` span: every task message
-        # carries it so worker-side spans re-parent under this step.
+    def _enqueue(self, selection: Tuple[int, ...]) -> Any:
+        """Count one task and look it up: the ticket is the cached reward,
+        or the id of a new task queued for dispatch."""
+        self._count("tasks")
+        cached = self.cache.get(selection) if self.cache is not None else None
+        if cached is not None:
+            return cached
+        task_id = self._next_task_id
+        self._next_task_id += 1
+        self._selections[task_id] = selection
+        self._queue.append((task_id, 0))
+        return task_id
+
+    def _claim(self, selection: Tuple[int, ...]) -> Any:
+        """The oldest uncollected ticket submitted for ``selection``, else a
+        fresh one."""
+        waiting = self._submitted.get(selection)
+        if not waiting:
+            return self._enqueue(selection)
+        ticket = waiting.popleft()
+        if not waiting:
+            del self._submitted[selection]
+        return ticket
+
+    def _collect(self, task_id: int) -> FlowReward:
+        del self._selections[task_id]
+        return self._rewards.pop(task_id)
+
+    def _step(self, timeout: float, start: float) -> None:
+        """One turn of the event loop that every submitted task goes through.
+
+        Dispatch queued tasks to ready workers, read the worker messages
+        already in a pipe (waiting up to ``timeout`` for one), then sweep
+        deadlines and heartbeats — results that arrived are read before
+        any deadline is judged.  ``start`` is when the caller began
+        waiting: a worker still not ready ``worker_start_timeout`` later is
+        respawned.
+        """
+        if self.start_method is None:
+            while self._queue:
+                self._finish_sequential(self._queue.popleft()[0])
+            return
+        # No live worker left → graceful degradation for the remainder.
+        if self.alive_workers() == 0:
+            dispatched = [entry for w in self._slots for entry in w.pending]
+            self._queue.extendleft(reversed(dispatched))
+            tracing.instant(
+                "rollout.degrade", {"reason": "no live workers", "tasks": len(self._queue)}
+            )
+            for worker in self._slots:
+                worker.pending.clear()
+                worker.deadline = None
+            while self._queue:
+                self._count("sequential_fallbacks")
+                self._finish_sequential(self._queue.popleft()[0])
+            return
+
+        # Batched dispatch to ready workers: instead of one task per worker
+        # per poll cycle, split the queue evenly and stream each worker's
+        # share into its pipe up front — per-task round-trip latency then
+        # overlaps with flow execution instead of serializing the batch.
+        now = time.monotonic()
+        # The caller's open span: every task message carries its id so
+        # worker-side spans re-parent under the submitting step.
         trace_parent = tracing.current_span_id()
-        while queue or any(w.pending for w in self._slots):
-            now = time.monotonic()
-            # No live worker left → graceful degradation for the remainder.
-            if self.alive_workers() == 0:
-                if tracing.enabled():
-                    remaining = len(queue) + sum(
-                        len(w.pending) for w in self._slots
-                    )
-                    tracing.instant(
-                        "rollout.degrade",
-                        {"reason": "no live workers", "tasks": remaining},
-                    )
-                for worker in self._slots:
-                    while worker.pending:
-                        index, _, _ = worker.pending.popleft()
-                        self._count("sequential_fallbacks")
-                        results[index] = self._evaluate_sequential(selections[index])
-                    worker.deadline = None
-                while queue:
-                    index, _, _ = queue.popleft()
-                    self._count("sequential_fallbacks")
-                    results[index] = self._evaluate_sequential(selections[index])
-                break
-
-            # Batched dispatch to ready workers: instead of one task per
-            # worker per poll cycle, split the remaining queue evenly and
-            # stream each worker's share into its pipe up front — per-task
-            # round-trip latency then overlaps with flow execution instead
-            # of serializing the batch (the smoke-scale pooled regression).
-            live = [
-                (slot, w)
-                for slot, w in enumerate(self._slots)
-                if w.ready and w.process.is_alive()
-            ]
-            if queue and live:
-                inflight = sum(len(w.pending) for _, w in live)
-                depth = max(
-                    1, -(-(len(queue) + inflight) // len(live))
-                )  # ceil division
-                for slot, worker in live:
-                    while queue and len(worker.pending) < depth:
-                        index, task_id, attempt = queue.popleft()
-                        try:
-                            worker.conn.send(
-                                _task_message(
-                                    task_id, attempt, selections[index], trace_parent
-                                )
-                            )
-                        except (OSError, ValueError):
-                            # Dead pipe: the unsent task goes straight back
-                            # (it never started, so original attempt), then
-                            # the worker's in-flight head fails over.
-                            queue.appendleft((index, task_id, attempt))
-                            self._count("worker_crashes")
-                            if worker.pending:
-                                self._fail_task(
-                                    slot, "send failed", results, queue, selections
-                                )
-                            else:
-                                self._respawn_slot(slot)
-                            break
-                        worker.pending.append((index, task_id, attempt))
-                        if tracing.enabled():
-                            tracing.instant(
-                                "rollout.submit",
-                                {
-                                    "task_id": task_id,
-                                    "attempt": attempt,
-                                    "slot": slot,
-                                },
-                            )
-                        if worker.deadline is None:
-                            worker.deadline = now + self.task_timeout
-            obs.gauge(
-                "rollout.inflight",
-                sum(len(w.pending) for w in self._slots),
-            )
-
-            # Wait for any worker message (result, ready, or EOF).
-            conns = [
-                w.conn for w in self._slots if w.process.is_alive() or w.pending
-            ]
-            ready_conns = (
-                multiprocessing.connection.wait(conns, timeout=0.05) if conns else []
-            )
-            for conn in ready_conns:
-                slot = next(
-                    i for i, w in enumerate(self._slots) if w.conn is conn
-                )
-                worker = self._slots[slot]
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    self._count("worker_crashes")
-                    if worker.pending:
-                        self._fail_task(slot, "worker crashed", results, queue, selections)
-                    else:
-                        self._respawn_slot(slot)
-                    continue
-                kind = message[0]
-                if kind == "ready":
-                    worker.ready = True
-                    continue
-                # Worker-shipped records are replayed into the sink even
-                # for failed, corrupt or stale attempts — the flow work
-                # really happened; the trace should show it.
-                records.ingest(message[-1])
-                if not worker.pending:
-                    continue  # stale result from a task already failed over
-                # The worker serves its pipe FIFO, so a live result always
-                # answers the head of ``pending``.
-                index, task_id, attempt = worker.pending[0]
-                if kind == "err":
-                    _, r_task, r_attempt, detail, _records = message
-                    if (r_task, r_attempt) != (task_id, attempt):
-                        continue
-                    self._fail_task(
-                        slot, f"worker error: {detail}", results, queue, selections
-                    )
-                    continue
-                _, r_task, r_attempt, reward, child_state, _records = message
-                if (r_task, r_attempt) != (task_id, attempt):
-                    continue  # stale: the task was retried elsewhere
-                if not _valid_reward(reward, selections[index]):
-                    self._count("corrupt_results")
-                    self._fail_task(slot, "corrupt result", results, queue, selections)
-                    continue
-                worker.pending.popleft()
-                worker.deadline = (
-                    time.monotonic() + self.task_timeout if worker.pending else None
-                )
-                results[index] = reward
-                obs.merge_state(child_state)
-
-            # Deadline + heartbeat sweep (the deadline covers the head task
-            # only; it is refreshed whenever a head completes).
-            now = time.monotonic()
-            for slot, worker in enumerate(self._slots):
-                if worker.pending:
-                    if not worker.process.is_alive():
+        live = [(i, w) for i, w in enumerate(self._slots) if w.ready and w.process.is_alive()]
+        if self._queue and live:
+            inflight = sum(len(w.pending) for _, w in live)
+            depth = max(1, -(-(len(self._queue) + inflight) // len(live)))  # ceil
+            for slot, worker in live:
+                while self._queue and len(worker.pending) < depth:
+                    task_id, attempt = self._queue.popleft()
+                    selection = self._selections[task_id]
+                    try:
+                        worker.conn.send(_task_message(task_id, attempt, selection, trace_parent))
+                    except (OSError, ValueError):
+                        # Dead pipe: the unsent task goes straight back (it
+                        # never started, so original attempt), then the
+                        # worker's in-flight head fails over.
+                        self._queue.appendleft((task_id, attempt))
                         self._count("worker_crashes")
-                        self._fail_task(slot, "worker died", results, queue, selections)
-                    elif worker.deadline is not None and now > worker.deadline:
-                        self._count("task_timeouts")
-                        self._fail_task(slot, "task timeout", results, queue, selections)
-                    elif (
-                        worker.heartbeat.value > 0.0
-                        and now - worker.heartbeat.value > self.heartbeat_timeout
-                    ):
-                        self._count("worker_crashes")
-                        self._fail_task(
-                            slot, "heartbeat lost (frozen worker)", results, queue, selections
+                        if worker.pending:
+                            self._fail_task(slot, "send failed")
+                        else:
+                            self._respawn_slot(slot)
+                        break
+                    worker.pending.append((task_id, attempt))
+                    if tracing.enabled():
+                        tracing.instant(
+                            "rollout.submit",
+                            {"task_id": task_id, "attempt": attempt, "slot": slot},
                         )
-                elif (
-                    not worker.ready
-                    and worker.process.is_alive()
-                    and now - start > self.worker_start_timeout
-                ):
+                    if worker.deadline is None:
+                        worker.deadline = now + self.task_timeout
+
+        # Read worker messages (result, ready, or EOF).
+        conns = [w.conn for w in self._slots if w.process.is_alive() or w.pending]
+        ready_conns = (
+            multiprocessing.connection.wait(conns, timeout=timeout) if conns else []
+        )
+        for conn in ready_conns:
+            slot = next(i for i, w in enumerate(self._slots) if w.conn is conn)
+            worker = self._slots[slot]
+            try:
+                message = conn.recv()
+            except (EOFError, OSError):
+                self._count("worker_crashes")
+                if worker.pending:
+                    self._fail_task(slot, "worker crashed")
+                else:
                     self._respawn_slot(slot)
-        obs.gauge("rollout.inflight", 0)
+                continue
+            kind = message[0]
+            if kind == "ready":
+                worker.ready = True
+                continue
+            # Worker-shipped records are replayed into the sink even for
+            # failed, corrupt or stale attempts — the flow work really
+            # happened; the trace should show it.
+            records.ingest(message[-1])
+            if not worker.pending:
+                continue  # stale result from a task already failed over
+            # The worker serves its pipe FIFO, so a live result always
+            # answers the head of ``pending``.
+            task_id, attempt = worker.pending[0]
+            if (message[1], message[2]) != (task_id, attempt):
+                continue  # stale: the task was retried elsewhere
+            if kind == "err":
+                self._fail_task(slot, f"worker error: {message[3]}")
+                continue
+            _, _, _, reward, child_state, _records = message
+            if not _valid_reward(reward, self._selections[task_id]):
+                self._count("corrupt_results")
+                self._fail_task(slot, "corrupt result")
+                continue
+            worker.pending.popleft()
+            worker.deadline = (
+                time.monotonic() + self.task_timeout if worker.pending else None
+            )
+            self._rewards[task_id] = reward
+            obs.merge_state(child_state)
+
+        # Deadline + heartbeat sweep (the deadline covers the head task
+        # only; it is refreshed whenever a head completes).
+        now = time.monotonic()
+        for slot, worker in enumerate(self._slots):
+            if worker.pending:
+                if not worker.process.is_alive():
+                    self._count("worker_crashes")
+                    self._fail_task(slot, "worker died")
+                elif worker.deadline is not None and now > worker.deadline:
+                    self._count("task_timeouts")
+                    self._fail_task(slot, "task timeout")
+                elif (
+                    worker.heartbeat.value > 0.0
+                    and now - worker.heartbeat.value > self.heartbeat_timeout
+                ):
+                    self._count("worker_crashes")
+                    self._fail_task(slot, "heartbeat lost (frozen worker)")
+            elif (
+                not worker.ready
+                and worker.process.is_alive()
+                and now - start > self.worker_start_timeout
+            ):
+                self._respawn_slot(slot)
+        obs.gauge("rollout.inflight", sum(len(w.pending) for w in self._slots))
 
 
 # ---------------------------------------------------------------------- #

@@ -25,13 +25,17 @@ Practicalities the paper leaves implicit, implemented the standard way:
   :class:`~repro.agent.parallel.RolloutPool` of ``workers`` processes,
   with a content-addressed reward cache that replays re-sampled
   trajectories without re-running the flow — see
-  :mod:`repro.agent.parallel` and ``docs/rollout.md``.
+  :mod:`repro.agent.parallel` and ``docs/rollout.md``.  A batch streams
+  through one loop: each selection is submitted as soon as it is
+  sampled, and with ``max(1, workers)`` trajectories waiting, the oldest
+  reward is awaited and backpropagated, so rollouts and backwards overlap
+  the workers' flows and at most that many autograd tapes are alive.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -67,7 +71,8 @@ class TrainConfig:
     ``workers > 1`` evaluates the flow rewards of each update batch in
     parallel processes (the paper's 8-process farm training, §IV-A); it is
     numerically identical to sequential evaluation because flows are
-    deterministic, and degrades gracefully where ``fork`` is unavailable.
+    deterministic.  Where ``fork`` is missing, the pool starts its workers
+    with ``spawn``.
     """
 
     max_episodes: int = 40
@@ -202,8 +207,6 @@ def train_rlccd(
     # has run, so records are staged in ``process`` and emitted after it.
     selection_counts: Counter = Counter()
     pending_records: List[Dict[str, Any]] = []
-    # The sequential path's ``tasks`` / ``batches`` for the rollout record.
-    sequential_counts: Counter = Counter()
 
     def process(trajectory: Trajectory, flow_reward, batch_size: int) -> bool:
         """Norm update, REINFORCE backward, bookkeeping; returns improved."""
@@ -277,8 +280,8 @@ def train_rlccd(
             return True
         return False
 
-    # Reward evaluation backends: a content-addressed cache shared by both
-    # paths, plus — for workers > 1 — a persistent fault-tolerant pool whose
+    # Reward evaluation: a content-addressed cache shared by both backends,
+    # plus — for workers > 1 — a persistent fault-tolerant pool whose
     # workers load the design snapshot once for the whole training run.
     cache = (
         RewardCache.for_context(snapshot, flow_config) if config.reward_cache else None
@@ -294,59 +297,49 @@ def train_rlccd(
             cache=cache,
         )
 
+    def evaluate(selection: List[int]):
+        if pool is not None:
+            return pool.evaluate([selection])[0]
+        return evaluate_selections(
+            env.netlist, flow_config, [selection], snapshot=snapshot, cache=cache
+        )[0]
+
+    # Up to ``inflight_cap`` sampled trajectories (and their autograd tapes)
+    # wait for their rewards: the next rollout and the oldest backward run
+    # while the pool's workers run flows.  Weights are fixed within a batch
+    # and ``process`` draws no RNG, so the history does not depend on it.
+    inflight_cap = max(1, config.workers)
+    # The rollout record's ``tasks`` (episodes) and ``batches`` (updates).
+    counts: Counter = Counter()
+
     try:
         while episode < config.max_episodes:
             optimizer.zero_grad()
             batch_improved = False
             batch_size = min(config.episodes_per_update, config.max_episodes - episode)
-
-            if pool is not None:
-                # Parallel reward evaluation (paper's farm training, §IV-A):
-                # all batch trajectories' tapes are held while workers run.
-                with obs.span(
-                    "agent.rollout", attrs={"episode": episode, "batch": batch_size}
-                ):
-                    trajectories = [
-                        policy.rollout(
-                            env,
-                            rng=rng,
-                            max_steps=max_steps,
-                            with_entropy=config.entropy_coefficient > 0,
-                        )
-                        for _ in range(batch_size)
-                    ]
-                with obs.span("agent.flow_eval", attrs={"episode": episode}):
-                    rewards = pool.evaluate(
-                        [t.action_cells for t in trajectories]
+            counts["batches"] += 1
+            inflight: deque = deque()
+            for index in range(batch_size):
+                with obs.span("agent.rollout", attrs={"episode": episode + len(inflight)}):
+                    trajectory = policy.rollout(
+                        env,
+                        rng=rng,
+                        max_steps=max_steps,
+                        with_entropy=config.entropy_coefficient > 0,
                     )
-                for trajectory, flow_reward in zip(trajectories, rewards):
-                    improved = process(trajectory, flow_reward, batch_size)
-                    batch_improved = batch_improved or improved
-                del trajectories
-            else:
-                # Sequential: interleave rollout → evaluate → backward so only
-                # one trajectory's autograd tape is alive at a time.
-                sequential_counts["batches"] += 1
-                for _ in range(batch_size):
-                    with obs.span("agent.rollout", attrs={"episode": episode}):
-                        trajectory = policy.rollout(
-                            env,
-                            rng=rng,
-                            max_steps=max_steps,
-                            with_entropy=config.entropy_coefficient > 0,
-                        )
+                    if pool is not None:
+                        pool.submit(trajectory.action_cells)
+                counts["tasks"] += 1
+                inflight.append(trajectory)
+                del trajectory
+                # At the cap, and once the batch is sampled, wait for the
+                # oldest reward and backpropagate it (its tape dies here).
+                while len(inflight) >= inflight_cap or (inflight and index == batch_size - 1):
+                    oldest = inflight.popleft()
                     with obs.span("agent.flow_eval", attrs={"episode": episode}):
-                        (flow_reward,) = evaluate_selections(
-                            env.netlist,
-                            flow_config,
-                            [trajectory.action_cells],
-                            snapshot=snapshot,
-                            cache=cache,
-                        )
-                    sequential_counts["tasks"] += 1
-                    improved = process(trajectory, flow_reward, batch_size)
-                    batch_improved = batch_improved or improved
-                    del trajectory
+                        flow_reward = evaluate(oldest.action_cells)
+                    batch_improved = process(oldest, flow_reward, batch_size) or batch_improved
+                    del oldest
 
             with obs.span("agent.update", attrs={"episode": episode}):
                 grad_norm = clip_gradient_norm(
@@ -376,11 +369,9 @@ def train_rlccd(
                     break
     finally:
         if obs.records_active():
-            stats = (
-                pool.stats()
-                if pool is not None
-                else rollout_stats(sequential_counts, 1, "sequential", cache)
-            )
+            # The pool counts a batch per evaluate call; the record, updates.
+            stats = pool.stats() if pool is not None else rollout_stats({}, 1, "sequential", cache)
+            stats.update(counts)
             stats["seed"] = config.seed
             stats["design_fingerprint"] = env.design_fingerprint()
             obs.emit("rollout", stats)

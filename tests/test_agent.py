@@ -275,6 +275,75 @@ class TestTrainer:
         assert nl.num_cells == n_before
         assert [c.size_index for c in nl.cells] == sizes_before
 
+    def test_streamed_batch_overlaps_rollouts_with_flows(
+        self, small_design, monkeypatch
+    ):
+        """With ``workers=2`` at most two trajectories wait for a reward: the
+        next rollout is sampled and submitted before the oldest reward is
+        awaited, and each backward follows its own reward, in order."""
+        from repro.agent import reinforce
+        from repro.agent.parallel import evaluate_selections
+        from repro.nn.tensor import Tensor
+
+        nl, period = small_design
+        env = EndpointSelectionEnv(nl, period, rho=0.3)
+        policy = RLCCDPolicy(NUM_FEATURES, rng=0)
+        events = []
+        index = {}  # id of a trajectory's selection list -> rollout number
+
+        class RecordingPool:
+            def __init__(self, netlist, flow_config, workers, snapshot, **kwargs):
+                self.args = (netlist, flow_config, snapshot)
+
+            def submit(self, selection):
+                events.append(f"submit{index[id(selection)]}")
+
+            def evaluate(self, selections):
+                (selection,) = selections
+                events.append(f"evaluate{index[id(selection)]}")
+                netlist, flow_config, snapshot = self.args
+                return evaluate_selections(
+                    netlist, flow_config, selections, snapshot=snapshot
+                )
+
+            def close(self):
+                pass
+
+        rollout = policy.rollout
+
+        def recording_rollout(*args, **kwargs):
+            trajectory = rollout(*args, **kwargs)
+            index[id(trajectory.action_cells)] = len(index)
+            events.append(f"rollout{len(index) - 1}")
+            return trajectory
+
+        backward = Tensor.backward
+
+        def recording_backward(self, *args, **kwargs):
+            events.append(f"backward{sum(e.startswith('backward') for e in events)}")
+            return backward(self, *args, **kwargs)
+
+        monkeypatch.setattr(reinforce, "RolloutPool", RecordingPool)
+        monkeypatch.setattr(policy, "rollout", recording_rollout)
+        monkeypatch.setattr(Tensor, "backward", recording_backward)
+        train_rlccd(
+            policy,
+            env,
+            FlowConfig(clock_period=period),
+            TrainConfig(
+                max_episodes=3,
+                episodes_per_update=3,
+                workers=2,
+                max_selection_steps=3,
+                seed=0,
+            ),
+        )
+        assert events == [
+            "rollout0", "submit0", "rollout1", "submit1",
+            "evaluate0", "backward0", "rollout2", "submit2",
+            "evaluate1", "backward1", "evaluate2", "backward2",
+        ]
+
     def test_plateau_stops_early(self, small_design):
         nl, period = small_design
         env = EndpointSelectionEnv(nl, period, rho=0.3)

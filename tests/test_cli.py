@@ -40,22 +40,25 @@ class TestCli:
 
 
 class TestTrainRolloutWorkers:
-    """``train --workers N`` hands its pool N selections per update."""
+    """``train --workers N`` submits N selections to its pool per update."""
 
-    def test_pool_receives_workers_selections_per_evaluate(
+    def test_pool_is_submitted_workers_selections_per_update(
         self, capsys, monkeypatch
     ):
         from repro.agent import reinforce
         from repro.agent.parallel import evaluate_selections
 
-        batches = []
+        calls = []
 
         class RecordingPool:
             def __init__(self, netlist, flow_config, workers, snapshot, **kwargs):
                 self.args = (netlist, flow_config, snapshot)
 
+            def submit(self, selection):
+                calls.append("submit")
+
             def evaluate(self, selections):
-                batches.append(len(selections))
+                calls.append(f"evaluate {len(selections)}")
                 netlist, flow_config, snapshot = self.args
                 return evaluate_selections(
                     netlist, flow_config, selections, snapshot=snapshot
@@ -68,7 +71,9 @@ class TestTrainRolloutWorkers:
         argv = ["train", "--episodes", "4", "--cells", "120", "--workers", "2"]
         assert main(argv) == 0
         assert "episodes run: 4" in capsys.readouterr().out
-        assert batches == [2, 2]
+        # Both of an update's selections are in flight before either reward
+        # is awaited; each evaluate collects one.
+        assert calls == ["submit", "submit", "evaluate 1", "evaluate 1"] * 2
 
     def test_actors_flag_rejected(self, capsys):
         """``--workers`` is the only rollout-parallelism flag."""

@@ -68,7 +68,16 @@ def test_reward_sequences_identical_across_backends(context):
     assert cache.hits == len(selections)
 
 
-def _train(nl, period, workers: int, reward_cache: bool, seed: int = 3):
+def _train(
+    nl,
+    period,
+    workers: int,
+    reward_cache: bool,
+    seed: int = 3,
+    episodes_per_update: int = 2,
+    entropy_coefficient: float = 0.0,
+):
+    """Per-episode history and the trained parameters' bytes."""
     env = EndpointSelectionEnv(nl, period)
     policy = RLCCDPolicy(NUM_FEATURES, rng=seed)
     result = train_rlccd(
@@ -77,25 +86,44 @@ def _train(nl, period, workers: int, reward_cache: bool, seed: int = 3):
         FlowConfig(clock_period=period),
         TrainConfig(
             max_episodes=4,
-            episodes_per_update=2,
+            episodes_per_update=episodes_per_update,
             workers=workers,
             reward_cache=reward_cache,
+            entropy_coefficient=entropy_coefficient,
             seed=seed,
         ),
     )
-    return [
+    history = [
         (r.episode, r.tns, r.wns, r.nve, r.num_selected, r.advantage)
         for r in result.history
     ]
+    return history, [p.data.tobytes() for p in policy.parameters()]
 
 
-def test_training_identical_sequential_vs_pooled(fresh_design):
-    """A fixed seed trains to the same per-episode reward sequence with
-    workers=1 and workers=4 (the paper's farm is numerically invisible)."""
+@pytest.mark.parametrize(
+    "workers, episodes_per_update, entropy_coefficient",
+    [(4, 2, 0.0), (2, 3, 0.0), (2, 3, 0.05)],
+)
+def test_training_identical_sequential_vs_pooled(
+    fresh_design, workers, episodes_per_update, entropy_coefficient
+):
+    """A fixed seed trains to the same per-episode reward sequence and the
+    same parameters with workers=1 and a pool (the paper's farm is
+    numerically invisible) — also with the in-flight cap below the batch
+    size, a short last batch, and the entropy term."""
     nl, period = fresh_design
-    sequential = _train(nl, period, workers=1, reward_cache=False)
-    pooled = _train(nl, period, workers=4, reward_cache=False)
-    assert pickle.dumps(sequential) == pickle.dumps(pooled)
+    runs = [
+        _train(
+            nl,
+            period,
+            workers=n,
+            reward_cache=False,
+            episodes_per_update=episodes_per_update,
+            entropy_coefficient=entropy_coefficient,
+        )
+        for n in (1, workers)
+    ]
+    assert pickle.dumps(runs[0]) == pickle.dumps(runs[1])
 
 
 def test_training_identical_with_and_without_cache(fresh_design):

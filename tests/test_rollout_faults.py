@@ -27,7 +27,9 @@ from repro.agent.parallel import (
     evaluate_selections,
     fork_available,
 )
+from repro.agent.policy import RLCCDPolicy
 from repro.ccd.flow import FlowConfig, snapshot_netlist_state
+from repro.features.table1 import NUM_FEATURES
 
 _FORCED = os.environ.get(START_METHOD_ENV_VAR, "").strip()
 START_METHODS = [_FORCED] if _FORCED else (
@@ -130,6 +132,67 @@ class TestFaultInjection:
         blob = pickle.dumps(sequential)
         assert pickle.dumps(first) == blob
         assert pickle.dumps(second) == blob
+
+
+    def test_streamed_training_survives_faults_on_submitted_tasks(
+        self, context, method, monkeypatch
+    ):
+        """Tasks submitted ahead of their evaluate crash, hang and come back
+        corrupt; the streamed training still reproduces the sequential
+        history and parameters."""
+        from repro.agent import reinforce
+
+        nl, config, _, _ = context
+        faults = {(0, 0): "crash", (1, 0): "hang", (2, 0): "corrupt"}
+        pools = []
+
+        def faulty_pool(*args, **kwargs):
+            kwargs.update(FAST, start_method=method, fault_spec=faults)
+            pools.append(RolloutPool(*args, **kwargs))
+            return pools[-1]
+
+        def train(workers):
+            policy = RLCCDPolicy(NUM_FEATURES, rng=4)
+            result = reinforce.train_rlccd(
+                policy,
+                EndpointSelectionEnv(nl, config.clock_period),
+                config,
+                reinforce.TrainConfig(
+                    max_episodes=4,
+                    episodes_per_update=2,
+                    workers=workers,
+                    max_selection_steps=6,
+                    reward_cache=False,
+                    seed=4,
+                ),
+            )
+            history = [(r.tns, r.wns, r.nve, r.advantage) for r in result.history]
+            return history, [p.data.tobytes() for p in policy.parameters()]
+
+        sequential = train(1)
+        monkeypatch.setattr(reinforce, "RolloutPool", faulty_pool)
+        streamed = train(2)
+        assert pickle.dumps(streamed) == pickle.dumps(sequential)
+        (pool,) = pools
+        stats = pool.stats()
+        assert stats["task_timeouts"] >= 1
+        assert stats["corrupt_results"] >= 1
+        assert stats["worker_crashes"] >= 1
+
+    def test_slow_learner_collects_a_finished_result(self, context, method):
+        """A result already in the pipe is read before the deadline sweep:
+        a learner that comes back after the task timeout still gets the
+        worker's reward, with no timeout charged and no worker restarted."""
+        nl, config, selections, sequential = context
+        with RolloutPool(nl, config, workers=1, start_method=method, **FAST) as pool:
+            pool.submit(selections[0])
+            assert pool._slots[0].conn.poll(30.0)  # the result is in the pipe
+            time.sleep(FAST["task_timeout"] + 0.5)
+            rewards = pool.evaluate([selections[0]])
+            stats = pool.stats()
+        assert pickle.dumps(rewards) == pickle.dumps(sequential[:1])
+        assert stats["task_timeouts"] == 0
+        assert stats["worker_restarts"] == 0
 
 
 @pytest.mark.skipif(not fork_available(), reason="platform lacks fork")

@@ -225,7 +225,9 @@ def test_pooled_training_records_match_across_start_methods(
 ):
     """A traced 2-worker training run writes one ``flow`` record per task
     plus the best-flow replay, and none for the workers' warm-up flows,
-    whichever start method runs the workers and however the sink was set."""
+    whichever start method runs the workers and however the sink was set;
+    its ``rollout`` record counts episodes and updates, and every worker
+    task span has a parent in the training process."""
     from repro.cli import main
 
     path = str(tmp_path / "trace.jsonl")
@@ -245,12 +247,22 @@ def test_pooled_training_records_match_across_start_methods(
     assert rollout["start_method"] == method
     tasks = rollout["tasks"]
     assert tasks == 4
+    assert rollout["batches"] == 2  # updates, not evaluate calls
     kinds = Counter(r["kind"] for r in trace if r["kind"] != "span")
     assert kinds == {"episode": 4, "flow": tasks + 1, "rollout": 1, "train": 1}
     assert all(r["prioritized"] > 0 for r in trace if r["kind"] == "flow")
     spans = Counter(r["name"] for r in trace if r["kind"] == "span")
     assert spans["rollout.task"] == tasks
     assert spans["flow.run"] == tasks + 1
+    # Every task was dispatched under an open span of the training process.
+    parent_side = {
+        r["span_id"] for r in trace if r["kind"] == "span" and r["worker"] is None
+    }
+    task_parents = [
+        r["parent_id"] for r in trace
+        if r["kind"] == "span" and r["name"] == "rollout.task"
+    ]
+    assert task_parents and all(p in parent_side for p in task_parents)
 
 
 @pytest.fixture
