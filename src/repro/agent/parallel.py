@@ -247,7 +247,8 @@ def _worker_main(conn, heartbeat, blob) -> None:
     submitter's span id).  Workers never write the sink file: with
     ``records_on`` (the parent's :func:`repro.obs.records.tracing`) every
     record they emit — ``flow``, ``span``, any kind — is buffered and ships
-    back inside the result message, and the parent replays it.
+    back inside the result message, and the parent replays it.  Records
+    are the only channel: the worker's recorder never leaves the worker.
     ``trace_ctx`` (``None`` with tracing off) installs the worker's span
     tracer, whose events take the same route.
     """
@@ -255,8 +256,8 @@ def _worker_main(conn, heartbeat, blob) -> None:
     if obs_enabled or trace_ctx is not None:
         obs.enable()
     # A fork child inherits the parent's tracer and sink path; a spawn child
-    # re-reads REPRO_OBS / REPRO_TRACE_EVENTS at import.  Drop both, so the
-    # buffer is the only way out for this worker's records.
+    # re-reads REPRO_OBS at import.  Drop both, so the buffer is the only
+    # way out for this worker's records.
     tracing.disable()
     records.buffer_records(records_on)
     # Warm-up: one empty-selection flow faults in the copy-on-write pages
@@ -319,20 +320,8 @@ def _worker_main(conn, heartbeat, blob) -> None:
             )
             continue
         if corrupt:
-            conn.send(
-                (
-                    "ok",
-                    task_id,
-                    attempt,
-                    ("not", "a", "reward"),
-                    None,
-                    records.drain(),
-                )
-            )
-            continue
-        conn.send(
-            ("ok", task_id, attempt, reward, obs.export_state(), records.drain())
-        )
+            reward = ("not", "a", "reward")
+        conn.send(("ok", task_id, attempt, reward, records.drain()))
     conn.close()
 
 
@@ -822,7 +811,7 @@ class RolloutPool:
             if kind == "err":
                 self._fail_task(slot, f"worker error: {message[3]}")
                 continue
-            _, _, _, reward, child_state, _records = message
+            reward = message[3]
             if not _valid_reward(reward, self._selections[task_id]):
                 self._count("corrupt_results")
                 self._fail_task(slot, "corrupt result")
@@ -832,7 +821,6 @@ class RolloutPool:
                 time.monotonic() + self.task_timeout if worker.pending else None
             )
             self._rewards[task_id] = reward
-            obs.merge_state(child_state)
 
         # Deadline + heartbeat sweep (the deadline covers the head task
         # only; it is refreshed whenever a head completes).
@@ -857,7 +845,6 @@ class RolloutPool:
                 and now - start > self.worker_start_timeout
             ):
                 self._respawn_slot(slot)
-        obs.gauge("rollout.inflight", sum(len(w.pending) for w in self._slots))
 
 
 # ---------------------------------------------------------------------- #

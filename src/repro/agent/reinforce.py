@@ -95,10 +95,6 @@ class TrainConfig:
     # Per-task wall-clock budget for one pooled flow evaluation; a worker
     # exceeding it is killed and the task retried (then run sequentially).
     rollout_timeout: float = 120.0
-    # Content-addressed reward cache: re-sampled trajectories (common once
-    # entropy collapses) replay their stored FlowReward instead of
-    # re-running the flow.  Rewards are identical either way.
-    reward_cache: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -283,9 +279,7 @@ def train_rlccd(
     # Reward evaluation: a content-addressed cache shared by both backends,
     # plus — for workers > 1 — a persistent fault-tolerant pool whose
     # workers load the design snapshot once for the whole training run.
-    cache = (
-        RewardCache.for_context(snapshot, flow_config) if config.reward_cache else None
-    )
+    cache = RewardCache.for_context(snapshot, flow_config)
     pool: Optional[RolloutPool] = None
     if config.workers > 1:
         pool = RolloutPool(

@@ -110,19 +110,21 @@ class FlowResult:
         return self.final.nve
 
 
-def _sta_flow_stats(counters_before: Mapping[str, float]) -> Dict[str, float]:
-    """Per-flow delta of the ``sta.*`` counters plus the frontier-peak gauge.
+def _sta_flow_stats(
+    counters_before: Mapping[str, float], analyzer: TimingAnalyzer
+) -> Dict[str, float]:
+    """Per-flow delta of the ``sta.*`` counters plus the flow's frontier peak.
 
     The recorder's counters are process-cumulative; the flow record wants
     how much *this* run cost, so subtract the values captured at entry.
-    The gauge is a running max, reported as-is.
+    The peak is the flow's own analyzer's.
     """
     recorder = obs.get_recorder()
     stats = {
         name.split(".", 1)[1]: recorder.counters.get(name, 0.0) - before
         for name, before in counters_before.items()
     }
-    stats["frontier_peak"] = recorder.gauges.get("sta.frontier_peak", 0.0)
+    stats["frontier_peak"] = float(analyzer.frontier_peak)
     return stats
 
 
@@ -311,7 +313,6 @@ def run_flow(
             final_summary = summarize(final_report)
             final_power = report_power(netlist, clock, analyzer.compiled.load_cap)
     runtime = watch.elapsed
-    obs.gauge("flow.endpoints", begin_summary.num_endpoints)
 
     if obs.records_active():
         obs.emit(
@@ -334,7 +335,7 @@ def run_flow(
                     "final_sta": sp_final.elapsed,
                 },
                 "runtime_seconds": runtime,
-                "sta": _sta_flow_stats(counters_before),
+                "sta": _sta_flow_stats(counters_before, analyzer),
             },
         )
 

@@ -25,14 +25,16 @@ Global observability flags (before the subcommand):
   and append one ``profile`` record to the trace (requires a trace sink);
 * ``--trace-events`` — additionally record every ``obs.span`` as an
   event-level span record (:mod:`repro.obs.tracing`; requires a trace
-  sink; same as ``REPRO_TRACE_EVENTS=1``) for ``trace export`` / ``watch
-  --spans`` / the report's "Slowest spans" section;
-* ``--metrics-port N`` — serve the live recorder as Prometheus text at
-  ``http://127.0.0.1:N/metrics`` for the duration of the command
-  (:mod:`repro.obs.metrics_export`).
+  sink) for ``trace export`` / ``watch --spans`` / the report's "Slowest
+  spans" section.
 
 Trace consumers: ``python -m repro trace export|validate`` and
-``python -m repro watch`` (live tail); see ``docs/observability.md``.
+``python -m repro watch`` (the live view); see ``docs/observability.md``.
+
+A bad argument to ``train`` or ``bench`` (a non-positive episode count,
+worker count or timeout, a design under the workload's cell floor, an
+unreadable ``--history``) is one ``error:`` line and exit status 2,
+before any design is built.
 """
 
 from __future__ import annotations
@@ -73,15 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="record every obs.span as an event-level span record in the "
         "trace (span id / parent id / wall-clock / attrs; see 'trace "
         "export' and 'watch --spans'); requires --trace or REPRO_OBS=<path>",
-    )
-    parser.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="serve the live recorder in Prometheus text format at "
-        "http://127.0.0.1:PORT/metrics while the command runs (0 picks "
-        "a free port)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -175,13 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-task wall-clock budget in the rollout pool; a worker "
         "exceeding it is killed, respawned and the task retried "
         "(default 120)",
-    )
-    train.add_argument(
-        "--no-reward-cache",
-        action="store_true",
-        help="disable the content-addressed reward cache (re-sampled "
-        "trajectories then re-run the flow; rewards are identical "
-        "either way)",
     )
     train.add_argument(
         "--entropy-coef",
@@ -300,43 +286,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         tracer = obs.tracing.enable()
         log.info("event-level span tracing enabled (trace id %s)", tracer.trace_id)
 
-    metrics_server = None
-    if args.metrics_port is not None:
-        from repro.obs.metrics_export import MetricsServer, suggest_free_port
-
-        # Metrics without a recorder would be an empty page forever.
-        obs.enable()
-        try:
-            metrics_server = MetricsServer.start(args.metrics_port)
-        except OSError as exc:
-            # Most commonly EADDRINUSE from another run still serving; a
-            # traceback here buries the one actionable fact.
+    if args.profile:
+        if not obs.records_active():
             print(
-                f"error: cannot serve metrics on port {args.metrics_port} "
-                f"({exc.strerror or exc}); try --metrics-port "
-                f"{suggest_free_port()}",
+                "error: --profile needs a trace sink; pass --trace PATH or "
+                "set REPRO_OBS=<path>",
                 file=sys.stderr,
             )
             return 2
-        log.info("serving Prometheus metrics at %s", metrics_server.url)
+        from repro.obs.profiling import Profiler
 
-    try:
-        if args.profile:
-            if not obs.records_active():
-                print(
-                    "error: --profile needs a trace sink; pass --trace PATH or "
-                    "set REPRO_OBS=<path>",
-                    file=sys.stderr,
-                )
-                return 2
-            from repro.obs.profiling import Profiler
-
-            with Profiler(command=args.command):
-                return _dispatch(args)
-        return _dispatch(args)
-    finally:
-        if metrics_server is not None:
-            metrics_server.close()
+        with Profiler(command=args.command):
+            return _dispatch(args)
+    return _dispatch(args)
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -373,6 +335,10 @@ def _dispatch(args: argparse.Namespace) -> int:
             update_baseline,
         )
 
+        try:
+            config = BenchConfig(seed=args.seed, episodes=args.episodes, cells=args.cells)
+        except ValueError as exc:
+            return _bad_argument(exc)
         if args.enforce and not args.history:
             print("error: --enforce needs --history PATH", file=sys.stderr)
             return 2
@@ -403,10 +369,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 print(f"error: bad --scale-cells: {exc}", file=sys.stderr)
                 return 2
 
-        payload = run_bench(
-            BenchConfig(seed=args.seed, episodes=args.episodes, cells=args.cells),
-            scale_config=scale_config,
-        )
+        payload = run_bench(config, scale_config=scale_config)
         if args.update_baseline:
             out = args.out or "BENCH_baseline.json"
             payload = update_baseline(payload, out)
@@ -441,8 +404,22 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "train":
         from repro.agent.reinforce import TrainConfig, train_rlccd
-        from repro.obs.bench import build_workload
+        from repro.obs.bench import build_workload, check_cells
 
+        try:
+            check_cells(args.cells)
+            config = TrainConfig(
+                max_episodes=args.episodes,
+                # One selection per pool worker per update, so every worker
+                # has work.
+                episodes_per_update=max(args.workers, 1),
+                seed=args.seed,
+                workers=args.workers,
+                rollout_timeout=args.rollout_timeout,
+                entropy_coefficient=args.entropy_coef,
+            )
+        except ValueError as exc:
+            return _bad_argument(exc)
         workload = build_workload(seed=args.seed, cells=args.cells)
 
         def progress(record) -> None:
@@ -458,17 +435,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 workload.policy,
                 workload.env,
                 workload.flow_config,
-                TrainConfig(
-                    max_episodes=args.episodes,
-                    # One selection per pool worker per update, so every
-                    # worker has work.
-                    episodes_per_update=max(args.workers, 1),
-                    seed=args.seed,
-                    workers=args.workers,
-                    rollout_timeout=args.rollout_timeout,
-                    reward_cache=not args.no_reward_cache,
-                    entropy_coefficient=args.entropy_coef,
-                ),
+                config,
                 progress=progress,
             )
         print(
@@ -570,6 +537,12 @@ def _dispatch(args: argparse.Namespace) -> int:
     return 1
 
 
+def _bad_argument(exc: ValueError) -> int:
+    """A rejected command-line value: one ``error:`` line, exit status 2."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _load_history(path: str):
     """``RunHistory.scan(path)``, or ``None`` after a one-line error."""
     from repro.obs.history import RunHistory
@@ -628,7 +601,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         if summary["spans"] + summary["instants"] == 0:
             print(
                 "note: no span records found; record them with "
-                "--trace-events (or REPRO_TRACE_EVENTS=1)",
+                "--trace-events",
                 file=sys.stderr,
             )
         return 0

@@ -3,9 +3,8 @@
 Small, dependency-free pieces (see ``docs/observability.md``):
 
 * :mod:`repro.obs.core` — a process-global :class:`Recorder` of phase
-  timers (``with obs.span("sta.full_update")``), counters
-  (``obs.incr("skew.commits")``) and gauges; fork-safe merge for the
-  parallel trainer; strict no-op when disabled;
+  timers (``with obs.span("sta.full_update")``) and counters
+  (``obs.incr("skew.commits")``); strict no-op when disabled;
 * :mod:`repro.obs.records` — structured JSONL run records behind
   ``REPRO_OBS=<path>`` / ``--trace`` (schema ``repro-obs/v2``), buffered
   inside rollout workers and replayed by the parent;
@@ -41,11 +40,8 @@ from repro.obs.core import (
     disable,
     enable,
     enabled,
-    export_state,
-    gauge,
     get_recorder,
     incr,
-    merge_state,
     reset,
     set_verify,
     span,
@@ -82,13 +78,10 @@ __all__ = [
     "enable",
     "enabled",
     "env_trace_path",
-    "export_state",
-    "gauge",
     "get_logger",
     "get_recorder",
     "git_sha",
     "incr",
-    "merge_state",
     "read_records",
     "records_active",
     "reset",

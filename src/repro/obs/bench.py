@@ -44,6 +44,19 @@ from repro.obs import records
 
 BENCH_SCHEMA = "repro-bench/v1"
 
+#: The smallest design the smoke workload builds, for ``bench`` and
+#: ``train`` alike.
+MIN_CELLS = 50
+
+
+def check_cells(cells: int) -> None:
+    """Refuse a workload below :data:`MIN_CELLS` cells (``ValueError``)."""
+    if cells < MIN_CELLS:
+        raise ValueError(
+            f"cells={cells} is below the minimum of {MIN_CELLS} needed "
+            "for a meaningful workload"
+        )
+
 
 @dataclass(frozen=True)
 class BenchConfig:
@@ -57,11 +70,7 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
-        if self.cells < 50:
-            raise ValueError(
-                f"cells={self.cells} is below the minimum of 50 needed "
-                "for a meaningful workload"
-            )
+        check_cells(self.cells)
 
 
 @dataclass(frozen=True)
@@ -235,7 +244,8 @@ def build_workload(
 ) -> Workload:
     """Generate, place and constrain the fixed smoke design (deterministic;
     independent of ``REPRO_BENCH_SCALE``) and wrap it in the selection env
-    plus a fresh policy."""
+    plus a fresh policy; below :data:`MIN_CELLS` it raises before building."""
+    check_cells(cells)
     # Deferred imports: the workload depends on the whole stack, the obs
     # layer must not.
     from repro.agent.env import EndpointSelectionEnv

@@ -1,4 +1,4 @@
-"""Process-global recorder: phase timers, counters and gauges.
+"""Process-global recorder: phase timers and counters.
 
 The recorder is the in-memory half of the observability layer
 (:mod:`repro.obs`).  Hot paths instrument themselves with
@@ -6,20 +6,17 @@ The recorder is the in-memory half of the observability layer
 * ``with obs.span("sta.full_update"): ...`` — a monotonic phase timer
   (nestable: a span opened inside another span records under its own name;
   the event tracer, when installed, keeps the per-thread parent stack);
-* ``obs.incr("skew.commits")`` — a counter;
-* ``obs.gauge("flow.endpoints", n)`` — a last-value gauge.
+* ``obs.incr("skew.commits")`` — a counter.
 
 Disabled mode is a no-op: every entry point checks a single module flag and
 ``span`` hands back a shared, stateless null context manager, so the
 instrumented code paths cost one attribute load + one branch when
 observability is off (measured <1% on the tier-1 suite).
 
-The recorder is thread-safe (one lock around mutations) and fork-aware:
-worker processes forked by :mod:`repro.agent.parallel` start from a fresh
-recorder (:func:`child_reset`), export their state as plain dictionaries
-(:func:`export_state`) and the parent folds those into its own recorder
-(:func:`merge_state`), so parallel training runs aggregate exactly like
-sequential ones.
+The recorder is thread-safe (one lock around mutations) and per process:
+a rollout worker (:mod:`repro.agent.parallel`) clears its own before every
+task (:func:`child_reset`) and never ships it back — what a worker did
+reaches the parent as run records, not as recorder state.
 """
 
 from __future__ import annotations
@@ -62,14 +59,13 @@ class PhaseStats:
 
 
 class Recorder:
-    """Phase timers + counters + gauges for one process."""
+    """Phase timers + counters for one process."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.pid = os.getpid()
         self.phases: Dict[str, PhaseStats] = {}
         self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, float] = {}
 
     # ---- phases ----------------------------------------------------- #
     def add_phase(self, name: str, elapsed: float) -> None:
@@ -79,47 +75,25 @@ class Recorder:
                 stats = self.phases[name] = PhaseStats()
             stats.add(elapsed)
 
-    # ---- counters / gauges ------------------------------------------ #
+    # ---- counters ---------------------------------------------------- #
     def incr(self, name: str, amount: float = 1.0) -> None:
         with self._lock:
             self.counters[name] = self.counters.get(name, 0.0) + amount
 
-    def gauge(self, name: str, value: float) -> None:
-        with self._lock:
-            self.gauges[name] = float(value)
-
-    # ---- export / merge / reset ------------------------------------- #
+    # ---- export / reset ---------------------------------------------- #
     def export_state(self) -> Dict[str, Any]:
-        """Plain-dict snapshot, safe to pickle across a process boundary."""
+        """Plain-dict snapshot (the ``bench`` payload and ``--profile``)."""
         with self._lock:
             return {
                 "pid": self.pid,
                 "phases": {name: s.as_dict() for name, s in self.phases.items()},
                 "counters": dict(self.counters),
-                "gauges": dict(self.gauges),
             }
-
-    def merge_state(self, state: Dict[str, Any]) -> None:
-        """Fold a child recorder's exported state into this recorder."""
-        with self._lock:
-            for name, stats in state.get("phases", {}).items():
-                mine = self.phases.get(name)
-                if mine is None:
-                    mine = self.phases[name] = PhaseStats()
-                mine.count += int(stats["count"])
-                mine.total += float(stats["total"])
-                mine.durations.extend(float(d) for d in stats["durations"])
-            for name, value in state.get("counters", {}).items():
-                self.counters[name] = self.counters.get(name, 0.0) + float(value)
-            # Gauges are last-value-wins; the child's observation is newer.
-            for name, value in state.get("gauges", {}).items():
-                self.gauges[name] = float(value)
 
     def reset(self) -> None:
         with self._lock:
             self.phases = {}
             self.counters = {}
-            self.gauges = {}
 
 
 #: Sentinel ``trace_parent``: the event tracer (when installed) parents the
@@ -294,37 +268,17 @@ def incr(name: str, amount: float = 1.0) -> None:
     _recorder.incr(name, amount)
 
 
-def gauge(name: str, value: float) -> None:
-    """Record a last-value gauge (no-op while disabled)."""
-    if not _enabled:
-        return
-    _recorder.gauge(name, value)
-
-
-def export_state() -> Optional[Dict[str, Any]]:
-    """Snapshot of the recorder, or ``None`` while disabled."""
-    if not _enabled:
-        return None
-    return _recorder.export_state()
-
-
-def merge_state(state: Optional[Dict[str, Any]]) -> None:
-    """Fold a child process's exported state into the global recorder."""
-    if state is None or not _enabled:
-        return
-    _recorder.merge_state(state)
-
-
 def reset() -> None:
-    """Clear the global recorder (phases, counters and gauges)."""
+    """Clear the global recorder (phases and counters)."""
     _recorder.reset()
 
 
 def child_reset() -> None:
-    """Start a forked worker from a clean recorder.
+    """Give a rollout worker a clean recorder.
 
-    Called at the top of worker bodies so the child reports only its own
-    work; the fork otherwise copies whatever the parent had accumulated.
+    Called after the worker's warm-up and before every task, so span
+    durations do not pile up in a long-lived worker; the fork otherwise
+    also copies whatever the parent had accumulated.
     """
     global _recorder
     _recorder = Recorder()

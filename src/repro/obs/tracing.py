@@ -1,7 +1,7 @@
 """Event-level distributed tracing on top of the phase recorder.
 
-The recorder (:mod:`repro.obs.core`) aggregates — per-phase totals,
-counters, gauges — which is the right shape for regression gates but
+The recorder (:mod:`repro.obs.core`) aggregates — per-phase totals and
+counters — which is the right shape for regression gates but
 useless for answering "*why* was episode 37 slow?".  This module records
 the individual events: every ``obs.span`` becomes one **span record**
 with a process-unique span id, a parent id, a wall-clock start and a
@@ -36,9 +36,9 @@ submitting rollout step.
 
 Enablement: the tracer piggybacks on the records sink — it is on only
 when a sink is configured *and* events were requested (``--trace-events``
-or ``REPRO_TRACE_EVENTS=1``).  Disabled, the only residue is one
-module-global load + branch in ``Span.__enter__`` and ``__exit__`` on
-the recorder-enabled path; the recorder-disabled path is untouched.
+on the CLI, :func:`enable` in library code).  Disabled, the only residue
+is one module-global load + branch in ``Span.__enter__`` and ``__exit__``
+on the recorder-enabled path; the recorder-disabled path is untouched.
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ import uuid
 from typing import Any, Dict, List, Optional
 
 from repro.obs import core, records
-
-#: Environment variable switching event tracing on (truthy values only;
-#: it needs ``REPRO_OBS=<path>`` to have somewhere to write).
-ENV_VAR = "REPRO_TRACE_EVENTS"
 
 #: Version of the span-record payload (the ``trace_schema`` field).
 TRACE_SCHEMA = "repro-trace/v1"
@@ -193,12 +189,3 @@ def worker_context(slot: int) -> Optional[Dict[str, Any]]:
         return None
     return {"trace_id": tracer.trace_id, "worker": slot}
 
-
-def _init_from_env() -> None:
-    """Honour ``REPRO_TRACE_EVENTS=1`` at import time (needs a sink)."""
-    value = os.environ.get(ENV_VAR, "").strip().lower()
-    if value in core._TRUTHY and records.tracing():
-        enable()
-
-
-_init_from_env()

@@ -90,8 +90,8 @@ def peak_rss_mb() -> float:
     """Peak resident set size of this process in MiB (0.0 if unavailable).
 
     ``ru_maxrss`` is kilobytes on Linux and bytes on macOS; both are close
-    enough for the coarse ``sta.peak_mb`` capacity gauges (the scale-sweep
-    CI bound allows a wide margin).
+    enough for the scale sweep's coarse ``peak_mb`` figures (the nightly
+    bound allows a wide margin).
     """
     try:
         import resource
@@ -230,12 +230,17 @@ class TimingAnalyzer:
     take the full path.  A netlist mutated without notification is caught
     by the mutation-version guard and triggers ``invalidate()`` — a stale
     read without re-analysis is impossible.
+
+    ``frontier_peak`` is the largest frontier (cells re-propagated) of any
+    one incremental analysis this analyzer ran; a flow runs on its own
+    analyzer, so it is that flow's peak.
     """
 
     def __init__(self, netlist: Netlist, incremental: bool = True):
         self.netlist = netlist
         #: ``False`` sends every analysis down the full engine.
         self.incremental = incremental
+        self.frontier_peak = 0
         self._compiled: Optional[CompiledTiming] = None
         self._state: Optional["IncrementalState"] = None
         self._expected_version: int = netlist.mutation_version
@@ -326,8 +331,6 @@ class TimingAnalyzer:
         if self._compiled is None:
             with obs.span("sta.compile"):
                 self._compiled = compile_timing(self.netlist)
-            if obs.enabled():
-                obs.gauge("sta.peak_mb.compile", peak_rss_mb())
         return self._compiled
 
     def analyze(
@@ -357,8 +360,6 @@ class TimingAnalyzer:
             with obs.span("sta.full_update"):
                 obs.incr("sta.full_analyze")
                 report = analyze(compiled, clock, margins)
-            if obs.enabled():
-                obs.gauge("sta.peak_mb.analyze", peak_rss_mb())
             return report
 
         if (
@@ -369,21 +370,14 @@ class TimingAnalyzer:
             with obs.span("sta.full_update"):
                 obs.incr("sta.full_analyze")
                 report, self._state = inc.build_state(compiled, clock, margins)
-            if obs.enabled():
-                obs.gauge("sta.peak_mb.analyze", peak_rss_mb())
             return report
 
         with obs.span("sta.incremental_analyze"):
             obs.incr("sta.incremental_analyze")
             report, frontier = inc.incremental_analyze(state, clock, margins)
             obs.incr("sta.frontier_cells", frontier)
-        if obs.enabled():
-            obs.gauge("sta.peak_mb.analyze", peak_rss_mb())
-            # Running high-water mark of the incremental frontier (gauges
-            # are last-value-wins, so keep the max explicitly).
-            peak = obs.get_recorder().gauges.get("sta.frontier_peak")
-            if peak is None or frontier > peak:
-                obs.gauge("sta.frontier_peak", frontier)
+        if frontier > self.frontier_peak:
+            self.frontier_peak = frontier
         if inc.check_enabled():
             with obs.span("sta.shadow_check"):
                 obs.incr("sta.shadow_checks")

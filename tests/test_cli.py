@@ -81,3 +81,33 @@ class TestTrainRolloutWorkers:
             main(["train", "--actors", "1"])
         assert exc.value.code == 2
         assert "--actors" in capsys.readouterr().err
+
+
+class TestBadArguments:
+    """A bad ``train``/``bench`` value is one ``error:`` line and exit 2,
+    before any design is built."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--workers", "0"], "workers must be positive"),
+            (["train", "--episodes", "0"], "max_episodes must be positive"),
+            (["train", "--rollout-timeout", "0"], "rollout_timeout must be positive"),
+            (["train", "--cells", "10"], "cells=10 is below the minimum of 50"),
+            (["bench", "--episodes", "0"], "episodes must be >= 1"),
+            (["bench", "--cells", "10"], "cells=10 is below the minimum of 50"),
+        ],
+        ids=["train-workers", "train-episodes", "train-rollout-timeout",
+             "train-cells", "bench-episodes", "bench-cells"],
+    )
+    def test_rejected_before_the_workload(self, argv, message, capsys, monkeypatch):
+        from repro.obs import bench
+
+        def no_workload(*args, **kwargs):
+            raise AssertionError("the workload was built")
+
+        monkeypatch.setattr(bench, "build_workload", no_workload)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1

@@ -227,7 +227,7 @@ class TestTrainAndProfile:
             trace = str(tmp_path / f"w{workers}.jsonl")
             rc = main(
                 ["--trace", trace, "train", "--episodes", "2", "--cells", "240",
-                 "--workers", str(workers), "--no-reward-cache"]
+                 "--workers", str(workers)]
             )
             assert rc == 0
             (rollout,) = [
@@ -395,29 +395,3 @@ class TestWatchCommand:
         rc = main(["watch", str(tmp_path / "nope.jsonl"), "--once"])
         assert rc == 0
         assert capsys.readouterr().out == ""
-
-
-class TestMetricsPortFlag:
-    def test_metrics_port_serves_during_command(self, capsys):
-        # ``blocks`` is instant, so probe the endpoint via a patched
-        # MetricsServer that records its own URL before the command exits.
-        import urllib.request
-
-        from repro.obs import metrics_export
-
-        seen = {}
-        original_start = metrics_export.MetricsServer.start.__func__
-
-        def probing_start(cls, port, host="127.0.0.1"):
-            server = original_start(cls, port, host)
-            with urllib.request.urlopen(server.url) as response:
-                seen["body"] = response.read().decode("utf-8")
-            return server
-
-        metrics_export.MetricsServer.start = classmethod(probing_start)
-        try:
-            rc = main(["--metrics-port", "0", "blocks"])
-        finally:
-            metrics_export.MetricsServer.start = classmethod(original_start)
-        assert rc == 0
-        assert "repro_build_info" in seen["body"]

@@ -68,11 +68,15 @@ def test_reward_sequences_identical_across_backends(context):
     assert cache.hits == len(selections)
 
 
+def _miss_every_lookup(monkeypatch) -> None:
+    """Make every reward-cache lookup miss, so every episode runs its flow."""
+    monkeypatch.setattr(RewardCache, "get", lambda self, selection: None)
+
+
 def _train(
     nl,
     period,
     workers: int,
-    reward_cache: bool,
     seed: int = 3,
     episodes_per_update: int = 2,
     entropy_coefficient: float = 0.0,
@@ -88,7 +92,6 @@ def _train(
             max_episodes=4,
             episodes_per_update=episodes_per_update,
             workers=workers,
-            reward_cache=reward_cache,
             entropy_coefficient=entropy_coefficient,
             seed=seed,
         ),
@@ -105,19 +108,19 @@ def _train(
     [(4, 2, 0.0), (2, 3, 0.0), (2, 3, 0.05)],
 )
 def test_training_identical_sequential_vs_pooled(
-    fresh_design, workers, episodes_per_update, entropy_coefficient
+    fresh_design, monkeypatch, workers, episodes_per_update, entropy_coefficient
 ):
     """A fixed seed trains to the same per-episode reward sequence and the
     same parameters with workers=1 and a pool (the paper's farm is
     numerically invisible) — also with the in-flight cap below the batch
     size, a short last batch, and the entropy term."""
     nl, period = fresh_design
+    _miss_every_lookup(monkeypatch)
     runs = [
         _train(
             nl,
             period,
             workers=n,
-            reward_cache=False,
             episodes_per_update=episodes_per_update,
             entropy_coefficient=entropy_coefficient,
         )
@@ -126,9 +129,11 @@ def test_training_identical_sequential_vs_pooled(
     assert pickle.dumps(runs[0]) == pickle.dumps(runs[1])
 
 
-def test_training_identical_with_and_without_cache(fresh_design):
+def test_training_identical_with_and_without_cache(fresh_design, monkeypatch):
     """The reward cache replays, never perturbs: same seed, same history."""
     nl, period = fresh_design
-    uncached = _train(nl, period, workers=1, reward_cache=False)
-    cached = _train(nl, period, workers=1, reward_cache=True)
+    with monkeypatch.context() as patch:
+        _miss_every_lookup(patch)
+        uncached = _train(nl, period, workers=1)
+    cached = _train(nl, period, workers=1)
     assert pickle.dumps(uncached) == pickle.dumps(cached)

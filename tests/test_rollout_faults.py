@@ -140,7 +140,7 @@ class TestFaultInjection:
         """Tasks submitted ahead of their evaluate crash, hang and come back
         corrupt; the streamed training still reproduces the sequential
         history and parameters."""
-        from repro.agent import reinforce
+        from repro.agent import parallel, reinforce
 
         nl, config, _, _ = context
         faults = {(0, 0): "crash", (1, 0): "hang", (2, 0): "corrupt"}
@@ -162,13 +162,14 @@ class TestFaultInjection:
                     episodes_per_update=2,
                     workers=workers,
                     max_selection_steps=6,
-                    reward_cache=False,
                     seed=4,
                 ),
             )
             history = [(r.tns, r.wns, r.nve, r.advantage) for r in result.history]
             return history, [p.data.tobytes() for p in policy.parameters()]
 
+        # Every episode is a task, so tasks 0-2 exist for the faults.
+        monkeypatch.setattr(parallel.RewardCache, "get", lambda self, selection: None)
         sequential = train(1)
         monkeypatch.setattr(reinforce, "RolloutPool", faulty_pool)
         streamed = train(2)

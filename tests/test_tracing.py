@@ -1,15 +1,13 @@
 """Tests for event-level tracing: the tracer itself, the worker-to-parent
 record channel, cross-process span correlation through the rollout pool
 (fork and spawn, including across retry/respawn), the Chrome trace-event exporter, the trace schema
-validator, the Prometheus metrics exporter, and the live watch follower."""
+validator, and the live watch follower."""
 
 from __future__ import annotations
 
 import json
 import os
 import pickle
-import urllib.error
-import urllib.request
 from collections import Counter
 
 import pytest
@@ -26,11 +24,6 @@ from repro.agent.parallel import (
 )
 from repro.ccd.flow import FlowConfig
 from repro.obs import records, tracing
-from repro.obs.metrics_export import (
-    CONTENT_TYPE,
-    MetricsServer,
-    render_prometheus,
-)
 from repro.obs.trace_export import chrome_trace, export_file
 from repro.obs.trace_schema import validate_record, validate_trace
 from repro.obs.watch import (
@@ -47,7 +40,6 @@ START_METHODS = (["fork"] if fork_available() else []) + ["spawn"]
 def clean_tracing(monkeypatch):
     """Isolate every test from global recorder/sink/tracer state."""
     monkeypatch.delenv(obs.ENV_VAR, raising=False)
-    monkeypatch.delenv(tracing.ENV_VAR, raising=False)
     was_enabled = obs.enabled()
     prev_trace = obs.trace_path()
     obs.reset()
@@ -206,25 +198,15 @@ class TestTracer:
         tracing.enable(trace_id="t-ctx")
         assert tracing.worker_context(2) == {"trace_id": "t-ctx", "worker": 2}
 
-    def test_env_var_enables_when_sink_configured(self, sink, monkeypatch):
-        monkeypatch.setenv(tracing.ENV_VAR, "1")
-        tracing._init_from_env()
-        assert tracing.enabled()
-
-    def test_env_var_ignored_without_sink(self, monkeypatch):
-        obs.set_trace_path(None)
-        monkeypatch.setenv(tracing.ENV_VAR, "1")
-        tracing._init_from_env()
-        assert not tracing.enabled()
-
 
 @pytest.mark.parametrize("sink_from", ["set_trace_path", "env"])
 @pytest.mark.parametrize("method", START_METHODS)
 def test_pooled_training_records_match_across_start_methods(
     tmp_path, monkeypatch, method, sink_from
 ):
-    """A traced 2-worker training run writes one ``flow`` record per task
-    plus the best-flow replay, and none for the workers' warm-up flows,
+    """A traced 2-worker training run writes one ``flow`` record per flow
+    run (each reward-cache miss) plus the best-flow replay, and none for
+    the workers' warm-up flows,
     whichever start method runs the workers and however the sink was set;
     its ``rollout`` record counts episodes and updates, and every worker
     task span has a parent in the training process."""
@@ -233,7 +215,7 @@ def test_pooled_training_records_match_across_start_methods(
     path = str(tmp_path / "trace.jsonl")
     monkeypatch.setenv(START_METHOD_ENV_VAR, method)
     argv = ["--trace-events", "train", "--workers", "2", "--episodes", "4",
-            "--cells", "240", "--no-reward-cache"]
+            "--cells", "240"]
     if sink_from == "env":
         # What ``import repro`` does with REPRO_OBS set; spawned workers
         # re-read the variable at their own import.
@@ -245,15 +227,16 @@ def test_pooled_training_records_match_across_start_methods(
     trace = obs.read_records(path)
     (rollout,) = [r for r in trace if r["kind"] == "rollout"]
     assert rollout["start_method"] == method
-    tasks = rollout["tasks"]
-    assert tasks == 4
+    assert rollout["tasks"] == 4
     assert rollout["batches"] == 2  # updates, not evaluate calls
+    flows = rollout["cache_misses"]
+    assert flows >= 1
     kinds = Counter(r["kind"] for r in trace if r["kind"] != "span")
-    assert kinds == {"episode": 4, "flow": tasks + 1, "rollout": 1, "train": 1}
+    assert kinds == {"episode": 4, "flow": flows + 1, "rollout": 1, "train": 1}
     assert all(r["prioritized"] > 0 for r in trace if r["kind"] == "flow")
     spans = Counter(r["name"] for r in trace if r["kind"] == "span")
-    assert spans["rollout.task"] == tasks
-    assert spans["flow.run"] == tasks + 1
+    assert spans["rollout.task"] == flows
+    assert spans["flow.run"] == flows + 1
     # Every task was dispatched under an open span of the training process.
     parent_side = {
         r["span_id"] for r in trace if r["kind"] == "span" and r["worker"] is None
@@ -483,59 +466,6 @@ class TestTraceSchema:
         counts = validate_trace(canned)
         assert counts["span"] == 5
         assert counts["episode"] == 4
-
-
-class TestMetricsExport:
-    def test_render_prometheus_families(self):
-        state = {
-            "counters": {"rollout.tasks": 4.0},
-            "gauges": {"flow.endpoints": 42.0},
-            "phases": {
-                "flow.run": {"count": 2, "total": 0.75, "durations": [0.25, 0.5]},
-            },
-        }
-        text = render_prometheus(state)
-        assert 'repro_counter_total{name="rollout.tasks"} 4' in text
-        assert 'repro_gauge{name="flow.endpoints"} 42' in text
-        assert 'repro_phase_duration_seconds_count{phase="flow.run"} 2' in text
-        assert 'repro_phase_duration_seconds_sum{phase="flow.run"} 0.75' in text
-        # Cumulative buckets: one duration ≤0.25, both ≤0.5.
-        assert 'le="0.25"} 1' in text
-        assert 'le="0.5"} 2' in text
-        assert 'le="+Inf"' in text
-        assert "repro_build_info" in text
-        assert text.endswith("\n")
-
-    def test_render_uses_live_recorder_by_default(self):
-        obs.enable()
-        obs.incr("unit.metric", 3)
-        assert 'repro_counter_total{name="unit.metric"} 3' in render_prometheus()
-
-    def test_label_escaping(self):
-        state = {
-            "counters": {'we"ird\\name\n': 1.0}, "gauges": {}, "phases": {},
-        }
-        text = render_prometheus(state)
-        assert '{name="we\\"ird\\\\name\\n"}' in text
-
-    def test_http_server_serves_metrics(self):
-        obs.enable()
-        obs.incr("unit.served", 2)
-        server = MetricsServer.start(0)
-        try:
-            assert server.port > 0
-            with urllib.request.urlopen(server.url) as response:
-                assert response.headers["Content-Type"] == CONTENT_TYPE
-                body = response.read().decode("utf-8")
-            assert 'repro_counter_total{name="unit.served"} 2' in body
-            request = urllib.request.Request(
-                f"http://127.0.0.1:{server.port}/nope"
-            )
-            with pytest.raises(urllib.error.HTTPError) as err:
-                urllib.request.urlopen(request)
-            assert err.value.code == 404
-        finally:
-            server.close()
 
 
 class TestWatch:
