@@ -29,7 +29,9 @@ Fault tolerance (see ``docs/rollout.md``):
 copy-on-write); ``spawn`` is supported as the no-fork fallback, in which
 case the design snapshot is pickled exactly once per worker at pool
 startup.  ``REPRO_ROLLOUT_START_METHOD`` forces the choice (the
-``rollout-faults`` CI job runs the fault suite under both).
+``rollout-faults`` CI job runs the pool suites under both).  The fault
+limits are module constants read only by the parent process, so a test may
+monkeypatch them under fork and spawn alike.
 """
 
 from __future__ import annotations
@@ -66,6 +68,25 @@ START_METHOD_ENV_VAR = "REPRO_ROLLOUT_START_METHOD"
 
 #: Heartbeat period of the worker-side daemon thread (seconds).
 HEARTBEAT_INTERVAL = 0.05
+
+#: Heartbeat silence (seconds) after which a busy worker counts as frozen.
+HEARTBEAT_TIMEOUT = 10.0
+
+#: How long (seconds) a started worker may take to report ready.
+WORKER_START_TIMEOUT = 60.0
+
+#: Retries of one task before it runs in process instead.
+MAX_RETRIES = 2
+
+#: Respawns of one worker slot before the slot is retired.
+MAX_WORKER_RESTARTS = 4
+
+#: Respawn backoff: ``BACKOFF_BASE * 2**k`` seconds, capped at ``BACKOFF_CAP``.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+
+#: Reward-cache size; the oldest entry goes first beyond it.
+CACHE_MAX_ENTRIES = 65536
 
 #: Counters of the ``rollout`` run record.  The pool keeps all of them; the
 #: trainer reports its own episodes as ``tasks`` and updates as
@@ -136,33 +157,21 @@ class RewardCache:
     selection tuple)`` — same design state, same recipe, same prioritized
     endpoints ⇒ same deterministic flow outcome, so a hit replays the
     stored reward without running the flow.  Eviction is FIFO at
-    ``max_entries`` (selections are tiny; the default never evicts in
+    :data:`CACHE_MAX_ENTRIES` (selections are tiny; it never evicts in
     practice) and counted in ``evictions``.
     """
 
-    def __init__(
-        self,
-        design_digest: str,
-        config_digest: str,
-        max_entries: int = 65536,
-    ) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
+    def __init__(self, design_digest: str, config_digest: str) -> None:
         self._prefix = f"{design_digest}:{config_digest}:"
         self._entries: "OrderedDict[str, FlowReward]" = OrderedDict()
-        self._max_entries = max_entries
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
     @classmethod
-    def for_context(
-        cls, snapshot: NetlistState, flow_config: FlowConfig, **kwargs
-    ) -> "RewardCache":
+    def for_context(cls, snapshot: NetlistState, flow_config: FlowConfig) -> "RewardCache":
         """Cache bound to one design begin-state + flow recipe."""
-        return cls(
-            netlist_state_digest(snapshot), flow_config_digest(flow_config), **kwargs
-        )
+        return cls(netlist_state_digest(snapshot), flow_config_digest(flow_config))
 
     def key(self, selection: Sequence[int]) -> str:
         payload = self._prefix + ",".join(str(int(s)) for s in selection)
@@ -185,7 +194,7 @@ class RewardCache:
 
     def put(self, selection: Sequence[int], reward: FlowReward) -> None:
         key = self.key(selection)
-        if key not in self._entries and len(self._entries) >= self._max_entries:
+        if key not in self._entries and len(self._entries) >= CACHE_MAX_ENTRIES:
             self._entries.popitem(last=False)
             self.evictions += 1
         self._entries[key] = reward
@@ -377,9 +386,9 @@ class RolloutPool:
     single time), :meth:`submit` selections as they are sampled and
     :meth:`evaluate` them when their rewards are needed, or evaluate a
     whole batch at once; :meth:`close` (or use as a context manager) when
-    training ends.  ``workers <= 1`` or an unavailable start method
-    silently degrade to sequential in-process evaluation — results are
-    identical either way.
+    training ends.  ``workers=1`` (unless a ``start_method`` is given) or
+    an unavailable start method run the flows in process instead, inside
+    :meth:`evaluate` — results are identical either way.
     """
 
     def __init__(
@@ -389,36 +398,19 @@ class RolloutPool:
         workers: int = 2,
         snapshot: Optional[NetlistState] = None,
         task_timeout: float = 120.0,
-        heartbeat_timeout: float = 10.0,
-        worker_start_timeout: float = 60.0,
-        max_retries: int = 2,
-        max_worker_restarts: int = 4,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
         start_method: Optional[str] = None,
         cache: Optional[RewardCache] = None,
         fault_spec: Optional[Mapping[Tuple[int, int], str]] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        for name, value in (
-            ("task_timeout", task_timeout),
-            ("heartbeat_timeout", heartbeat_timeout),
-            ("worker_start_timeout", worker_start_timeout),
-        ):
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        if task_timeout <= 0:
+            raise ValueError(f"task_timeout must be positive, got {task_timeout}")
         self.netlist = netlist
         self.flow_config = flow_config
         self.workers = workers
         self.snapshot = snapshot if snapshot is not None else snapshot_netlist_state(netlist)
         self.task_timeout = float(task_timeout)
-        self.heartbeat_timeout = float(heartbeat_timeout)
-        self.worker_start_timeout = float(worker_start_timeout)
-        self.max_retries = int(max_retries)
-        self.max_worker_restarts = int(max_worker_restarts)
-        self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
         self.cache = cache
         self.fault_spec = dict(fault_spec) if fault_spec else None
         self._log = obs.get_logger("agent.rollout")
@@ -465,10 +457,10 @@ class RolloutPool:
         Workers warm up (one flow run) before their ready message, so
         waiting here moves that one-time cost into pool construction —
         *outside* the timed :meth:`evaluate` calls.  Bounded by
-        ``worker_start_timeout``; stragglers and dead workers are left for
-        the evaluate loop's normal failure handling.
+        :data:`WORKER_START_TIMEOUT`; stragglers and dead workers are left
+        for the evaluate loop's normal failure handling.
         """
-        deadline = time.monotonic() + self.worker_start_timeout
+        deadline = time.monotonic() + WORKER_START_TIMEOUT
         while time.monotonic() < deadline:
             waiting = [
                 w for w in self._slots if not w.ready and w.process.is_alive()
@@ -569,17 +561,17 @@ class RolloutPool:
     def _respawn_slot(self, slot: int) -> None:
         """Replace a failed slot's process, with exponential backoff.
 
-        A slot past ``max_worker_restarts`` is retired; when every slot is
-        retired the pool degrades to sequential for the rest of its life.
+        A slot past :data:`MAX_WORKER_RESTARTS` is retired; when every slot
+        is retired the pool degrades to sequential for the rest of its life.
         """
         worker = self._slots[slot]
         restarts = worker.restarts + 1
         self._kill_worker(worker)
-        if restarts > self.max_worker_restarts:
+        if restarts > MAX_WORKER_RESTARTS:
             self._log.warning(
                 "rollout worker slot %d exceeded %d restarts; retiring slot",
                 slot,
-                self.max_worker_restarts,
+                MAX_WORKER_RESTARTS,
             )
             tracing.instant("rollout.slot_retired", {"slot": slot})
             self._slots[slot] = worker  # keep the dead slot for bookkeeping
@@ -587,7 +579,7 @@ class RolloutPool:
             worker.deadline = None
             worker.ready = False
             return
-        delay = min(self.backoff_base * (2.0 ** (restarts - 1)), self.backoff_cap)
+        delay = min(BACKOFF_BASE * (2.0 ** (restarts - 1)), BACKOFF_CAP)
         if delay > 0:
             time.sleep(delay)
         self._count("worker_restarts")
@@ -617,7 +609,7 @@ class RolloutPool:
         )
         self._respawn_slot(slot)
         self._queue.extendleft(reversed(tail))
-        if attempt + 1 > self.max_retries:
+        if attempt + 1 > MAX_RETRIES:
             self._count("sequential_fallbacks")
             tracing.instant(
                 "rollout.degrade",
@@ -642,16 +634,17 @@ class RolloutPool:
 
         A cache hit settles at once; a miss becomes a task, dispatched to a
         ready worker before this returns (under the caller's open span,
-        which parents the worker's ``rollout.task`` span), or run in place
-        by a pool without worker processes.  A later
-        :meth:`evaluate` of an equal selection collects it; equal
+        which parents the worker's ``rollout.task`` span).  A pool without
+        worker processes only queues it: its flows run in :meth:`evaluate`.
+        A later :meth:`evaluate` of an equal selection collects it; equal
         selections are collected in submission order.
         """
         if self._closed:
             raise RuntimeError("RolloutPool is closed")
         selection = tuple(int(s) for s in selection)
         self._submitted.setdefault(selection, deque()).append(self._enqueue(selection))
-        self._step(0.0, time.monotonic())
+        if self.start_method is not None:
+            self._step(0.0, time.monotonic())
 
     def evaluate(self, selections: Sequence[Sequence[int]]) -> List[FlowReward]:
         """Evaluate each selection's flow reward from the pool's snapshot.
@@ -660,7 +653,9 @@ class RolloutPool:
         submission first); the rest are submitted here.  Blocks until all
         are done and returns rewards in ``selections`` order, byte-identical
         to a sequential run regardless of caching, worker failures or
-        retries.  The caller's netlist is left at the snapshot state.
+        retries.  It never moves the caller's netlist away from the
+        snapshot state: an in-process flow restores the netlist afterwards,
+        and worker flows never touch it.
         """
         if self._closed:
             raise RuntimeError("RolloutPool is closed")
@@ -678,7 +673,6 @@ class RolloutPool:
         if self.cache is not None:
             for selection, reward in zip(selections, rewards):
                 self.cache.put(selection, reward)
-        restore_netlist_state(self.netlist, self.snapshot)
         return rewards
 
     def _enqueue(self, selection: Tuple[int, ...]) -> Any:
@@ -716,8 +710,9 @@ class RolloutPool:
         already in a pipe (waiting up to ``timeout`` for one), then sweep
         deadlines and heartbeats — results that arrived are read before
         any deadline is judged.  ``start`` is when the caller began
-        waiting: a worker still not ready ``worker_start_timeout`` later is
-        respawned.
+        waiting: a worker still not ready :data:`WORKER_START_TIMEOUT`
+        later is respawned.  A pool without worker processes runs its
+        whole queue in place.
         """
         if self.start_method is None:
             while self._queue:
@@ -835,14 +830,14 @@ class RolloutPool:
                     self._fail_task(slot, "task timeout")
                 elif (
                     worker.heartbeat.value > 0.0
-                    and now - worker.heartbeat.value > self.heartbeat_timeout
+                    and now - worker.heartbeat.value > HEARTBEAT_TIMEOUT
                 ):
                     self._count("worker_crashes")
                     self._fail_task(slot, "heartbeat lost (frozen worker)")
             elif (
                 not worker.ready
                 and worker.process.is_alive()
-                and now - start > self.worker_start_timeout
+                and now - start > WORKER_START_TIMEOUT
             ):
                 self._respawn_slot(slot)
 

@@ -63,6 +63,9 @@ from repro.nn.optim import Adam
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_non_negative, check_positive
 
+#: Smallest reward gain that counts as an improvement for early stopping.
+PLATEAU_TOLERANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -80,7 +83,6 @@ class TrainConfig:
     learning_rate: float = 2e-3
     gradient_clip: float = 5.0
     plateau_patience: int = 3  # paper: stop after 3 non-improving iterations
-    plateau_tolerance: float = 1e-6
     workers: int = 1
     # Cap on selections per trajectory.  Each step's EP-GNN run stays on the
     # autograd tape until the update, so unbounded trajectories on large
@@ -270,7 +272,7 @@ def train_rlccd(
                 )
             )
         episode += 1
-        if reward > best_tns + config.plateau_tolerance:
+        if reward > best_tns + PLATEAU_TOLERANCE:
             best_tns = reward
             best_selection = list(selection)
             return True

@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from repro.agent import parallel
 from repro.agent.baselines import select_random, select_worst_slack
 from repro.agent.env import EndpointSelectionEnv
 from repro.agent.parallel import (
@@ -144,12 +145,11 @@ class TestRewardCache:
         selection = select_worst_slack(env, 2)
         assert one.key(selection) != two.key(selection)
 
-    def test_fifo_eviction_bounds_entries(self, context):
+    def test_fifo_eviction_bounds_entries(self, context, monkeypatch):
         nl, period, env = context
         snapshot = snapshot_netlist_state(nl)
-        cache = RewardCache.for_context(
-            snapshot, FlowConfig(clock_period=period), max_entries=2
-        )
+        monkeypatch.setattr(parallel, "CACHE_MAX_ENTRIES", 2)
+        cache = RewardCache.for_context(snapshot, FlowConfig(clock_period=period))
         reward = FlowReward(tns=-1.0, wns=-0.5, nve=1, power_total=1.0, num_selected=1)
         for endpoint in env.endpoints[:3]:
             cache.put([endpoint], reward)
@@ -167,6 +167,25 @@ class TestRolloutPool:
             rewards = pool.evaluate(selections)
         direct = evaluate_selections(nl, config, selections)
         assert rewards == direct
+
+    def test_in_process_flows_run_in_evaluate(self, context, monkeypatch):
+        """Without worker processes ``submit`` only queues: the flow runs
+        inside ``evaluate``, where the caller waits for its reward."""
+        nl, period, env = context
+        flows = []
+        run_flow = parallel.run_flow
+
+        def counting_run_flow(*args, **kwargs):
+            flows.append(args)
+            return run_flow(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "run_flow", counting_run_flow)
+        selection = select_worst_slack(env, 2)
+        with RolloutPool(nl, FlowConfig(clock_period=period), workers=1) as pool:
+            pool.submit(selection)
+            assert flows == []
+            pool.evaluate([selection])
+        assert len(flows) == 1
 
     @pytest.mark.skipif(not fork_available(), reason="platform lacks fork")
     def test_pool_reused_across_batches(self, context):

@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from repro.agent import parallel
 from repro.agent.baselines import select_worst_slack
 from repro.agent.env import EndpointSelectionEnv
 from repro.agent.parallel import (
@@ -28,7 +29,7 @@ from repro.agent.parallel import (
     fork_available,
 )
 from repro.agent.policy import RLCCDPolicy
-from repro.ccd.flow import FlowConfig, snapshot_netlist_state
+from repro.ccd.flow import FlowConfig
 from repro.features.table1 import NUM_FEATURES
 
 _FORCED = os.environ.get(START_METHOD_ENV_VAR, "").strip()
@@ -38,13 +39,14 @@ START_METHODS = [_FORCED] if _FORCED else (
 
 #: Fault-test pools keep timeouts short so an injected hang costs ~a
 #: second, not the production default.
-FAST = dict(
-    task_timeout=2.0,
-    heartbeat_timeout=1.0,
-    backoff_base=0.01,
-    max_retries=2,
-    max_worker_restarts=4,
-)
+TASK_TIMEOUT = 2.0
+
+
+@pytest.fixture(autouse=True)
+def fast_faults(monkeypatch):
+    """Short heartbeat timeout and backoff for every pool in this module."""
+    monkeypatch.setattr(parallel, "HEARTBEAT_TIMEOUT", 1.0)
+    monkeypatch.setattr(parallel, "BACKOFF_BASE", 0.01)
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +72,7 @@ class TestFaultInjection:
             workers=2,
             start_method=method,
             fault_spec=faults,
-            **FAST,
+            task_timeout=TASK_TIMEOUT,
         ) as pool:
             rewards = pool.evaluate(selections)
             stats = pool.stats()
@@ -91,7 +93,7 @@ class TestFaultInjection:
             workers=2,
             start_method=method,
             fault_spec=faults,
-            **FAST,
+            task_timeout=TASK_TIMEOUT,
         ) as pool:
             rewards = pool.evaluate(selections)
             stats = pool.stats()
@@ -108,7 +110,7 @@ class TestFaultInjection:
             workers=2,
             start_method=method,
             fault_spec={(0, 0): "crash"},
-            **FAST,
+            task_timeout=TASK_TIMEOUT,
         ) as pool:
             first = pool.evaluate(selections)
             second = pool.evaluate(selections)
@@ -119,7 +121,9 @@ class TestFaultInjection:
         """Closing a pool stops every worker; a fresh pool picks the reward
         stream up byte-identical — no state lives outside the parent."""
         nl, config, selections, sequential = context
-        first_pool = RolloutPool(nl, config, workers=2, start_method=method, **FAST)
+        first_pool = RolloutPool(
+            nl, config, workers=2, start_method=method, task_timeout=TASK_TIMEOUT
+        )
         try:
             first = first_pool.evaluate(selections)
             generation = [w.process for w in first_pool._slots]
@@ -127,7 +131,9 @@ class TestFaultInjection:
             first_pool.close()
         assert len(generation) == 2
         assert not any(process.is_alive() for process in generation)
-        with RolloutPool(nl, config, workers=2, start_method=method, **FAST) as pool:
+        with RolloutPool(
+            nl, config, workers=2, start_method=method, task_timeout=TASK_TIMEOUT
+        ) as pool:
             second = pool.evaluate(selections)
         blob = pickle.dumps(sequential)
         assert pickle.dumps(first) == blob
@@ -140,14 +146,14 @@ class TestFaultInjection:
         """Tasks submitted ahead of their evaluate crash, hang and come back
         corrupt; the streamed training still reproduces the sequential
         history and parameters."""
-        from repro.agent import parallel, reinforce
+        from repro.agent import reinforce
 
         nl, config, _, _ = context
         faults = {(0, 0): "crash", (1, 0): "hang", (2, 0): "corrupt"}
         pools = []
 
         def faulty_pool(*args, **kwargs):
-            kwargs.update(FAST, start_method=method, fault_spec=faults)
+            kwargs.update(task_timeout=TASK_TIMEOUT, start_method=method, fault_spec=faults)
             pools.append(RolloutPool(*args, **kwargs))
             return pools[-1]
 
@@ -185,10 +191,12 @@ class TestFaultInjection:
         a learner that comes back after the task timeout still gets the
         worker's reward, with no timeout charged and no worker restarted."""
         nl, config, selections, sequential = context
-        with RolloutPool(nl, config, workers=1, start_method=method, **FAST) as pool:
+        with RolloutPool(
+            nl, config, workers=1, start_method=method, task_timeout=TASK_TIMEOUT
+        ) as pool:
             pool.submit(selections[0])
             assert pool._slots[0].conn.poll(30.0)  # the result is in the pipe
-            time.sleep(FAST["task_timeout"] + 0.5)
+            time.sleep(TASK_TIMEOUT + 0.5)
             rewards = pool.evaluate([selections[0]])
             stats = pool.stats()
         assert pickle.dumps(rewards) == pickle.dumps(sequential[:1])
@@ -197,18 +205,13 @@ class TestFaultInjection:
 
 
 @pytest.mark.skipif(not fork_available(), reason="platform lacks fork")
-def test_heartbeat_detects_frozen_worker(context):
+def test_heartbeat_detects_frozen_worker(context, monkeypatch):
     """A SIGSTOPped worker stops heartbeating and is replaced well before
     the (long) task timeout would fire."""
     nl, config, selections, sequential = context
+    monkeypatch.setattr(parallel, "HEARTBEAT_TIMEOUT", 0.5)
     with RolloutPool(
-        nl,
-        config,
-        workers=1,
-        start_method="fork",
-        task_timeout=60.0,
-        heartbeat_timeout=0.5,
-        backoff_base=0.01,
+        nl, config, workers=1, start_method="fork", task_timeout=60.0
     ) as pool:
         # Wait for the first heartbeat (it implies the ready handshake is
         # already in the pipe), then freeze the worker under the pool's nose.

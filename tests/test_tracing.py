@@ -13,6 +13,7 @@ from collections import Counter
 import pytest
 
 from repro import obs
+from repro.agent import parallel
 from repro.agent.baselines import select_worst_slack
 from repro.agent.env import EndpointSelectionEnv
 from repro.agent.parallel import (
@@ -296,11 +297,13 @@ class TestCrossProcessCorrelation:
         assert all(s["parent_id"] == evaluates[0]["span_id"] for s in submits)
 
     def test_correlation_survives_retry_and_respawn(
-        self, pool_context, sink, method
+        self, pool_context, sink, method, monkeypatch
     ):
         """A worker crash mid-task forces a respawn and a retry; the retried
         task's span must still resolve to the submitting evaluate span."""
         nl, config, selections = pool_context
+        monkeypatch.setattr(parallel, "HEARTBEAT_TIMEOUT", 1.0)
+        monkeypatch.setattr(parallel, "BACKOFF_BASE", 0.01)
         tracing.enable()
         with RolloutPool(
             nl,
@@ -309,10 +312,6 @@ class TestCrossProcessCorrelation:
             start_method=method,
             fault_spec={(0, 0): "crash"},
             task_timeout=2.0,
-            heartbeat_timeout=1.0,
-            backoff_base=0.01,
-            max_retries=2,
-            max_worker_restarts=4,
         ) as pool:
             rewards = pool.evaluate(selections)
             stats = pool.stats()
