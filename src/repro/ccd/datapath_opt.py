@@ -15,15 +15,19 @@ effort wasted on endpoints that useful skew could have fixed is effort other
 endpoints never receive.  That coupling is what makes endpoint
 prioritization globally consequential — the paper's core observation.
 
-Every move is a real netlist mutation re-verified by full STA; moves that
-fail to improve (margin-aware) TNS are rolled back and charged a small
-probe cost, mimicking the trial-based inner loops of production optimizers.
+Every move is a real netlist mutation re-verified by STA; moves that fail
+to improve TNS are rolled back and charged a small probe cost, mimicking
+the trial-based inner loops of production optimizers.  Margins are removed
+before this stage (Algorithm 1 l.16), so it sees true slack only.  A sizing
+move is a *probe* of the analyzer: its analysis re-times only the forward
+cone (a probe reads no required time), and a rejected one is restored from
+the probe's journal without re-timing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -79,12 +83,11 @@ class DatapathResult:
 def optimize_datapath(
     analyzer: TimingAnalyzer,
     clock: ClockModel,
-    margins: Optional[Mapping[int, float]] = None,
     config: DatapathConfig = DatapathConfig(),
 ) -> DatapathResult:
     """Run budgeted greedy delay fixing; mutates the netlist in place."""
     with obs.span("ccd.datapath"):
-        result = _optimize_datapath(analyzer, clock, margins, config)
+        result = _optimize_datapath(analyzer, clock, config)
     obs.incr("datapath.sizing_moves", result.sizing_moves)
     obs.incr("datapath.buffer_moves", result.buffer_moves)
     obs.incr("datapath.rolled_back", result.rolled_back)
@@ -94,14 +97,12 @@ def optimize_datapath(
 def _optimize_datapath(
     analyzer: TimingAnalyzer,
     clock: ClockModel,
-    margins: Optional[Mapping[int, float]],
     config: DatapathConfig,
 ) -> DatapathResult:
     result = DatapathResult()
 
-    report = analyzer.analyze(clock, margins)
-    apparent = report.slack_with_margins
-    initial_violations = int((apparent < 0).sum())
+    report = analyzer.analyze(clock)
+    initial_violations = int((report.slack < 0).sum())
     if initial_violations == 0:
         return result
     budget = float(
@@ -115,11 +116,11 @@ def _optimize_datapath(
     for _round in range(config.max_rounds):
         if budget <= 0:
             break
-        apparent = report.slack_with_margins
-        violating = report.endpoints[apparent < 0]
+        slack = report.slack
+        violating = report.endpoints[slack < 0]
         if violating.size == 0:
             break
-        order = np.argsort(apparent[apparent < 0])
+        order = np.argsort(slack[slack < 0])
         targets = violating[order][: config.endpoints_per_round]
         result.rounds += 1
         any_move = False
@@ -130,7 +131,7 @@ def _optimize_datapath(
             # report — the batched behaviour of commercial optimizers — but
             # each move is verified against the freshest timing state.
             moved, cost, report = _fix_endpoint(
-                analyzer, clock, margins, int(endpoint), config, report, result
+                analyzer, clock, int(endpoint), config, report, result
             )
             budget -= cost
             result.budget_spent += cost
@@ -143,7 +144,6 @@ def _optimize_datapath(
 def _fix_endpoint(
     analyzer: TimingAnalyzer,
     clock: ClockModel,
-    margins: Optional[Mapping[int, float]],
     endpoint: int,
     config: DatapathConfig,
     report,
@@ -152,10 +152,12 @@ def _fix_endpoint(
     """Try the best single move for one endpoint.
 
     Returns ``(moved, cost, freshest_report)`` so the caller never pays for
-    a redundant STA run.
+    a redundant STA run.  The report may be a probe's
+    :class:`~repro.timing.sta.ProbeReport`: this loop reads only endpoint
+    slack and cell arrivals.
     """
     netlist = analyzer.netlist
-    before_tns = tns(report.slack_with_margins)
+    before_tns = tns(report.slack)
     compiled = analyzer.compiled
     path = trace_critical_path(compiled, report, endpoint)
 
@@ -184,30 +186,32 @@ def _fix_endpoint(
             best_fanout = fanout
             best_net = net_index
 
-    # Probe moves are the incremental-STA fast path: notify_resize marks the
-    # handful of re-coefficiented cells dirty and the next analyze()
-    # re-propagates only their cones — including the immediate roll-back
-    # resize below, which dirties the same cells right back.  Structural
-    # buffer splits instead invalidate() for a full recompute (fallback
-    # rules in docs/timing.md).
+    # A sizing move is a probe (docs/timing.md, "Probes"): its analysis
+    # re-times only the forward cones of the re-coefficiented cells, and a
+    # rejected move, once resized back, is restored from the probe's journal
+    # with no re-propagation.  Structural buffer splits instead invalidate()
+    # for a full recompute (fallback rules in docs/timing.md).
     if best_cell is not None:
+        analyzer.open_probe()
         previous = netlist.resize_cell(best_cell, netlist.cells[best_cell].size_index + 1)
         analyzer.notify_resize(best_cell)
-        fresh = analyzer.analyze(clock, margins)
-        if tns(fresh.slack_with_margins) < before_tns - 1e-12:
+        fresh = analyzer.analyze(clock)
+        if tns(fresh.slack) < before_tns - 1e-12:
             netlist.resize_cell(best_cell, previous)
             analyzer.notify_resize(best_cell)
+            analyzer.rollback_probe()
             result.rolled_back += 1
             # After the rollback the pre-move report is valid again.
             return (False, config.failed_move_cost, report)
+        analyzer.commit_probe()
         result.sizing_moves += 1
         return (True, 1.0, fresh)
 
     if best_net is not None:
         _split_net(netlist, best_net, keep_on_path=set(path.cells))
         analyzer.invalidate()
-        fresh = analyzer.analyze(clock, margins)
-        if tns(fresh.slack_with_margins) < before_tns - 1e-12:
+        fresh = analyzer.analyze(clock)
+        if tns(fresh.slack) < before_tns - 1e-12:
             # Buffer insertion is not rolled back (removal is not a move real
             # tools make cheaply either); charge it as a failed probe.
             result.rolled_back += 1

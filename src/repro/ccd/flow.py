@@ -298,9 +298,7 @@ def run_flow(
 
         # --- remaining placement optimization: data-path fixing ------- #
         with obs.span("flow.datapath") as sp_datapath:
-            datapath_result = optimize_datapath(
-                analyzer, clock, margins, config.datapath
-            )
+            datapath_result = optimize_datapath(analyzer, clock, config.datapath)
 
         # --- final skew cleanup (CCD interleaving continues in tail) -- #
         with obs.span("flow.final_skew") as sp_final_skew:

@@ -10,8 +10,9 @@ times per flow run.  This module keeps the *last* analysis alive as an
 * **dirty cells** arrive from :meth:`TimingAnalyzer.notify_resize` (delay
   coefficients / load caps patched), :meth:`TimingAnalyzer.notify_skew`
   (clock arrivals moved) and — as a safety net — from diffing the clock
-  model's per-flop arrivals against the cached vector, so an un-notified
-  skew edit can never be read stale;
+  model's per-flop arrivals against the cached vector whenever the
+  clock's arrival dict differs from the copy the state last synced to, so
+  an un-notified skew edit can never be read stale;
 * the **forward pass** seeds a frontier from the dirty cells and walks the
   topological levels in order, recomputing only frontier cells and pruning
   any cell whose ``(arrival, slew)`` pair is unchanged within
@@ -23,7 +24,13 @@ times per flow run.  This module keeps the *last* analysis alive as an
 * **margins stay a view**: they only reseed the margin-aware backward pass
   (``required_eff``); arrivals, slews and true required times are never
   dirtied by applying or removing them, so ``analyze()`` diffs the margin
-  mapping itself and needs no notification.
+  mapping itself and needs no notification;
+* a **probe** (a trial move between :meth:`TimingAnalyzer.open_probe` and
+  ``commit_probe``/``rollback_probe``) runs the forward pass only and
+  returns a :class:`~repro.timing.sta.ProbeReport`; the backward pass'
+  seeds wait in the state until the next ordinary analysis sweeps them in
+  one pass, and a rollback restores the probe's :class:`Journal` instead
+  of re-propagating the undo.
 
 Every recomputation mirrors the full pass' arithmetic *expression by
 expression*, so a recomputed value from unchanged inputs is bitwise equal
@@ -63,7 +70,10 @@ all run the full engine and refresh the cached state.  An analyzer made by
 
 Shadow-check mode (``REPRO_STA_CHECK=1``) re-runs the full engine after
 every incremental analysis and asserts the two reports agree within
-:data:`CHECK_ATOL` — the differential harness CI runs the fuzz suite under.
+:data:`CHECK_ATOL` (a probe report on the fields it carries), and asserts
+every journaled rollback leaves the buffers byte-equal to a copy taken
+when the probe opened — the differential harness CI runs the fuzz suite
+under.
 """
 
 from __future__ import annotations
@@ -80,10 +90,12 @@ from repro.timing.clock import ClockModel
 from repro.timing.sta import (
     _NO_DRIVER,
     CompiledTiming,
+    ProbeReport,
     TimingReport,
     _backward_required,
     analyze,
     buffer_backed,
+    buffer_mismatches,
     buffer_view,
     csr_edge_indices,
 )
@@ -251,14 +263,24 @@ class IncrementalState:
     #: Margin-aware required view; ``None`` while margins are all zero (the
     #: full engine aliases the true view then, and so do we).
     required_eff: Optional[np.ndarray]
-    #: Flops with a non-zero cached clock arrival (keeps the clock diff
-    #: O(#skewed) instead of O(#flops)).
-    skewed_flops: Set[int] = field(default_factory=set)
+    #: Copy of the ``clock.arrivals`` dict the cached clock vector was last
+    #: synced to.  The clock diff runs only when the live dict differs from
+    #: it (one dict compare, exact for any un-notified write or delete), and
+    #: then only over the two dicts' keys: a flop in neither has a zero
+    #: cached arrival and a zero live one.
+    clock_synced: Dict[int, float] = field(default_factory=dict)
     #: Endpoint positions with a non-zero cached margin (keeps the margin
     #: diff O(#margined)).
     margined: Set[int] = field(default_factory=set)
     #: Cells dirtied by notify_* since the last analysis.
     pending: Set[int] = field(default_factory=set)
+    #: Backward-pass seeds that forward-only probe analyses left for the
+    #: next ordinary analysis: cells, int64 cell chunks, endpoint positions.
+    deferred_cells: List[int] = field(default_factory=list)
+    deferred_chunks: List[np.ndarray] = field(default_factory=list)
+    deferred_eps: List[int] = field(default_factory=list)
+    #: The open probe's undo log (``None`` outside a probe).
+    journal: Optional["Journal"] = None
     #: Preallocated frontier scratch, shared by the forward and backward
     #: sweeps of one analysis (reset between passes).
     scratch: Optional[_Frontier] = None
@@ -276,9 +298,10 @@ class IncrementalState:
     def copy(self, compiled: CompiledTiming) -> "IncrementalState":
         """An independent copy bound to ``compiled`` (a copy of ours).
 
-        Every buffer is copied and its view rebuilt; the sets are copied
-        too (all empty at a begin state).  The frontier scratch is not
-        shared: the copy builds its own on its first incremental analysis.
+        Every buffer is copied and its view rebuilt; the sets, the synced
+        clock and the deferred seeds are copied too (all empty at a begin
+        state).  Neither an open probe nor the frontier scratch is shared:
+        the copy builds its own scratch on its first incremental analysis.
         """
         buffers = {name: buf[:] for name, buf in self.buffers.items()}
         views = {
@@ -290,9 +313,12 @@ class IncrementalState:
             compiled=compiled,
             period=self.period,
             num_levels=self.num_levels,
-            skewed_flops=set(self.skewed_flops),
+            clock_synced=dict(self.clock_synced),
             margined=set(self.margined),
             pending=set(self.pending),
+            deferred_cells=list(self.deferred_cells),
+            deferred_chunks=list(self.deferred_chunks),
+            deferred_eps=list(self.deferred_eps),
             buffers=buffers,
             **views,
         )
@@ -308,13 +334,10 @@ def build_state(
     n = compiled.fanin_idx.shape[0]
 
     clock_arrival = np.zeros(n)
-    skewed: Set[int] = set()
     for f, value in clock.arrivals.items():
         f = int(f)
         if 0 <= f < n and compiled.is_flop[f]:
             clock_arrival[f] = value
-            if value != 0.0:
-                skewed.add(f)
 
     if report.margins.any():
         # Recompute the margin-aware backward view with the exact same
@@ -346,12 +369,102 @@ def build_state(
         margin_vec=keep("margin_vec", report.margins),
         required_true=keep("required_true", report.cell_required),
         required_eff=None,
-        skewed_flops=skewed,
+        clock_synced=dict(clock.arrivals),
         margined=set(np.nonzero(report.margins)[0].tolist()),
         buffers=buffers,
     )
     state.set_required_eff(required_eff)
     return report, state
+
+
+class Journal:
+    """Undo log of one open probe (:meth:`TimingAnalyzer.open_probe`).
+
+    While it is open, the forward sweep logs each cell before overwriting
+    it — ``(cell, old arrival, old slew)`` from the scalar loop, three
+    arrays per vectorized chunk — and the endpoint-arrival update logs
+    ``(positions, old values)``.  The pending set and the deferred-seed
+    list lengths at open are kept too, so :func:`rollback` restores the
+    state in O(touched cells) with no re-propagation.
+
+    ``exact`` drops to ``False`` once the probe changes something the log
+    does not cover: a clock or margin change, or an analysis that took
+    the full path (or opened on no state).  Rolling such a probe back
+    restores nothing; the undo move's notification re-propagates instead.
+    Under shadow check, ``snapshot`` holds copies of the state's and the
+    compiled view's buffers at open, for :func:`rollback` to compare.
+    """
+
+    __slots__ = ("state", "cells", "eps", "pending", "deferred", "exact", "snapshot")
+
+    def __init__(self, state: Optional[IncrementalState]) -> None:
+        self.state = state
+        self.cells: List[tuple] = []
+        self.eps: List[Tuple[List[int], List[float]]] = []
+        self.exact = state is not None
+        self.snapshot: Optional[Tuple[Dict[str, array.array], ...]] = None
+        if state is None:
+            return
+        self.pending = set(state.pending)
+        self.deferred = (
+            len(state.deferred_cells),
+            len(state.deferred_chunks),
+            len(state.deferred_eps),
+        )
+        if _check:
+            self.snapshot = tuple(
+                {name: buf[:] for name, buf in owner.buffers.items()}
+                for owner in (state, state.compiled)
+            )
+        state.journal = self
+
+    def close(self) -> None:
+        """Detach from the state: later analyses log nothing."""
+        if self.state is not None and self.state.journal is self:
+            self.state.journal = None
+
+
+def rollback(journal: Journal) -> None:
+    """Undo an exact probe's analyses from its closed ``journal``.
+
+    The caller has already undone the move itself (``resize_cell`` back,
+    ``notify_resize``, which re-patches the coefficients), so restoring
+    the log in reverse, the pending set and the deferred seeds returns
+    the state to the probe's opening, byte for byte.
+    """
+    state = journal.state
+    sb = state.buffers
+    arrival = sb["arrival"]
+    slew = sb["slew"]
+    for cells, old_arrival, old_slew in reversed(journal.cells):
+        if isinstance(cells, np.ndarray):
+            state.arrival[cells] = old_arrival
+            state.slew[cells] = old_slew
+        else:
+            arrival[cells] = old_arrival
+            slew[cells] = old_slew
+    ep_arrival = sb["ep_arrival"]
+    for positions, old in reversed(journal.eps):
+        for pos, value in zip(positions, old):
+            ep_arrival[pos] = value
+    state.pending = journal.pending
+    n_cells, n_chunks, n_eps = journal.deferred
+    del state.deferred_cells[n_cells:]
+    del state.deferred_chunks[n_chunks:]
+    del state.deferred_eps[n_eps:]
+    if journal.snapshot is not None:
+        opened_state, opened_compiled = journal.snapshot
+        drift = [f"state.{name}" for name in buffer_mismatches(sb, opened_state)]
+        drift += [
+            f"compiled.{name}"
+            for name in buffer_mismatches(state.compiled.buffers, opened_compiled)
+        ]
+        if drift:
+            raise RuntimeError(
+                f"probe rollback drift: {', '.join(drift)} differ from the "
+                "buffers at probe open — the journal missed a write or the "
+                "undo move did not restore the coefficients"
+            )
 
 
 class _Counters:
@@ -365,10 +478,18 @@ class _Counters:
         self.frontier = 0
 
 
+def _flush_counters(counters: _Counters) -> None:
+    if counters.vectorized:
+        obs.incr("sta.vectorized_levels", counters.vectorized)
+    if counters.scalar:
+        obs.incr("sta.scalar_levels", counters.scalar)
+
+
 def incremental_analyze(
     state: IncrementalState,
     clock: ClockModel,
     margins: Optional[Mapping[int, float]] = None,
+    forward_only: bool = False,
 ) -> Tuple[TimingReport, int]:
     """Re-propagate from the dirty set; returns ``(report, frontier_cells)``.
 
@@ -376,6 +497,12 @@ def incremental_analyze(
     compiled view is current (mutation-version guard) and the clock period
     matches the cached one; everything else — pending dirty cells, moved
     clock arrivals, changed margins — is discovered and handled here.
+
+    ``forward_only`` (a probe analysis; the caller guarantees no margins
+    are given or cached) stops after the endpoint update: the backward
+    seeds join the state's deferred seeds and the result is a
+    :class:`~repro.timing.sta.ProbeReport`.  An ordinary analysis sweeps
+    the deferred seeds together with its own.
     """
     compiled = state.compiled
     cb = compiled.buffers
@@ -415,27 +542,29 @@ def incremental_analyze(
     # ---- clock diff: the stale-skew safety net ----------------------- #
     # notify_skew() marks moved flops eagerly, but analyze() never trusts
     # it alone — a flop whose arrival differs from the cached vector is
-    # dirtied regardless of whether anyone notified.  Only flops present in
-    # the clock's (sparse) arrival dict or with a non-zero cached value can
-    # differ, so the diff is O(#skewed), not O(#flops).
-    skewed = state.skewed_flops
-    candidates = set(clock.arrivals)
-    candidates.update(skewed)
-    for f in candidates:
-        if not is_flop[f]:
-            continue
-        value = clock.arrivals.get(f, 0.0)
-        if value != ca[f]:
-            ca[f] = value
-            ep_req_dirty.append(ep_pos[f])
-            if not seen[f]:
-                seen[f] = 1
-                touched.append(f)
-                buckets[src_slot].append(f)
-        if value != 0.0:
-            skewed.add(f)
-        else:
-            skewed.discard(f)
+    # dirtied regardless of whether anyone notified.  The diff runs only
+    # when the clock's arrival dict differs in content from the copy the
+    # state last synced to (one dict compare, so an un-notified write,
+    # delete or replaced dict is still caught).  Only flops keyed in the
+    # live dict or in that copy can differ, so the diff itself is
+    # O(#skewed), not O(#flops).
+    arrivals = clock.arrivals
+    if arrivals != state.clock_synced:
+        journal = state.journal
+        if journal is not None:
+            journal.exact = False  # clock writes are not journaled
+        for f in arrivals.keys() | state.clock_synced.keys():
+            if not is_flop[f]:
+                continue
+            value = arrivals.get(f, 0.0)
+            if value != ca[f]:
+                ca[f] = value
+                ep_req_dirty.append(ep_pos[f])
+                if not seen[f]:
+                    seen[f] = 1
+                    touched.append(f)
+                    buckets[src_slot].append(f)
+        state.clock_synced = dict(arrivals)
 
     # ---- forward re-propagation -------------------------------------- #
     slew_cells: List[int] = []
@@ -445,7 +574,11 @@ def incremental_analyze(
     # ---- endpoint checks --------------------------------------------- #
     ep_required = sb["ep_required"]
     if ep_arr_dirty:
-        _recompute_ep_arrival(state, sorted(ep_arr_dirty))
+        dirty_eps = sorted(ep_arr_dirty)
+        if state.journal is not None:
+            ep_arrival = sb["ep_arrival"]
+            state.journal.eps.append((dirty_eps, [ep_arrival[p] for p in dirty_eps]))
+        _recompute_ep_arrival(state, dirty_eps)
 
     ep_req_changed: List[int] = []
     period = state.period
@@ -459,6 +592,48 @@ def incremental_analyze(
         if new_req != ep_required[pos]:
             ep_req_changed.append(pos)
             ep_required[pos] = new_req
+
+    # ---- backward seeds ---------------------------------------------- #
+    # Any cell whose slew changed (its own gate-delay contribution to its
+    # required time moved), the fan-in of re-coefficiented cells (their
+    # gate delay as seen from upstream moved), and the fan-in of endpoints
+    # whose required seed moved.
+    cell_seeds = slew_cells
+    if dirty:
+        fanin = cb["fanin_idx"]
+        max_pins = compiled.fanin_idx.shape[1]
+        for c in dirty:
+            row = c * max_pins
+            for u in fanin[row : row + max_pins]:
+                if u >= 0:
+                    cell_seeds.append(u)
+
+    if forward_only:
+        # A probe reads no required time: leave the seeds for the next
+        # ordinary analysis, which sweeps them all in one backward pass.
+        state.deferred_cells.extend(cell_seeds)
+        state.deferred_chunks.extend(slew_chunks)
+        state.deferred_eps.extend(ep_req_changed)
+        _flush_counters(counters)
+        ep_arr = state.ep_arrival.copy()
+        ep_req = state.ep_required.copy()
+        report = ProbeReport(
+            endpoints=compiled.endpoint_cells.copy(),
+            arrival=ep_arr,
+            required=ep_req,
+            slack=ep_req - ep_arr,
+            margins=state.margin_vec.copy(),
+            cell_arrival=state.arrival.copy(),
+            cell_slew=state.slew.copy(),
+        )
+        return report, counters.frontier
+    if state.deferred_cells or state.deferred_chunks or state.deferred_eps:
+        cell_seeds.extend(state.deferred_cells)
+        slew_chunks.extend(state.deferred_chunks)
+        ep_req_changed.extend(state.deferred_eps)
+        state.deferred_cells = []
+        state.deferred_chunks = []
+        state.deferred_eps = []
 
     # ---- margins diff (a view: reseeds only the eff backward pass) ---- #
     # Only endpoints named in the mapping or carrying a cached non-zero
@@ -487,20 +662,6 @@ def incremental_analyze(
         margined.clear()
 
     # ---- backward re-propagation ------------------------------------- #
-    # Seeds: any cell whose slew changed (its own gate-delay contribution
-    # to its required time moved), the fan-in of re-coefficiented cells
-    # (their gate delay as seen from upstream moved), and the fan-in of
-    # endpoints whose required seed moved.
-    cell_seeds = slew_cells
-    if dirty:
-        fanin = cb["fanin_idx"]
-        max_pins = compiled.fanin_idx.shape[1]
-        for c in dirty:
-            row = c * max_pins
-            for u in fanin[row : row + max_pins]:
-                if u >= 0:
-                    cell_seeds.append(u)
-
     _backward_incremental(
         state,
         fr,
@@ -536,10 +697,7 @@ def incremental_analyze(
             ep_eff_dirty,
         )
 
-    if counters.vectorized:
-        obs.incr("sta.vectorized_levels", counters.vectorized)
-    if counters.scalar:
-        obs.incr("sta.scalar_levels", counters.scalar)
+    _flush_counters(counters)
 
     # ---- assemble the report (fresh arrays: the cache keeps mutating) - #
     arr = state.arrival.copy()
@@ -618,6 +776,7 @@ def _forward_sweep(
     touched = fr.touched
     threshold = _vec_threshold
     src_slot = state.num_levels
+    log = state.journal.cells if state.journal is not None else None
     for k in (src_slot, *range(src_slot)):
         cells = buckets[k]
         level_chunks = chunks[k]
@@ -682,6 +841,8 @@ def _forward_sweep(
             slew_moved = ds > PRUNE_TOL or ds < -PRUNE_TOL
             if not (slew_moved or da > PRUNE_TOL or da < -PRUNE_TOL):
                 continue
+            if log is not None:
+                log.append((c, arrival[c], slew[c]))
             arrival[c] = new_arr
             slew[c] = new_slew
             if slew_moved:
@@ -790,6 +951,8 @@ def _forward_commit_vec(
     if not moved.any():
         return
     changed = cells[moved]
+    if state.journal is not None:
+        state.journal.cells.append((changed, arrival[changed], slew[changed]))
     arrival[changed] = new_arr[moved]
     slew[changed] = new_slew[moved]
     slewed = cells[slew_moved]
@@ -1076,20 +1239,29 @@ _COMPARED_FIELDS = (
     "cell_worst_slack_margined",
 )
 
+_PROBE_FIELDS = tuple(f for f in _COMPARED_FIELDS if f in ProbeReport.FIELDS)
+
 
 def assert_reports_equal(
     incremental: TimingReport,
     full: TimingReport,
     atol: float = CHECK_ATOL,
 ) -> None:
-    """Raise ``RuntimeError`` if the two reports disagree beyond ``atol``."""
+    """Raise ``RuntimeError`` if the two reports disagree beyond ``atol``.
+
+    A :class:`~repro.timing.sta.ProbeReport` is compared on the fields it
+    carries.
+    """
     if not np.array_equal(incremental.endpoints, full.endpoints):
         raise RuntimeError(
             "incremental STA drift: endpoint ordering differs from the "
             "full engine's canonical order"
         )
     mismatches: List[str] = []
-    for name in _COMPARED_FIELDS:
+    compared = (
+        _PROBE_FIELDS if isinstance(incremental, ProbeReport) else _COMPARED_FIELDS
+    )
+    for name in compared:
         a = getattr(incremental, name)
         b = getattr(full, name)
         if not np.allclose(a, b, rtol=0.0, atol=atol):
@@ -1113,10 +1285,12 @@ __all__ = [
     "ENV_VEC_THRESHOLD",
     "PRUNE_TOL",
     "IncrementalState",
+    "Journal",
     "assert_reports_equal",
     "build_state",
     "check_enabled",
     "incremental_analyze",
+    "rollback",
     "set_check",
     "set_vector_threshold",
     "vector_threshold",

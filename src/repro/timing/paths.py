@@ -8,10 +8,9 @@ what the optimizers did.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List
-
-import numpy as np
 
 from repro.timing.sta import _NO_DRIVER, CompiledTiming, TimingReport
 
@@ -40,34 +39,43 @@ def trace_critical_path(
     """Trace the most critical path into ``endpoint_cell``.
 
     Walks backwards from the endpoint, at each cell following the input pin
-    with the largest driver arrival + wire delay, stopping at a launch point
-    (flop or input port).
+    with the largest driver arrival + wire delay (the first such pin on a
+    tie), stopping at a launch point (flop or input port).  ``report`` must
+    come from an analysis of ``compiled``; the walk reads the compiled
+    buffers and ``ep_pos`` directly, and the report's arrivals as Python
+    floats, so a call costs O(path × pins).
     """
-    eps = report.endpoints
-    pos = np.nonzero(eps == endpoint_cell)[0]
-    if pos.size == 0:
+    cb = compiled.buffers
+    ep_pos = cb["ep_pos"]
+    k = ep_pos[endpoint_cell] if 0 <= endpoint_cell < len(ep_pos) else -1
+    if k < 0:
         raise KeyError(f"cell {endpoint_cell} is not an endpoint")
-    k = int(pos[0])
+    fanin = cb["fanin_idx"]
+    wire = cb["fanin_wire_delay"]
+    is_src = cb["is_src"]
+    max_pins = compiled.fanin_idx.shape[1]
+    arrival = memoryview(report.cell_arrival)
 
     chain = [endpoint_cell]
     current = endpoint_cell
     # Guard against pathological loops (cannot occur in a valid netlist, but
     # a wrong compile would otherwise hang).
-    for _ in range(compiled.fanin_idx.shape[0] + 1):
-        drivers = compiled.fanin_idx[current]
+    for _ in range(len(ep_pos) + 1):
+        row = current * max_pins
         best_driver = _NO_DRIVER
-        best_time = -np.inf
-        for pin, driver in enumerate(drivers):
+        best_time = -math.inf
+        for p in range(row, row + max_pins):
+            driver = fanin[p]
             if driver == _NO_DRIVER:
                 continue
-            t = report.cell_arrival[driver] + compiled.fanin_wire_delay[current, pin]
+            t = arrival[driver] + wire[p]
             if t > best_time:
                 best_time = t
-                best_driver = int(driver)
+                best_driver = driver
         if best_driver == _NO_DRIVER:
             break
         chain.append(best_driver)
-        if compiled.is_flop[best_driver] or compiled.is_inport[best_driver]:
+        if is_src[best_driver]:
             break
         current = best_driver
     chain.reverse()

@@ -36,7 +36,7 @@ from repro.netlist.core import Netlist
 from repro.timing.clock import ClockModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.timing.incremental import IncrementalState
+    from repro.timing.incremental import IncrementalState, Journal
 
 _NO_DRIVER = -1
 
@@ -214,6 +214,63 @@ class TimingReport:
         return float(self.slack[pos[0]])
 
 
+def _not_in_probe(name: str) -> property:
+    def read(self: "ProbeReport") -> np.ndarray:
+        raise RuntimeError(
+            f"{name} is not computed by a probe analysis (forward only): "
+            "commit or roll back the probe, then analyze() again"
+        )
+
+    return property(read)
+
+
+class ProbeReport(TimingReport):
+    """The forward-only report of an analysis inside an open probe.
+
+    A probe (:meth:`TimingAnalyzer.open_probe`) skips the backward
+    required-time sweep, so its report carries the endpoint fields,
+    ``cell_arrival`` and ``cell_slew`` only.  Reading a required-side
+    field raises ``RuntimeError``: there is no current value to return,
+    and a stale one must never be read.
+    """
+
+    #: The fields a probe report carries.
+    FIELDS = (
+        "endpoints",
+        "arrival",
+        "required",
+        "slack",
+        "margins",
+        "cell_arrival",
+        "cell_slew",
+    )
+
+    cell_required = _not_in_probe("cell_required")
+    cell_worst_slack = _not_in_probe("cell_worst_slack")
+    cell_worst_slack_margined = _not_in_probe("cell_worst_slack_margined")
+
+    def __init__(
+        self,
+        endpoints: np.ndarray,
+        arrival: np.ndarray,
+        required: np.ndarray,
+        slack: np.ndarray,
+        margins: np.ndarray,
+        cell_arrival: np.ndarray,
+        cell_slew: np.ndarray,
+    ) -> None:
+        self.endpoints = endpoints
+        self.arrival = arrival
+        self.required = required
+        self.slack = slack
+        self.margins = margins
+        self.cell_arrival = cell_arrival
+        self.cell_slew = cell_slew
+
+    def __repr__(self) -> str:
+        return f"ProbeReport(endpoints={self.endpoints.size}, cells={self.cell_arrival.size})"
+
+
 class TimingAnalyzer:
     """STA facade bound to a netlist; recompile after netlist mutations.
 
@@ -231,6 +288,13 @@ class TimingAnalyzer:
     by the mutation-version guard and triggers ``invalidate()`` — a stale
     read without re-analysis is impossible.
 
+    A trial move is bracketed as a *probe*: :meth:`open_probe` before the
+    move, then :meth:`commit_probe` to keep it or :meth:`rollback_probe`
+    after undoing it.  ``analyze()`` inside an open probe runs the forward
+    sweep only and returns a :class:`ProbeReport`; the backward seeds wait
+    for the next ordinary ``analyze()``, and a rollback restores the
+    probe's journal instead of re-propagating the undo.
+
     ``frontier_peak`` is the largest frontier (cells re-propagated) of any
     one incremental analysis this analyzer ran; a flow runs on its own
     analyzer, so it is that flow's peak.
@@ -244,6 +308,7 @@ class TimingAnalyzer:
         self._compiled: Optional[CompiledTiming] = None
         self._state: Optional["IncrementalState"] = None
         self._expected_version: int = netlist.mutation_version
+        self._probe: Optional["Journal"] = None
 
     @classmethod
     def resume(
@@ -320,6 +385,49 @@ class TimingAnalyzer:
         if self._state is not None:
             self._state.pending.update(int(f) for f in flop_indices)
 
+    def open_probe(self) -> None:
+        """Open a probe: call before making a trial move.
+
+        Until :meth:`commit_probe` or :meth:`rollback_probe`, ``analyze()``
+        is forward-only (without margins; with them, and with the
+        incremental engine off, it stays an ordinary analysis) and journals
+        what it overwrites.
+        """
+        from repro.timing import incremental as inc
+
+        if self._probe is not None:
+            raise RuntimeError("a probe is already open")
+        self._probe = inc.Journal(self._state if self.incremental else None)
+
+    def commit_probe(self) -> None:
+        """Keep the probed move; the next ordinary ``analyze()`` sweeps its
+        deferred backward seeds."""
+        self._close_probe()
+
+    def rollback_probe(self) -> None:
+        """Drop the probed move's timing; call after undoing the move
+        (``resize_cell`` back and :meth:`notify_resize`).
+
+        Restores the journal in reverse, the pending set and the deferred
+        seeds, so nothing re-propagates.  A probe the journal does not
+        cover (a clock or margin change, a full-path analysis) restores
+        nothing: the undo's notification re-propagates on the next
+        ``analyze()``, as an ordinary undo would.
+        """
+        from repro.timing import incremental as inc
+
+        journal = self._close_probe()
+        if journal.exact and journal.state is self._state:
+            inc.rollback(journal)
+
+    def _close_probe(self) -> "Journal":
+        journal = self._probe
+        if journal is None:
+            raise RuntimeError("no probe is open")
+        self._probe = None
+        journal.close()
+        return journal
+
     @property
     def state(self) -> Optional["IncrementalState"]:
         """The cached incremental state (``None`` before the first analysis)."""
@@ -343,7 +451,9 @@ class TimingAnalyzer:
         Dispatches to the incremental engine when enabled and the cached
         :class:`~repro.timing.incremental.IncrementalState` is still valid;
         otherwise runs the full engine (and, when incremental mode is on,
-        captures its state for future increments).
+        captures its state for future increments).  Inside an open probe
+        an incremental analysis without margins is forward-only and
+        returns a :class:`ProbeReport`.
         """
         from repro.timing import incremental as inc
 
@@ -362,19 +472,29 @@ class TimingAnalyzer:
                 report = analyze(compiled, clock, margins)
             return report
 
+        probe = self._probe
         if (
             state is None
             or state.compiled is not compiled
             or clock.period != state.period
         ):
+            if probe is not None:
+                probe.exact = False
             with obs.span("sta.full_update"):
                 obs.incr("sta.full_analyze")
                 report, self._state = inc.build_state(compiled, clock, margins)
             return report
 
+        forward_only = False
+        if probe is not None:
+            forward_only = not margins and not state.margined
+            if not forward_only:
+                probe.exact = False  # margin writes are not journaled
         with obs.span("sta.incremental_analyze"):
             obs.incr("sta.incremental_analyze")
-            report, frontier = inc.incremental_analyze(state, clock, margins)
+            report, frontier = inc.incremental_analyze(
+                state, clock, margins, forward_only
+            )
             obs.incr("sta.frontier_cells", frontier)
         if frontier > self.frontier_peak:
             self.frontier_peak = frontier

@@ -143,7 +143,7 @@ class TestBundleContract:
         assert copy.state.compiled is copy.compiled
         assert copy.state.period == fresh_state.period
         assert copy.state.num_levels == fresh_state.num_levels
-        assert copy.state.skewed_flops == fresh_state.skewed_flops == set()
+        assert copy.state.clock_synced == fresh_state.clock_synced == {}
         assert copy.state.margined == fresh_state.margined == set()
         assert copy.state.pending == set()
 

@@ -301,8 +301,8 @@ class TestFlowBoundaries:
         real_datapath = flow_module.optimize_datapath
         poisoned = []
 
-        def poison_after_datapath(analyzer, clock, margins, config):
-            result = real_datapath(analyzer, clock, margins, config)
+        def poison_after_datapath(analyzer, clock, config):
+            result = real_datapath(analyzer, clock, config)
             real_analyze = analyzer.analyze
 
             def analyze(*args, **kwargs):
