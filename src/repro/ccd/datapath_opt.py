@@ -6,8 +6,9 @@ moves on the most critical paths —
 * **gate sizing** — upsize the path cell with the largest estimated delay
   gain (drive-resistance drop × load, discounted by the input-cap increase
   reflected onto the upstream net);
-* **fanout buffering** — split high-fanout nets on critical paths, moving
-  the farthest sinks behind a fresh buffer.
+* **fanout buffering** — when no path cell is worth upsizing, split a
+  high-fanout net on the critical path, moving the farthest sinks behind a
+  fresh buffer.
 
 The engine's *effort budget* is the crucial realism: commercial optimizers
 spend bounded effort ordered by (margin-aware) endpoint criticality, so
@@ -27,16 +28,16 @@ the probe's journal without re-timing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro import obs
-from repro.netlist.core import Netlist
+from repro.netlist.core import Cell, Netlist
 from repro.timing.clock import ClockModel
 from repro.timing.metrics import tns
 from repro.timing.paths import trace_critical_path
-from repro.timing.sta import TimingAnalyzer
+from repro.timing.sta import _NO_DRIVER, CompiledTiming, TimingAnalyzer
 from repro.utils.validation import check_positive
 
 
@@ -102,6 +103,7 @@ def _optimize_datapath(
     result = DatapathResult()
 
     report = analyzer.analyze(clock)
+    report_tns = tns(report.slack)
     initial_violations = int((report.slack < 0).sum())
     if initial_violations == 0:
         return result
@@ -130,8 +132,8 @@ def _optimize_datapath(
             # Within a round, criticality is served from the round-start
             # report — the batched behaviour of commercial optimizers — but
             # each move is verified against the freshest timing state.
-            moved, cost, report = _fix_endpoint(
-                analyzer, clock, int(endpoint), config, report, result
+            moved, cost, report, report_tns = _fix_endpoint(
+                analyzer, clock, int(endpoint), config, report, report_tns, result
             )
             budget -= cost
             result.budget_spent += cost
@@ -147,113 +149,133 @@ def _fix_endpoint(
     endpoint: int,
     config: DatapathConfig,
     report,
+    report_tns: float,
     result: DatapathResult,
 ):
     """Try the best single move for one endpoint.
 
-    Returns ``(moved, cost, freshest_report)`` so the caller never pays for
-    a redundant STA run.  The report may be a probe's
+    ``report_tns`` is ``tns(report.slack)``.  Returns ``(moved, cost,
+    freshest_report, its_tns)`` so the caller never pays for a redundant
+    STA run or TNS sum.  The report may be a probe's
     :class:`~repro.timing.sta.ProbeReport`: this loop reads only endpoint
     slack and cell arrivals.
     """
     netlist = analyzer.netlist
-    before_tns = tns(report.slack)
+    cells = netlist.cells
     compiled = analyzer.compiled
     path = trace_critical_path(compiled, report, endpoint)
 
     # Candidate 1: sizing — pick the path cell with the best estimated gain.
     best_cell = None
     best_gain = 0.0
-    load_cap = compiled.load_cap
     for cell_index in path.cells:
-        cell = netlist.cells[cell_index]
-        if cell.cell_type.is_port or cell.sizing_headroom <= 0:
+        cell = cells[cell_index]
+        cell_type = cell.cell_type
+        if cell_type.is_port or cell.size_index >= cell_type.max_size_index:
             continue
-        gain = _sizing_gain(netlist, cell_index, float(load_cap[cell_index]))
+        gain = _sizing_gain(compiled, cell)
         if gain > best_gain:
             best_gain = gain
             best_cell = cell_index
 
-    # Candidate 2: buffering — split the highest-fanout net on the path.
-    best_net = None
-    best_fanout = config.buffer_fanout_threshold
-    for cell_index in path.cells:
-        net_index = netlist.cells[cell_index].fanout_net
-        if net_index is None:
-            continue
-        fanout = netlist.nets[net_index].fanout
-        if fanout > best_fanout:
-            best_fanout = fanout
-            best_net = net_index
-
     # A sizing move is a probe (docs/timing.md, "Probes"): its analysis
     # re-times only the forward cones of the re-coefficiented cells, and a
     # rejected move, once resized back, is restored from the probe's journal
-    # with no re-propagation.  Structural buffer splits instead invalidate()
-    # for a full recompute (fallback rules in docs/timing.md).
+    # with no re-propagation.
     if best_cell is not None:
         analyzer.open_probe()
-        previous = netlist.resize_cell(best_cell, netlist.cells[best_cell].size_index + 1)
+        previous = netlist.resize_cell(best_cell, cells[best_cell].size_index + 1)
         analyzer.notify_resize(best_cell)
         fresh = analyzer.analyze(clock)
-        if tns(fresh.slack) < before_tns - 1e-12:
+        fresh_tns = tns(fresh.slack)
+        if fresh_tns < report_tns - 1e-12:
             netlist.resize_cell(best_cell, previous)
             analyzer.notify_resize(best_cell)
             analyzer.rollback_probe()
             result.rolled_back += 1
             # After the rollback the pre-move report is valid again.
-            return (False, config.failed_move_cost, report)
+            return (False, config.failed_move_cost, report, report_tns)
         analyzer.commit_probe()
         result.sizing_moves += 1
-        return (True, 1.0, fresh)
+        return (True, 1.0, fresh, fresh_tns)
 
+    # Candidate 2, read only when no cell is worth upsizing: buffering.  A
+    # structural split invalidate()s for a full recompute (fallback rules in
+    # docs/timing.md).
+    best_net = _buffer_net(compiled, path.cells, config.buffer_fanout_threshold)
     if best_net is not None:
         _split_net(netlist, best_net, keep_on_path=set(path.cells))
         analyzer.invalidate()
         fresh = analyzer.analyze(clock)
-        if tns(fresh.slack) < before_tns - 1e-12:
+        fresh_tns = tns(fresh.slack)
+        if fresh_tns < report_tns - 1e-12:
             # Buffer insertion is not rolled back (removal is not a move real
             # tools make cheaply either); charge it as a failed probe.
             result.rolled_back += 1
             result.buffer_moves += 1
-            return (True, 1.0 + config.failed_move_cost, fresh)
+            return (True, 1.0 + config.failed_move_cost, fresh, fresh_tns)
         result.buffer_moves += 1
-        return (True, 1.0, fresh)
+        return (True, 1.0, fresh, fresh_tns)
 
-    return (False, config.failed_move_cost, report)
+    return (False, config.failed_move_cost, report, report_tns)
 
 
-def _sizing_gain(
-    netlist: Netlist, cell_index: int, load: Optional[float] = None
-) -> float:
-    """Estimated delay gain of one upsize step on ``cell_index``.
+def _sizing_gain(compiled: CompiledTiming, cell: Cell) -> float:
+    """Estimated delay gain of one upsize step on ``cell``.
 
     Gain = drive-resistance reduction × driven load, minus the penalty of
-    presenting a larger input capacitance to the upstream drivers.
-    ``load`` is the cell's fan-out net load; the optimizer passes the
-    analyzer's compiled ``load_cap``, which holds exactly
-    ``net_load_cap`` of that net (0.0 without one), computed here if omitted.
+    presenting a larger input capacitance to the upstream drivers.  The
+    load and the drivers' coefficients are read from ``compiled`` (current
+    for the netlist: :meth:`TimingAnalyzer.notify_resize` keeps them so),
+    the two sizes from the cell type's size table; ``cell`` must have a
+    larger size left.
     """
-    cell = netlist.cells[cell_index]
-    current = cell.size
-    upsized = cell.cell_type.size(cell.size_index + 1)
-    if load is None:
-        load = 0.0
-        if cell.fanout_net is not None:
-            load = netlist.net_load_cap(cell.fanout_net)
+    buffers = compiled.buffers
+    sizes = cell.cell_type.sizes
+    current = sizes[cell.size_index]
+    upsized = sizes[cell.size_index + 1]
+    load = buffers["load_cap"][cell.index]
     gain = (current.drive_resistance - upsized.drive_resistance) * load
     gain += current.intrinsic_delay - upsized.intrinsic_delay
     # Larger input pins slow every upstream driver (drive delay) and degrade
     # the driver's output slew, which feeds back into this cell's own delay
-    # and its siblings' — count both first-order terms.
+    # and its siblings' — count both first-order terms.  Drivers in pin order.
     cap_increase = upsized.input_cap - current.input_cap
-    for driver in netlist.fanin_cells(cell_index):
-        driver_size = netlist.cells[driver].size
-        gain -= driver_size.drive_resistance * cap_increase
-        gain -= (
-            driver_size.slew_load_factor * cap_increase * current.slew_sensitivity
-        )
+    fanin = buffers["fanin_idx"]
+    drive_res = buffers["drive_res"]
+    slew_load = buffers["slew_load"]
+    row = cell.index * compiled.fanin_idx.shape[1]
+    for pin in range(row, row + cell.cell_type.num_inputs):
+        driver = fanin[pin]
+        if driver == _NO_DRIVER:
+            continue
+        gain -= drive_res[driver] * cap_increase
+        gain -= slew_load[driver] * cap_increase * current.slew_sensitivity
     return gain
+
+
+def _buffer_net(
+    compiled: CompiledTiming, path_cells: List[int], threshold: int
+) -> Optional[int]:
+    """The fan-out net of the path cell with the most sinks, if more than
+    ``threshold`` (the first such cell on a tie), else ``None``.
+
+    A cell's sink count is its CSR fanout row length: one edge per sink pin
+    of the net it drives.
+    """
+    cells = compiled.netlist.cells
+    indptr = compiled.buffers["fanout_indptr"]
+    best_net = None
+    best_fanout = threshold
+    for cell_index in path_cells:
+        net_index = cells[cell_index].fanout_net
+        if net_index is None:
+            continue
+        fanout = indptr[cell_index + 1] - indptr[cell_index]
+        if fanout > best_fanout:
+            best_fanout = fanout
+            best_net = net_index
+    return best_net
 
 
 def _split_net(netlist: Netlist, net_index: int, keep_on_path: set) -> None:

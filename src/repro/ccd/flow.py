@@ -463,10 +463,11 @@ def restore_netlist_state(netlist: Netlist, state: NetlistState) -> None:
     the netlist since.
     """
     # Remove cells/nets appended after the snapshot (buffer insertions only
-    # ever append, never reorder).
-    del netlist.cells[state.num_cells :]
-    for name in [c for c in netlist._name_to_cell if netlist._name_to_cell[c] >= state.num_cells]:
-        del netlist._name_to_cell[name]
+    # ever append, never reorder); the name index needs a scan only then.
+    if len(netlist.cells) > state.num_cells:
+        del netlist.cells[state.num_cells :]
+        for name in [c for c in netlist._name_to_cell if netlist._name_to_cell[c] >= state.num_cells]:
+            del netlist._name_to_cell[name]
     del netlist.nets[state.num_nets :]
     for cell, size_index in zip(netlist.cells, state.size_indices):
         cell.size_index = size_index

@@ -35,14 +35,15 @@ the global, design-dependent structure the RL agent learns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Set
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.timing.clock import ClockModel
-from repro.timing.sta import TimingAnalyzer
+from repro.timing.sta import TimingAnalyzer, TimingReport
 from repro.utils.validation import check_positive
 
 
@@ -109,15 +110,9 @@ def _optimize_useful_skew(
     committed: Set[int] = set()
     eps = config.epsilon
 
-    def apparent_map(report) -> Dict[int, float]:
-        return {
-            int(e): float(s)
-            for e, s in zip(report.endpoints, report.slack_with_margins)
-        }
-
     for _pass in range(config.passes):
         report = analyzer.analyze(clock, margins)
-        apparent = apparent_map(report)
+        apparent = _apparent_slack(report)
         progressed = False
         result.passes_run += 1
 
@@ -142,7 +137,7 @@ def _optimize_useful_skew(
             if bound_left <= eps:
                 continue  # output port, rigid flop, or bound used up
             launch = float(report.cell_worst_slack_margined[flop])
-            room = max(0.0, launch) if np.isfinite(launch) else np.inf
+            room = max(0.0, launch) if math.isfinite(launch) else math.inf
             delta = min(-cap_slack, room, bound_left)
             if delta <= eps:
                 continue
@@ -154,24 +149,18 @@ def _optimize_useful_skew(
             commits_since_sta += 1
             if commits_since_sta >= config.reanalyze_every:
                 report = analyzer.analyze(clock, margins)
-                apparent = apparent_map(report)
+                apparent = _apparent_slack(report)
                 commits_since_sta = 0
 
         # ---- recovery phase: launch side worse than capture side ------ #
         if config.enable_recovery:
             report = analyzer.analyze(clock, margins)
-            apparent = apparent_map(report)
-            flop_launch = [
-                (float(report.cell_worst_slack_margined[f]), f)
-                for f in analyzer.netlist.sequential_cells()
-                if f not in committed
-            ]
-            flop_launch = sorted(flop_launch)[:window]
-            for launch, flop in flop_launch:
-                if not np.isfinite(launch) or launch >= -eps:
+            apparent = _apparent_slack(report)
+            for launch, flop in _recovery_worklist(analyzer, report, committed, window):
+                if not math.isfinite(launch) or launch >= -eps:
                     continue
-                cap_slack = apparent.get(flop, np.inf)
-                room = max(0.0, cap_slack) if np.isfinite(cap_slack) else np.inf
+                cap_slack = apparent.get(flop, math.inf)
+                room = max(0.0, cap_slack) if math.isfinite(cap_slack) else math.inf
                 bound_left = clock.bound(flop) + clock.arrival(flop)
                 delta = min(-launch, room, bound_left)
                 if delta <= eps:
@@ -187,3 +176,29 @@ def _optimize_useful_skew(
 
     result.total_adjustment = clock.total_adjustment()
     return result
+
+
+def _apparent_slack(report: TimingReport) -> Dict[int, float]:
+    """Margin-aware slack per endpoint cell, in endpoint order."""
+    return dict(zip(report.endpoints.tolist(), report.slack_with_margins.tolist()))
+
+
+def _recovery_worklist(
+    analyzer: TimingAnalyzer,
+    report: TimingReport,
+    committed: Set[int],
+    window: int,
+) -> List[Tuple[float, int]]:
+    """The recovery phase's candidates: ``(launch slack, flop)`` of every
+    uncommitted flop, ascending (a tie by flop index), the first ``window``.
+
+    Flops come from the compiled ``is_flop`` view, their margin-aware launch
+    slacks from one gather of ``report.cell_worst_slack_margined``.
+    """
+    flops = np.flatnonzero(analyzer.compiled.is_flop)
+    launch_slack = report.cell_worst_slack_margined[flops].tolist()
+    return sorted(
+        (launch, flop)
+        for launch, flop in zip(launch_slack, flops.tolist())
+        if flop not in committed
+    )[:window]

@@ -235,23 +235,35 @@ class Netlist:
     def net_load_cap(self, net_index: int) -> float:
         """Total capacitive load on a net: sink pin caps + wire cap.
 
-        Wire capacitance uses the half-perimeter bounding box of the net's
-        pins scaled by the library's per-µm coefficient.
+        The sum of :meth:`net_sink_cap` and :meth:`net_wire_cap`, in that
+        order; the timing compile and its resize patch add the same two
+        terms, so all three agree bit for bit.
         """
-        net = self.nets[net_index]
+        return self.net_sink_cap(net_index) + self.net_wire_cap(net_index)
+
+    def net_sink_cap(self, net_index: int) -> float:
+        """Sum of the net's sink pin capacitances, in sink order.
+
+        Output ports present the library's ``default_port_cap``; other sinks
+        the input cap of their current size.  A resize changes this term only.
+        """
         cap = 0.0
-        for sink_cell, _pin in net.sinks:
+        for sink_cell, _pin in self.nets[net_index].sinks:
             sink = self.cells[sink_cell]
             if sink.is_output_port:
                 cap += self.library.default_port_cap
             else:
-                cap += sink.size.input_cap
-        cap += (
+                cap += sink.cell_type.sizes[sink.size_index].input_cap
+        return cap
+
+    def net_wire_cap(self, net_index: int) -> float:
+        """Wire capacitance of a net: its half-perimeter bounding box scaled
+        by the library's per-µm coefficient and the parasitic scale."""
+        return (
             self._parasitic_scale
             * self.library.wire_cap_per_um
             * self.net_hpwl(net_index)
         )
-        return cap
 
     def net_hpwl(self, net_index: int) -> float:
         """Half-perimeter wirelength of a net's bounding box (µm)."""

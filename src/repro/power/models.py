@@ -76,18 +76,22 @@ def report_power(
 ) -> PowerReport:
     """Total design power under ``clock`` (frequency = 1/period GHz).
 
-    ``load_cap`` optionally gives each cell's fan-out net load, indexed by
-    cell — a current ``TimingAnalyzer.compiled.load_cap``, which holds
-    ``net_load_cap`` of every driven net — so the per-net HPWL and sink-cap
-    sums are not recomputed.  The result is the same either way, bit for bit.
+    ``load_cap`` gives each cell's fan-out net load, indexed by cell: the
+    flow passes its analyzer's current ``compiled.load_cap``, which holds
+    ``net_load_cap`` of every driven net, so no net's HPWL or sink caps are
+    summed here.  Without it (a netlist with no analyzer) each net's load is
+    computed by :func:`net_switching_power`.  The result is the same either
+    way, bit for bit.  Each cell's size is read from its type's size table
+    directly: a netlist's size indices are in range by construction.
     """
     frequency = 1.0 / clock.period
     internal = 0.0
     leakage = 0.0
     cells = netlist.cells
     for cell in cells:
-        internal += cell.size.internal_power * cell.toggle_rate
-        leakage += cell.size.leakage_power
+        size = cell.cell_type.sizes[cell.size_index]
+        internal += size.internal_power * cell.toggle_rate
+        leakage += size.leakage_power
     if load_cap is None:
         switching = sum(
             net_switching_power(netlist, i, frequency) for i in range(netlist.num_nets)

@@ -72,8 +72,9 @@ Shadow-check mode (``REPRO_STA_CHECK=1``) re-runs the full engine after
 every incremental analysis and asserts the two reports agree within
 :data:`CHECK_ATOL` (a probe report on the fields it carries), and asserts
 every journaled rollback leaves the buffers byte-equal to a copy taken
-when the probe opened — the differential harness CI runs the fuzz suite
-under.
+when the probe opened; ``TimingAnalyzer.notify_resize`` asserts every
+driver load it patched equals ``Netlist.net_load_cap`` — the differential
+harness CI runs the fuzz suite under.
 """
 
 from __future__ import annotations

@@ -116,7 +116,8 @@ class CompiledTiming:
     and endpoint-position maps — the layout the vectorized frontier kernels
     in :mod:`repro.timing.incremental` gather over.  Resizes never change
     topology or wire lengths, so :meth:`TimingAnalyzer.notify_resize` leaves
-    all of these untouched.
+    all of these untouched, and ``wire_cap`` too: a driver's new load is its
+    re-summed sink pin caps plus that stored wire term.
 
     Every array field is a :func:`buffer_view` of the ``array.array`` stored
     under the same name in ``buffers`` (``fanin_idx``/``fanin_wire_delay``
@@ -129,7 +130,8 @@ class CompiledTiming:
     levels: List[np.ndarray]  # cells per topological level
     fanin_idx: np.ndarray  # (n, max_pins) driver cell per pin, -1 pad
     fanin_wire_delay: np.ndarray  # (n, max_pins)
-    load_cap: np.ndarray  # (n,)
+    load_cap: np.ndarray  # (n,) fan-out net load: sink pin caps + wire cap
+    wire_cap: np.ndarray  # (n,) wire-cap term of load_cap (resizes never move it)
     intrinsic: np.ndarray
     drive_res: np.ndarray
     slew_sens: np.ndarray
@@ -341,30 +343,47 @@ class TimingAnalyzer:
         it (its input pin capacitance changed).  Topology, levels and
         endpoints are untouched, so a full recompile — a Python pass over
         every cell — is wasted work the data-path optimizer would otherwise
-        pay on every probe move.
+        pay on every probe move.  A driver's new load is its net's sink pin
+        caps, re-summed, plus the wire-cap term the compile stored: a resize
+        moves no pin, so the net's wirelength is not recomputed.
         """
+        from repro.timing import incremental as inc
+
         obs.incr("sta.incremental_update")
         netlist = self.netlist
         cell = netlist.cells[cell_index]
-        size = cell.size
+        size = cell.cell_type.sizes[cell.size_index]
         i = cell_index
+        nets = netlist.nets
+        drivers = [
+            (net_index, nets[net_index].driver)
+            for net_index in cell.fanin_nets
+            if net_index is not None
+        ]
         dirty = {i}
-        for net_index in cell.fanin_nets:
-            if net_index is None:
-                continue
-            dirty.add(netlist.nets[net_index].driver)
+        dirty.update(driver for _net, driver in drivers)
         compiled = self._compiled
         if compiled is not None:
-            compiled.intrinsic[i] = size.intrinsic_delay
-            compiled.drive_res[i] = size.drive_resistance
-            compiled.slew_sens[i] = size.slew_sensitivity
-            compiled.slew_intr[i] = size.slew_intrinsic
-            compiled.slew_load[i] = size.slew_load_factor
-            for net_index in cell.fanin_nets:
-                if net_index is None:
-                    continue
-                driver = netlist.nets[net_index].driver
-                compiled.load_cap[driver] = netlist.net_load_cap(net_index)
+            buffers = compiled.buffers
+            buffers["intrinsic"][i] = size.intrinsic_delay
+            buffers["drive_res"][i] = size.drive_resistance
+            buffers["slew_sens"][i] = size.slew_sensitivity
+            buffers["slew_intr"][i] = size.slew_intrinsic
+            buffers["slew_load"][i] = size.slew_load_factor
+            load_cap = buffers["load_cap"]
+            wire_cap = buffers["wire_cap"]
+            for net_index, driver in drivers:
+                load_cap[driver] = netlist.net_sink_cap(net_index) + wire_cap[driver]
+            if inc.check_enabled():
+                for net_index, driver in drivers:
+                    expected = netlist.net_load_cap(net_index)
+                    if load_cap[driver] != expected:
+                        raise RuntimeError(
+                            f"notify_resize({cell.name!r}): patched load_cap of "
+                            f"driver {netlist.cells[driver].name!r} on net "
+                            f"{nets[net_index].name!r} is {load_cap[driver]!r}, "
+                            f"net_load_cap gives {expected!r}"
+                        )
         # The resize is now fully reflected in the compiled view: mark the
         # touched cells timing-stale so the next analyze() re-propagates
         # them, and acknowledge the netlist mutation so the version guard
@@ -520,6 +539,7 @@ def compile_timing(netlist: Netlist) -> CompiledTiming:
     fanin = array.array("q", [_NO_DRIVER]) * (n * max_pins)
     fanin_wire = array.array("d", [0.0]) * (n * max_pins)
     load_cap = cells_buffer("d")
+    wire_cap = cells_buffer("d")
     intrinsic = cells_buffer("d")
     drive_res = cells_buffer("d")
     slew_sens = cells_buffer("d")
@@ -559,12 +579,15 @@ def compile_timing(netlist: Netlist) -> CompiledTiming:
             dist = abs(driver_cell.x - cell.x) + abs(driver_cell.y - cell.y)
             fanin_wire[row + pin] = wire_coeff * dist
         if cell.fanout_net is not None:
-            load_cap[i] = netlist.net_load_cap(cell.fanout_net)
+            # net_load_cap's two terms, the wire term kept for notify_resize.
+            wire_cap[i] = netlist.net_wire_cap(cell.fanout_net)
+            load_cap[i] = netlist.net_sink_cap(cell.fanout_net) + wire_cap[i]
 
     buffers: Dict[str, array.array] = {
         "fanin_idx": fanin,
         "fanin_wire_delay": fanin_wire,
         "load_cap": load_cap,
+        "wire_cap": wire_cap,
         "intrinsic": intrinsic,
         "drive_res": drive_res,
         "slew_sens": slew_sens,

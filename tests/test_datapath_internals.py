@@ -39,29 +39,34 @@ def _chain_with_fanout():
     return nl, drv, sinks
 
 
+def _gain(nl, cell):
+    """The optimizer's gain estimate, on a fresh compile of ``nl``."""
+    return _sizing_gain(TimingAnalyzer(nl).compiled, cell)
+
+
 class TestSizingGain:
     def test_gain_positive_for_loaded_min_size_cell(self):
         nl, drv, sinks = _chain_with_fanout()
         # drv drives 8 buffer pins: upsizing one step should look profitable.
-        assert _sizing_gain(nl, drv.index) > 0
+        assert _gain(nl, drv) > 0
 
     def test_gain_shrinks_as_cell_grows(self):
         nl, drv, sinks = _chain_with_fanout()
         gains = []
         for size in range(drv.cell_type.max_size_index):
             nl.resize_cell(drv.index, size)
-            gains.append(_sizing_gain(nl, drv.index))
+            gains.append(_gain(nl, drv))
         # Diminishing returns along the ladder (allowing small wobble).
         assert gains[0] > gains[-1]
 
     def test_gain_accounts_for_upstream_penalty(self):
         """A cell with a weak driver sees a smaller (or negative) gain."""
         nl, drv, sinks = _chain_with_fanout()
-        base_gain = _sizing_gain(nl, sinks[0].index)
+        base_gain = _gain(nl, sinks[0])
         # Weaken the driver (downsizing drv makes its resistance higher).
         assert drv.size_index == 0  # already weakest; upsize to compare
         nl.resize_cell(drv.index, drv.cell_type.max_size_index)
-        strong_driver_gain = _sizing_gain(nl, sinks[0].index)
+        strong_driver_gain = _gain(nl, sinks[0])
         assert strong_driver_gain >= base_gain
 
     def test_compiled_load_cap_tracks_net_load_cap(self, fresh_design):
