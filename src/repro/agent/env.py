@@ -92,26 +92,11 @@ class EndpointSelectionEnv:
             self.begin_report, self._clock, masked_or_selected=()
         )
         self.state: Optional[SelectionState] = None
-        self._fingerprint: Optional[str] = None
 
     # ------------------------------------------------------------------ #
     @property
     def num_endpoints(self) -> int:
         return len(self.endpoints)
-
-    def design_fingerprint(self) -> str:
-        """Stable digest of the design begin-state + period this env wraps.
-
-        The same content digest the rollout reward cache keys on, exposed
-        here so run records and cache diagnostics can name the design
-        without shipping it (see ``docs/rollout.md``).
-        """
-        if self._fingerprint is None:
-            from repro.ccd.flow import netlist_state_digest, snapshot_netlist_state
-
-            state_digest = netlist_state_digest(snapshot_netlist_state(self.netlist))
-            self._fingerprint = f"{state_digest}@{self.clock_period:.9g}"
-        return self._fingerprint
 
     def reset(self) -> SelectionState:
         """Start a fresh episode: everything valid, nothing selected."""

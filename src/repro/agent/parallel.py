@@ -109,7 +109,6 @@ class FlowReward:
     tns: float
     wns: float
     nve: int
-    power_total: float
     num_selected: int
 
 
@@ -122,7 +121,6 @@ def _evaluate_one(args) -> FlowReward:
         tns=result.final.tns,
         wns=result.final.wns,
         nve=result.final.nve,
-        power_total=result.final_power.total,
         num_selected=len(selection),
     )
 
@@ -162,6 +160,7 @@ class RewardCache:
     """
 
     def __init__(self, design_digest: str, config_digest: str) -> None:
+        self.design_digest = design_digest
         self._prefix = f"{design_digest}:{config_digest}:"
         self._entries: "OrderedDict[str, FlowReward]" = OrderedDict()
         self.hits = 0
@@ -338,7 +337,7 @@ def _valid_reward(obj: Any, selection: Sequence[int]) -> bool:
     """Shape + sanity check guarding training against corrupt worker output."""
     if not isinstance(obj, FlowReward):
         return False
-    for value in (obj.tns, obj.wns, obj.power_total):
+    for value in (obj.tns, obj.wns):
         if not isinstance(value, (int, float)) or not math.isfinite(value):
             return False
     return (

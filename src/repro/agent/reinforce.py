@@ -369,7 +369,9 @@ def train_rlccd(
             stats = pool.stats() if pool is not None else rollout_stats({}, 1, "sequential", cache)
             stats.update(counts)
             stats["seed"] = config.seed
-            stats["design_fingerprint"] = env.design_fingerprint()
+            # The begin state trained on, not the netlist as a failed flow
+            # may have left it.
+            stats["design_digest"] = f"{cache.design_digest}@{env.clock_period:.9g}"
             obs.emit("rollout", stats)
         if pool is not None:
             pool.close()

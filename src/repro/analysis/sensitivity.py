@@ -105,10 +105,10 @@ def analyze_sensitivity(
     if report is None:
         report = analyzer.analyze(clock)
     violating = [int(e) for e in violating_endpoints(report)]
-    cones = ConeIndex(netlist, violating) if violating else None
+    cones = ConeIndex(netlist, violating)
 
     entries: List[EndpointSensitivity] = []
-    for endpoint in violating:
+    for position, endpoint in enumerate(violating):
         slack = report.endpoint_slack(endpoint)
         deficit = -slack
         cell = netlist.cells[endpoint]
@@ -123,9 +123,10 @@ def analyze_sensitivity(
         else:
             clock_fix = 0.0  # output ports have no capture clock to move
 
-        # Data side: normalized mean sizing headroom across the cone.
-        cone = cones.cone_of(endpoint) if cones else frozenset()
-        if cone:
+        # Data side: normalized mean sizing headroom across the cone, in
+        # ascending cell order.
+        cone = cones.cone_members[cones.cone_indptr[position] : cones.cone_indptr[position + 1]]
+        if cone.size:
             ratios = []
             for c in cone:
                 cone_cell = netlist.cells[c]

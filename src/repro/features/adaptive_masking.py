@@ -92,9 +92,9 @@ class SizeAdaptiveRho(MaskingStrategy):
             raise ValueError("need 0 < min_rho <= max_rho <= 1")
 
     def mask_after_selection(self, cones, selected, currently_valid, step):
-        sizes = cones.cone_sizes()
+        sizes = cones.cone_sizes
         median = max(1.0, float(np.median(sizes[sizes > 0])) if (sizes > 0).any() else 1.0)
-        own = max(1, len(cones.cone_of(selected)))
+        own = max(1, int(sizes[cones.position(selected)]))
         rho = float(
             np.clip(
                 self.base_rho * (median / own) ** self.alpha,

@@ -15,16 +15,13 @@ candidates with ratio > ρ are masked (default ρ = 0.3, Algorithm 1).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, List, Sequence, Set
+from typing import FrozenSet, Sequence, Set
 
 import numpy as np
 
 from repro import obs
 from repro.netlist.core import Netlist
 from repro.utils.validation import check_probability
-
-#: Bit-population count per byte value, for popcount over packed cone bitsets.
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
 
 def fanin_cone(netlist: Netlist, endpoint: int) -> FrozenSet[int]:
@@ -47,127 +44,88 @@ def fanin_cone(netlist: Netlist, endpoint: int) -> FrozenSet[int]:
 
 
 class ConeIndex:
-    """Precomputed cones for all endpoints plus overlap/masking queries.
+    """The endpoints' fan-in cones as one endpoint × cell incidence matrix.
 
-    Alongside the original list-of-frozenset API (``cones``, ``cone_of``)
-    the constructor precomputes three vectorized views used by the hot
-    paths:
+    Membership is held once, as a CSR over endpoint positions and its
+    transpose over cells; every cone query reads these arrays:
 
-    * **per-endpoint index arrays** (``cone_array``) — sorted ``int64``
-      member arrays, so no forward pass ever rebuilds an index with
-      ``np.fromiter``;
-    * **a flattened CSR cone index** (``cone_indptr`` / ``cone_members``)
-      — the Eq.-3 pooling of :class:`repro.gnn.epgnn.EPGNN` runs as one
-      differentiable segment-sum over it, and the inverse CSR
-      (:meth:`endpoints_touching`) answers "which endpoints' receptive
-      fields contain these cells" for the incremental encoder;
-    * **packed bitsets** (``np.packbits`` rows over all cells) — overlap
-      ratios are popcounts of ANDed rows instead of per-candidate Python
-      set intersections.  Counts are exact integers, so the ratios are
-      bitwise identical to the set-based ones.
+    * ``cone_indptr`` / ``cone_members`` — row ``p`` lists the cells of
+      ``fanin_cone(endpoints[p])`` in ascending order.  Eq.-3 pooling is
+      one segment-sum over it (:meth:`repro.gnn.epgnn.EPGNN.endpoint_pool`);
+    * ``cone_owner`` — the row of every entry of ``cone_members``, and
+      ``cone_sizes`` — the row lengths;
+    * ``cell_indptr`` / ``cell_cones`` — the transpose: row ``c`` lists, in
+      ascending order, the endpoint positions whose cone contains cell ``c``;
+    * ``endpoint_position`` — cell → endpoint position (−1 for other cells).
+
+    Overlap ratios count intersections as exact integers over transpose
+    rows, so they are bitwise equal to set intersections of the cones.
     """
 
     def __init__(self, netlist: Netlist, endpoints: Sequence[int]):
         self.netlist = netlist
-        self.endpoints: List[int] = list(endpoints)
-        self._position: Dict[int, int] = {e: i for i, e in enumerate(self.endpoints)}
+        self.endpoints = np.array(endpoints, dtype=np.int64)
+        num_cells = netlist.num_cells
         with obs.span("features.cone_extraction"):
-            self.cones: List[FrozenSet[int]] = [
-                fanin_cone(netlist, e) for e in self.endpoints
+            rows = [
+                np.array(sorted(fanin_cone(netlist, int(e))), dtype=np.int64)
+                for e in self.endpoints
             ]
-            self._build_vectorized(netlist.num_cells)
-        obs.incr("cones.extracted", len(self.cones))
+            self.cone_sizes = np.array([row.size for row in rows], dtype=np.int64)
+            self.cone_indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+            np.cumsum(self.cone_sizes, out=self.cone_indptr[1:])
+            self.cone_members = np.concatenate([np.empty(0, dtype=np.int64)] + rows)
+            self.cone_owner = np.repeat(np.arange(len(rows), dtype=np.int64), self.cone_sizes)
+            order = np.argsort(self.cone_members, kind="stable")
+            self.cell_cones = self.cone_owner[order]
+            self.cell_indptr = np.zeros(num_cells + 1, dtype=np.int64)
+            np.cumsum(
+                np.bincount(self.cone_members, minlength=num_cells),
+                out=self.cell_indptr[1:],
+            )
+            self.endpoint_position = np.full(num_cells, -1, dtype=np.int64)
+            self.endpoint_position[self.endpoints] = np.arange(len(rows))
+        obs.incr("cones.extracted", len(rows))
 
-    def _build_vectorized(self, num_cells: int) -> None:
-        """Build the CSR, inverse-CSR and bitset views of ``self.cones``."""
-        self._num_cells = num_cells
-        self._arrays: List[np.ndarray] = [
-            np.sort(np.fromiter(c, dtype=np.int64, count=len(c)))
-            for c in self.cones
-        ]
-        sizes = np.array([a.size for a in self._arrays], dtype=np.int64)
-        self._sizes = sizes
-        self.cone_indptr = np.concatenate(
-            [[0], np.cumsum(sizes)]
-        ).astype(np.int64)
-        self.cone_members = (
-            np.concatenate(self._arrays)
-            if self._arrays and self.cone_indptr[-1] > 0
-            else np.empty(0, dtype=np.int64)
-        )
-        # Inverse CSR: cell -> endpoint positions whose cone contains it.
-        order = np.argsort(self.cone_members, kind="stable")
-        owner = np.repeat(np.arange(len(self.endpoints), dtype=np.int64), sizes)
-        self._touch_positions = owner[order]
-        member_counts = np.bincount(self.cone_members, minlength=num_cells)
-        self._touch_indptr = np.concatenate(
-            [[0], np.cumsum(member_counts)]
-        ).astype(np.int64)
-        # Packed bitsets: row e has bit c set iff cell c is in cone(e).
-        bits = np.zeros((len(self.endpoints), num_cells), dtype=np.uint8)
-        if self.cone_members.size:
-            bits[owner, self.cone_members] = 1
-        self._bits = np.packbits(bits, axis=1)
+    def __len__(self) -> int:
+        return self.endpoints.size
 
-    def cone_array(self, position: int) -> np.ndarray:
-        """Sorted ``int64`` member array of the cone at canonical ``position``."""
-        return self._arrays[position]
+    def position(self, endpoint: int) -> int:
+        """Canonical position of endpoint cell ``endpoint``."""
+        position = int(self.endpoint_position[endpoint])
+        if position < 0:
+            raise KeyError(f"cell {endpoint} is not an indexed endpoint")
+        return position
+
+    def _cones_containing(self, cells: np.ndarray) -> np.ndarray:
+        """The transpose rows of ``cells``, concatenated: a position appears
+        once per listed cell of its cone."""
+        starts = self.cell_indptr[cells]
+        counts = self.cell_indptr[cells + 1] - starts
+        offsets = np.cumsum(counts) - counts
+        flat = np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()), dtype=np.int64)
+        return self.cell_cones[flat]
 
     def endpoints_touching(self, cells: np.ndarray) -> np.ndarray:
         """Sorted unique endpoint positions whose cone contains any of ``cells``."""
-        cells = np.asarray(cells, dtype=np.int64)
-        if cells.size == 0:
-            return np.empty(0, dtype=np.int64)
-        starts = self._touch_indptr[cells]
-        counts = self._touch_indptr[cells + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        flat = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(np.cumsum(counts) - counts, counts)
-            + np.repeat(starts, counts)
-        )
-        return np.unique(self._touch_positions[flat])
-
-    def __len__(self) -> int:
-        return len(self.endpoints)
-
-    def cone_of(self, endpoint: int) -> FrozenSet[int]:
-        """The fan-in cone of endpoint cell ``endpoint``."""
-        return self.cones[self._position[endpoint]]
-
-    def cone_sizes(self) -> np.ndarray:
-        """Cone cell count per endpoint (canonical order)."""
-        return np.array([len(c) for c in self.cones], dtype=np.int64)
-
-    def overlap_ratio(self, selected: int, candidate: int) -> float:
-        """``|cone(sel) ∩ cone(cand)| / |cone(cand)|`` (0 if cand cone empty)."""
-        pos_sel = self._position[selected]
-        pos_cand = self._position[candidate]
-        size_cand = int(self._sizes[pos_cand])
-        if size_cand == 0:
-            return 0.0
-        inter = int(
-            _POPCOUNT[np.bitwise_and(self._bits[pos_sel], self._bits[pos_cand])].sum()
-        )
-        return inter / size_cand
+        return np.unique(self._cones_containing(np.asarray(cells, dtype=np.int64)))
 
     def overlap_ratios(self, selected: int) -> np.ndarray:
-        """Overlap ratio of every endpoint against ``selected``.
+        """``|cone(selected) ∩ cone(b)| / |cone(b)|`` for every endpoint ``b``.
 
-        The selected endpoint's own entry is 1.0 when its cone is non-empty
-        (it fully overlaps itself) and 0.0 otherwise.  One vectorized
-        popcount over the packed bitset matrix; intersection counts are
-        exact integers, so the result is bitwise identical to the original
-        per-candidate set intersections.
+        The intersection counts are integers (one ``bincount`` over the
+        transpose rows of the selected cone's cells), so every ratio is
+        exact.  An empty candidate cone gives 0.0; the selected endpoint's
+        own entry is 1.0 when its cone is non-empty.
         """
-        sel_row = self._bits[self._position[selected]]
-        counts = _POPCOUNT[np.bitwise_and(self._bits, sel_row[None, :])].sum(axis=1)
-        ratios = np.zeros(len(self.endpoints))
-        nonempty = self._sizes > 0
-        ratios[nonempty] = counts[nonempty] / self._sizes[nonempty]
-        return ratios
+        position = self.position(selected)
+        start, stop = self.cone_indptr[position], self.cone_indptr[position + 1]
+        counts = np.bincount(
+            self._cones_containing(self.cone_members[start:stop]),
+            minlength=len(self),
+        )
+        # An empty cone has a zero count, so dividing by 1 gives its 0.0.
+        return counts / np.maximum(self.cone_sizes, 1)
 
     def mask_after_selection(
         self, selected: int, currently_valid: np.ndarray, rho: float
@@ -181,12 +139,12 @@ class ConeIndex:
         """
         check_probability("rho", rho)
         currently_valid = np.asarray(currently_valid, dtype=bool)
-        if currently_valid.shape != (len(self.endpoints),):
+        if currently_valid.shape != (len(self),):
             raise ValueError(
                 f"valid mask has shape {currently_valid.shape}, expected "
-                f"({len(self.endpoints)},)"
+                f"({len(self)},)"
             )
         ratios = self.overlap_ratios(selected)
         to_mask = currently_valid & (ratios > rho)
-        to_mask[self._position[selected]] = False
+        to_mask[self.position(selected)] = False
         return to_mask

@@ -145,21 +145,13 @@ class EPGNN(Module):
     def endpoint_pool(self, nodes: Tensor, cones: ConeIndex) -> Tensor:
         """Eq.-3 pooling ``f_e + Σ_{j∈cone(e)} f_j`` as one segment-sum.
 
-        Uses the flattened CSR cone index built once by
-        :class:`~repro.features.cones.ConeIndex` — no per-endpoint Python
-        loop, no ``np.fromiter``.  Cone members are summed in their sorted
-        CSR order, the order the incremental encoder mirrors row for row.
+        Reads the cone CSR of :class:`~repro.features.cones.ConeIndex`
+        (members and their owner rows).  Cone members are summed in their
+        ascending CSR order, the order the incremental encoder mirrors row
+        for row.
         """
-        endpoint_rows = nodes.gather_rows(
-            np.asarray(cones.endpoints, dtype=np.int64)
-        )
+        endpoint_rows = nodes.gather_rows(cones.endpoints)
         if cones.cone_members.size == 0:
             return endpoint_rows
-        seg = np.repeat(
-            np.arange(len(cones.endpoints), dtype=np.int64),
-            np.diff(cones.cone_indptr),
-        )
-        cone_sums = segment_sum(
-            nodes.gather_rows(cones.cone_members), seg, len(cones.endpoints)
-        )
+        cone_sums = segment_sum(nodes.gather_rows(cones.cone_members), cones.cone_owner, len(cones))
         return endpoint_rows + cone_sums

@@ -284,11 +284,11 @@ def _pool_fc_rows(
 class EncoderSession:
     """Per-``(policy, env)`` incremental EP-GNN encoding state.
 
-    Built once per environment (edge owners, endpoint lookup) and
-    reset per episode with :meth:`begin_episode`; :meth:`encode` then
-    serves each RL step either incrementally or — on any fallback
-    trigger — with a cache-refreshing full encode that is bitwise equal
-    to :meth:`EPGNN.forward`.
+    Built once per environment (edge owners; cone membership is read from
+    the :class:`ConeIndex`) and reset per episode with
+    :meth:`begin_episode`; :meth:`encode` then serves each RL step either
+    incrementally or — on any fallback trigger — with a cache-refreshing
+    full encode that is bitwise equal to :meth:`EPGNN.forward`.
     """
 
     def __init__(
@@ -309,15 +309,6 @@ class EncoderSession:
         # (and preserves CSR edge order, the order the full pass sums in).
         self._fwd_owner = graph._edge_dst()
         self._fwd_counts = np.diff(graph.indptr)
-        self._cone_owner = np.repeat(
-            np.arange(len(cones.endpoints), dtype=np.int64),
-            np.diff(cones.cone_indptr),
-        )
-        self._cone_counts = np.diff(cones.cone_indptr)
-        self._ep_cells = np.asarray(cones.endpoints, dtype=np.int64)
-        # Cell → endpoint position (−1 for non-endpoint cells).
-        self._ep_pos = np.full(graph.num_nodes, -1, dtype=np.int64)
-        self._ep_pos[self._ep_cells] = np.arange(self._ep_cells.size)
         self.begin_episode()
 
     # ------------------------------------------------------------------ #
@@ -458,13 +449,13 @@ class EncoderSession:
         """Per-endpoint fan-in-cone sums of ``x`` at endpoint positions
         ``eps`` plus the backward closure, mirroring
         ``EPGNN.endpoint_pool``'s summation order."""
-        flat = self.cones.cone_members[ep_mask[self._cone_owner]]
-        counts = self._cone_counts[eps]
+        cones = self.cones
+        flat = cones.cone_members[ep_mask[cones.cone_owner]]
+        counts = cones.cone_sizes[eps]
         sums = _segment_sum_sorted(x[flat], counts)
-        seg = np.repeat(np.arange(eps.size, dtype=np.int64), counts)
 
         def pool_backward(upstream: np.ndarray, dx: np.ndarray) -> None:
-            scatter_add_rows(dx, flat, upstream[seg])
+            scatter_add_rows(dx, flat, np.repeat(upstream, counts, axis=0))
 
         return sums, pool_backward
 
@@ -506,9 +497,10 @@ class EncoderSession:
         # (own cell or fan-in cone) intersects the final dirty region.
         final_region = regions[-1]
         final = new_layers[-1]
-        ep_dirty = np.zeros(self._ep_cells.size, dtype=bool)
-        ep_dirty[self.cones.endpoints_touching(final_region)] = True
-        own_positions = self._ep_pos[final_region]
+        cones = self.cones
+        ep_dirty = np.zeros(len(cones), dtype=bool)
+        ep_dirty[cones.endpoints_touching(final_region)] = True
+        own_positions = cones.endpoint_position[final_region]
         ep_dirty[own_positions[own_positions >= 0]] = True
         dirty_eps = np.nonzero(ep_dirty)[0]
         if dirty_eps.size:
@@ -516,7 +508,7 @@ class EncoderSession:
                 final.data, ep_dirty, dirty_eps
             )
             emb_rows = _pool_fc_rows(
-                final, gnn.fc, self._ep_cells[dirty_eps], cone_sums, pool_backward
+                final, gnn.fc, cones.endpoints[dirty_eps], cone_sums, pool_backward
             )
             embeddings = scatter_rows(self._emb, dirty_eps, emb_rows)
         else:

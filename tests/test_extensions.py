@@ -141,7 +141,7 @@ class TestAdaptiveMasking:
             DecayingRho(decay=1.5)
 
     def test_size_adaptive_large_cone_masks_more(self, cones):
-        sizes = cones.cone_sizes()
+        sizes = cones.cone_sizes
         order = np.argsort(sizes)
         large_ep = cones.endpoints[int(order[-1])]
         if sizes[order[0]] == sizes[order[-1]]:

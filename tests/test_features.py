@@ -56,9 +56,9 @@ class TestConeIndex:
 
     def test_self_overlap_is_one(self, index):
         nl, idx = index
-        for e in idx.endpoints[:15]:
-            if idx.cone_of(e):
-                assert idx.overlap_ratio(e, e) == pytest.approx(1.0)
+        for pos, e in enumerate(idx.endpoints[:15]):
+            if fanin_cone(nl, e):
+                assert idx.overlap_ratios(e)[pos] == 1.0
 
     def test_ratio_in_unit_interval(self, index):
         nl, idx = index
@@ -70,50 +70,70 @@ class TestConeIndex:
     def test_ratio_formula_matches_sets(self, index):
         nl, idx = index
         a, b = idx.endpoints[0], idx.endpoints[1]
-        cone_a, cone_b = idx.cone_of(a), idx.cone_of(b)
+        cone_a, cone_b = fanin_cone(nl, a), fanin_cone(nl, b)
         if cone_b:
             expected = len(cone_a & cone_b) / len(cone_b)
-            assert idx.overlap_ratio(a, b) == pytest.approx(expected)
+            assert idx.overlap_ratios(a)[1] == pytest.approx(expected)
 
     def test_empty_cone_ratio_zero(self, index):
         nl, idx = index
         # Endpoint fed directly by a startpoint has an empty cone.
-        empties = [e for e in idx.endpoints if not idx.cone_of(e)]
+        empties = [e for e in idx.endpoints if not fanin_cone(nl, e)]
+        ratios = idx.overlap_ratios(idx.endpoints[0])
         for e in empties[:3]:
-            assert idx.overlap_ratio(idx.endpoints[0], e) == 0.0
+            assert ratios[idx.position(e)] == 0.0
 
-    def test_bitset_ratios_match_set_intersections(self, index):
-        nl, idx = index
-        # The popcount/bitset path must be bitwise identical to the
-        # original per-candidate frozenset intersections, for every pair.
-        for a in idx.endpoints[:10]:
-            cone_a = idx.cone_of(a)
-            ratios = idx.overlap_ratios(a)
-            for pos, b in enumerate(idx.endpoints):
-                cone_b = idx.cone_of(b)
-                expected = (
-                    len(cone_a & cone_b) / len(cone_b) if cone_b else 0.0
-                )
-                assert ratios[pos] == expected
-                assert idx.overlap_ratio(a, b) == expected
+    def test_overlap_ratios_match_set_intersections(self, index):
+        """Integer counts over the transpose give exactly the set-based
+        ratio ``len(A & B) / len(B)``, for every ordered pair, on the
+        fixture design and on a seeded design with heavy cone reuse."""
+        seeded = quick_design(n_cells=500, seed=17, reuse_probability=0.6)
+        for nl in (index[0], seeded):
+            idx = ConeIndex(nl, nl.endpoints())
+            cones = [fanin_cone(nl, e) for e in idx.endpoints]
+            assert any(len(c) > 0 for c in cones)
+            for a, cone_a in zip(idx.endpoints, cones):
+                ratios = idx.overlap_ratios(a)
+                for b, cone_b in zip(idx.endpoints, cones):
+                    expected = len(cone_a & cone_b) / len(cone_b) if cone_b else 0.0
+                    assert ratios[idx.position(b)] == expected
 
     def test_cone_arrays_match_frozensets(self, index):
+        """Each CSR row is ``sorted(fanin_cone(e))`` and the owner array
+        and sizes name its rows."""
         nl, idx = index
-        for pos, cone in enumerate(idx.cones):
-            members = idx.cone_array(pos)
-            assert members.dtype == np.int64
-            assert np.all(np.diff(members) > 0)  # sorted, unique
-            assert set(members.tolist()) == set(cone)
+        for pos, e in enumerate(idx.endpoints):
+            start, stop = idx.cone_indptr[pos], idx.cone_indptr[pos + 1]
+            assert idx.cone_members[start:stop].tolist() == sorted(fanin_cone(nl, e))
+            assert np.all(idx.cone_owner[start:stop] == pos)
+            assert idx.cone_sizes[pos] == stop - start
+        assert idx.cone_members.dtype == np.int64
 
     def test_cone_csr_flattens_all_cones(self, index):
         nl, idx = index
         assert idx.cone_indptr.shape == (len(idx.endpoints) + 1,)
         assert idx.cone_indptr[-1] == idx.cone_members.size
-        for pos in range(len(idx.endpoints)):
-            start, stop = idx.cone_indptr[pos], idx.cone_indptr[pos + 1]
-            assert np.array_equal(
-                idx.cone_members[start:stop], idx.cone_array(pos)
-            )
+        assert idx.cone_owner.shape == idx.cone_members.shape
+
+    def test_transpose_inverts_csr(self, index):
+        """Row ``c`` of the transpose lists, ascending, exactly the endpoint
+        positions whose ``fanin_cone`` contains cell ``c``."""
+        nl, idx = index
+        cones = [fanin_cone(nl, e) for e in idx.endpoints]
+        assert idx.cell_indptr.shape == (nl.num_cells + 1,)
+        for c in range(nl.num_cells):
+            row = idx.cell_cones[idx.cell_indptr[c] : idx.cell_indptr[c + 1]]
+            assert row.tolist() == [p for p, cone in enumerate(cones) if c in cone]
+
+    def test_endpoint_position_maps_endpoint_cells(self, index):
+        nl, idx = index
+        expected = np.full(nl.num_cells, -1)
+        expected[idx.endpoints] = np.arange(len(idx))
+        assert np.array_equal(idx.endpoint_position, expected)
+        assert idx.position(idx.endpoints[3]) == 3
+        non_endpoint = int(np.nonzero(expected < 0)[0][0])
+        with pytest.raises(KeyError):
+            idx.position(non_endpoint)
 
     def test_endpoints_touching_inverts_membership(self, index):
         nl, idx = index
@@ -121,8 +141,8 @@ class TestConeIndex:
         touched = idx.endpoints_touching(some_cells)
         expected = {
             pos
-            for pos, cone in enumerate(idx.cones)
-            if cone & set(some_cells.tolist())
+            for pos, e in enumerate(idx.endpoints)
+            if fanin_cone(nl, e) & set(some_cells.tolist())
         }
         assert set(touched.tolist()) == expected
         assert np.all(np.diff(touched) > 0)
@@ -166,9 +186,9 @@ class TestConeIndex:
 
     def test_cone_sizes(self, index):
         nl, idx = index
-        sizes = idx.cone_sizes()
+        sizes = idx.cone_sizes
         assert sizes.shape == (len(idx),)
-        assert (sizes >= 0).all()
+        assert sizes.tolist() == [len(fanin_cone(nl, e)) for e in idx.endpoints]
 
 
 @settings(max_examples=10, deadline=None)
@@ -195,7 +215,7 @@ def test_property_masking_loop_terminates(seed, rho):
     # earlier selection is <= rho.
     for i, later in enumerate(selected):
         for earlier in selected[:i]:
-            assert idx.overlap_ratio(earlier, later) <= rho + 1e-12
+            assert idx.overlap_ratios(earlier)[idx.position(later)] <= rho
 
 
 class TestFeatureExtractor:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.features.cones import ConeIndex
+from repro.features.cones import ConeIndex, fanin_cone
 from repro.features.table1 import NUM_FEATURES, FeatureExtractor
 from repro.gnn.epgnn import EMBED_DIM, HIDDEN_DIM, EPGNN, GraphConvLayer
 from repro.netlist.transform import to_message_passing_graph
@@ -95,12 +95,13 @@ class TestEPGNN:
         nl, graph, cones, features = gnn_context
         gnn = EPGNN(NUM_FEATURES, num_layers=1, rng=0)
         target = None
-        for i, cone in enumerate(cones.cones):
+        for i, endpoint in enumerate(cones.endpoints):
+            cone = fanin_cone(nl, endpoint)
             if len(cone) >= 3:
                 target = i
                 break
         assert target is not None
-        cone_cell = next(iter(cones.cones[target]))
+        cone_cell = min(cone)
         base = gnn(features, graph, cones).data
         perturbed = features.copy()
         perturbed[cone_cell, 3:10] += 5.0

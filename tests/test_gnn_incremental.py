@@ -21,6 +21,7 @@ from repro.agent.env import EndpointSelectionEnv
 from repro.agent.policy import RLCCDPolicy
 from repro.agent.reinforce import TrainConfig, train_rlccd
 from repro.ccd.flow import FlowConfig
+from repro.features.cones import fanin_cone
 from repro.features.table1 import NUM_FEATURES
 from repro.gnn import incremental as gi
 from repro.nn.tensor import Tensor, stack
@@ -274,11 +275,12 @@ class TestTrainingEquivalence:
 
 
 def _pool_loop(nodes, cones):
-    """Eq.-3 pooling as one Python loop over endpoints (the CSR oracle)."""
+    """Eq.-3 pooling as one Python loop over endpoints (the CSR oracle),
+    with members taken from ``fanin_cone``, not from the index."""
     pooled_rows = []
-    for position, endpoint in enumerate(cones.endpoints):
+    for endpoint in cones.endpoints:
         own = nodes[endpoint]
-        members = cones.cone_array(position)
+        members = np.array(sorted(fanin_cone(cones.netlist, endpoint)), dtype=np.int64)
         if members.size:
             pooled_rows.append(own + nodes.gather_rows(members).sum(axis=0))
         else:

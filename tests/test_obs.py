@@ -11,6 +11,7 @@ from repro import obs
 from repro.agent.parallel import RolloutPool, fork_available
 from repro.ccd.flow import (
     FlowConfig,
+    netlist_state_digest,
     restore_netlist_state,
     run_flow,
     snapshot_netlist_state,
@@ -306,6 +307,44 @@ class TestRunRecords:
             handle.write("not json at all\n")
         with pytest.raises(ValueError):
             obs.read_records(path)
+
+    def test_rollout_record_names_the_begin_state_when_a_flow_raises(
+        self, fresh_design, tmp_path, monkeypatch
+    ):
+        """The ``rollout`` record's design digest is the begin state the
+        trainer snapshotted, even when a flow raises after data-path
+        fixing has resized cells and so left the netlist changed."""
+        from repro.agent.env import EndpointSelectionEnv
+        from repro.agent.policy import RLCCDPolicy
+        from repro.agent.reinforce import TrainConfig, train_rlccd
+        from repro.ccd import flow
+        from repro.features.table1 import NUM_FEATURES
+
+        netlist, period = fresh_design
+        begin = netlist_state_digest(snapshot_netlist_state(netlist))
+        env = EndpointSelectionEnv(netlist, period)
+        skew = flow.optimize_useful_skew
+        calls = []
+
+        def final_skew_raises(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:  # the final skew pass of the first flow
+                raise RuntimeError("final skew pass failed")
+            return skew(*args, **kwargs)
+
+        monkeypatch.setattr(flow, "optimize_useful_skew", final_skew_raises)
+        path = str(tmp_path / "trace.jsonl")
+        obs.set_trace_path(path)
+        with pytest.raises(RuntimeError, match="final skew pass failed"):
+            train_rlccd(
+                RLCCDPolicy(NUM_FEATURES, rng=0),
+                env,
+                FlowConfig(clock_period=period),
+                TrainConfig(max_episodes=1, seed=0),
+            )
+        assert netlist_state_digest(snapshot_netlist_state(netlist)) != begin
+        (rollout,) = [r for r in obs.read_records(path) if r["kind"] == "rollout"]
+        assert rollout["design_digest"] == f"{begin}@{period:.9g}"
 
 
 class TestLogging:

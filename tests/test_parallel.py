@@ -150,7 +150,7 @@ class TestRewardCache:
         snapshot = snapshot_netlist_state(nl)
         monkeypatch.setattr(parallel, "CACHE_MAX_ENTRIES", 2)
         cache = RewardCache.for_context(snapshot, FlowConfig(clock_period=period))
-        reward = FlowReward(tns=-1.0, wns=-0.5, nve=1, power_total=1.0, num_selected=1)
+        reward = FlowReward(tns=-1.0, wns=-0.5, nve=1, num_selected=1)
         for endpoint in env.endpoints[:3]:
             cache.put([endpoint], reward)
         assert len(cache) == 2

@@ -100,7 +100,7 @@ class TestNonFiniteReward:
         def fake_evaluate(netlist, flow_config, selections, **kwargs):
             calls.append(list(selections[0]))
             tns = -1.0 if len(calls) == 1 else bad
-            return [FlowReward(tns, -0.1, 1, 0.0, len(selections[0]))]
+            return [FlowReward(tns, -0.1, 1, len(selections[0]))]
 
         monkeypatch.setattr(reinforce, "evaluate_selections", fake_evaluate)
         nl, period = small_design
