@@ -28,7 +28,7 @@ the probe's journal without re-timing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from repro.netlist.core import Cell, Netlist
 from repro.timing.clock import ClockModel
 from repro.timing.metrics import tns
 from repro.timing.paths import trace_critical_path
-from repro.timing.sta import _NO_DRIVER, CompiledTiming, TimingAnalyzer
+from repro.timing.sta import CompiledTiming, TimingAnalyzer
 from repro.utils.validation import check_positive
 
 
@@ -115,6 +115,9 @@ def _optimize_datapath(
         )
     )
 
+    # (cell, target size) moves rejected since the timing state last
+    # changed; _fix_endpoint keeps it (see its docstring).
+    rejected: Set[Tuple[int, int]] = set()
     for _round in range(config.max_rounds):
         if budget <= 0:
             break
@@ -133,7 +136,14 @@ def _optimize_datapath(
             # report — the batched behaviour of commercial optimizers — but
             # each move is verified against the freshest timing state.
             moved, cost, report, report_tns = _fix_endpoint(
-                analyzer, clock, int(endpoint), config, report, report_tns, result
+                analyzer,
+                clock,
+                int(endpoint),
+                config,
+                report,
+                report_tns,
+                result,
+                rejected,
             )
             budget -= cost
             result.budget_spent += cost
@@ -151,6 +161,7 @@ def _fix_endpoint(
     report,
     report_tns: float,
     result: DatapathResult,
+    rejected: Set[Tuple[int, int]],
 ):
     """Try the best single move for one endpoint.
 
@@ -159,6 +170,14 @@ def _fix_endpoint(
     STA run or TNS sum.  The report may be a probe's
     :class:`~repro.timing.sta.ProbeReport`: this loop reads only endpoint
     slack and cell arrivals.
+
+    ``rejected`` holds the ``(cell, target size)`` sizing moves rejected
+    since the timing state last changed.  A journaled rollback leaves the
+    state byte for byte as it was, so such a move would be rejected again:
+    a hit is charged and counted as that rejection was (``failed_move_cost``,
+    one more ``rolled_back``) and returns the same report and TNS, with
+    no probe.  A commit or a buffer insertion clears the set, and so does
+    a rollback that was not exact.
     """
     netlist = analyzer.netlist
     cells = netlist.cells
@@ -183,19 +202,27 @@ def _fix_endpoint(
     # rejected move, once resized back, is restored from the probe's journal
     # with no re-propagation.
     if best_cell is not None:
+        move = (best_cell, cells[best_cell].size_index + 1)
+        if move in rejected:
+            result.rolled_back += 1
+            return (False, config.failed_move_cost, report, report_tns)
         analyzer.open_probe()
-        previous = netlist.resize_cell(best_cell, cells[best_cell].size_index + 1)
+        previous = netlist.resize_cell(*move)
         analyzer.notify_resize(best_cell)
         fresh = analyzer.analyze(clock)
         fresh_tns = tns(fresh.slack)
         if fresh_tns < report_tns - 1e-12:
             netlist.resize_cell(best_cell, previous)
             analyzer.notify_resize(best_cell)
-            analyzer.rollback_probe()
+            if analyzer.rollback_probe():
+                rejected.add(move)
+            else:
+                rejected.clear()
             result.rolled_back += 1
             # After the rollback the pre-move report is valid again.
             return (False, config.failed_move_cost, report, report_tns)
         analyzer.commit_probe()
+        rejected.clear()
         result.sizing_moves += 1
         return (True, 1.0, fresh, fresh_tns)
 
@@ -205,6 +232,7 @@ def _fix_endpoint(
     best_net = _buffer_net(compiled, path.cells, config.buffer_fanout_threshold)
     if best_net is not None:
         _split_net(netlist, best_net, keep_on_path=set(path.cells))
+        rejected.clear()
         analyzer.invalidate()
         fresh = analyzer.analyze(clock)
         fresh_tns = tns(fresh.slack)
@@ -241,14 +269,9 @@ def _sizing_gain(compiled: CompiledTiming, cell: Cell) -> float:
     # the driver's output slew, which feeds back into this cell's own delay
     # and its siblings' — count both first-order terms.  Drivers in pin order.
     cap_increase = upsized.input_cap - current.input_cap
-    fanin = buffers["fanin_idx"]
     drive_res = buffers["drive_res"]
     slew_load = buffers["slew_load"]
-    row = cell.index * compiled.fanin_idx.shape[1]
-    for pin in range(row, row + cell.cell_type.num_inputs):
-        driver = fanin[pin]
-        if driver == _NO_DRIVER:
-            continue
+    for driver, _pin in compiled.topology.fanin[cell.index]:
         gain -= drive_res[driver] * cap_increase
         gain -= slew_load[driver] * cap_increase * current.slew_sensitivity
     return gain

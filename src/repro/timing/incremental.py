@@ -80,6 +80,7 @@ harness CI runs the fuzz suite under.
 from __future__ import annotations
 
 import array
+import itertools
 import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
@@ -93,6 +94,7 @@ from repro.timing.sta import (
     CompiledTiming,
     ProbeReport,
     TimingReport,
+    Topology,
     _backward_required,
     analyze,
     buffer_backed,
@@ -124,7 +126,7 @@ ENV_VEC_THRESHOLD = "REPRO_STA_VEC_THRESHOLD"
 #: per-batch crossover of the buffer-backed scalar loop against the NumPy
 #: kernels at 2K and 10K cells (table in docs/timing.md).  Below it NumPy's
 #: per-call overhead loses to the scalar loop.
-DEFAULT_VEC_THRESHOLD = 48
+DEFAULT_VEC_THRESHOLD = 64
 
 _TRUTHY = ("1", "true", "yes", "on")
 
@@ -145,6 +147,10 @@ _vec_threshold: int = _env_threshold()
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
+
+#: Source of :attr:`IncrementalState.generation` values: every state and
+#: every incremental analysis takes a value no other has had.
+_generations = itertools.count(1)
 
 
 def check_enabled() -> bool:
@@ -285,6 +291,11 @@ class IncrementalState:
     #: Preallocated frontier scratch, shared by the forward and backward
     #: sweeps of one analysis (reset between passes).
     scratch: Optional[_Frontier] = None
+    #: Names the cached values: a new, never used value on every analysis,
+    #: the opening one again after a journaled rollback.  A
+    #: :class:`~repro.timing.sta.ProbeReport` reads its views only while
+    #: it is unchanged.
+    generation: int = field(default_factory=lambda: next(_generations))
     #: Storage of every vector above, keyed by attribute name.
     buffers: Dict[str, array.array] = field(default_factory=dict, repr=False)
 
@@ -385,8 +396,9 @@ class Journal:
     it — ``(cell, old arrival, old slew)`` from the scalar loop, three
     arrays per vectorized chunk — and the endpoint-arrival update logs
     ``(positions, old values)``.  The pending set and the deferred-seed
-    list lengths at open are kept too, so :func:`rollback` restores the
-    state in O(touched cells) with no re-propagation.
+    list lengths and the state's generation at open are kept too, so
+    :func:`rollback` restores the state in O(touched cells) with no
+    re-propagation.
 
     ``exact`` drops to ``False`` once the probe changes something the log
     does not cover: a clock or margin change, or an analysis that took
@@ -396,7 +408,16 @@ class Journal:
     compiled view's buffers at open, for :func:`rollback` to compare.
     """
 
-    __slots__ = ("state", "cells", "eps", "pending", "deferred", "exact", "snapshot")
+    __slots__ = (
+        "state",
+        "cells",
+        "eps",
+        "pending",
+        "deferred",
+        "generation",
+        "exact",
+        "snapshot",
+    )
 
     def __init__(self, state: Optional[IncrementalState]) -> None:
         self.state = state
@@ -407,6 +428,7 @@ class Journal:
         if state is None:
             return
         self.pending = set(state.pending)
+        self.generation = state.generation
         self.deferred = (
             len(state.deferred_cells),
             len(state.deferred_chunks),
@@ -430,8 +452,9 @@ def rollback(journal: Journal) -> None:
 
     The caller has already undone the move itself (``resize_cell`` back,
     ``notify_resize``, which re-patches the coefficients), so restoring
-    the log in reverse, the pending set and the deferred seeds returns
-    the state to the probe's opening, byte for byte.
+    the log in reverse, the pending set, the deferred seeds and the
+    generation returns the state to the probe's opening, byte for byte,
+    and makes the reports of that opening readable again.
     """
     state = journal.state
     sb = state.buffers
@@ -449,6 +472,7 @@ def rollback(journal: Journal) -> None:
         for pos, value in zip(positions, old):
             ep_arrival[pos] = value
     state.pending = journal.pending
+    state.generation = journal.generation
     n_cells, n_chunks, n_eps = journal.deferred
     del state.deferred_cells[n_cells:]
     del state.deferred_chunks[n_chunks:]
@@ -516,6 +540,9 @@ def incremental_analyze(
     ca = sb["clock_arrival"]
     src_slot = state.num_levels
 
+    if _check:
+        check_topology(compiled)
+    state.generation = next(_generations)
     dirty = state.pending
     state.pending = set()
 
@@ -575,7 +602,7 @@ def incremental_analyze(
     # ---- endpoint checks --------------------------------------------- #
     ep_required = sb["ep_required"]
     if ep_arr_dirty:
-        dirty_eps = sorted(ep_arr_dirty)
+        dirty_eps = list(ep_arr_dirty)
         if state.journal is not None:
             ep_arrival = sb["ep_arrival"]
             state.journal.eps.append((dirty_eps, [ep_arrival[p] for p in dirty_eps]))
@@ -601,13 +628,10 @@ def incremental_analyze(
     # whose required seed moved.
     cell_seeds = slew_cells
     if dirty:
-        fanin = cb["fanin_idx"]
-        max_pins = compiled.fanin_idx.shape[1]
+        fanin = compiled.topology.fanin
         for c in dirty:
-            row = c * max_pins
-            for u in fanin[row : row + max_pins]:
-                if u >= 0:
-                    cell_seeds.append(u)
+            for u, _p in fanin[c]:
+                cell_seeds.append(u)
 
     if forward_only:
         # A probe reads no required time: leave the seeds for the next
@@ -618,14 +642,15 @@ def incremental_analyze(
         _flush_counters(counters)
         ep_arr = state.ep_arrival.copy()
         ep_req = state.ep_required.copy()
+        endpoints = compiled.endpoint_cells.view()
+        endpoints.flags.writeable = False
         report = ProbeReport(
-            endpoints=compiled.endpoint_cells.copy(),
+            endpoints=endpoints,
             arrival=ep_arr,
             required=ep_req,
             slack=ep_req - ep_arr,
             margins=state.margin_vec.copy(),
-            cell_arrival=state.arrival.copy(),
-            cell_slew=state.slew.copy(),
+            state=state,
         )
         return report, counters.frontier
     if state.deferred_cells or state.deferred_chunks or state.deferred_eps:
@@ -751,12 +776,14 @@ def _forward_sweep(
     compiled = state.compiled
     cb = compiled.buffers
     sb = state.buffers
+    topology = compiled.topology
+    fanin = topology.fanin
+    fanout = topology.fanout
+    ep_sinks = topology.ep_sinks
     arrival = sb["arrival"]
     slew = sb["slew"]
     ca = sb["clock_arrival"]
-    fanin = cb["fanin_idx"]
     fanin_wire = cb["fanin_wire_delay"]
-    max_pins = compiled.fanin_idx.shape[1]
     intrinsic = cb["intrinsic"]
     slew_sens = cb["slew_sens"]
     drive_res = cb["drive_res"]
@@ -766,16 +793,12 @@ def _forward_sweep(
     clk_to_q = cb["clk_to_q"]
     is_flop = cb["is_flop"]
     is_outport = cb["is_outport"]
-    is_ep = cb["is_ep"]
-    ep_pos = cb["ep_pos"]
-    level_of = cb["level_of"]
-    indptr = cb["fanout_indptr"]
-    sinks = cb["fanout_indices"]
     seen = fr.seen_buf
     buckets = fr.buckets
     chunks = fr.chunks
     touched = fr.touched
     threshold = _vec_threshold
+    tol = PRUNE_TOL
     src_slot = state.num_levels
     log = state.journal.cells if state.journal is not None else None
     for k in (src_slot, *range(src_slot)):
@@ -806,21 +829,18 @@ def _forward_sweep(
         for chunk in level_chunks:
             cells.extend(chunk.tolist())
         for c in cells:
+            load = load_cap[c]
             if sources:
-                self_delay = drive_res[c] * load_cap[c]
+                self_delay = drive_res[c] * load
                 if is_flop[c]:
                     new_arr = ca[c] + clk_to_q[c] + self_delay
                 else:
                     new_arr = self_delay
             else:
                 best = _NEG_INF
-                row = c * max_pins
                 if is_outport[c]:
                     # Output ports consume only: no gate delay, no drive.
-                    for p in range(row, row + max_pins):
-                        u = fanin[p]
-                        if u < 0:  # _NO_DRIVER pads unconnected pins
-                            continue
+                    for u, p in fanin[c]:
                         v = arrival[u] + fanin_wire[p]
                         if v > best:
                             best = v
@@ -828,36 +848,36 @@ def _forward_sweep(
                 else:
                     ic = intrinsic[c]
                     ss = slew_sens[c]
-                    for p in range(row, row + max_pins):
-                        u = fanin[p]
-                        if u < 0:
-                            continue
+                    for u, p in fanin[c]:
                         v = (arrival[u] + fanin_wire[p]) + (ic + ss * slew[u])
                         if v > best:
                             best = v
-                    new_arr = best + drive_res[c] * load_cap[c]
-            new_slew = slew_intr[c] + slew_load[c] * load_cap[c]
-            da = new_arr - arrival[c]
-            ds = new_slew - slew[c]
-            slew_moved = ds > PRUNE_TOL or ds < -PRUNE_TOL
-            if not (slew_moved or da > PRUNE_TOL or da < -PRUNE_TOL):
+                    new_arr = best + drive_res[c] * load
+            new_slew = slew_intr[c] + slew_load[c] * load
+            old_arr = arrival[c]
+            old_slew = slew[c]
+            da = new_arr - old_arr
+            ds = new_slew - old_slew
+            slew_moved = ds > tol or ds < -tol
+            if not (slew_moved or da > tol or da < -tol):
                 continue
             if log is not None:
-                log.append((c, arrival[c], slew[c]))
+                log.append((c, old_arr, old_slew))
             arrival[c] = new_arr
             slew[c] = new_slew
             if slew_moved:
                 slew_cells.append(c)
-            for s in sinks[indptr[c] : indptr[c + 1]]:
-                if is_ep[s]:
-                    ep_arr_dirty.add(ep_pos[s])
-                # Flop sinks capture only (their Q arrival never depends
-                # on D); every other sink — comb cells and output ports —
-                # re-propagates.
-                if not is_flop[s] and not seen[s]:
+            positions = ep_sinks[c]
+            if positions:
+                ep_arr_dirty.update(positions)
+            # Flop sinks capture only (their Q arrival never depends on D),
+            # so the topology leaves them out; every other sink — comb
+            # cells and output ports — re-propagates.
+            for s, level in fanout[c]:
+                if not seen[s]:
                     seen[s] = 1
                     touched.append(s)
-                    buckets[level_of[s]].append(s)
+                    buckets[level].append(s)
 
 
 def _forward_push_vec(
@@ -983,24 +1003,21 @@ def _recompute_ep_arrival(
         return
     cb = compiled.buffers
     eps = cb["endpoint_cells"]
-    fanin = cb["fanin_idx"]
+    fanin = compiled.topology.fanin
     fanin_wire = cb["fanin_wire_delay"]
     arrival = state.buffers["arrival"]
     ep_arrival = state.buffers["ep_arrival"]
-    max_pins = compiled.fanin_idx.shape[1]
     for pos in positions:
-        row = eps[pos] * max_pins
+        pins = fanin[eps[pos]]
+        if not pins:  # unconnected endpoint
+            ep_arrival[pos] = 0.0
+            continue
         best = _NEG_INF
-        hit = False
-        for p in range(row, row + max_pins):
-            u = fanin[p]
-            if u < 0:
-                continue
-            hit = True
+        for u, p in pins:
             v = arrival[u] + fanin_wire[p]
             if v > best:
                 best = v
-        ep_arrival[pos] = best if hit else 0.0
+        ep_arrival[pos] = best
 
 
 # ---------------------------------------------------------------------- #
@@ -1030,8 +1047,7 @@ def _backward_incremental(
     required_view = getattr(state, name)
     ep_seed_buf, ep_seed_view = ep_seed
     slew = state.buffers["slew"]
-    fanin = cb["fanin_idx"]
-    max_pins = compiled.fanin_idx.shape[1]
+    fanin = compiled.topology.fanin
     intrinsic = cb["intrinsic"]
     slew_sens = cb["slew_sens"]
     drive_res = cb["drive_res"]
@@ -1082,9 +1098,8 @@ def _backward_incremental(
     for chunk in seed_chunks:
         push_chunk(chunk)
     for pos in ep_dirty_pos:
-        row = eps[pos] * max_pins
-        for v in fanin[row : row + max_pins]:
-            if v < 0 or seen[v]:
+        for v, _p in fanin[eps[pos]]:
+            if seen[v]:
                 continue
             seen[v] = 1
             touched.append(v)
@@ -1148,9 +1163,8 @@ def _backward_incremental(
             # changed flop/port required is terminal (the full pass masks
             # them out of the reverse sweep the same way).
             if is_comb[u]:
-                row = u * max_pins
-                for v in fanin[row : row + max_pins]:
-                    if v < 0 or seen[v]:
+                for v, _p in fanin[u]:
+                    if seen[v]:
                         continue
                     seen[v] = 1
                     touched.append(v)
@@ -1228,6 +1242,40 @@ def _backward_commit_vec(
 # ---------------------------------------------------------------------- #
 # Differential shadow check (REPRO_STA_CHECK=1)
 # ---------------------------------------------------------------------- #
+#: Topology field -> the compiled buffers it is derived from.
+_TOPOLOGY_SOURCES = {
+    "fanin": "fanin_idx",
+    "fanout": "fanout_indptr/fanout_indices, is_flop, level_of",
+    "ep_sinks": "fanout_indptr/fanout_indices, is_ep, ep_pos",
+}
+
+
+def check_topology(compiled: CompiledTiming) -> None:
+    """Raise ``RuntimeError`` naming the first cell and field where
+    ``compiled.topology`` differs from one derived afresh from its buffers."""
+    ours = compiled.topology
+    fresh = Topology().fill(compiled)
+    for name, source in _TOPOLOGY_SOURCES.items():
+        held = getattr(ours, name)
+        derived = getattr(fresh, name)
+        if held == derived:
+            continue
+        cell = next(
+            (c for c, (a, b) in enumerate(zip(held, derived)) if a != b),
+            min(len(held), len(derived)),
+        )
+        label = (
+            repr(compiled.netlist.cells[cell].name)
+            if compiled.netlist is not None and cell < compiled.netlist.num_cells
+            else str(cell)
+        )
+        raise RuntimeError(
+            f"topology drift at cell {label} (index {cell}): its {name} "
+            f"differs from the compiled {source} — the shared topology "
+            "outlived its compile, or a buffer was patched after it"
+        )
+
+
 _COMPARED_FIELDS = (
     "arrival",
     "required",
@@ -1290,6 +1338,7 @@ __all__ = [
     "assert_reports_equal",
     "build_state",
     "check_enabled",
+    "check_topology",
     "incremental_analyze",
     "rollback",
     "set_check",

@@ -41,19 +41,19 @@ def trace_critical_path(
     Walks backwards from the endpoint, at each cell following the input pin
     with the largest driver arrival + wire delay (the first such pin on a
     tie), stopping at a launch point (flop or input port).  ``report`` must
-    come from an analysis of ``compiled``; the walk reads the compiled
-    buffers and ``ep_pos`` directly, and the report's arrivals as Python
-    floats, so a call costs O(path × pins).
+    come from an analysis of ``compiled``; the walk reads the connected
+    pins from ``compiled.topology``, the wire delays, ``is_src`` and
+    ``ep_pos`` from the compiled buffers, and the report's arrivals as
+    Python floats, so a call costs O(path × pins).
     """
     cb = compiled.buffers
     ep_pos = cb["ep_pos"]
     k = ep_pos[endpoint_cell] if 0 <= endpoint_cell < len(ep_pos) else -1
     if k < 0:
         raise KeyError(f"cell {endpoint_cell} is not an endpoint")
-    fanin = cb["fanin_idx"]
+    fanin = compiled.topology.fanin
     wire = cb["fanin_wire_delay"]
     is_src = cb["is_src"]
-    max_pins = compiled.fanin_idx.shape[1]
     arrival = memoryview(report.cell_arrival)
 
     chain = [endpoint_cell]
@@ -61,13 +61,9 @@ def trace_critical_path(
     # Guard against pathological loops (cannot occur in a valid netlist, but
     # a wrong compile would otherwise hang).
     for _ in range(len(ep_pos) + 1):
-        row = current * max_pins
         best_driver = _NO_DRIVER
         best_time = -math.inf
-        for p in range(row, row + max_pins):
-            driver = fanin[p]
-            if driver == _NO_DRIVER:
-                continue
+        for driver, p in fanin[current]:
             t = arrival[driver] + wire[p]
             if t > best_time:
                 best_time = t

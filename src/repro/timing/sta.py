@@ -105,6 +105,60 @@ def peak_rss_mb() -> float:
     return usage / 1024.0
 
 
+class Topology:
+    """Integer-only adjacency of one compile, read by the scalar timing walks.
+
+    ``fanin[c]`` is a tuple of ``(driver, p)`` per connected input pin of
+    cell ``c``, in pin order, where ``p`` is the pin's flat offset
+    ``c × max_pins + pin`` into ``fanin_idx``/``fanin_wire_delay``.
+    ``fanout[c]`` is a tuple of ``(sink, level_of[sink])`` per non-flop
+    sink edge of ``c`` and ``ep_sinks[c]`` a tuple of ``ep_pos[sink]`` per
+    endpoint sink edge, both in CSR edge order.  Unconnected pins and
+    absent sinks are simply not there, so a walk needs no pad test.
+
+    Nothing in it is a float: wire delays and coefficients are read from
+    the walking copy's own buffers, which a copy may patch.  A resize moves
+    no pin, so the topology holds until the next compile.  It is built on
+    first use (:attr:`CompiledTiming.topology`), never by the compile.
+    """
+
+    __slots__ = ("fanin", "fanout", "ep_sinks")
+
+    def __init__(self) -> None:
+        self.fanin: Optional[List[tuple]] = None
+        self.fanout: Optional[List[tuple]] = None
+        self.ep_sinks: Optional[List[tuple]] = None
+
+    def fill(self, compiled: "CompiledTiming") -> "Topology":
+        """Derive the fields from ``compiled``'s adjacency buffers; returns self."""
+        fanin_idx = compiled.fanin_idx
+        n, max_pins = fanin_idx.shape
+        # One int object per cell index, shared by every tuple naming it.
+        ids = list(range(n))
+        rows, pins = np.nonzero(fanin_idx != _NO_DRIVER)
+        drivers = [ids[u] for u in fanin_idx[rows, pins].tolist()]
+        flat = (rows * max_pins + pins).tolist()
+        self.fanin = _split(list(zip(drivers, flat)), rows, n)
+
+        indptr = compiled.fanout_indptr
+        sinks = compiled.fanout_indices
+        owners = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        push = ~compiled.is_flop[sinks]
+        pushed = sinks[push]
+        sink_ids = [ids[s] for s in pushed.tolist()]
+        levels = compiled.level_of[pushed].tolist()
+        self.fanout = _split(list(zip(sink_ids, levels)), owners[push], n)
+        ep = compiled.is_ep[sinks]
+        self.ep_sinks = _split(compiled.ep_pos[sinks[ep]].tolist(), owners[ep], n)
+        return self
+
+
+def _split(items: list, owners: np.ndarray, n: int) -> List[tuple]:
+    """Per-owner tuples of ``items`` (grouped by ascending ``owners``)."""
+    bounds = np.searchsorted(owners, np.arange(n + 1)).tolist()
+    return [tuple(items[bounds[c] : bounds[c + 1]]) for c in range(n)]
+
+
 @dataclass
 class CompiledTiming:
     """Array form of the netlist's timing graph (rebuilt after mutations).
@@ -123,7 +177,8 @@ class CompiledTiming:
     under the same name in ``buffers`` (``fanin_idx``/``fanin_wire_delay``
     flattened row-major): the incremental engine's scalar loops index the
     buffers, everything else uses the views, and a patch through either is
-    a patch of both.
+    a patch of both.  The scalar walks take the adjacency itself from
+    :attr:`topology`, the same graph as tuples of real pins and sinks.
     """
 
     netlist: Netlist
@@ -152,13 +207,26 @@ class CompiledTiming:
     fanout_indices: np.ndarray  # (E,) sink cell per fanout edge
     fanout_wire_delay: np.ndarray  # (E,) wire delay at the sink's pin
     buffers: Dict[str, array.array] = field(default_factory=dict, repr=False)
+    #: This compile's :class:`Topology`, empty until first read; shared with
+    #: every copy, so whichever reads it first builds it for all.
+    shared_topology: Topology = field(default_factory=Topology, repr=False, compare=False)
+
+    @property
+    def topology(self) -> Topology:
+        """The compile's :class:`Topology`, built on the first read."""
+        topology = self.shared_topology
+        if topology.fanin is None:
+            topology.fill(self)
+        return topology
 
     def copy(self) -> "CompiledTiming":
         """An independent copy: every buffer copied, the views rebuilt on them.
 
-        ``levels`` and ``netlist`` are shared, since nothing patches them
-        (:meth:`TimingAnalyzer.notify_resize` writes coefficients and loads
-        only).  A patch of the copy never reaches the original.
+        ``levels``, ``netlist`` and the :class:`Topology` are shared, since
+        nothing patches them (:meth:`TimingAnalyzer.notify_resize` writes
+        coefficients and loads only, and the topology holds no float).  A
+        patch of the copy never reaches the original, and a copy whose
+        topology is already built pays nothing for it.
         """
         buffers = {name: buf[:] for name, buf in self.buffers.items()}
         views = {
@@ -166,7 +234,11 @@ class CompiledTiming:
             for name, buf in buffers.items()
         }
         return CompiledTiming(
-            netlist=self.netlist, levels=self.levels, buffers=buffers, **views
+            netlist=self.netlist,
+            levels=self.levels,
+            buffers=buffers,
+            shared_topology=self.shared_topology,
+            **views,
         )
 
 
@@ -234,6 +306,15 @@ class ProbeReport(TimingReport):
     ``cell_arrival`` and ``cell_slew`` only.  Reading a required-side
     field raises ``RuntimeError``: there is no current value to return,
     and a stale one must never be read.
+
+    ``cell_arrival`` and ``cell_slew`` are read-only views of the state's
+    vectors, not copies, and ``endpoints`` is a read-only view of the
+    compiled ``endpoint_cells``; the per-endpoint vectors are fresh
+    arrays.  The views are guarded by the state's ``generation``, which
+    every incremental analysis sets to a new value and a journaled
+    rollback restores: reading either view once the state has moved on
+    raises ``RuntimeError``, and a report from before a probe is readable
+    again once that probe is rolled back.
     """
 
     #: The fields a probe report carries.
@@ -258,19 +339,40 @@ class ProbeReport(TimingReport):
         required: np.ndarray,
         slack: np.ndarray,
         margins: np.ndarray,
-        cell_arrival: np.ndarray,
-        cell_slew: np.ndarray,
+        state: "IncrementalState",
     ) -> None:
         self.endpoints = endpoints
         self.arrival = arrival
         self.required = required
         self.slack = slack
         self.margins = margins
-        self.cell_arrival = cell_arrival
-        self.cell_slew = cell_slew
+        self._state = state
+        self._generation = state.generation
+
+    def _view(self, name: str, values: np.ndarray) -> np.ndarray:
+        if self._state.generation != self._generation:
+            raise RuntimeError(
+                f"{name} of this probe report is stale: the timing state was "
+                "analyzed again since (roll that probe back, or use the "
+                "newer report)"
+            )
+        view = values.view()
+        view.flags.writeable = False
+        return view
+
+    @property
+    def cell_arrival(self) -> np.ndarray:
+        return self._view("cell_arrival", self._state.arrival)
+
+    @property
+    def cell_slew(self) -> np.ndarray:
+        return self._view("cell_slew", self._state.slew)
 
     def __repr__(self) -> str:
-        return f"ProbeReport(endpoints={self.endpoints.size}, cells={self.cell_arrival.size})"
+        return (
+            f"ProbeReport(endpoints={self.endpoints.size}, "
+            f"cells={self._state.arrival.size})"
+        )
 
 
 class TimingAnalyzer:
@@ -423,14 +525,16 @@ class TimingAnalyzer:
         deferred backward seeds."""
         self._close_probe()
 
-    def rollback_probe(self) -> None:
+    def rollback_probe(self) -> bool:
         """Drop the probed move's timing; call after undoing the move
         (``resize_cell`` back and :meth:`notify_resize`).
 
-        Restores the journal in reverse, the pending set and the deferred
-        seeds, so nothing re-propagates.  A probe the journal does not
-        cover (a clock or margin change, a full-path analysis) restores
-        nothing: the undo's notification re-propagates on the next
+        Restores the journal in reverse, the pending set, the deferred
+        seeds and the state's generation, so nothing re-propagates, and
+        returns ``True``: the timing state is byte for byte the one the
+        probe opened on.  A probe the journal does not cover (a clock or
+        margin change, a full-path analysis) restores nothing and returns
+        ``False``: the undo's notification re-propagates on the next
         ``analyze()``, as an ordinary undo would.
         """
         from repro.timing import incremental as inc
@@ -438,6 +542,8 @@ class TimingAnalyzer:
         journal = self._close_probe()
         if journal.exact and journal.state is self._state:
             inc.rollback(journal)
+            return True
+        return False
 
     def _close_probe(self) -> "Journal":
         journal = self._probe

@@ -328,7 +328,7 @@ def test_gain_tie_goes_to_the_first_path_cell(monkeypatch):
     )
     _fix_endpoint(
         analyzer, clock, endpoint, DatapathConfig(), report, tns(report.slack),
-        DatapathResult(),
+        DatapathResult(), set(),
     )
     assert resized[0] == candidates[0]
 
