@@ -84,11 +84,12 @@ class TrainConfig:
     gradient_clip: float = 5.0
     plateau_patience: int = 3  # paper: stop after 3 non-improving iterations
     workers: int = 1
-    # Cap on selections per trajectory.  Each step's EP-GNN run stays on the
-    # autograd tape until the update, so unbounded trajectories on large
-    # designs are a memory hazard; 48 comfortably covers the selection sizes
-    # the paper reports (e.g. 74 endpoints on a 180K-cell block maps to far
-    # fewer at our design scale).  Set to 0 for uncapped paper-exact loops.
+    # Cap on selections per trajectory.  Each step keeps O(dirty region)
+    # EP-GNN state for the episode's reverse pass (not an n-row tape), plus
+    # its LSTM and decoder nodes, until the update; 48 comfortably covers
+    # the selection sizes the paper reports (e.g. 74 endpoints on a
+    # 180K-cell block maps to far fewer at our design scale).  Set to 0 for
+    # uncapped paper-exact loops.
     max_selection_steps: int = 48
     # Entropy regularization: adds −coef·Σ_t H(P_t) to the loss, pushing
     # the policy to keep exploring when rewards are flat.  0 disables (the

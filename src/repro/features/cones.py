@@ -43,6 +43,54 @@ def fanin_cone(netlist: Netlist, endpoint: int) -> FrozenSet[int]:
     return frozenset(cone)
 
 
+def _cone_pairs(netlist: Netlist, endpoints: np.ndarray):
+    """Every endpoint's :func:`fanin_cone` at once, as ``(owner, members)``
+    pairs sorted by endpoint position, then by cell.
+
+    One level-by-level walk backwards over all (endpoint position, cell)
+    pairs: each level steps from the pairs found last to their cells'
+    drivers that are no startpoint and not yet in that endpoint's cone.
+    The pairs are keyed ``position · num_cells + cell``, so the sorted
+    keys are the CSR rows in ascending cell order.
+    """
+    n = netlist.num_cells
+    net_driver = [net.driver for net in netlist.nets]
+    counts: list = []
+    flat: list = []
+    starts: list = []
+    for cell in netlist.cells:  # cells are stored in index order
+        row = [net_driver[i] for i in cell.fanin_nets if i is not None]
+        counts.append(len(row))
+        flat.extend(row)
+        starts.append(cell.is_startpoint)
+    # Drivers padded to a table, with −1 for no pin and for startpoints,
+    # where a walk stops.
+    counts = np.array(counts, dtype=np.int64)
+    flat = np.array(flat, dtype=np.int64)
+    flat[np.array(starts, dtype=bool)[flat]] = -1
+    owner = np.repeat(np.arange(n), counts)
+    drivers = np.full((n, int(counts.max(initial=0))), -1, dtype=np.int64)
+    drivers[owner, np.arange(flat.size) - (np.cumsum(counts) - counts)[owner]] = flat
+
+    base = np.arange(endpoints.size, dtype=np.int64) * n  # position · n
+    cells = np.asarray(endpoints, dtype=np.int64)
+    cone = np.empty(0, dtype=np.int64)  # sorted keys found so far
+    while cells.size:
+        step = drivers[cells]
+        keys = np.sort((base[:, None] + step)[step >= 0])
+        fresh = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        if cone.size:
+            at = np.minimum(np.searchsorted(cone, keys), cone.size - 1)
+            fresh &= cone[at] != keys
+        keys = keys[fresh]
+        # Both runs are sorted, so the stable sort is a merge.
+        cone = np.sort(np.concatenate([cone, keys]), kind="stable")
+        cells = keys % n
+        base = keys - cells
+    return cone // n, cone % n
+
+
 class ConeIndex:
     """The endpoints' fan-in cones as one endpoint × cell incidence matrix.
 
@@ -67,15 +115,12 @@ class ConeIndex:
         self.endpoints = np.array(endpoints, dtype=np.int64)
         num_cells = netlist.num_cells
         with obs.span("features.cone_extraction"):
-            rows = [
-                np.array(sorted(fanin_cone(netlist, int(e))), dtype=np.int64)
-                for e in self.endpoints
-            ]
-            self.cone_sizes = np.array([row.size for row in rows], dtype=np.int64)
-            self.cone_indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+            owner, members = _cone_pairs(netlist, self.endpoints)
+            self.cone_members = members
+            self.cone_owner = owner
+            self.cone_sizes = np.bincount(owner, minlength=self.endpoints.size)
+            self.cone_indptr = np.zeros(self.endpoints.size + 1, dtype=np.int64)
             np.cumsum(self.cone_sizes, out=self.cone_indptr[1:])
-            self.cone_members = np.concatenate([np.empty(0, dtype=np.int64)] + rows)
-            self.cone_owner = np.repeat(np.arange(len(rows), dtype=np.int64), self.cone_sizes)
             order = np.argsort(self.cone_members, kind="stable")
             self.cell_cones = self.cone_owner[order]
             self.cell_indptr = np.zeros(num_cells + 1, dtype=np.int64)
@@ -84,8 +129,8 @@ class ConeIndex:
                 out=self.cell_indptr[1:],
             )
             self.endpoint_position = np.full(num_cells, -1, dtype=np.int64)
-            self.endpoint_position[self.endpoints] = np.arange(len(rows))
-        obs.incr("cones.extracted", len(rows))
+            self.endpoint_position[self.endpoints] = np.arange(self.endpoints.size)
+        obs.incr("cones.extracted", self.endpoints.size)
 
     def __len__(self) -> int:
         return self.endpoints.size
@@ -97,9 +142,10 @@ class ConeIndex:
             raise KeyError(f"cell {endpoint} is not an indexed endpoint")
         return position
 
-    def _cones_containing(self, cells: np.ndarray) -> np.ndarray:
+    def cones_containing(self, cells: np.ndarray) -> np.ndarray:
         """The transpose rows of ``cells``, concatenated: a position appears
-        once per listed cell of its cone."""
+        once per listed cell of its cone.  Row ``i`` is
+        ``cell_indptr[cells[i]+1] − cell_indptr[cells[i]]`` entries long."""
         starts = self.cell_indptr[cells]
         counts = self.cell_indptr[cells + 1] - starts
         offsets = np.cumsum(counts) - counts
@@ -108,7 +154,7 @@ class ConeIndex:
 
     def endpoints_touching(self, cells: np.ndarray) -> np.ndarray:
         """Sorted unique endpoint positions whose cone contains any of ``cells``."""
-        return np.unique(self._cones_containing(np.asarray(cells, dtype=np.int64)))
+        return np.unique(self.cones_containing(np.asarray(cells, dtype=np.int64)))
 
     def overlap_ratios(self, selected: int) -> np.ndarray:
         """``|cone(selected) ∩ cone(b)| / |cone(b)|`` for every endpoint ``b``.
@@ -121,7 +167,7 @@ class ConeIndex:
         position = self.position(selected)
         start, stop = self.cone_indptr[position], self.cone_indptr[position + 1]
         counts = np.bincount(
-            self._cones_containing(self.cone_members[start:stop]),
+            self.cones_containing(self.cone_members[start:stop]),
             minlength=len(self),
         )
         # An empty cone has a zero count, so dividing by 1 gives its 0.0.

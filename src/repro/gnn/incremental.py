@@ -5,51 +5,57 @@ RL step even though, per Table I, only the "RL masked" feature column
 changes between steps — an N-endpoint episode costs N full graph encodes.
 This module applies the dirty-frontier + shadow-check recipe that
 :mod:`repro.timing.incremental` proved on the STA side to the policy's
-encoder:
+encoder, and gives the whole episode one autograd node:
 
-* **rank-1 layer 1** — the affine contribution of the 13 static feature
-  columns to layer 1 is episode-constant, so it is computed once per
-  episode (``A_static = proj(F_static)``, ``M_static = agg(mean(F_static))``,
-  both tape-connected; autograd accumulates their gradients on every
-  reuse).  A step then only applies the rank-1 masked-column update
-  ``A_static[v] + m[v]·W_proj[0]`` (and the neighbor-mean analogue) to the
-  rows whose mask or neighbor-mask changed;
 * **3-hop dirty region** — a GNN layer's output row moves only when the
   row's own input or one of its aggregation sources moved, so the dirty
   set grows by at most one adjacency hop per layer: ``D → D∪N(D) → … ``
-  for the three Eq.-2 layers.  Clean rows keep the tensors computed at
-  earlier steps (values are identical, and the shared tape subgraph
-  yields the same parameter gradients);
-* **incremental Eq.-3 pooling** — only endpoints whose fan-in cone (or
-  own cell) intersects the final dirty region re-pool and re-project;
-  everything else reuses the cached embedding rows via the differentiable
-  ``scatter_rows``.
+  for the three Eq.-2 layers.  A step recomputes those rows and writes
+  them into the episode's layer matrices in place.  Layer 1 reads the
+  step's feature rows and the full encode's neighbour means of the
+  static columns; only the mask column's mean is recomputed;
+* **delta pooling** — the Eq.-3 cone sums ``S`` are updated by
+  ``S_e += Σ_{v ∈ cone(e) ∩ D} (h_new[v] − h_old[v])`` over the final
+  dirty region ``D``; only endpoints whose cone or own cell meets ``D``
+  re-project through the FC head;
+* **one reverse pass** — a step saves only what its backward reads (its
+  rows' inputs, neighbour means and activations, the dirty endpoints and
+  the delta's (endpoint, cell) pairs).  Each step's embeddings are a fresh
+  tensor whose only parent is the episode node; the episode node's
+  backward walks the steps from last to first with one running gradient
+  per layer, one for ``S`` and one for the embeddings, and adds each
+  parameter's gradient once.  Neighbour-mean and cone gradients are
+  pulled (gather + segment sum over the target rows), which the symmetric
+  message-passing graph and the cone transpose allow.
 
-Every incremental expression mirrors the vectorized full pass row for row
-(same neighbor and cone-member order, same ``γ``-gating expression), but
-the rows are not bitwise equal to a full encode: the segment sums reduce
-with ``np.add.reduceat`` (not sequential), layer 1 uses the rank-1
-decomposition, and BLAS blocks the smaller matmuls differently.
-Incremental rows agree with a full encode within :data:`CHECK_ATOL`; the
-measured embedding drift at 2K cells is below 1e-13.
+Incremental rows are not bitwise equal to a full encode: the segment sums
+reduce with ``np.add.reduceat`` (not sequential), the cone sums are
+updated by deltas, and BLAS blocks the smaller matmuls differently.  They
+agree within :data:`CHECK_ATOL`; after a 48-step episode at 10K cells the
+delta sums sit 3.4e-13 from a from-scratch sum
+(:meth:`EncoderSession.cone_sum_drift`).
 
-Fallback rules (always produce the exact full-path embedding, bitwise):
-first encode of an episode, a netlist ``mutation_version`` bump, a static
-feature column that changed under us (diffed every step, the stale-state
-safety net), a feature-matrix shape change, the dirty region covering
-more than :data:`FULL_FALLBACK_FRACTION` of the cells.  A rollout can
-also skip the session altogether (``RLCCDPolicy.rollout(incremental=False)``),
-which is the full-encode oracle the equivalence tests compare against.
+Fallback rules (a full step, whose embeddings are bitwise equal to
+:meth:`EPGNN.forward`): first encode of an episode, a netlist
+``mutation_version`` bump, a static feature column that changed under us
+(diffed every step, the stale-state safety net), a feature-matrix shape
+change, the dirty region covering more than
+:data:`FULL_FALLBACK_FRACTION` of the cells.  A rollout can also skip the
+session altogether (``RLCCDPolicy.rollout(incremental=False)``), which is
+the tape oracle the equivalence tests compare against.
 
 Shadow-check mode (``REPRO_GNN_CHECK=1``) re-runs the full encode after
-every incremental one and asserts max |Δ| ≤ :data:`CHECK_ATOL` — the
+every incremental one and asserts max |Δ| ≤ :data:`CHECK_ATOL`; the
+episode's backward also re-runs every recorded step on the tape oracle
+and compares parameter gradients within :data:`GRAD_CHECK_TOL`.  The
 ``gnn-differential`` CI job runs the policy suites under it.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -57,10 +63,15 @@ from repro import obs
 from repro.features.cones import ConeIndex
 from repro.gnn.epgnn import EPGNN
 from repro.netlist.transform import MessagePassingGraph
-from repro.nn.tensor import Tensor, scatter_add_rows, scatter_rows
+from repro.nn.tensor import Tensor, scatter_add_rows
 
 #: Shadow-check agreement tolerance (absolute, elementwise on embeddings).
 CHECK_ATOL = 1e-9
+
+#: Gradient shadow-check tolerance: a parameter's reverse-pass gradient may
+#: differ from the tape oracle's by at most ``GRAD_CHECK_TOL · max(1, max|g|)``
+#: elementwise, ``g`` being the oracle gradient.
+GRAD_CHECK_TOL = 1e-9
 
 #: When the 3-hop dirty region covers more than this fraction of all cells,
 #: a full re-encode is cheaper than the per-row bookkeeping — and keeps the
@@ -69,7 +80,8 @@ FULL_FALLBACK_FRACTION = 0.5
 
 
 #: Truthy value turns on differential shadow checking of every incremental
-#: encode (expensive: each one also pays a full encode).
+#: encode and every episode backward (expensive: each step also pays a full
+#: encode, and each backward a tape backward per step).
 ENV_CHECK = "REPRO_GNN_CHECK"
 
 _TRUTHY = ("1", "true", "yes", "on")
@@ -112,183 +124,371 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
 
+def _add_segments(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``np.add.reduceat(values, starts, axis=0)`` for non-empty segments.
+
+    An even-width float64 row block is reduced as complex128 pairs: complex
+    addition adds each float component on its own, and numpy's reduceat
+    runs about 1.5× faster on half as many wider elements.  ``reduceat``
+    does not add a segment's rows strictly in order either way, so sums
+    differ from the sequential ``np.add.at`` sum of
+    :func:`repro.nn.tensor.segment_sum` in the last bits (about 6e-14 at
+    2K cells, far below :data:`CHECK_ATOL`).
+    """
+    if values.ndim == 2 and values.shape[1] % 2 == 0 and values.flags.c_contiguous:
+        return np.add.reduceat(values.view(np.complex128), starts, axis=0).view(np.float64)
+    return np.add.reduceat(values, starts, axis=0)
+
+
 def _segment_sum_sorted(
     values: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
-    """Per-segment sums of ``values`` rows grouped contiguously by ``counts``.
-
-    ``np.add.reduceat`` over the non-empty segment starts, several times
-    faster than a scatter.  It is **not** bitwise equal to the sequential
-    ``np.add.at`` sum of :func:`repro.nn.tensor.segment_sum`: ``reduceat``
-    does not add a segment's rows strictly in order, so sums differ in the
-    last bits (up to about 6e-14 at 2K cells, far below :data:`CHECK_ATOL`).
-    Empty segments get zero rows (``reduceat`` would repeat a neighbor's
-    row instead).
-    """
+    """Per-segment sums of ``values`` rows grouped contiguously by ``counts``
+    (see :func:`_add_segments`).  Empty segments get zero rows
+    (``reduceat`` would repeat a neighbor's row instead)."""
     if values.shape[0] == 0:
         return np.zeros((counts.size,) + values.shape[1:], dtype=values.dtype)
     starts = np.cumsum(counts) - counts
     if counts.all():
-        return np.add.reduceat(values, starts, axis=0)
+        return _add_segments(values, starts)
     nonempty = counts > 0
     sums = np.zeros((counts.size,) + values.shape[1:], dtype=values.dtype)
-    sums[nonempty] = np.add.reduceat(values, starts[nonempty], axis=0)
+    sums[nonempty] = _add_segments(values, starts[nonempty])
     return sums
 
 
-def _rank1_rows(
-    a_static: Tensor,
-    m_static: Tensor,
-    layer,
-    rows: np.ndarray,
-    mask_rows: np.ndarray,
-    nb_mask_rows: np.ndarray,
-) -> Tensor:
-    """Fused layer-1 dirty-row update (one tape node).
+class _LayerRows:
+    """One Eq.-2 layer evaluated on some rows: what its backward reads."""
 
-    Forward: ``σ(γ·(A[rows] + m·W_proj[0]) + (1-γ)·(M[rows] + m̄·W_agg[0]))``
-    — the rank-1 masked-column correction on top of the cached static
-    affines.  Backward routes gradients into the static caches (whose own
-    tape reaches the layer parameters and biases), the two weight matrices'
-    row 0 (the mask column's row, the only part the correction touches) and
-    the γ logit.
-    """
-    proj_w, agg_w, gamma_logit = layer.proj.weight, layer.agg.weight, layer.gamma_logit
-    g = float(_sigmoid(gamma_logit.data)[0])
-    proj_pre = a_static.data[rows] + np.multiply.outer(mask_rows, proj_w.data[0])
-    agg_pre = m_static.data[rows] + np.multiply.outer(nb_mask_rows, agg_w.data[0])
-    out_data = _sigmoid(g * proj_pre + (1.0 - g) * agg_pre)
+    __slots__ = ("rows", "edges", "x", "mean", "out", "diff", "gamma")
 
-    def backward(grad: np.ndarray) -> None:
-        d = grad * out_data * (1.0 - out_data)
+    def __init__(self, layer, x: np.ndarray, mean: np.ndarray, rows=None, edges=None):
+        # The expression of GraphConvLayer.forward, op for op, so a full
+        # step is bitwise equal to the tape: γ·(xW_p + b_p) + (1−γ)·(x̄W_a + b_a).
+        gamma = float(_sigmoid(layer.gamma_logit.data)[0])
+        proj = x @ layer.proj.weight.data + layer.proj.bias.data
+        agg = mean @ layer.agg.weight.data + layer.agg.bias.data
+        self.rows = rows  # None: every row
+        self.edges = edges  # the rows' CSR entries (incremental steps)
+        self.x = x
+        self.mean = mean
+        self.out = _sigmoid(gamma * proj + (1.0 - gamma) * agg)
+        self.diff = proj - agg  # ∂mixed/∂γ
+        self.gamma = gamma
+
+    def backward(self, grad: np.ndarray, grads: List[np.ndarray]):
+        """Add this layer's parameter gradients into ``grads`` (proj W, b,
+        agg W, b, γ logit); return the gradients of the two pre-activations."""
+        d = grad * self.out * (1.0 - self.out)
+        g = self.gamma
         gp = g * d
         ga = (1.0 - g) * d
-        # ``rows`` are unique and each ``full`` starts at zero, so the
-        # indexed ``+=`` is exact (signed zeros included).
-        if a_static.requires_grad:
-            full = np.zeros_like(a_static.data)
-            full[rows] += gp
-            a_static._accumulate_owned(full)
-        if m_static.requires_grad:
-            full = np.zeros_like(m_static.data)
-            full[rows] += ga
-            m_static._accumulate_owned(full)
-        if proj_w.requires_grad:
-            full = np.zeros_like(proj_w.data)
-            full[0] = mask_rows @ gp
-            proj_w._accumulate_owned(full)
-        if agg_w.requires_grad:
-            full = np.zeros_like(agg_w.data)
-            full[0] = nb_mask_rows @ ga
-            agg_w._accumulate_owned(full)
-        if gamma_logit.requires_grad:
-            d_gamma = float((d * (proj_pre - agg_pre)).sum())
-            gamma_logit._accumulate_owned(np.array([d_gamma * g * (1.0 - g)]))
-
-    return Tensor._make(
-        out_data, (a_static, m_static, proj_w, agg_w, gamma_logit), backward
-    )
+        grads[0] += self.x.T @ gp
+        grads[1] += gp.sum(axis=0)
+        grads[2] += self.mean.T @ ga
+        grads[3] += ga.sum(axis=0)
+        grads[4] += float((d * self.diff).sum()) * g * (1.0 - g)
+        return gp, ga
 
 
-def _conv_rows(
-    prev: Tensor,
-    layer,
-    rows: np.ndarray,
-    mean: np.ndarray,
-    mean_backward,
-) -> Tensor:
-    """Fused Eq.-2 layer evaluated on ``rows`` only (one tape node).
+@dataclass
+class _FullStep:
+    """Every row of every layer, the cone sums and all embeddings."""
 
-    Forward mirrors :class:`~repro.gnn.epgnn.GraphConvLayer`:
-    ``σ(γ·(X[rows]·W_p + b_p) + (1-γ)·(mean·W_a + b_a))`` where ``mean``
-    is the per-row neighbor mean computed by the caller (CSR segment sums
-    or a dense matrix product, see :meth:`EncoderSession._neighbor_means`).
-    Backward hand-writes the matmul chain, accumulating into the
-    previous-layer tensor and all five layer parameters;
-    ``mean_backward(g, dx)`` adds the mean path's contribution
-    ``∂mean/∂X · g`` into ``dx``.
+    layers: List[_LayerRows]
+    pooled: np.ndarray
+
+
+@dataclass
+class _DeltaStep:
+    """The rows one incremental step replaced, and its pooling delta."""
+
+    layers: List[_LayerRows]
+    pair_e: np.ndarray  # cone transpose rows of D: endpoint positions
+    pair_counts: np.ndarray  # their lengths, one per cell of D
+    dirty_eps: np.ndarray
+    ep_cells: np.ndarray
+    pooled: np.ndarray
+
+
+class _Episode:
+    """One episode's encoder state, and the backward of its autograd node.
+
+    The layer matrices, the cone sums ``S`` and the embeddings are written
+    in place by the steps; each step keeps only what the reverse pass
+    reads.  Nothing here is shared with another episode, and nothing here
+    refers to a tensor, so an episode dies with its trajectory.
     """
-    proj_w, proj_b = layer.proj.weight, layer.proj.bias
-    agg_w, agg_b = layer.agg.weight, layer.agg.bias
-    gamma_logit = layer.gamma_logit
-    g = float(_sigmoid(gamma_logit.data)[0])
-    x = prev.data
-    x_rows = x[rows]
-    proj_pre = x_rows @ proj_w.data + proj_b.data
-    agg_pre = mean @ agg_w.data + agg_b.data
-    out_data = _sigmoid(g * proj_pre + (1.0 - g) * agg_pre)
 
-    def backward(grad: np.ndarray) -> None:
-        d = grad * out_data * (1.0 - out_data)
-        gp = g * d
-        ga = (1.0 - g) * d
-        if proj_w.requires_grad:
-            proj_w._accumulate_owned(x_rows.T @ gp)
-        if proj_b.requires_grad:
-            proj_b._accumulate_owned(gp.sum(axis=0))
-        if agg_w.requires_grad:
-            agg_w._accumulate_owned(mean.T @ ga)
-        if agg_b.requires_grad:
-            agg_b._accumulate_owned(ga.sum(axis=0))
-        if gamma_logit.requires_grad:
-            d_gamma = float((d * (proj_pre - agg_pre)).sum())
-            gamma_logit._accumulate_owned(np.array([d_gamma * g * (1.0 - g)]))
-        if prev.requires_grad:
-            dx = np.zeros_like(x)
-            dx[rows] += gp @ proj_w.data.T  # unique rows into zeros: exact
-            mean_backward(ga @ agg_w.data.T, dx)
-            prev._accumulate_owned(dx)
+    def __init__(self, session: "EncoderSession"):
+        self.session = session
+        self.steps: list = []
+        self.pending: Dict[int, np.ndarray] = {}  # step index -> dE_t
+        self.check_features: List[Optional[np.ndarray]] = []
+        self.layers: Optional[List[np.ndarray]] = None
+        self.sums: Optional[np.ndarray] = None
+        self.emb: Optional[np.ndarray] = None
+        self.first_mean: Optional[np.ndarray] = None
+        self.prev_mask: Optional[np.ndarray] = None
+        self.static: Optional[np.ndarray] = None
+        self.version: Optional[int] = None
 
-    return Tensor._make(
-        out_data,
-        (prev, proj_w, proj_b, agg_w, agg_b, gamma_logit),
-        backward,
-    )
+    # ------------------------------------------------------------------ #
+    def valid_for(self, features: np.ndarray) -> bool:
+        if self.layers is None:
+            return False
+        if getattr(self.session.netlist, "mutation_version", None) != self.version:
+            return False
+        if features.shape != (self.session.graph.num_nodes, self.static.shape[1] + 1):
+            return False
+        # Stale-state safety net: a static column mutated under us (the
+        # analogue of the incremental STA's clock-arrival diff) forces a
+        # full step rather than a silent stale read.
+        return bool(np.array_equal(features[:, 1:], self.static))
 
+    def _record(self, step, emb: np.ndarray, features: np.ndarray) -> np.ndarray:
+        self.steps.append(step)
+        self.check_features.append(np.array(features, copy=True) if check_enabled() else None)
+        self.emb = emb
+        return emb
 
-def _pool_fc_rows(
-    final: Tensor,
-    fc,
-    ep_cells: np.ndarray,
-    cone_sums: np.ndarray,
-    pool_backward,
-) -> Tensor:
-    """Fused Eq.-3 pooling + FC head for dirty endpoints (one tape node).
+    # ------------------------------------------------------------------ #
+    def full_step(self, features: np.ndarray) -> np.ndarray:
+        """Recompute everything with the expressions of ``EPGNN.forward``
+        (bitwise equal to it) and reset the in-place state."""
+        session = self.session
+        gnn, graph, cones = session.gnn, session.graph, session.cones
+        if features.shape[1] != gnn.in_features:
+            raise ValueError(
+                f"feature dim {features.shape[1]} != model in_features {gnn.in_features}"
+            )
+        with obs.span("gnn.full_encode"):
+            x = features
+            layers: List[_LayerRows] = []
+            for layer in gnn.layers:
+                summed = np.zeros((graph.num_nodes, x.shape[1]))
+                scatter_add_rows(summed, session._fwd_owner, x[graph.neighbor_index])
+                record = _LayerRows(layer, x, summed * session._inv_degree[:, None])
+                layers.append(record)
+                x = record.out
+            sums = np.zeros((len(cones), x.shape[1]))
+            if cones.cone_members.size:
+                scatter_add_rows(sums, cones.cone_owner, x[cones.cone_members])
+                pooled = x[cones.endpoints] + sums
+            else:
+                pooled = x[cones.endpoints]
+            emb = pooled @ gnn.fc.weight.data + gnn.fc.bias.data
 
-    Forward: ``(X[ep] + cone_sums)·W_fc + b_fc`` where ``cone_sums`` holds
-    each dirty endpoint's ``Σ_{j∈cone} X[j]`` (caller-computed, same
-    summation order as ``EPGNN.endpoint_pool``);
-    ``pool_backward(upstream, dx)`` adds the cone path's contribution into
-    ``dx``.
-    """
-    fc_w, fc_b = fc.weight, fc.bias
-    x = final.data
-    pooled = x[ep_cells] + cone_sums
-    out_data = pooled @ fc_w.data + fc_b.data
+        self.layers = [record.out.copy() for record in layers]
+        self.sums = sums
+        self.first_mean = layers[0].mean
+        self.prev_mask = np.array(features[:, 0], copy=True)
+        self.static = np.array(features[:, 1:], copy=True)
+        self.version = getattr(session.netlist, "mutation_version", None)
+        obs.incr("gnn.full_encode")
+        return self._record(_FullStep(layers, pooled), emb, features)
 
-    def backward(grad: np.ndarray) -> None:
-        if fc_w.requires_grad:
-            fc_w._accumulate_owned(pooled.T @ grad)
-        if fc_b.requires_grad:
-            fc_b._accumulate_owned(grad.sum(axis=0))
-        if final.requires_grad:
-            upstream = grad @ fc_w.data.T
-            dx = np.zeros_like(x)
-            dx[ep_cells] += upstream  # unique endpoint cells into zeros: exact
-            pool_backward(upstream, dx)
-            final._accumulate_owned(dx)
+    def delta_step(self, features: np.ndarray, regions: List[np.ndarray]) -> np.ndarray:
+        """Recompute the dirty rows in place and delta-update the pooling."""
+        session = self.session
+        gnn, graph, cones = session.gnn, session.graph, session.cones
+        mask = features[:, 0]
+        last = len(gnn.layers) - 1
+        records: List[_LayerRows] = []
+        old_top = None
+        for depth, layer in enumerate(gnn.layers):
+            rows = regions[depth + 1]
+            edges, counts = session.row_edges(rows)
+            flat = graph.neighbor_index[edges]
+            inv_degree = session._inv_degree[rows]
+            if depth == 0:
+                # Only the mask column moved: the static columns' means
+                # are the full step's.
+                x = features[rows]
+                mean = self.first_mean[rows]
+                mean[:, 0] = _segment_sum_sorted(mask[flat], counts) * inv_degree
+            else:
+                below = self.layers[depth - 1]
+                x = below[rows]
+                mean = _segment_sum_sorted(below[flat], counts)
+                mean *= inv_degree[:, None]
+            record = _LayerRows(layer, x, mean, rows, edges)
+            buffer = self.layers[depth]
+            if depth == last:
+                old_top = buffer[rows]
+            buffer[rows] = record.out
+            records.append(record)
 
-    return Tensor._make(out_data, (final, fc_w, fc_b), backward)
+        # Delta pooling over D (the last layer's rows), from the cone
+        # transpose rows of D regrouped by endpoint.
+        region = regions[-1]
+        pair_e = cones.cones_containing(region)
+        pair_counts = cones.cell_indptr[region + 1] - cones.cell_indptr[region]
+        ep_dirty = np.zeros(len(cones), dtype=bool)
+        if pair_e.size:
+            order = np.argsort(pair_e, kind="stable")
+            by_endpoint = pair_e[order]
+            starts = np.flatnonzero(np.diff(by_endpoint, prepend=-1))
+            touched = by_endpoint[starts]
+            delta = records[-1].out - old_top
+            cell_of_pair = np.repeat(np.arange(region.size), pair_counts)[order]
+            self.sums[touched] += _add_segments(delta[cell_of_pair], starts)
+            ep_dirty[touched] = True
+        own = cones.endpoint_position[region]
+        ep_dirty[own[own >= 0]] = True
+        dirty_eps = np.flatnonzero(ep_dirty)
+        ep_cells = cones.endpoints[dirty_eps]
+        pooled = self.layers[-1][ep_cells] + self.sums[dirty_eps]
+        emb = self.emb.copy()
+        emb[dirty_eps] = pooled @ gnn.fc.weight.data + gnn.fc.bias.data
+        self.prev_mask = np.array(mask, copy=True)
+        step = _DeltaStep(records, pair_e, pair_counts, dirty_eps, ep_cells, pooled)
+        return self._record(step, emb, features)
+
+    # ------------------------------------------------------------------ #
+    def backward(self, _grad: np.ndarray) -> None:
+        """The episode node's backward: one reverse pass over the steps
+        whose embeddings received a gradient in this ``Tensor.backward``."""
+        pending = dict(self.pending)
+        self.pending.clear()
+        if not pending:
+            return
+        grads = self._reverse(pending)
+        if check_enabled():
+            self._check_gradients(pending, grads)
+        for param, grad in zip(self.session.params, grads):
+            if param.requires_grad:
+                param._accumulate_owned(grad)
+
+    def _reverse(self, pending: Dict[int, np.ndarray]) -> List[np.ndarray]:
+        session = self.session
+        gnn, cones = session.gnn, session.cones
+        n = session.graph.num_nodes
+        grads = [np.zeros_like(param.data) for param in session.params]
+        per_layer = [grads[5 * depth : 5 * depth + 5] for depth in range(len(gnn.layers))]
+        fc_grads = grads[-2:]
+        running = [np.zeros((n, layer.proj.weight.shape[1])) for layer in gnn.layers]
+        d_sums = np.zeros((len(cones), gnn.fc.weight.shape[0]))
+        d_emb = np.zeros((len(cones), gnn.fc.weight.shape[1]))
+        first = min(pending)
+        for index in range(max(pending), -1, -1):
+            d_step = pending.get(index)
+            if d_step is not None:
+                d_emb += d_step
+            step = self.steps[index]
+            if isinstance(step, _FullStep):
+                self._full_backward(step, running, d_sums, d_emb, per_layer, fc_grads)
+                if index <= first:
+                    break  # nothing older holds a gradient
+            else:
+                self._delta_backward(step, running, d_sums, d_emb, per_layer, fc_grads)
+        return grads
+
+    def _full_backward(self, step, running, d_sums, d_emb, per_layer, fc_grads) -> None:
+        session = self.session
+        gnn, graph, cones = session.gnn, session.graph, session.cones
+        fc_grads[0] += step.pooled.T @ d_emb
+        fc_grads[1] += d_emb.sum(axis=0)
+        upstream = d_emb @ gnn.fc.weight.data.T
+        top = running[-1]
+        top[cones.endpoints] += upstream  # unique endpoint cells
+        d_sums += upstream
+        if cones.cell_cones.size:
+            top += _segment_sum_sorted(d_sums[cones.cell_cones], session._cell_counts)
+        for depth in range(len(gnn.layers) - 1, -1, -1):
+            layer = gnn.layers[depth]
+            gp, ga = step.layers[depth].backward(running[depth], per_layer[depth])
+            if depth:
+                below = running[depth - 1]
+                below += gp @ layer.proj.weight.data.T
+                d_mean = (ga @ layer.agg.weight.data.T) * session._inv_degree[:, None]
+                below += _segment_sum_sorted(d_mean[graph.neighbor_index], session._fwd_counts)
+        # A full step replaced every row: nothing reaches older versions.
+        for grad in running:
+            grad.fill(0.0)
+        d_sums.fill(0.0)
+        d_emb.fill(0.0)
+
+    def _delta_backward(self, step, running, d_sums, d_emb, per_layer, fc_grads) -> None:
+        session = self.session
+        gnn = session.gnn
+        if step.dirty_eps.size:
+            d_rows = d_emb[step.dirty_eps]
+            d_emb[step.dirty_eps] = 0.0
+            fc_grads[0] += step.pooled.T @ d_rows
+            fc_grads[1] += d_rows.sum(axis=0)
+            upstream = d_rows @ gnn.fc.weight.data.T
+            running[-1][step.ep_cells] += upstream
+            d_sums[step.dirty_eps] += upstream
+        # Cᵀg over D: +Cᵀg to the new rows of D, −Cᵀg to the old ones; the
+        # old sum keeps g itself.
+        pulled = None
+        if step.pair_e.size:
+            pulled = _segment_sum_sorted(d_sums[step.pair_e], step.pair_counts)
+        last = len(gnn.layers) - 1
+        for depth in range(last, -1, -1):
+            record = step.layers[depth]
+            rows = record.rows
+            version = running[depth]
+            grad = version[rows]
+            if depth == last and pulled is not None:
+                grad += pulled
+                version[rows] = -pulled
+            else:
+                version[rows] = 0.0
+            gp, ga = record.backward(grad, per_layer[depth])
+            if depth:
+                layer = gnn.layers[depth]
+                below = running[depth - 1]
+                below[rows] += gp @ layer.proj.weight.data.T
+                d_mean = (ga @ layer.agg.weight.data.T) * session._inv_degree[rows][:, None]
+                session.pull_means(d_mean, record, below)
+
+    def _check_gradients(self, pending: Dict[int, np.ndarray], grads) -> None:
+        """Gradient shadow check: backpropagate the same ``dE_t`` through
+        the tape oracle (``EPGNN.forward`` on each step's features)."""
+        if any(self.check_features[index] is None for index in pending):
+            return  # check mode was off while some step ran
+        session = self.session
+        params = session.params
+        saved = [param.grad for param in params]
+        for param in params:
+            param.grad = None
+        try:
+            with obs.span("gnn.gradient_check"):
+                for index, d_step in sorted(pending.items()):
+                    out = session.gnn(self.check_features[index], session.graph, session.cones)
+                    out.backward(d_step)
+            oracle = [
+                param.grad if param.grad is not None else np.zeros_like(param.data)
+                for param in params
+            ]
+        finally:
+            for param, grad in zip(params, saved):
+                param.grad = grad
+        names = {id(param): name for name, param in session.gnn.named_parameters()}
+        for param, mine, reference in zip(params, grads, oracle):
+            name = names[id(param)]
+            scale = max(1.0, float(np.abs(reference).max()) if reference.size else 0.0)
+            worst = float(np.abs(mine - reference).max()) if reference.size else 0.0
+            if worst > GRAD_CHECK_TOL * scale:
+                raise RuntimeError(
+                    f"incremental EP-GNN gradient drift on {name}: "
+                    f"max |Δ|={worst:.3e} > {GRAD_CHECK_TOL:g}·{scale:.3g}"
+                )
+        obs.incr("gnn.gradient_checks")
 
 
 class EncoderSession:
     """Per-``(policy, env)`` incremental EP-GNN encoding state.
 
     Built once per environment (edge owners; cone membership is read from
-    the :class:`ConeIndex`) and reset per episode with
-    :meth:`begin_episode`; :meth:`encode` then serves each RL step either
-    incrementally or — on any fallback trigger — with a cache-refreshing
-    full encode that is bitwise equal to :meth:`EPGNN.forward`.
+    the :class:`ConeIndex`).  :meth:`begin_episode` starts a new episode
+    object and drops the session's reference to the old one, so an episode
+    still waiting for its backward shares no buffer with the next.
+    :meth:`encode` then serves each RL step either incrementally or — on
+    any fallback trigger — with a full step that is bitwise equal to
+    :meth:`EPGNN.forward`.
     """
 
     def __init__(
@@ -303,69 +503,87 @@ class EncoderSession:
         self.cones = cones
         self.netlist = netlist if netlist is not None else cones.netlist
         self._inv_degree = 1.0 / np.maximum(graph.degree(), 1).astype(np.float64)
-        # Edge → owning-row maps for the mask-select gathers: selecting a
-        # CSR's edges through a boolean row-membership mask replaces the
-        # whole index arithmetic of a per-row gather with one fancy index
-        # (and preserves CSR edge order, the order the full pass sums in).
+        # The row of every CSR entry: the full step's scatter targets, and
+        # the targets of the reverse pass's pulls.
         self._fwd_owner = graph._edge_dst()
         self._fwd_counts = np.diff(graph.indptr)
+        self._cell_counts = np.diff(cones.cell_indptr)
+        self._reverse: Optional[np.ndarray] = None  # see reverse_edges()
+        # The parameters in the reverse pass's order: per layer proj W, b,
+        # agg W, b, γ logit; then the FC head's W, b.
+        self.params: List[Tensor] = [
+            param
+            for layer in gnn.layers
+            for param in (
+                layer.proj.weight,
+                layer.proj.bias,
+                layer.agg.weight,
+                layer.agg.bias,
+                layer.gamma_logit,
+            )
+        ] + [gnn.fc.weight, gnn.fc.bias]
         self.begin_episode()
 
     # ------------------------------------------------------------------ #
     def begin_episode(self) -> None:
-        """Drop all per-episode caches (parameters may have changed)."""
-        self._layers: Optional[List[Tensor]] = None
-        self._emb: Optional[Tensor] = None
-        self._prev_mask: Optional[np.ndarray] = None
-        self._static: Optional[np.ndarray] = None
-        self._statics: Optional[Tuple[Tensor, Tensor]] = None
-        self._version: Optional[int] = None
+        """Start a new episode (parameters may have changed)."""
+        self._episode = _Episode(self)
+        # The episode's autograd node: the common ancestor of every step's
+        # embeddings, whose backward is the episode's reverse pass.  The
+        # episode holds no tensor, so dropping its trajectory frees it.
+        self._node = Tensor._make(np.zeros(0), self.params, self._episode.backward)
+        self._last: Optional[Tensor] = None
+
+    def _emit(self, emb: np.ndarray) -> Tensor:
+        """Wrap the step just recorded as a fresh tensor whose backward
+        stores its gradient ``dE_t`` on the episode node."""
+        episode, node = self._episode, self._node
+        index = len(episode.steps) - 1
+
+        def backward(grad: np.ndarray) -> None:
+            episode.pending[index] = grad
+            # The tape runs a node's backward only once it holds a gradient.
+            if node.grad is None:
+                node.grad = np.zeros(0)
+
+        self._last = Tensor._make(emb, (node,), backward)
+        return self._last
 
     # ------------------------------------------------------------------ #
     def encode(self, features: np.ndarray) -> Tensor:
         """Endpoint embeddings for the current step (incremental or full)."""
         features = np.asarray(features, dtype=np.float64)
-        if not self._cache_valid(features):
-            return self._full_encode(features)
+        episode = self._episode
+        if not episode.valid_for(features):
+            return self._emit(episode.full_step(features))
 
         mask = features[:, 0]
-        dirty = np.nonzero(mask != self._prev_mask)[0]
+        dirty = np.nonzero(mask != episode.prev_mask)[0]
         if dirty.size == 0:
             obs.incr("gnn.incremental_encode")
-            return self._emb
+            return self._last
 
         # Grow the dirty region one adjacency hop per layer.  The graph is
-        # bidirectional, so the rows that aggregate u are exactly N(u); the
-        # forward CSR serves as its own reverse (only mask membership
-        # matters here, not edge order).
-        # Boolean membership masks + frontier-only neighbor selects beat
-        # repeated ``np.union1d`` sorts; ``np.nonzero`` keeps the rows
-        # sorted exactly as ``union1d`` would, and the masks double as the
-        # row-membership selectors for the layer gathers below.
+        # bidirectional, so the rows that aggregate u are exactly N(u): the
+        # frontier's own CSR entries name the next hop.  ``np.flatnonzero``
+        # keeps every region sorted.
         in_region = np.zeros(self.graph.num_nodes, dtype=bool)
         in_region[dirty] = True
-        frontier_mask = in_region.copy()
+        frontier = dirty
         regions = [dirty]
-        region_masks = [frontier_mask]
         for _ in range(len(self.gnn.layers)):
-            neighbors = self.graph.neighbor_index[frontier_mask[self._fwd_owner]]
-            fresh_mask = np.zeros_like(in_region)
-            fresh_mask[neighbors] = True
-            fresh_mask &= ~in_region
-            in_region |= fresh_mask
-            frontier_mask = fresh_mask
-            regions.append(np.nonzero(in_region)[0])
-            region_masks.append(in_region.copy())
+            neighbors = self.graph.neighbor_index[self.row_edges(frontier)[0]]
+            frontier = np.unique(neighbors[~in_region[neighbors]])
+            in_region[frontier] = True
+            regions.append(np.flatnonzero(in_region))
         if regions[-1].size > FULL_FALLBACK_FRACTION * self.graph.num_nodes:
-            return self._full_encode(features)
+            return self._emit(episode.full_step(features))
 
         with obs.span(
             "gnn.incremental_encode",
             attrs={"dirty": int(dirty.size), "region": int(regions[-1].size)},
         ):
-            embeddings = self._incremental_step(
-                features, mask, regions, region_masks
-            )
+            embeddings = self._emit(episode.delta_step(features, regions))
         obs.incr("gnn.incremental_encode")
         obs.incr("gnn.dirty_cells", int(regions[-1].size))
         if check_enabled():
@@ -376,148 +594,57 @@ class EncoderSession:
             obs.incr("gnn.shadow_checks")
         return embeddings
 
-    # ------------------------------------------------------------------ #
-    def _cache_valid(self, features: np.ndarray) -> bool:
-        if self._layers is None or self._emb is None:
-            return False
-        version = getattr(self.netlist, "mutation_version", None)
-        if version != self._version:
-            return False
-        if features.shape != (self.graph.num_nodes, self._static.shape[1] + 1):
-            return False
-        # Stale-state safety net: a static column mutated under us (the
-        # analogue of the incremental STA's clock-arrival diff) forces a
-        # cache-refreshing full encode rather than a silent stale read.
-        return bool(np.array_equal(features[:, 1:], self._static))
-
-    def _full_encode(self, features: np.ndarray) -> Tensor:
-        """Full re-encode mirroring :meth:`EPGNN.forward` bitwise; refreshes
-        every per-episode cache (including the layer-1 static affines)."""
-        gnn = self.gnn
-        with obs.span("gnn.full_encode"):
-            x = Tensor(features)
-            layers: List[Tensor] = []
-            for layer in gnn.layers:
-                x = layer(x, self.graph)
-                layers.append(x)
-            pooled = gnn.endpoint_pool(x, self.cones)
-            embeddings = gnn.fc(pooled)
-
-            # Episode-constant rank-1 split of layer 1: the static columns'
-            # affine images under proj/agg, computed on the tape once.
-            static_features = np.array(features, copy=True)
-            static_features[:, 0] = 0.0
-            first = gnn.layers[0]
-            a_static = first.proj(Tensor(static_features))
-            m_static = first.agg(
-                Tensor(self.graph.mean_aggregate(static_features))
-            )
-
-        self._layers = layers
-        self._emb = embeddings
-        self._prev_mask = np.array(features[:, 0], copy=True)
-        self._static = np.array(features[:, 1:], copy=True)
-        self._statics = (a_static, m_static)
-        self._version = getattr(self.netlist, "mutation_version", None)
-        obs.incr("gnn.full_encode")
-        return embeddings
-
-    def _neighbor_means(
-        self, x: np.ndarray, row_mask: np.ndarray, rows: np.ndarray
-    ):
-        """Per-row neighbor means of ``x`` at ``rows`` plus the matching
-        backward closure ``(g, dx) -> None`` adding ``∂mean/∂x · g`` into
-        ``dx``.  Mask-select CSR gather + sorted segment reduce: selecting
-        the CSR's edges through the boolean row-membership mask replaces a
-        per-row gather's index arithmetic with one fancy index while
-        preserving CSR edge order; the sums agree with the full pass within
-        :data:`CHECK_ATOL` (see :func:`_segment_sum_sorted`)."""
-        flat = self.graph.neighbor_index[row_mask[self._fwd_owner]]
+    def row_edges(self, rows: np.ndarray):
+        """The CSR entries of sorted ``rows`` in CSR order, and their counts."""
+        starts = self.graph.indptr[rows]
         counts = self._fwd_counts[rows]
-        inv_deg_rows = self._inv_degree[rows]
-        mean = _segment_sum_sorted(x[flat], counts)
-        mean *= inv_deg_rows[:, None]
-        seg = np.repeat(np.arange(rows.size, dtype=np.int64), counts)
+        offsets = np.cumsum(counts) - counts
+        edges = np.repeat(starts - offsets, counts) + np.arange(
+            int(counts.sum()), dtype=np.int64
+        )
+        return edges, counts
 
-        def mean_backward(g: np.ndarray, dx: np.ndarray) -> None:
-            d_mean = g * inv_deg_rows[:, None]
-            scatter_add_rows(dx, flat, d_mean[seg])
+    def reverse_edges(self) -> np.ndarray:
+        """Edge ``e = (v → u)`` ↦ an edge ``(u → v)``, one to one.
 
-        return mean, mean_backward
+        The message-passing graph lists every net edge in both directions,
+        so sorting the entries by (row, neighbour) and by (neighbour, row)
+        pairs each entry with its reverse.  Built on the first backward.
+        """
+        if self._reverse is None:
+            owner, neighbor = self._fwd_owner, self.graph.neighbor_index
+            forward = np.lexsort((neighbor, owner))
+            backward = np.lexsort((owner, neighbor))
+            if not np.array_equal(owner[backward], neighbor[forward]):
+                raise ValueError("the incremental encoder needs a symmetric graph")
+            self._reverse = np.empty_like(forward)
+            self._reverse[forward] = backward
+        return self._reverse
 
-    def _cone_sums(self, x: np.ndarray, ep_mask: np.ndarray, eps: np.ndarray):
-        """Per-endpoint fan-in-cone sums of ``x`` at endpoint positions
-        ``eps`` plus the backward closure, mirroring
-        ``EPGNN.endpoint_pool``'s summation order."""
+    def pull_means(self, d_mean: np.ndarray, record: _LayerRows, below: np.ndarray) -> None:
+        """Add ``∂mean/∂x · d_mean`` for ``record``'s rows into ``below``.
+
+        Each neighbour ``u`` of the rows sums ``d_mean`` over its own CSR
+        entries that point back into the rows: the reverses of the rows'
+        entries, grouped by ``u`` by sorting their ids.
+        """
+        entries = np.sort(self.reverse_edges()[record.edges])
+        targets = self._fwd_owner[entries]
+        sources = np.searchsorted(record.rows, self.graph.neighbor_index[entries])
+        starts = np.flatnonzero(np.diff(targets, prepend=-1))
+        below[targets[starts]] += _add_segments(d_mean[sources], starts)
+
+    def cone_sum_drift(self) -> float:
+        """How far the current episode's delta-updated cone sums ``S`` are
+        from a from-scratch sum over the last layer (max |Δ|, 0 before the
+        first encode)."""
+        episode = self._episode
+        if episode.sums is None or not episode.sums.size:
+            return 0.0
         cones = self.cones
-        flat = cones.cone_members[ep_mask[cones.cone_owner]]
-        counts = cones.cone_sizes[eps]
-        sums = _segment_sum_sorted(x[flat], counts)
-
-        def pool_backward(upstream: np.ndarray, dx: np.ndarray) -> None:
-            scatter_add_rows(dx, flat, np.repeat(upstream, counts, axis=0))
-
-        return sums, pool_backward
-
-    def _incremental_step(
-        self,
-        features: np.ndarray,
-        mask: np.ndarray,
-        regions: List[np.ndarray],
-        region_masks: List[np.ndarray],
-    ) -> Tensor:
-        gnn = self.gnn
-        layers = self._layers
-        new_layers: List[Tensor] = []
-
-        # Layer 1: rank-1 masked-column update on rows whose own mask or
-        # neighbor-mask mean moved (regions[1] = D ∪ N(D)).  Fused into a
-        # single tape node: on small designs the per-op autograd overhead
-        # dominates, so each layer's dirty-row update is one custom op.
-        first = gnn.layers[0]
-        rows1 = regions[1]
-        a_static, m_static = self._statics
-        nb_mask, _ = self._neighbor_means(mask[:, None], region_masks[1], rows1)
-        nb_mask = nb_mask[:, 0]
-        fresh = _rank1_rows(a_static, m_static, first, rows1, mask[rows1], nb_mask)
-        new_layers.append(scatter_rows(layers[0], rows1, fresh))
-
-        # Layers 2..L: recompute one more adjacency hop per layer, reading
-        # neighbors from the already-updated previous-layer tensor.
-        for depth, layer in enumerate(gnn.layers[1:], start=1):
-            rows = regions[depth + 1]
-            prev = new_layers[depth - 1]
-            mean, mean_backward = self._neighbor_means(
-                prev.data, region_masks[depth + 1], rows
-            )
-            fresh = _conv_rows(prev, layer, rows, mean, mean_backward)
-            new_layers.append(scatter_rows(layers[depth], rows, fresh))
-
-        # Eq.-3 pooling + FC head for the endpoints whose receptive field
-        # (own cell or fan-in cone) intersects the final dirty region.
-        final_region = regions[-1]
-        final = new_layers[-1]
-        cones = self.cones
-        ep_dirty = np.zeros(len(cones), dtype=bool)
-        ep_dirty[cones.endpoints_touching(final_region)] = True
-        own_positions = cones.endpoint_position[final_region]
-        ep_dirty[own_positions[own_positions >= 0]] = True
-        dirty_eps = np.nonzero(ep_dirty)[0]
-        if dirty_eps.size:
-            cone_sums, pool_backward = self._cone_sums(
-                final.data, ep_dirty, dirty_eps
-            )
-            emb_rows = _pool_fc_rows(
-                final, gnn.fc, cones.endpoints[dirty_eps], cone_sums, pool_backward
-            )
-            embeddings = scatter_rows(self._emb, dirty_eps, emb_rows)
-        else:
-            embeddings = self._emb
-
-        self._layers = new_layers
-        self._emb = embeddings
-        self._prev_mask = np.array(mask, copy=True)
-        return embeddings
+        fresh = np.zeros_like(episode.sums)
+        scatter_add_rows(fresh, cones.cone_owner, episode.layers[-1][cones.cone_members])
+        return float(np.abs(episode.sums - fresh).max())
 
     def _reference(self, features: np.ndarray) -> Tensor:
         """From-scratch embeddings for the shadow check (no cache refresh,
@@ -533,6 +660,7 @@ __all__ = [
     "CHECK_ATOL",
     "ENV_CHECK",
     "FULL_FALLBACK_FRACTION",
+    "GRAD_CHECK_TOL",
     "EncoderSession",
     "assert_embeddings_equal",
     "check_enabled",

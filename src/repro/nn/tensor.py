@@ -343,12 +343,18 @@ class Tensor:
         return self.transpose()
 
     def __getitem__(self, index) -> "Tensor":
-        # ``index`` can be any numpy index, so the scatter stays a general
-        # ``np.add.at`` rather than the row kernel.
+        # A basic index (ints and slices) never names an element twice, so
+        # its backward is a plain indexed add into zeros, exactly.  Any
+        # other numpy index may repeat elements and keeps ``np.add.at``.
+        basic = _is_basic_index(index)
+
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 full = np.zeros_like(self.data)
-                np.add.at(full, index, grad)
+                if basic:
+                    full[index] += grad
+                else:
+                    np.add.at(full, index, grad)
                 self._accumulate_owned(full)
 
         return Tensor._make(self.data[index], (self,), backward)
@@ -417,6 +423,15 @@ class Tensor:
         for node in reversed(order):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
+
+
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` is an int, a slice or a tuple of them."""
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(
+        isinstance(part, (int, np.integer, slice)) and not isinstance(part, bool)
+        for part in parts
+    )
 
 
 def as_tensor(value: ArrayLike) -> Tensor:
@@ -496,58 +511,6 @@ def segment_sum(rows: Tensor, segments: np.ndarray, num_segments: int) -> Tensor
     data = np.zeros((num_segments, rows.shape[1]))
     scatter_add_rows(data, segments, rows.data)
     return Tensor._make(data, (rows,), backward)
-
-
-def outer(column: np.ndarray, row: Tensor) -> Tensor:
-    """Differentiable rank-1 product ``column[:, None] * row[None, :]``.
-
-    ``column`` is a plain (constant) 1-D numpy vector; ``row`` is a 1-D
-    tensor.  The gradient w.r.t. ``row`` is ``columnᵀ @ grad``.  This is the
-    rank-1 masked-column update of the incremental EP-GNN encoder.
-    """
-    column = np.asarray(column, dtype=np.float64)
-    row = as_tensor(row)
-    if column.ndim != 1 or row.ndim != 1:
-        raise ValueError("outer() expects a 1-D column and a 1-D row")
-
-    def backward(grad: np.ndarray) -> None:
-        if row.requires_grad:
-            row._accumulate(column @ grad)
-
-    return Tensor._make(np.multiply.outer(column, row.data), (row,), backward)
-
-
-def scatter_rows(base: Tensor, indices: np.ndarray, rows: Tensor) -> Tensor:
-    """Copy of ``base`` with ``rows`` written at ``indices`` (differentiable).
-
-    The backward routes the upstream gradient per row: rows named by
-    ``indices`` flow to ``rows``, every other row flows to ``base`` — the
-    replaced base rows receive **no** gradient because the output does not
-    depend on them.  ``indices`` must be unique; duplicate targets would
-    make the forward order-dependent.
-    """
-    base = as_tensor(base)
-    rows = as_tensor(rows)
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.ndim != 1:
-        raise ValueError("scatter_rows() expects a 1-D index array")
-    if rows.shape != (indices.size,) + base.shape[1:]:
-        raise ValueError(
-            f"rows shape {rows.shape} incompatible with base {base.shape} "
-            f"at {indices.size} indices"
-        )
-
-    def backward(grad: np.ndarray) -> None:
-        if rows.requires_grad:
-            rows._accumulate_owned(grad[indices])
-        if base.requires_grad:
-            keep = np.array(grad, dtype=np.float64, copy=True)
-            keep[indices] = 0.0
-            base._accumulate_owned(keep)
-
-    data = np.array(base.data, copy=True)
-    data[indices] = rows.data
-    return Tensor._make(data, (base, rows), backward)
 
 
 def where(condition: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:

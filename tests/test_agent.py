@@ -318,10 +318,16 @@ class TestTrainer:
             return trajectory
 
         backward = Tensor.backward
+        depth = []  # nested calls: the gradient shadow check's tape oracle
 
         def recording_backward(self, *args, **kwargs):
-            events.append(f"backward{sum(e.startswith('backward') for e in events)}")
-            return backward(self, *args, **kwargs)
+            if not depth:
+                events.append(f"backward{sum(e.startswith('backward') for e in events)}")
+            depth.append(None)
+            try:
+                return backward(self, *args, **kwargs)
+            finally:
+                depth.pop()
 
         monkeypatch.setattr(reinforce, "RolloutPool", RecordingPool)
         monkeypatch.setattr(policy, "rollout", recording_rollout)

@@ -100,14 +100,19 @@ class TestConeIndex:
 
     def test_cone_arrays_match_frozensets(self, index):
         """Each CSR row is ``sorted(fanin_cone(e))`` and the owner array
-        and sizes name its rows."""
-        nl, idx = index
-        for pos, e in enumerate(idx.endpoints):
-            start, stop = idx.cone_indptr[pos], idx.cone_indptr[pos + 1]
-            assert idx.cone_members[start:stop].tolist() == sorted(fanin_cone(nl, e))
-            assert np.all(idx.cone_owner[start:stop] == pos)
-            assert idx.cone_sizes[pos] == stop - start
-        assert idx.cone_members.dtype == np.int64
+        and sizes name its rows: on the fixture design, on a seeded design
+        with heavy cone reuse, and for endpoints listed out of cell order."""
+        seeded = quick_design(n_cells=500, seed=17, reuse_probability=0.6)
+        cases = [index, (seeded, ConeIndex(seeded, seeded.endpoints()))]
+        cases.append((seeded, ConeIndex(seeded, seeded.endpoints()[::-3])))
+        for nl, idx in cases:
+            for pos, e in enumerate(idx.endpoints):
+                start, stop = idx.cone_indptr[pos], idx.cone_indptr[pos + 1]
+                assert idx.cone_members[start:stop].tolist() == sorted(fanin_cone(nl, e))
+                assert np.all(idx.cone_owner[start:stop] == pos)
+                assert idx.cone_sizes[pos] == stop - start
+            assert idx.cone_members.dtype == np.int64
+            assert idx.cone_sizes.dtype == np.int64
 
     def test_cone_csr_flattens_all_cones(self, index):
         nl, idx = index

@@ -218,9 +218,9 @@ class TestRolloutEquivalence:
             # reuses cached embedding rows for every untouched endpoint.
             stepped = np.array(base, copy=True)
             stepped[env.endpoints[0], 0] = 1.0
-            # Corrupt the cached embeddings: the reused clean rows must be
-            # caught by the shadow check, not silently returned.
-            session._emb.data[:, :] += 1.0
+            # Corrupt the episode's embedding buffer: the reused clean rows
+            # must be caught by the shadow check, not silently returned.
+            session._episode.emb[:, :] += 1.0
             with pytest.raises(RuntimeError, match="drift"):
                 session.encode(stepped)
         finally:

@@ -20,9 +20,7 @@ from repro.features.table1 import NUM_FEATURES
 from repro.nn.tensor import (
     Tensor,
     concat,
-    outer,
     scatter_add_rows,
-    scatter_rows,
     segment_sum,
     stack,
     where,
@@ -281,6 +279,26 @@ class TestShapeOps:
         a[slice(1, 4)].sum().backward()
         np.testing.assert_array_equal(a.grad, [0, 1, 1, 1, 0])
 
+    @pytest.mark.parametrize(
+        "index",
+        [2, -1, slice(None, None, -2), (1, slice(1, 3)), (slice(None), 0), (slice(0, 3, 2), -2)],
+    )
+    def test_getitem_basic_index_matches_add_at(self, rng, index):
+        """Basic indices take the plain indexed add; the result is the
+        ``np.add.at`` scatter's, byte for byte."""
+        data = rng.normal(size=(3, 4))
+        a = Tensor(data, requires_grad=True)
+        upstream = rng.normal(size=data[index].shape)
+        a[index].backward(upstream)
+        expected = np.zeros_like(data)
+        np.add.at(expected, index, upstream)
+        assert a.grad.tobytes() == expected.tobytes()
+
+    def test_getitem_advanced_index_repeats_accumulate(self):
+        a = Tensor(np.ones(4), requires_grad=True)
+        a[np.array([1, 1, 3])].sum().backward()
+        np.testing.assert_array_equal(a.grad, [0, 2, 0, 1])
+
     def test_gather_rows_repeats_accumulate(self):
         a = Tensor(np.ones((3, 2)), requires_grad=True)
         a.gather_rows(np.array([0, 0, 2])).sum().backward()
@@ -366,54 +384,6 @@ class TestSegmentOps:
         seg = np.array([0, 1, 0, 2, 1])
         check_gradient(lambda t: (segment_sum(t, seg, 3) ** 2).sum(), x)
 
-    def test_outer_forward_and_gradient(self):
-        row = Tensor([2.0, 3.0], requires_grad=True)
-        out = outer(np.array([1.0, 0.0, -2.0]), row)
-        np.testing.assert_array_equal(
-            out.data, [[2.0, 3.0], [0.0, 0.0], [-4.0, -6.0]]
-        )
-        out.sum().backward()
-        np.testing.assert_array_equal(row.grad, [-1.0, -1.0])
-
-    def test_outer_numeric_gradient(self, rng):
-        x = rng.normal(size=4)
-        col = rng.normal(size=6)
-        check_gradient(lambda t: (outer(col, t) ** 2).sum(), x)
-
-    def test_scatter_rows_forward(self):
-        base = Tensor([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-        rows = Tensor([[9.0, 9.0]])
-        out = scatter_rows(base, np.array([1]), rows)
-        np.testing.assert_array_equal(
-            out.data, [[1.0, 1.0], [9.0, 9.0], [3.0, 3.0]]
-        )
-        # base untouched (functional update, not in place)
-        np.testing.assert_array_equal(base.data[1], [2.0, 2.0])
-
-    def test_scatter_rows_gradient_routing(self):
-        base = Tensor(np.ones((3, 2)), requires_grad=True)
-        rows = Tensor(np.full((1, 2), 5.0), requires_grad=True)
-        out = scatter_rows(base, np.array([2]), rows)
-        (out * Tensor([[1.0, 1.0], [2.0, 2.0], [7.0, 7.0]])).sum().backward()
-        # Overwritten base row gets zero grad; rows get the written slot's.
-        np.testing.assert_array_equal(base.grad, [[1, 1], [2, 2], [0, 0]])
-        np.testing.assert_array_equal(rows.grad, [[7.0, 7.0]])
-
-    def test_scatter_rows_numeric_gradient(self, rng):
-        indices = np.array([0, 3])
-        replacement = rng.normal(size=(2, 3))
-
-        def build_base(t):
-            return (scatter_rows(t, indices, Tensor(replacement)) ** 2).sum()
-
-        check_gradient(build_base, rng.normal(size=(5, 3)))
-        base = rng.normal(size=(5, 3))
-
-        def build_rows(t):
-            return (scatter_rows(Tensor(base), indices, t) ** 2).sum()
-
-        check_gradient(build_rows, replacement)
-
 
 def _add_at(dst, index, values):
     """The reference scatter: numpy's own ``np.add.at`` on a copy of ``dst``."""
@@ -477,7 +447,7 @@ class TestGradientOwnership:
         h = x @ w
         picked = h.gather_rows(np.array([0, 0, 2, 4]))
         summed = segment_sum(picked, np.array([0, 1, 1, 2]), 3)
-        out = scatter_rows(base, np.array([1, 3, 5]), summed)
+        out = base.gather_rows(np.array([1, 3, 5])) + summed
         twice = x + x
         loss = (out * out).sum() + (twice * h.gather_rows(np.arange(5))[:, :3]).sum()
         seed_grad = np.ones_like(loss.data)
