@@ -152,10 +152,6 @@ class ConeIndex:
         flat = np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()), dtype=np.int64)
         return self.cell_cones[flat]
 
-    def endpoints_touching(self, cells: np.ndarray) -> np.ndarray:
-        """Sorted unique endpoint positions whose cone contains any of ``cells``."""
-        return np.unique(self.cones_containing(np.asarray(cells, dtype=np.int64)))
-
     def overlap_ratios(self, selected: int) -> np.ndarray:
         """``|cone(selected) ∩ cone(b)| / |cone(b)|`` for every endpoint ``b``.
 

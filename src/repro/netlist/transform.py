@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.netlist.core import Netlist
-from repro.nn.tensor import scatter_add_rows
+from repro.nn.tensor import row_sums
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,7 @@ class MessagePassingGraph:
         version lives in :mod:`repro.gnn.epgnn`.
         """
         features = np.asarray(features)
-        out = np.zeros((self.num_nodes, features.shape[1]))
-        scatter_add_rows(out, self._edge_dst(), features[self.neighbor_index])
+        out = row_sums(self._edge_dst(), features[self.neighbor_index], self.num_nodes)
         deg = self.degree()
         nonzero = deg > 0
         out[nonzero] /= deg[nonzero, None]

@@ -39,7 +39,14 @@ class PointerAttention(Module):
         self.v = self.register_parameter("v", init.xavier_uniform((hidden_dim,), rng))
 
     def scores(self, embeddings: Tensor, query: Tensor) -> Tensor:
-        """Unmasked attention scores ``A_t ∈ R^{|EP|}`` (Eq. 5, valid branch)."""
+        """Unmasked attention scores ``A_t ∈ R^{|EP|}`` (Eq. 5, valid branch).
+
+        One tape node with a hand-written backward; its parents are the
+        embeddings, the query, ``w1``, ``w2`` and ``v``.  Forward and
+        backward evaluate the per-op chain
+        ``(embeddings @ w1 + query @ w2).tanh() @ v`` expression for
+        expression, so values and gradients are bitwise equal to it.
+        """
         if embeddings.ndim != 2 or embeddings.shape[1] != self.embed_dim:
             raise ValueError(
                 f"embeddings must have shape (n, {self.embed_dim}), got {embeddings.shape}"
@@ -48,8 +55,25 @@ class PointerAttention(Module):
             raise ValueError(
                 f"query must have shape ({self.query_dim},), got {query.shape}"
             )
-        hidden = (embeddings @ self.w1 + query @ self.w2).tanh()
-        return hidden @ self.v
+        w1, w2, v = self.w1, self.w2, self.v
+        hidden = np.tanh(embeddings.data @ w1.data + query.data @ w2.data)
+
+        def backward(grad: np.ndarray) -> None:
+            if v.requires_grad:
+                v._accumulate_owned(hidden.T @ grad)
+            d_pre = np.outer(grad, v.data) * (1.0 - hidden**2)
+            if embeddings.requires_grad:
+                embeddings._accumulate_owned(d_pre @ w1.data.T)
+            if w1.requires_grad:
+                w1._accumulate_owned(embeddings.data.T @ d_pre)
+            if query.requires_grad or w2.requires_grad:
+                d_query = d_pre.sum(axis=0)  # the query row was broadcast
+                if query.requires_grad:
+                    query._accumulate_owned(w2.data @ d_query)
+                if w2.requires_grad:
+                    w2._accumulate_owned(np.outer(query.data, d_query))
+
+        return Tensor._make(hidden @ v.data, (embeddings, query, w1, w2, v), backward)
 
     def forward(self, embeddings: Tensor, query: Tensor, valid: np.ndarray) -> Tensor:
         """Selection probabilities ``P_t`` over endpoints (Eq. 6).

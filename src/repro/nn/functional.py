@@ -58,18 +58,38 @@ def masked_log_prob(logits: Tensor, valid: np.ndarray, index: int) -> Tensor:
 
     Computed directly in log space for numerical stability; used by the
     REINFORCE update (paper Eq. 7) where ``log π(a_t | s_t)`` is needed.
+
+    One tape node over ``logits`` with a hand-written backward.  It keeps
+    the per-op chain's expressions: shift by the valid maximum, ``exp``,
+    zero the masked entries, sum, ``log``; the gradient is
+    ``onehot(index)·g − g·softmax``.  Values and gradients are bitwise
+    equal to that chain, except that a masked entry's gradient is always
+    an exact zero (the chain multiplied it by the unmasked ``exp``, which
+    made it ``nan`` when a masked logit overflowed).
+    ``valid`` is copied: the backward reads it after the selection env
+    has flipped its mask in place for the next step.
     """
-    valid = np.asarray(valid, dtype=bool)
+    valid = np.array(valid, dtype=bool, copy=True)
     if logits.ndim != 1:
         raise ValueError("masked_log_prob expects a 1-D logit vector")
     if not valid[index]:
         raise ValueError(f"action index {index} is masked out")
     valid_data = np.where(valid, logits.data, -np.inf)
-    shift = float(valid_data.max())
-    shifted = logits - shift
-    exp = where(valid, shifted.exp(), Tensor(np.zeros(logits.shape)))
-    log_total = exp.sum().log()
-    return shifted[index] - log_total
+    shifted = logits.data - float(valid_data.max())
+    exp = np.where(valid, np.exp(shifted), 0.0)
+    total = exp.sum()
+
+    def backward(grad: np.ndarray) -> None:
+        if logits.requires_grad:
+            # The action's term reaches its logit through a one-hot row,
+            # added after the softmax term as the per-op chain adds it.
+            onehot = np.zeros_like(shifted)
+            onehot[index] += grad
+            softmax_term = -grad / total * valid * exp
+            softmax_term += onehot
+            logits._accumulate_owned(softmax_term)
+
+    return Tensor._make(shifted[index] - np.log(total), (logits,), backward)
 
 
 def mse_loss(prediction: Tensor, target: np.ndarray) -> Tensor:

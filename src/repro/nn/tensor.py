@@ -13,9 +13,12 @@ Design notes
 * Gradients are accumulated (``+=``) so a tensor used in several places gets
   the correct total derivative.  ``Tensor.grad`` is an owned buffer updated
   in place, so a caller that needs a snapshot of it must copy it.
-* Row scatter-adds go through :func:`scatter_add_rows`, one 1-D
-  ``np.add.at`` over the flattened target: byte-for-byte equal to the 2-D
-  call and several times faster.
+* Row sums into fresh zeros (the ``gather_rows`` backward,
+  :func:`segment_sum`, the full encode's neighbour and cone sums) go through
+  :func:`row_sums`, one ``np.bincount`` over flat element ids: bitwise
+  equal to ``np.add.at`` into zeros, as fast as a flat 1-D ``np.add.at``
+  and several times faster than the 2-D call.  Only ``__getitem__`` with
+  an advanced index keeps ``np.add.at``.
 * Only ``float64`` data participates in differentiation; integer index arrays
   are plain numpy arguments, never Tensors.
 * No in-place mutation of ``data`` after a tensor has been consumed by an op;
@@ -257,7 +260,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
+        out_data = sigmoid_data(self.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -365,9 +368,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                full = np.zeros_like(self.data)
-                scatter_add_rows(full, indices, grad)
-                self._accumulate_owned(full)
+                self._accumulate_owned(row_sums(indices, grad, self.shape[0]))
 
         return Tensor._make(self.data[indices], (self,), backward)
 
@@ -425,6 +426,12 @@ class Tensor:
                 node._backward_fn(node.grad)
 
 
+def sigmoid_data(x: np.ndarray) -> np.ndarray:
+    """The logistic function of a plain array, its argument clipped at ±60
+    so ``exp`` cannot overflow: the forward of :meth:`Tensor.sigmoid`."""
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+
+
 def _is_basic_index(index) -> bool:
     """Whether ``index`` is an int, a slice or a tuple of them."""
     parts = index if isinstance(index, tuple) else (index,)
@@ -473,25 +480,28 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(np.stack([t.data for t in tensors], axis=axis), tensors, backward)
 
 
-def scatter_add_rows(dst: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
-    """``np.add.at(dst, index, values)`` for row indices, in place.
+def row_sums(index: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
+    """``out[r] = Σ_{i : index[i] = r} values[i]``, a fresh float64 array.
 
-    ``values[i]`` is added to row ``dst[index[i]]``; repeated indices add in
-    input order.  A 2-D (or higher) ``dst`` is scattered as one 1-D
-    ``np.add.at`` over its flattened elements, which takes numpy's fast
-    ``ufunc.at`` path and adds each element in the same order as the 2-D
-    call, so the result is byte-for-byte equal.  (``np.add.reduceat`` is
-    not: it does not sum a segment sequentially.)  ``dst`` must be
-    C-contiguous; a 1-D ``dst`` passes straight through.
+    ``out`` has ``num_rows`` rows shaped like ``values[0]``; rows no index
+    names are zero.  One ``np.bincount`` over the flat element ids
+    ``index·width + column``: bincount adds each bin's weights in input
+    order starting from 0.0, which is exactly what ``np.add.at`` into
+    zeros does, so every sum that is not NaN is bitwise equal to it,
+    signed zeros and infinities included (a NaN sum is NaN in both, but
+    which operand's sign bit it keeps depends on each loop's operand
+    order).  ``np.add.reduceat`` is not equal: it does not sum a segment
+    sequentially.  ``index`` must be non-negative.
     """
-    if dst.ndim == 1:
-        np.add.at(dst, index, values)
-        return
-    if not dst.flags.c_contiguous:
-        raise ValueError("scatter_add_rows() needs a C-contiguous destination")
-    width = int(np.prod(dst.shape[1:]))
-    flat = (np.asarray(index, dtype=np.int64)[:, None] * width + np.arange(width)).ravel()
-    np.add.at(dst.reshape(-1), flat, np.asarray(values).reshape(-1))
+    index = np.asarray(index, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    shape = (num_rows,) + values.shape[1:]
+    width = int(np.prod(shape[1:], dtype=np.int64))
+    if index.size == 0 or width == 0:
+        return np.zeros(shape)
+    flat = index if width == 1 else (index[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(flat, weights=values.reshape(-1), minlength=num_rows * width)
+    return sums.reshape(shape)
 
 
 def segment_sum(rows: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
@@ -499,7 +509,7 @@ def segment_sum(rows: Tensor, segments: np.ndarray, num_segments: int) -> Tensor
 
     ``segments[i]`` names the output row that input row ``i`` accumulates
     into; empty segments yield zero rows.  The summation order within a
-    segment is the input order (see :func:`scatter_add_rows`).
+    segment is the input order (see :func:`row_sums`).
     """
     rows = as_tensor(rows)
     segments = np.asarray(segments, dtype=np.int64)
@@ -508,9 +518,7 @@ def segment_sum(rows: Tensor, segments: np.ndarray, num_segments: int) -> Tensor
         if rows.requires_grad:
             rows._accumulate_owned(grad[segments])
 
-    data = np.zeros((num_segments, rows.shape[1]))
-    scatter_add_rows(data, segments, rows.data)
-    return Tensor._make(data, (rows,), backward)
+    return Tensor._make(row_sums(segments, rows.data, num_segments), (rows,), backward)
 
 
 def where(condition: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:

@@ -140,21 +140,24 @@ class TestConeIndex:
         with pytest.raises(KeyError):
             idx.position(non_endpoint)
 
-    def test_endpoints_touching_inverts_membership(self, index):
+    def test_cones_containing_inverts_membership(self, index):
         nl, idx = index
         some_cells = idx.cone_members[:5]
-        touched = idx.endpoints_touching(some_cells)
+        touched = idx.cones_containing(some_cells)
         expected = {
             pos
             for pos, e in enumerate(idx.endpoints)
             if fanin_cone(nl, e) & set(some_cells.tolist())
         }
         assert set(touched.tolist()) == expected
-        assert np.all(np.diff(touched) > 0)
+        # One strictly ascending transpose row per listed cell.
+        counts = idx.cell_indptr[some_cells + 1] - idx.cell_indptr[some_cells]
+        for row in np.split(touched, np.cumsum(counts)[:-1]):
+            assert np.all(np.diff(row) > 0)
 
-    def test_endpoints_touching_empty_input(self, index):
+    def test_cones_containing_empty_input(self, index):
         nl, idx = index
-        assert idx.endpoints_touching(np.empty(0, dtype=np.int64)).size == 0
+        assert idx.cones_containing(np.empty(0, dtype=np.int64)).size == 0
 
     def test_mask_respects_rho(self, index):
         nl, idx = index

@@ -20,7 +20,7 @@ from repro.features.table1 import NUM_FEATURES
 from repro.nn.tensor import (
     Tensor,
     concat,
-    scatter_add_rows,
+    row_sums,
     segment_sum,
     stack,
     where,
@@ -385,9 +385,9 @@ class TestSegmentOps:
         check_gradient(lambda t: (segment_sum(t, seg, 3) ** 2).sum(), x)
 
 
-def _add_at(dst, index, values):
-    """The reference scatter: numpy's own ``np.add.at`` on a copy of ``dst``."""
-    expected = dst.copy()
+def _add_at(num_rows, index, values):
+    """The reference row sum: numpy's own ``np.add.at`` into zeros."""
+    expected = np.zeros((num_rows,) + values.shape[1:])
     np.add.at(expected, index, values)
     return expected
 
@@ -398,43 +398,29 @@ def _wide_values(rng, shape):
 
 
 class TestScatterAddRows:
+    """The row scatter-sum kernel, :func:`row_sums` (one ordered bincount),
+    against ``np.add.at`` into zeros; ``tests/test_nn_fused.py`` covers
+    signed zeros, non-finite values and zero-degree rows."""
+
     @pytest.mark.parametrize("width", [1, 3, 14, 32])
     @pytest.mark.parametrize("seed", range(5))
     def test_bytes_equal_add_at_with_duplicates(self, width, seed):
         rng = np.random.default_rng(seed)
-        dst = _wide_values(rng, (7, width))
         index = rng.integers(0, 7, size=200)  # ~30 hits per row
         values = _wide_values(rng, (200, width))
-        expected = _add_at(dst, index, values)
-        scatter_add_rows(dst, index, values)
-        assert dst.tobytes() == expected.tobytes()
+        assert row_sums(index, values, 7).tobytes() == _add_at(7, index, values).tobytes()
 
     def test_one_dimensional_destination(self, rng):
-        dst = _wide_values(rng, 9)
         index = rng.integers(0, 9, size=60)
         values = _wide_values(rng, 60)
-        expected = _add_at(dst, index, values)
-        scatter_add_rows(dst, index, values)
-        assert dst.tobytes() == expected.tobytes()
+        sums = row_sums(index, values, 9)
+        assert sums.shape == (9,)
+        assert sums.tobytes() == _add_at(9, index, values).tobytes()
 
-    def test_empty_index_leaves_destination(self, rng):
-        dst = _wide_values(rng, (4, 3))
-        before = dst.copy()
-        scatter_add_rows(dst, np.empty(0, dtype=np.int64), np.empty((0, 3)))
-        assert dst.tobytes() == before.tobytes()
-
-    def test_negative_indices_match(self, rng):
-        dst = np.zeros((5, 4))
-        index = np.array([-1, 0, -5, -1, 2])
-        values = _wide_values(rng, (5, 4))
-        expected = _add_at(dst, index, values)
-        scatter_add_rows(dst, index, values)
-        assert dst.tobytes() == expected.tobytes()
-
-    def test_non_contiguous_destination_rejected(self):
-        dst = np.zeros((4, 6))[:, ::2]
-        with pytest.raises(ValueError, match="C-contiguous"):
-            scatter_add_rows(dst, np.array([0]), np.ones((1, 3)))
+    def test_empty_index_leaves_destination(self):
+        sums = row_sums(np.empty(0, dtype=np.int64), np.empty((0, 3)), 4)
+        assert sums.dtype == np.float64
+        assert sums.tobytes() == np.zeros((4, 3)).tobytes()
 
 
 class TestGradientOwnership:
@@ -475,6 +461,11 @@ class TestGradientOwnership:
         np.testing.assert_array_equal(w.grad, first + first)
 
 
+def _add_at_row_sums(index, values, num_rows):
+    """The reference kernel: 2-D ``np.add.at`` into zeros."""
+    return _add_at(num_rows, index, np.asarray(values, dtype=np.float64))
+
+
 def _copying_accumulate(self, grad):
     """The reference accumulate: copy on first use, then ``grad + new``."""
     if self.grad is None:
@@ -484,7 +475,7 @@ def _copying_accumulate(self, grad):
 
 
 class TestTrainingEquivalence:
-    """The scatter kernel and in-place accumulation change no bit of a
+    """The row-sum kernel and in-place accumulation change no bit of a
     training run: a reference on 2-D ``np.add.at`` and copying accumulation
     gives the same parameters and history on the same machine."""
 
@@ -502,7 +493,7 @@ class TestTrainingEquivalence:
         shipped = self._train(small_design)
         with monkeypatch.context() as patch:
             for module in (repro.nn.tensor, repro.gnn.incremental, repro.netlist.transform):
-                patch.setattr(module, "scatter_add_rows", np.add.at)
+                patch.setattr(module, "row_sums", _add_at_row_sums)
             patch.setattr(Tensor, "_accumulate", _copying_accumulate)
             patch.setattr(Tensor, "_accumulate_owned", _copying_accumulate)
             reference = self._train(small_design)
