@@ -87,9 +87,10 @@ class EndpointSelectionEnv:
             netlist, include_clock_flexibility=include_clock_flexibility
         )
         # Static feature columns never change during selection; only the
-        # "RL masked" column is per-step.
+        # "RL masked" column is per-step.  The net columns come from the
+        # begin STA's compile.
         self._base_features = self.extractor.extract(
-            self.begin_report, self._clock, masked_or_selected=()
+            self.begin_report, self._clock, compiled=self._analyzer.compiled
         )
         self.state: Optional[SelectionState] = None
 

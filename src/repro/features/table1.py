@@ -40,13 +40,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.netlist.core import Netlist
-from repro.power.models import (
-    cell_internal_power,
-    cell_leakage_power,
-    net_switching_power,
-)
+from repro.power.models import switching_power
 from repro.timing.clock import ClockModel
-from repro.timing.sta import TimingReport
+from repro.timing.sta import CompiledTiming, TimingReport, column, compile_timing
 
 NUM_FEATURES = 14
 
@@ -85,9 +81,9 @@ class FeatureExtractor:
     ):
         self.netlist = netlist
         if die_side is None:
-            xs = [c.x for c in netlist.cells]
-            ys = [c.y for c in netlist.cells]
-            die_side = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
+            xs = column(netlist.cells, "x")
+            ys = column(netlist.cells, "y")
+            die_side = max(xs.max() - xs.min(), ys.max() - ys.min(), 1e-9)
         self.die_side = float(die_side)
         self.include_clock_flexibility = include_clock_flexibility
 
@@ -96,47 +92,50 @@ class FeatureExtractor:
         report: TimingReport,
         clock: ClockModel,
         masked_or_selected: Iterable[int] = (),
+        compiled: Optional[CompiledTiming] = None,
     ) -> np.ndarray:
-        """Full feature matrix; see module docstring for columns."""
+        """Full feature matrix; see module docstring for columns.
+
+        Array work over per-cell columns gathered once.  The net columns
+        (outNet cap, load cap, net power) and the drivers of the worst
+        input slew are read from ``compiled``, which must be a compile of
+        the netlist's current state (the env passes its analyzer's);
+        without one, the netlist is compiled here.
+        """
         netlist = self.netlist
-        n = netlist.num_cells
+        if compiled is None:
+            compiled = compile_timing(netlist)
+        cells = netlist.cells
+        n = len(cells)
         features = np.zeros((n, NUM_FEATURES))
         frequency = 1.0 / clock.period
         cap_scale = 0.1  # fF -> O(1)
         time_scale = 1.0 / clock.period
         power_scale = 10.0
 
-        flagged = set(masked_or_selected)
-        for cell in netlist.cells:
-            i = cell.index
-            features[i, 0] = 1.0 if i in flagged else 0.0
-            features[i, 1] = cell.x / self.die_side
-            features[i, 2] = cell.y / self.die_side
-            if cell.fanout_net is not None:
-                net_index = cell.fanout_net
-                features[i, 3] = netlist.net_load_cap(net_index) * cap_scale
-                pin_cap = 0.0
-                for sink_cell, _pin in netlist.nets[net_index].sinks:
-                    sink = netlist.cells[sink_cell]
-                    if sink.is_output_port:
-                        pin_cap += netlist.library.default_port_cap
-                    else:
-                        pin_cap += sink.size.input_cap
-                features[i, 4] = pin_cap * cap_scale
-                features[i, 8] = (
-                    net_switching_power(netlist, net_index, frequency) * power_scale
-                )
-            features[i, 5] = (
-                cell.size.input_cap * cell.cell_type.num_inputs * cap_scale
-            )
-            features[i, 6] = cell_internal_power(netlist, i) * power_scale
-            features[i, 7] = cell_leakage_power(netlist, i) * power_scale
-            features[i, 9] = cell.toggle_rate
-            features[i, 11] = report.cell_slew[i] * time_scale
-            worst_in = 0.0
-            for driver in netlist.fanin_cells(i):
-                worst_in = max(worst_in, report.cell_slew[driver])
-            features[i, 12] = worst_in * time_scale
+        types = [cell.cell_type for cell in cells]
+        sizes = [cell_type.sizes[cell.size_index] for cell, cell_type in zip(cells, types)]
+        toggle = column(cells, "toggle_rate")
+        num_inputs = np.fromiter((t.num_inputs for t in types), np.int64, n)
+
+        self.update_mask_column(features, masked_or_selected)
+        features[:, 1] = column(cells, "x") / self.die_side
+        features[:, 2] = column(cells, "y") / self.die_side
+        # The compile's load terms are 0.0 on cells that drive no net, so
+        # the net columns are 0.0 there, as the loop left them.
+        features[:, 3] = compiled.load_cap * cap_scale
+        features[:, 4] = compiled.sink_cap * cap_scale
+        features[:, 5] = column(sizes, "input_cap") * num_inputs * cap_scale
+        features[:, 6] = column(sizes, "internal_power") * toggle * power_scale
+        features[:, 7] = column(sizes, "leakage_power") * power_scale
+        features[:, 8] = switching_power(toggle, compiled.load_cap, frequency) * power_scale
+        features[:, 9] = toggle
+        slew = report.cell_slew
+        features[:, 11] = slew * time_scale
+        fanin = compiled.fanin_idx
+        connected = fanin >= 0  # -1 pads the unconnected pins
+        in_slew = np.where(connected, slew[np.where(connected, fanin, 0)], 0.0)
+        features[:, 12] = in_slew.max(axis=1, initial=0.0) * time_scale
 
         # Worst slack through cell: clamp unconstrained (+inf) to one period.
         wst = np.clip(report.cell_worst_slack, -10.0 / time_scale, 1.0 / time_scale)
@@ -145,15 +144,16 @@ class FeatureExtractor:
         # Endpoint cells have no "through" slack from the backward pass seed;
         # give them their own endpoint slack (margin-aware), the quantity the
         # agent must reason about.
-        apparent = report.slack_with_margins
-        for k, e in enumerate(report.endpoints):
-            features[e, 10] = float(np.clip(apparent[k] * time_scale, -10.0, 1.0))
+        features[report.endpoints, 10] = np.clip(
+            report.slack_with_margins * time_scale, -10.0, 1.0
+        )
 
         # Substrate extension: per-flop useful-skew flexibility (see module
         # docstring).  Zero for combinational cells and ports.
-        if self.include_clock_flexibility:
-            for flop, bound in netlist.skew_bounds.items():
-                features[flop, 13] = bound * time_scale
+        bounds = netlist.skew_bounds
+        if self.include_clock_flexibility and bounds:
+            flops = np.fromiter(bounds.keys(), np.int64, len(bounds))
+            features[flops, 13] = np.fromiter(bounds.values(), np.float64, len(bounds)) * time_scale
         return features
 
     def update_mask_column(

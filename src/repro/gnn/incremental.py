@@ -44,6 +44,17 @@ change, the dirty region covering more than
 session altogether (``RLCCDPolicy.rollout(incremental=False)``), which is
 the tape oracle the equivalence tests compare against.
 
+**One full step per update batch.**  An episode's first encode reuses the
+session's last first-encode full step when every parameter array and the
+begin feature matrix equal the ones it was computed with (both compared
+with ``np.array_equal``; :meth:`EncoderSession.shared_step`).  Within a
+batch the weights are fixed and every episode starts from the env's begin
+features, so a batch of ``episodes_per_update`` episodes computes one
+forward.  The step record is read-only and shared; each episode copies the
+buffers it writes in place (the layer outputs and the cone sums) and runs
+its own backward, so no sum changes order.  The shared step is dropped
+before a new one is computed, so it never coexists with its successor.
+
 Shadow-check mode (``REPRO_GNN_CHECK=1``) re-runs the full encode after
 every incremental one and asserts max |Δ| ≤ :data:`CHECK_ATOL`; the
 episode's backward also re-runs every recorded step on the tape oracle
@@ -191,10 +202,19 @@ class _LayerRows:
 
 @dataclass
 class _FullStep:
-    """Every row of every layer, the cone sums and all embeddings."""
+    """Every row of every layer, the cone sums and all embeddings.
+
+    Read-only once built: episodes that share it (see
+    :meth:`EncoderSession.shared_step`) copy ``sums`` and the layer
+    outputs before writing into them.
+    """
 
     layers: List[_LayerRows]
     pooled: np.ndarray
+    sums: np.ndarray  # the cone sums S
+    emb: np.ndarray
+    features: np.ndarray  # the input matrix (a private copy)
+    params: List[np.ndarray]  # copies of the parameters it was computed with
 
 
 @dataclass
@@ -256,8 +276,32 @@ class _Episode:
 
     # ------------------------------------------------------------------ #
     def full_step(self, features: np.ndarray) -> np.ndarray:
-        """Recompute everything with the expressions of ``EPGNN.forward``
-        (bitwise equal to it) and reset the in-place state."""
+        """Reset the in-place state from a full step: the session's shared
+        one for an episode's first encode when it matches (see
+        :meth:`EncoderSession.shared_step`), else a new one computed with
+        the expressions of ``EPGNN.forward`` (bitwise equal to it)."""
+        session = self.session
+        if self.steps:  # a mid-episode fallback
+            step = self._compute(features)
+        else:
+            step = session.shared_step(features)
+            if step is None:
+                # Drop the old one first, so it never coexists with the new.
+                session._shared = None
+                step = session._shared = self._compute(features)
+            else:
+                obs.incr("gnn.shared_full_step")
+        # The layer outputs and the cone sums are written in place by the
+        # delta steps: this episode's own copies.
+        self.layers = [record.out.copy() for record in step.layers]
+        self.sums = step.sums.copy()
+        self.first_mean = step.layers[0].mean
+        self.prev_mask = step.features[:, 0]
+        self.static = step.features[:, 1:]
+        self.version = getattr(session.netlist, "mutation_version", None)
+        return self._record(step, step.emb, features)
+
+    def _compute(self, features: np.ndarray) -> _FullStep:
         session = self.session
         gnn, graph, cones = session.gnn, session.graph, session.cones
         if features.shape[1] != gnn.in_features:
@@ -265,7 +309,8 @@ class _Episode:
                 f"feature dim {features.shape[1]} != model in_features {gnn.in_features}"
             )
         with obs.span("gnn.full_encode"):
-            x = features
+            x = features = np.array(features, copy=True)
+            features.flags.writeable = False  # prev_mask and static view it
             layers: List[_LayerRows] = []
             for layer, gamma in zip(gnn.layers, self.gammas):
                 summed = row_sums(session._fwd_owner, x[graph.neighbor_index], graph.num_nodes)
@@ -278,15 +323,9 @@ class _Episode:
             else:
                 pooled = x[cones.endpoints]
             emb = pooled @ gnn.fc.weight.data + gnn.fc.bias.data
-
-        self.layers = [record.out.copy() for record in layers]
-        self.sums = sums
-        self.first_mean = layers[0].mean
-        self.prev_mask = np.array(features[:, 0], copy=True)
-        self.static = np.array(features[:, 1:], copy=True)
-        self.version = getattr(session.netlist, "mutation_version", None)
         obs.incr("gnn.full_encode")
-        return self._record(_FullStep(layers, pooled), emb, features)
+        params = [param.data.copy() for param in session.params]
+        return _FullStep(layers, pooled, sums, emb, features, params)
 
     def delta_step(self, features: np.ndarray, regions: List[np.ndarray]) -> np.ndarray:
         """Recompute the dirty rows in place and delta-update the pooling."""
@@ -485,7 +524,8 @@ class EncoderSession:
     Built once per environment (edge owners; cone membership is read from
     the :class:`ConeIndex`).  :meth:`begin_episode` starts a new episode
     object and drops the session's reference to the old one, so an episode
-    still waiting for its backward shares no buffer with the next.
+    still waiting for its backward shares no written buffer with the next
+    (only the read-only first full step, :meth:`shared_step`).
     :meth:`encode` then serves each RL step either incrementally or — on
     any fallback trigger — with a full step that is bitwise equal to
     :meth:`EPGNN.forward`.
@@ -509,6 +549,8 @@ class EncoderSession:
         self._fwd_counts = np.diff(graph.indptr)
         self._cell_counts = np.diff(cones.cell_indptr)
         self._reverse: Optional[np.ndarray] = None  # see reverse_edges()
+        # The full step of the last episode that computed one (shared_step).
+        self._shared: Optional[_FullStep] = None
         # The parameters in the reverse pass's order: per layer proj W, b,
         # agg W, b, γ logit; then the FC head's W, b.
         self.params: List[Tensor] = [
@@ -593,6 +635,25 @@ class EncoderSession:
                 )
             obs.incr("gnn.shadow_checks")
         return embeddings
+
+    def shared_step(self, features: np.ndarray) -> Optional[_FullStep]:
+        """The last computed first-encode full step, if it is this one's.
+
+        Within an update batch the weights are fixed and every episode
+        starts from the same begin features, so the batch computes one
+        forward.  Both inputs are compared whole with ``np.array_equal``
+        (no version counter is trusted): every parameter array against the
+        copy the step was computed with, and ``features`` against its input.
+        """
+        step = self._shared
+        if step is None:
+            return None
+        for param, saved in zip(self.params, step.params):
+            if not np.array_equal(param.data, saved):
+                return None
+        if not np.array_equal(features, step.features):
+            return None
+        return step
 
     def row_edges(self, rows: np.ndarray):
         """The CSR entries of sorted ``rows`` in CSR order, and their counts."""

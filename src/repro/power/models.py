@@ -61,12 +61,17 @@ def cell_leakage_power(netlist: Netlist, cell_index: int) -> float:
     return netlist.cells[cell_index].size.leakage_power
 
 
+def switching_power(toggle_rate, load_cap, frequency_ghz: float):
+    """``½·α·C·V²·f`` in mW, for scalars or elementwise over arrays (the
+    same operation order either way, so both agree bit for bit)."""
+    return _SWITCHING_COEFF * toggle_rate * load_cap * frequency_ghz
+
+
 def net_switching_power(netlist: Netlist, net_index: int, frequency_ghz: float) -> float:
     """Dynamic power dissipated charging one net, mW."""
     net = netlist.nets[net_index]
     driver = netlist.cells[net.driver]
-    cap = netlist.net_load_cap(net_index)
-    return _SWITCHING_COEFF * driver.toggle_rate * cap * frequency_ghz
+    return switching_power(driver.toggle_rate, netlist.net_load_cap(net_index), frequency_ghz)
 
 
 def report_power(

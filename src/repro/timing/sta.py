@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import array
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
@@ -171,7 +172,8 @@ class CompiledTiming:
     in :mod:`repro.timing.incremental` gather over.  Resizes never change
     topology or wire lengths, so :meth:`TimingAnalyzer.notify_resize` leaves
     all of these untouched, and ``wire_cap`` too: a driver's new load is its
-    re-summed sink pin caps plus that stored wire term.
+    re-summed sink pin caps (``sink_cap``, patched) plus that stored wire
+    term.
 
     Every array field is a :func:`buffer_view` of the ``array.array`` stored
     under the same name in ``buffers`` (``fanin_idx``/``fanin_wire_delay``
@@ -186,6 +188,7 @@ class CompiledTiming:
     fanin_idx: np.ndarray  # (n, max_pins) driver cell per pin, -1 pad
     fanin_wire_delay: np.ndarray  # (n, max_pins)
     load_cap: np.ndarray  # (n,) fan-out net load: sink pin caps + wire cap
+    sink_cap: np.ndarray  # (n,) sink-pin term of load_cap (notify_resize patches it)
     wire_cap: np.ndarray  # (n,) wire-cap term of load_cap (resizes never move it)
     intrinsic: np.ndarray
     drive_res: np.ndarray
@@ -443,11 +446,12 @@ class TimingAnalyzer:
         A size change touches only (a) the cell's own delay/slew
         coefficients and (b) the load capacitance of every driver feeding
         it (its input pin capacitance changed).  Topology, levels and
-        endpoints are untouched, so a full recompile — a Python pass over
-        every cell — is wasted work the data-path optimizer would otherwise
-        pay on every probe move.  A driver's new load is its net's sink pin
-        caps, re-summed, plus the wire-cap term the compile stored: a resize
-        moves no pin, so the net's wirelength is not recomputed.
+        endpoints are untouched, so a full recompile — a gather over every
+        cell and net — is wasted work the data-path optimizer would
+        otherwise pay on every probe move.  A driver's new load is its net's
+        sink pin caps, re-summed into ``sink_cap``, plus the wire-cap term
+        the compile stored: a resize moves no pin, so the net's wirelength
+        is not recomputed.
         """
         from repro.timing import incremental as inc
 
@@ -473,9 +477,11 @@ class TimingAnalyzer:
             buffers["slew_intr"][i] = size.slew_intrinsic
             buffers["slew_load"][i] = size.slew_load_factor
             load_cap = buffers["load_cap"]
+            sink_cap = buffers["sink_cap"]
             wire_cap = buffers["wire_cap"]
             for net_index, driver in drivers:
-                load_cap[driver] = netlist.net_sink_cap(net_index) + wire_cap[driver]
+                sink_cap[driver] = netlist.net_sink_cap(net_index)
+                load_cap[driver] = sink_cap[driver] + wire_cap[driver]
             if inc.check_enabled():
                 for net_index, driver in drivers:
                     expected = netlist.net_load_cap(net_index)
@@ -631,83 +637,152 @@ class TimingAnalyzer:
         return report
 
 
+def column(objects: List, name: str) -> np.ndarray:
+    """The float64 column of attribute ``name`` over ``objects``."""
+    return np.fromiter(map(attrgetter(name), objects), np.float64, len(objects))
+
+
 def compile_timing(netlist: Netlist) -> CompiledTiming:
-    """Build the array representation of the current netlist state."""
-    n = netlist.num_cells
-    max_pins = max((c.cell_type.num_inputs for c in netlist.cells), default=1)
-    max_pins = max(max_pins, 1)
+    """Build the array representation of the current netlist state.
 
-    # The per-cell loop fills the buffers directly: an ``array.array`` item
-    # store is several times cheaper than a NumPy scalar store.
-    def cells_buffer(typecode: str) -> array.array:
-        return array.array(typecode, [0]) * n
+    Array work over columns gathered once per call: every cell's
+    :class:`CellSize` and type, coordinates and pin nets, and every net's
+    driver and sinks.  Each array holds what ``Netlist``'s scalar queries
+    give, bit for bit:
 
-    fanin = array.array("q", [_NO_DRIVER]) * (n * max_pins)
-    fanin_wire = array.array("d", [0.0]) * (n * max_pins)
-    load_cap = cells_buffer("d")
-    wire_cap = cells_buffer("d")
-    intrinsic = cells_buffer("d")
-    drive_res = cells_buffer("d")
-    slew_sens = cells_buffer("d")
-    slew_intr = cells_buffer("d")
-    slew_load = cells_buffer("d")
-    is_flop = cells_buffer("b")
-    is_inport = cells_buffer("b")
-    is_outport = cells_buffer("b")
-    clk_to_q = cells_buffer("d")
-    setup = cells_buffer("d")
-
-    wire_coeff = netlist.parasitic_scale * netlist.library.wire_res_delay_per_um
-
+    * a net's sink capacitance is one ``np.bincount`` over its sinks in
+      sink order, which adds each net's terms in sequence from 0.0, the
+      sum :meth:`Netlist.net_sink_cap` does;
+    * its HPWL is ``np.maximum.reduceat`` and ``np.minimum.reduceat`` over
+      segments of driver-then-sinks coordinates (max and min are exact);
+    * wire caps and wire delays are elementwise, in the scalar formulas'
+      operation order.
+    """
     cells = netlist.cells
     nets = netlist.nets
-    for cell in cells:
-        i = cell.index
-        size = cell.size
-        intrinsic[i] = size.intrinsic_delay
-        drive_res[i] = size.drive_resistance
-        slew_sens[i] = size.slew_sensitivity
-        slew_intr[i] = size.slew_intrinsic
-        slew_load[i] = size.slew_load_factor
-        is_flop[i] = cell.is_sequential
-        is_inport[i] = cell.is_input_port
-        is_outport[i] = cell.is_output_port
-        if cell.is_sequential:
-            clk_to_q[i] = cell.cell_type.clk_to_q
-            setup[i] = cell.cell_type.setup_time
-        row = i * max_pins
-        for pin, net_index in enumerate(cell.fanin_nets):
-            if net_index is None:
-                continue
-            driver = nets[net_index].driver
-            fanin[row + pin] = driver
-            driver_cell = cells[driver]
-            dist = abs(driver_cell.x - cell.x) + abs(driver_cell.y - cell.y)
-            fanin_wire[row + pin] = wire_coeff * dist
-        if cell.fanout_net is not None:
-            # net_load_cap's two terms, the wire term kept for notify_resize.
-            wire_cap[i] = netlist.net_wire_cap(cell.fanout_net)
-            load_cap[i] = netlist.net_sink_cap(cell.fanout_net) + wire_cap[i]
+    library = netlist.library
+    n = len(cells)
+    types = [cell.cell_type for cell in cells]
+    sizes = [cell_type.sizes[cell.size_index] for cell, cell_type in zip(cells, types)]
+    num_inputs = np.fromiter((t.num_inputs for t in types), np.int64, n)
+    max_pins = max(int(num_inputs.max(initial=1)), 1)
+    is_flop = np.fromiter((t.is_sequential for t in types), np.bool_, n)
+    is_port = np.fromiter((t.is_port for t in types), np.bool_, n)
+    is_inport = is_port & (num_inputs == 0)
+    is_outport = is_port & (num_inputs == 1)
+    x = column(cells, "x")
+    y = column(cells, "y")
 
-    buffers: Dict[str, array.array] = {
-        "fanin_idx": fanin,
-        "fanin_wire_delay": fanin_wire,
+    # Net columns: driver, then the sinks of every net in sink order.
+    m = len(nets)
+    sink_lists = [net.sinks for net in nets]
+    sink_counts = np.fromiter(map(len, sink_lists), np.int64, m)
+    sink_cells = np.fromiter(
+        (sink for sinks in sink_lists for sink, _pin in sinks),
+        np.int64,
+        int(sink_counts.sum()),
+    )
+    net_driver = np.fromiter((net.driver for net in nets), np.int64, m)
+    pin_cap = np.where(is_outport, library.default_port_cap, column(sizes, "input_cap"))
+    net_sink_cap = np.bincount(
+        np.repeat(np.arange(m), sink_counts), weights=pin_cap[sink_cells], minlength=m
+    )
+    net_wire_cap = (netlist.parasitic_scale * library.wire_cap_per_um) * _net_hpwl(
+        x, y, net_driver, sink_cells, sink_counts
+    )
+
+    # A driver's load: net_load_cap's two terms, the wire term kept for
+    # notify_resize.
+    fanout = np.fromiter(
+        (-1 if cell.fanout_net is None else cell.fanout_net for cell in cells), np.int64, n
+    )
+    drivers = np.flatnonzero(fanout >= 0)
+    sink_cap = np.zeros(n)
+    wire_cap = np.zeros(n)
+    load_cap = np.zeros(n)
+    sink_cap[drivers] = net_sink_cap[fanout[drivers]]
+    wire_cap[drivers] = net_wire_cap[fanout[drivers]]
+    load_cap[drivers] = sink_cap[drivers] + wire_cap[drivers]
+
+    # Dense fanin: the driver of every connected pin and its wire delay.
+    pin_lists = [cell.fanin_nets for cell in cells]
+    pin_counts = np.fromiter(map(len, pin_lists), np.int64, n)
+    pin_nets = np.fromiter(
+        (-1 if net is None else net for pins in pin_lists for net in pins),
+        np.int64,
+        int(pin_counts.sum()),
+    )
+    rows = np.repeat(np.arange(n), pin_counts)
+    pins = np.arange(pin_nets.size) - np.repeat(np.cumsum(pin_counts) - pin_counts, pin_counts)
+    slots = rows * max_pins + pins
+    connected = pin_nets >= 0
+    rows, slots = rows[connected], slots[connected]
+    pin_drivers = net_driver[pin_nets[connected]]
+    dist = np.abs(x[pin_drivers] - x[rows]) + np.abs(y[pin_drivers] - y[rows])
+    wire_coeff = netlist.parasitic_scale * library.wire_res_delay_per_um
+    fanin_idx = np.full(n * max_pins, _NO_DRIVER, dtype=np.int64)
+    fanin_wire_delay = np.zeros(n * max_pins)
+    fanin_idx[slots] = pin_drivers
+    fanin_wire_delay[slots] = wire_coeff * dist
+
+    columns = {
+        "fanin_idx": fanin_idx.reshape(n, max_pins),
+        "fanin_wire_delay": fanin_wire_delay.reshape(n, max_pins),
         "load_cap": load_cap,
+        "sink_cap": sink_cap,
         "wire_cap": wire_cap,
-        "intrinsic": intrinsic,
-        "drive_res": drive_res,
-        "slew_sens": slew_sens,
-        "slew_intr": slew_intr,
-        "slew_load": slew_load,
+        "intrinsic": column(sizes, "intrinsic_delay"),
+        "drive_res": column(sizes, "drive_resistance"),
+        "slew_sens": column(sizes, "slew_sensitivity"),
+        "slew_intr": column(sizes, "slew_intrinsic"),
+        "slew_load": column(sizes, "slew_load_factor"),
         "is_flop": is_flop,
         "is_inport": is_inport,
         "is_outport": is_outport,
-        "clk_to_q": clk_to_q,
-        "setup": setup,
+        "clk_to_q": np.where(is_flop, column(types, "clk_to_q"), 0.0),
+        "setup": np.where(is_flop, column(types, "setup_time"), 0.0),
     }
-    views = {name: buffer_view(buf) for name, buf in buffers.items()}
-    fanin_idx = views["fanin_idx"] = views["fanin_idx"].reshape(n, max_pins)
-    views["fanin_wire_delay"] = views["fanin_wire_delay"].reshape(n, max_pins)
+    return assemble_compiled(netlist, columns)
+
+
+def _net_hpwl(
+    x: np.ndarray,
+    y: np.ndarray,
+    net_driver: np.ndarray,
+    sink_cells: np.ndarray,
+    sink_counts: np.ndarray,
+) -> np.ndarray:
+    """Every net's half-perimeter wirelength, :meth:`Netlist.net_hpwl`'s
+    ``(max(xs) − min(xs)) + (max(ys) − min(ys))`` over driver and sinks."""
+    m = net_driver.size
+    if m == 0:
+        return np.zeros(0)
+    starts = np.arange(m) + np.cumsum(sink_counts) - sink_counts
+    members = np.empty(m + sink_cells.size, dtype=np.int64)
+    is_driver = np.zeros(members.size, dtype=bool)
+    is_driver[starts] = True
+    members[is_driver] = net_driver
+    members[~is_driver] = sink_cells
+    xs, ys = x[members], y[members]
+    return (np.maximum.reduceat(xs, starts) - np.minimum.reduceat(xs, starts)) + (
+        np.maximum.reduceat(ys, starts) - np.minimum.reduceat(ys, starts)
+    )
+
+
+def assemble_compiled(netlist: Netlist, columns: Mapping[str, np.ndarray]) -> CompiledTiming:
+    """The :class:`CompiledTiming` of ``netlist`` from its per-cell columns.
+
+    ``columns`` holds the arrays :func:`compile_timing` gathers, by field
+    name, ``fanin_idx`` and ``fanin_wire_delay`` shaped ``(n, max_pins)``.
+    Each becomes a buffer; the fanout CSR, the levels and the endpoint
+    maps are derived from them.
+    """
+    buffers: Dict[str, array.array] = {}
+    views: Dict[str, np.ndarray] = {}
+    for name, values in columns.items():
+        buffers[name], views[name] = buffer_backed(values)
+    fanin_idx = views["fanin_idx"]
+    n = fanin_idx.shape[0]
     flop_view = views["is_flop"]
     inport_view = views["is_inport"]
     outport_view = views["is_outport"]
@@ -726,7 +801,8 @@ def compile_timing(netlist: Netlist) -> CompiledTiming:
     for k, level_cells in enumerate(levels):
         level_of[level_cells] = k
 
-    endpoint_cells = np.array(netlist.endpoints(), dtype=np.int64)
+    is_ep = flop_view | outport_view
+    endpoint_cells = np.flatnonzero(is_ep).astype(np.int64, copy=False)
     ep_pos = np.full(n, -1, dtype=np.int64)
     ep_pos[endpoint_cells] = np.arange(endpoint_cells.size, dtype=np.int64)
 
@@ -734,7 +810,7 @@ def compile_timing(netlist: Netlist) -> CompiledTiming:
     derived = {
         "is_src": is_src,
         "is_comb": ~(is_src | outport_view),
-        "is_ep": flop_view | outport_view,
+        "is_ep": is_ep,
         "endpoint_cells": endpoint_cells,
         "level_of": level_of,
         "ep_pos": ep_pos,

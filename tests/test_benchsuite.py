@@ -236,6 +236,37 @@ class TestSeedSweep:
         assert summary.ci95_low == summary.ci95_high == summary.mean_improvement_pct
 
 
+class TestTQuantiles:
+    def test_table_matches_scipy(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        from repro.benchsuite.stats import T_975, t_quantile_975
+
+        assert len(T_975) == 30
+        for df in range(1, 31):
+            assert t_quantile_975(df) == float(scipy_stats.t.ppf(0.975, df))
+
+    @pytest.mark.parametrize("df", [0, 31])
+    def test_outside_the_table_raises(self, df):
+        from repro.benchsuite.stats import t_quantile_975
+
+        with pytest.raises(ValueError, match="df 1..30"):
+            t_quantile_975(df)
+
+    def test_benchsuite_import_leaves_scipy_unloaded(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = "import sys, repro.benchsuite; print('scipy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
+
 class TestPersistence:
     @pytest.fixture(scope="class")
     def row(self):
