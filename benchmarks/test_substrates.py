@@ -26,7 +26,7 @@ from repro.netlist.transform import to_message_passing_graph
 from repro.placement.global_place import PlacementConfig, place_design
 from repro.timing.clock import ClockModel
 from repro.timing.metrics import choose_clock_period
-from repro.timing.sta import TimingAnalyzer
+from repro.timing.sta import TimingAnalyzer, compile_timing
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +62,9 @@ def test_sta_recompile_after_mutation(benchmark, design_1k):
 
 def test_cone_index_build(benchmark, design_1k):
     netlist, _ = design_1k
+    compiled = compile_timing(netlist)
     endpoints = netlist.endpoints()
-    benchmark(lambda: ConeIndex(netlist, endpoints))
+    benchmark(lambda: ConeIndex(compiled, endpoints))
 
 
 def test_feature_extraction(benchmark, design_1k):
@@ -81,7 +82,7 @@ def test_epgnn_forward(benchmark, design_1k):
     clock = ClockModel.for_netlist(netlist, period)
     report = analyzer.analyze(clock)
     graph = to_message_passing_graph(netlist)
-    cones = ConeIndex(netlist, netlist.endpoints())
+    cones = ConeIndex(analyzer.compiled, netlist.endpoints())
     features = FeatureExtractor(netlist).extract(report, clock)
     gnn = EPGNN(NUM_FEATURES, rng=0)
     benchmark(lambda: gnn(features, graph, cones))

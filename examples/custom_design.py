@@ -14,7 +14,7 @@ Run:  python examples/custom_design.py
 from __future__ import annotations
 
 from repro import ClockModel, TimingAnalyzer, get_library, summarize
-from repro.ccd.datapath_opt import DatapathConfig, optimize_datapath
+from repro.ccd.datapath_opt import optimize_datapath
 from repro.ccd.useful_skew import optimize_useful_skew
 from repro.netlist import NetlistBuilder
 from repro.timing import trace_critical_path
@@ -74,9 +74,7 @@ def main() -> None:
 
     # --- data-path optimization ------------------------------------------ #
     sizes_before = {c.name: c.size.code for c in netlist.cells}
-    dp_result = optimize_datapath(
-        analyzer, clock, config=DatapathConfig(effort_per_violation=4.0)
-    )
+    dp_result = optimize_datapath(analyzer, clock, effort_per_violation=4.0)
     report = analyzer.analyze(clock)
     print(
         f"\nafter data-path opt ({dp_result.sizing_moves} sizings, "

@@ -29,6 +29,7 @@ from repro import (
     choose_clock_period,
     place_design,
     quick_design,
+    report_power,
     restore_netlist_state,
     run_flow,
     snapshot_netlist_state,
@@ -56,6 +57,7 @@ def main() -> None:
     snapshot = snapshot_netlist_state(netlist)
     flow_config = FlowConfig(clock_period=period)
     default = run_flow(netlist, flow_config)
+    default_power = report_power(netlist, default.clock)
     restore_netlist_state(netlist, snapshot)
     print(f"default tool flow:         {default.final}")
 
@@ -77,14 +79,15 @@ def main() -> None:
     # --- 5. comparison --------------------------------------------------- #
     restore_netlist_state(netlist, snapshot)
     rlccd = run_flow(netlist, flow_config, prioritized_endpoints=result.best_selection)
+    rlccd_power = report_power(netlist, rlccd.clock)
     restore_netlist_state(netlist, snapshot)
     print(f"RL-CCD enhanced flow:      {rlccd.final}")
     if default.final.tns != 0:
         gain = 100.0 * (1.0 - rlccd.final.tns / default.final.tns)
         print(f"TNS improvement vs default flow: {gain:+.1f}%")
     print(
-        f"power: default {default.final_power.total:.2f} mW, "
-        f"RL-CCD {rlccd.final_power.total:.2f} mW"
+        f"power: default {default_power.total:.2f} mW, "
+        f"RL-CCD {rlccd_power.total:.2f} mW"
     )
     print(f"prioritized endpoints: {result.best_selection}")
 

@@ -47,10 +47,8 @@ from repro.agent import (
     train_rlccd,
 )
 from repro.ccd import (
-    DatapathConfig,
     FlowConfig,
     FlowResult,
-    UsefulSkewConfig,
     restore_netlist_state,
     run_flow,
     snapshot_netlist_state,
@@ -99,8 +97,6 @@ __all__ = [
     "FlowConfig",
     "FlowResult",
     "run_flow",
-    "UsefulSkewConfig",
-    "DatapathConfig",
     "snapshot_netlist_state",
     "restore_netlist_state",
     # features / gnn

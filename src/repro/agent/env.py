@@ -81,7 +81,7 @@ class EndpointSelectionEnv:
                 f"design {netlist.name!r} has no violating endpoints at period "
                 f"{clock_period}; nothing for RL-CCD to prioritize"
             )
-        self.cones = ConeIndex(netlist, self.endpoints)
+        self.cones = ConeIndex(self._analyzer.compiled, self.endpoints)
         self.graph: MessagePassingGraph = to_message_passing_graph(netlist)
         self.extractor = FeatureExtractor(
             netlist, include_clock_flexibility=include_clock_flexibility

@@ -105,7 +105,7 @@ def analyze_sensitivity(
     if report is None:
         report = analyzer.analyze(clock)
     violating = [int(e) for e in violating_endpoints(report)]
-    cones = ConeIndex(netlist, violating)
+    cones = ConeIndex(analyzer.compiled, violating)
 
     entries: List[EndpointSensitivity] = []
     for position, endpoint in enumerate(violating):

@@ -46,7 +46,6 @@ from repro.benchsuite.stats import (
 from repro.benchsuite.table2 import (
     Table2Config,
     Table2Row,
-    run_table2,
     run_table2_row,
     summarize_improvements,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "get_block",
     "Table2Config",
     "Table2Row",
-    "run_table2",
     "run_table2_row",
     "summarize_improvements",
     "Fig5Result",

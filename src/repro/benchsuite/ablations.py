@@ -39,6 +39,7 @@ from repro.ccd.flow import (
     snapshot_netlist_state,
 )
 from repro.features.table1 import NUM_FEATURES
+from repro.power.models import report_power
 
 
 @dataclass
@@ -82,7 +83,7 @@ def overfix_vs_underfix(
         restore_netlist_state(netlist, snapshot)
         flow_cfg = FlowConfig(
             clock_period=design.clock_period,
-            datapath=base_flow.datapath,
+            datapath_effort=base_flow.datapath_effort,
             margin_mode=margin_mode if margin_mode is not None else "wns",
         )
         selected = [] if margin_mode is None else selection
@@ -209,7 +210,6 @@ def masking_strategies(
     future-work variants from :mod:`repro.features.adaptive_masking`.
     """
     from repro.features.adaptive_masking import DecayingRho, FixedRho, SizeAdaptiveRho
-    from repro.power.models import report_power
 
     spec = spec if spec is not None else get_block("block5")
     design = build_design(spec)
@@ -237,7 +237,7 @@ def masking_strategies(
                 wns=result.final.wns,
                 nve=result.final.nve,
                 num_selected=len(selection),
-                power=result.final_power.total,
+                power=report_power(netlist, result.clock).total,
                 area=netlist.total_cell_area(),
             )
         )
@@ -252,7 +252,6 @@ def full_flow_comparison(
     """A5: native multi-stage flow vs per-stage re-prioritization."""
     from repro.agent.baselines import select_worst_slack
     from repro.ccd.fullflow import default_stages, run_full_flow
-    from repro.power.models import report_power
 
     spec = spec if spec is not None else get_block("block5")
     design = build_design(spec)

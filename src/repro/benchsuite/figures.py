@@ -67,8 +67,8 @@ def fig5_arrival_histogram(
     )
     restore_netlist_state(netlist, snapshot)
 
-    default_adj = np.array(list(default_result.arrival_adjustments.values()))
-    rlccd_adj = np.array(list(rlccd_result.arrival_adjustments.values()))
+    default_adj = np.array(list(default_result.clock.adjustments().values()))
+    rlccd_adj = np.array(list(rlccd_result.clock.adjustments().values()))
     all_adj = np.concatenate([default_adj, rlccd_adj]) if (default_adj.size or rlccd_adj.size) else np.zeros(1)
     lo, hi = float(all_adj.min()), float(all_adj.max())
     if lo == hi:

@@ -34,14 +34,14 @@ def row_to_dict(row: Table2Row) -> Dict[str, Any]:
             "wns": row.default.final.wns,
             "tns": row.default.final.tns,
             "nve": row.default.final.nve,
-            "power": row.default.final_power.total,
+            "power": row.default_power.total,
             "runtime_s": row.default_runtime,
         },
         "rlccd": {
             "wns": row.rlccd.final.wns,
             "tns": row.rlccd.final.tns,
             "nve": row.rlccd.final.nve,
-            "power": row.rlccd.final_power.total,
+            "power": row.rlccd_power.total,
             "runtime_s": row.rlccd_runtime,
             "selected": row.rlccd_selected,
             "episodes": row.training.episodes_run,

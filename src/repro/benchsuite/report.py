@@ -34,11 +34,11 @@ def format_table2(rows: Sequence[Table2Row]) -> str:
             f"{r.begin.wns:>7.3f} {r.begin.tns:>9.2f} {r.begin.nve:>5} "
             f"{r.begin_power.total:>8.2f} | "
             f"{r.default.final.wns:>7.3f} {r.default.final.tns:>9.2f} "
-            f"{r.default.final.nve:>5} {r.default.final_power.total:>8.2f} "
+            f"{r.default.final.nve:>5} {r.default_power.total:>8.2f} "
             f"{1.0:>5.2f} | "
             f"{r.rlccd.final.wns:>7.3f} {r.rlccd.final.tns:>9.2f} "
             f"({r.tns_improvement_pct:>+6.1f}%) {r.rlccd.final.nve:>5} "
-            f"{r.rlccd.final_power.total:>8.2f} {r.runtime_ratio:>5.1f}"
+            f"{r.rlccd_power.total:>8.2f} {r.runtime_ratio:>5.1f}"
         )
     if rows:
         s = summarize_improvements(list(rows))

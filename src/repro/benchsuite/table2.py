@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.agent.env import EndpointSelectionEnv
 from repro.agent.policy import RLCCDPolicy
 from repro.agent.reinforce import TrainConfig, TrainingResult, train_rlccd
-from repro.benchsuite.designs import BLOCKS, DesignSpec, PreparedDesign, build_design
-from repro.ccd.datapath_opt import DatapathConfig
+from repro.benchsuite.designs import DesignSpec, PreparedDesign, build_design
 from repro.ccd.flow import (
     FlowConfig,
     FlowResult,
@@ -34,7 +33,8 @@ from repro.ccd.flow import (
     snapshot_netlist_state,
 )
 from repro.features.table1 import NUM_FEATURES
-from repro.power.models import PowerReport
+from repro.power.models import PowerReport, report_power
+from repro.timing.clock import ClockModel
 from repro.timing.metrics import TimingSummary
 
 
@@ -57,10 +57,7 @@ class Table2Config:
     fallback_to_default: bool = True
 
     def flow_config(self, clock_period: float) -> FlowConfig:
-        return FlowConfig(
-            clock_period=clock_period,
-            datapath=DatapathConfig(effort_per_violation=self.datapath_effort),
-        )
+        return FlowConfig(clock_period=clock_period, datapath_effort=self.datapath_effort)
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(
@@ -74,14 +71,20 @@ class Table2Config:
 
 @dataclass
 class Table2Row:
-    """One design's row: begin / default / RL-CCD column groups."""
+    """One design's row: begin / default / RL-CCD column groups.
+
+    Each power report is :func:`report_power` on that netlist state: the
+    begin state, and each flow's final state before the restore.
+    """
 
     design: str
     num_cells: int
     begin: TimingSummary
     begin_power: PowerReport
     default: FlowResult
+    default_power: PowerReport
     rlccd: FlowResult
+    rlccd_power: PowerReport
     rlccd_selected: int
     training: TrainingResult
     default_runtime: float
@@ -102,10 +105,10 @@ class Table2Row:
 
     @property
     def power_change_pct(self) -> float:
-        base = self.default.final_power.total
+        base = self.default_power.total
         if base == 0.0:
             return 0.0
-        return 100.0 * (self.rlccd.final_power.total / base - 1.0)
+        return 100.0 * (self.rlccd_power.total / base - 1.0)
 
     @property
     def runtime_ratio(self) -> float:
@@ -130,10 +133,13 @@ def run_table2_row(
         netlist, verify_clock_period=design.clock_period
     )
 
+    begin_power = report_power(netlist, ClockModel.for_netlist(netlist, design.clock_period))
+
     # Default tool flow.
     t0 = time.perf_counter()
     default_result = run_flow(netlist, flow_config)
     default_runtime = time.perf_counter() - t0
+    default_power = report_power(netlist, default_result.clock)
     restore_netlist_state(netlist, snapshot)
 
     # RL-CCD: train, then report the flow under the best selection found.
@@ -148,28 +154,23 @@ def run_table2_row(
 
     restore_netlist_state(netlist, snapshot)
     rlccd_result = run_flow(netlist, flow_config, prioritized_endpoints=selection)
+    rlccd_power = report_power(netlist, rlccd_result.clock)
     restore_netlist_state(netlist, snapshot)
 
     return Table2Row(
         design=spec.name,
         num_cells=netlist.num_cells,
         begin=default_result.begin,
-        begin_power=default_result.begin_power,
+        begin_power=begin_power,
         default=default_result,
+        default_power=default_power,
         rlccd=rlccd_result,
+        rlccd_power=rlccd_power,
         rlccd_selected=len(selection),
         training=training,
         default_runtime=default_runtime,
         rlccd_runtime=rlccd_runtime,
     )
-
-
-def run_table2(
-    specs: Iterable[DesignSpec] = BLOCKS,
-    config: Table2Config = Table2Config(),
-) -> List[Table2Row]:
-    """The full Table-II sweep (all 19 blocks by default)."""
-    return [run_table2_row(spec, config) for spec in specs]
 
 
 def summarize_improvements(rows: List[Table2Row]) -> dict:

@@ -7,7 +7,7 @@ margins (:mod:`~repro.ccd.margins`), the useful-skew engine
 (:mod:`~repro.ccd.flow`).
 """
 
-from repro.ccd.datapath_opt import DatapathConfig, DatapathResult, optimize_datapath
+from repro.ccd.datapath_opt import DatapathResult, optimize_datapath
 from repro.ccd.flow import (
     FlowConfig,
     FlowResult,
@@ -23,11 +23,7 @@ from repro.ccd.fullflow import (
     run_full_flow,
 )
 from repro.ccd.margins import margins_by_amount, margins_to_wns, remove_margins
-from repro.ccd.useful_skew import (
-    UsefulSkewConfig,
-    UsefulSkewResult,
-    optimize_useful_skew,
-)
+from repro.ccd.useful_skew import UsefulSkewResult, optimize_useful_skew
 
 __all__ = [
     "FullFlowStage",
@@ -43,10 +39,8 @@ __all__ = [
     "margins_to_wns",
     "margins_by_amount",
     "remove_margins",
-    "UsefulSkewConfig",
     "UsefulSkewResult",
     "optimize_useful_skew",
-    "DatapathConfig",
     "DatapathResult",
     "optimize_datapath",
 ]

@@ -41,29 +41,17 @@ from repro.timing.sta import CompiledTiming, TimingAnalyzer
 from repro.utils.validation import check_positive
 
 
-@dataclass(frozen=True)
-class DatapathConfig:
-    """Effort model for the data-path optimizer.
-
-    ``effort_per_violation`` × (initial violating endpoints) bounds the total
-    number of moves, clamped to [``min_moves``, ``max_moves``]; endpoints are
-    served worst-apparent-slack first, ``endpoints_per_round`` per STA round.
-    """
-
-    effort_per_violation: float = 2.0
-    min_moves: int = 16
-    max_moves: int = 600
-    endpoints_per_round: int = 8
-    max_rounds: int = 60
-    buffer_fanout_threshold: int = 6
-    failed_move_cost: float = 0.25  # probe cost charged for rolled-back moves
-
-    def __post_init__(self) -> None:
-        check_positive("effort_per_violation", self.effort_per_violation)
-        check_positive("endpoints_per_round", self.endpoints_per_round)
-        check_positive("max_rounds", self.max_rounds)
-        if self.min_moves < 0 or self.max_moves < self.min_moves:
-            raise ValueError("need 0 <= min_moves <= max_moves")
+# Effort model: ``effort_per_violation`` × (initial violating endpoints)
+# bounds the total number of moves, clamped to [MIN_MOVES, MAX_MOVES];
+# endpoints are served worst-apparent-slack first, ENDPOINTS_PER_ROUND per
+# STA round.
+MIN_MOVES = 16
+MAX_MOVES = 600
+ENDPOINTS_PER_ROUND = 8
+MAX_ROUNDS = 60
+BUFFER_FANOUT_THRESHOLD = 6
+#: Probe cost charged for rolled-back moves.
+FAILED_MOVE_COST = 0.25
 
 
 @dataclass
@@ -84,11 +72,12 @@ class DatapathResult:
 def optimize_datapath(
     analyzer: TimingAnalyzer,
     clock: ClockModel,
-    config: DatapathConfig = DatapathConfig(),
+    effort_per_violation: float = 2.0,
 ) -> DatapathResult:
     """Run budgeted greedy delay fixing; mutates the netlist in place."""
+    check_positive("effort_per_violation", effort_per_violation)
     with obs.span("ccd.datapath"):
-        result = _optimize_datapath(analyzer, clock, config)
+        result = _optimize_datapath(analyzer, clock, effort_per_violation)
     obs.incr("datapath.sizing_moves", result.sizing_moves)
     obs.incr("datapath.buffer_moves", result.buffer_moves)
     obs.incr("datapath.rolled_back", result.rolled_back)
@@ -98,7 +87,7 @@ def optimize_datapath(
 def _optimize_datapath(
     analyzer: TimingAnalyzer,
     clock: ClockModel,
-    config: DatapathConfig,
+    effort_per_violation: float,
 ) -> DatapathResult:
     result = DatapathResult()
 
@@ -107,18 +96,12 @@ def _optimize_datapath(
     initial_violations = int((report.slack < 0).sum())
     if initial_violations == 0:
         return result
-    budget = float(
-        np.clip(
-            config.effort_per_violation * initial_violations,
-            config.min_moves,
-            config.max_moves,
-        )
-    )
+    budget = float(np.clip(effort_per_violation * initial_violations, MIN_MOVES, MAX_MOVES))
 
     # (cell, target size) moves rejected since the timing state last
     # changed; _fix_endpoint keeps it (see its docstring).
     rejected: Set[Tuple[int, int]] = set()
-    for _round in range(config.max_rounds):
+    for _round in range(MAX_ROUNDS):
         if budget <= 0:
             break
         slack = report.slack
@@ -126,7 +109,7 @@ def _optimize_datapath(
         if violating.size == 0:
             break
         order = np.argsort(slack[slack < 0])
-        targets = violating[order][: config.endpoints_per_round]
+        targets = violating[order][:ENDPOINTS_PER_ROUND]
         result.rounds += 1
         any_move = False
         for endpoint in targets:
@@ -136,14 +119,7 @@ def _optimize_datapath(
             # report — the batched behaviour of commercial optimizers — but
             # each move is verified against the freshest timing state.
             moved, cost, report, report_tns = _fix_endpoint(
-                analyzer,
-                clock,
-                int(endpoint),
-                config,
-                report,
-                report_tns,
-                result,
-                rejected,
+                analyzer, clock, int(endpoint), report, report_tns, result, rejected
             )
             budget -= cost
             result.budget_spent += cost
@@ -157,7 +133,6 @@ def _fix_endpoint(
     analyzer: TimingAnalyzer,
     clock: ClockModel,
     endpoint: int,
-    config: DatapathConfig,
     report,
     report_tns: float,
     result: DatapathResult,
@@ -174,7 +149,7 @@ def _fix_endpoint(
     ``rejected`` holds the ``(cell, target size)`` sizing moves rejected
     since the timing state last changed.  A journaled rollback leaves the
     state byte for byte as it was, so such a move would be rejected again:
-    a hit is charged and counted as that rejection was (``failed_move_cost``,
+    a hit is charged and counted as that rejection was (``FAILED_MOVE_COST``,
     one more ``rolled_back``) and returns the same report and TNS, with
     no probe.  A commit or a buffer insertion clears the set, and so does
     a rollback that was not exact.
@@ -205,7 +180,7 @@ def _fix_endpoint(
         move = (best_cell, cells[best_cell].size_index + 1)
         if move in rejected:
             result.rolled_back += 1
-            return (False, config.failed_move_cost, report, report_tns)
+            return (False, FAILED_MOVE_COST, report, report_tns)
         analyzer.open_probe()
         previous = netlist.resize_cell(*move)
         analyzer.notify_resize(best_cell)
@@ -220,7 +195,7 @@ def _fix_endpoint(
                 rejected.clear()
             result.rolled_back += 1
             # After the rollback the pre-move report is valid again.
-            return (False, config.failed_move_cost, report, report_tns)
+            return (False, FAILED_MOVE_COST, report, report_tns)
         analyzer.commit_probe()
         rejected.clear()
         result.sizing_moves += 1
@@ -229,7 +204,7 @@ def _fix_endpoint(
     # Candidate 2, read only when no cell is worth upsizing: buffering.  A
     # structural split invalidate()s for a full recompute (fallback rules in
     # docs/timing.md).
-    best_net = _buffer_net(compiled, path.cells, config.buffer_fanout_threshold)
+    best_net = _buffer_net(compiled, path.cells, BUFFER_FANOUT_THRESHOLD)
     if best_net is not None:
         _split_net(netlist, best_net, keep_on_path=set(path.cells))
         rejected.clear()
@@ -241,11 +216,11 @@ def _fix_endpoint(
             # tools make cheaply either); charge it as a failed probe.
             result.rolled_back += 1
             result.buffer_moves += 1
-            return (True, 1.0 + config.failed_move_cost, fresh, fresh_tns)
+            return (True, 1.0 + FAILED_MOVE_COST, fresh, fresh_tns)
         result.buffer_moves += 1
         return (True, 1.0, fresh, fresh_tns)
 
-    return (False, config.failed_move_cost, report, report_tns)
+    return (False, FAILED_MOVE_COST, report, report_tns)
 
 
 def _sizing_gain(compiled: CompiledTiming, cell: Cell) -> float:

@@ -24,32 +24,36 @@ orders of magnitude cheaper than re-generating or deep-copying the design.
 
 **Begin-state timing is compiled once per snapshot.**  Every flow after a
 restore starts from the same timing state, so the first one keeps a
-pristine copy of its compiled view, its begin incremental state, its begin
-report and its begin power (a *begin bundle*).  A later flow that starts
-at the same restore, with incremental STA and the same clock period, runs
-on buffer copies of that bundle instead of recompiling the netlist and
-re-running begin STA and power.  Anything else — a mutation after the
-restore (``mutation_version`` moved), another snapshot, another period,
+pristine copy of its compiled view, its begin incremental state and its
+begin report (a *begin bundle*).  A later flow that starts at the same
+restore, with incremental STA and the same clock period, runs on buffer
+copies of that bundle instead of recompiling the netlist and re-running
+begin STA.  Anything else — a mutation after the restore
+(``mutation_version`` moved), another snapshot, another period,
 ``incremental_sta=False`` — takes the from-scratch path.  Bundles live in
 a module-level weak-key map, never on the netlist, so pickling a netlist
 never pickles compiled views (see ``docs/timing.md``).
+
+**A flow computes no power.**  The reward is the final TNS; the harnesses
+that print power (Table II, the A4 and A5 ablations) call
+:func:`repro.power.models.report_power` on the flow's final netlist state,
+before they restore it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.ccd.datapath_opt import DatapathConfig, DatapathResult, optimize_datapath
+from repro.ccd.datapath_opt import DatapathResult, optimize_datapath
 from repro.ccd.margins import margins_by_amount, margins_to_wns, remove_margins
-from repro.ccd.useful_skew import UsefulSkewConfig, UsefulSkewResult, optimize_useful_skew
+from repro.ccd.useful_skew import UsefulSkewResult, optimize_useful_skew
 from repro.netlist.core import Netlist
-from repro.power.models import PowerReport, report_power
 from repro.timing import incremental as inc
 from repro.timing.clock import ClockModel
 from repro.timing.incremental import IncrementalState
@@ -61,6 +65,7 @@ from repro.timing.sta import (
     buffer_mismatches,
     compile_timing,
 )
+from repro.utils.validation import check_positive
 
 
 @dataclass(frozen=True)
@@ -68,9 +73,9 @@ class FlowConfig:
     """One placement-optimization recipe, shared by both flows."""
 
     clock_period: float
-    skew: UsefulSkewConfig = UsefulSkewConfig()
-    datapath: DatapathConfig = DatapathConfig()
-    final_skew_pass: bool = True
+    # Data-path effort: moves per initially violating endpoint
+    # (:func:`~repro.ccd.datapath_opt.optimize_datapath`).
+    datapath_effort: float = 2.0
     # Margin mode for the prioritized endpoints: "wns" (paper default:
     # worsen to design WNS → over-fix) or a float (uniform margin; negative
     # reproduces the rejected "under-fix" variant for the A1 ablation).
@@ -80,22 +85,23 @@ class FlowConfig:
     # check compare against.
     incremental_sta: bool = True
 
+    def __post_init__(self) -> None:
+        check_positive("datapath_effort", self.datapath_effort)
+
 
 @dataclass
 class FlowResult:
-    """Everything Table II and the figures need from one flow run."""
+    """Everything Table II and the figures need from one flow run; the
+    final skew schedule is ``clock.adjustments()``."""
 
     begin: TimingSummary
     final: TimingSummary
-    begin_power: PowerReport
-    final_power: PowerReport
     clock: ClockModel
     report: TimingReport
     prioritized: List[int]
     skew_result: UsefulSkewResult
     datapath_result: DatapathResult
     runtime_seconds: float
-    arrival_adjustments: Dict[int, float] = field(default_factory=dict)
 
     @property
     def tns(self) -> float:
@@ -151,11 +157,10 @@ class _BeginTiming:
     """Begin-state timing of one restored snapshot at one clock period.
 
     ``compiled`` and ``state`` are pristine: no flow runs on them, only on
-    the copies :meth:`analyzer` hands out.  The report, summary and power
-    report are never mutated, so flows share them.  ``compiled`` is kept
-    detached (``netlist=None``): the bundle map is weak-keyed by the
-    netlist, and a strong reference from its value would keep the netlist
-    alive forever.
+    the copies :meth:`analyzer` hands out.  The report and summary are
+    never mutated, so flows share them.  ``compiled`` is kept detached
+    (``netlist=None``): the bundle map is weak-keyed by the netlist, and a
+    strong reference from its value would keep the netlist alive forever.
     """
 
     snapshot: "NetlistState"
@@ -164,7 +169,6 @@ class _BeginTiming:
     state: IncrementalState
     report: TimingReport
     summary: TimingSummary
-    power: PowerReport
 
     def analyzer(self, netlist: Netlist) -> TimingAnalyzer:
         """An analyzer for ``netlist`` at its current version, on fresh copies."""
@@ -186,27 +190,22 @@ _begin_timing: "weakref.WeakKeyDictionary[Netlist, _BeginTiming]" = (
 )
 
 
-def _check_begin(
-    netlist: Netlist, begin: _BeginTiming, compiled: CompiledTiming, clock: ClockModel
-) -> None:
-    """Shadow check: a copied begin compile and the bundle's begin power
-    must equal a fresh compile and a fresh power report."""
+def _check_begin(netlist: Netlist, compiled: CompiledTiming) -> None:
+    """Shadow check: a copied begin compile must equal a fresh compile."""
     drift = buffer_mismatches(compiled.buffers, compile_timing(netlist).buffers)
-    if report_power(netlist, clock, compiled.load_cap) != begin.power:
-        drift.append("begin power")
     if drift:
         raise RuntimeError(
             "begin-state timing drift: the copied begin state differs from "
             f"a fresh one in {', '.join(drift)} — the netlist was changed "
             "after restore_netlist_state without a mutation_version bump "
-            "(cell coordinates and toggle rates are unversioned)"
+            "(cell coordinates are unversioned)"
         )
 
 
 def _begin_sta(
     netlist: Netlist, config: FlowConfig, clock: ClockModel
-) -> Tuple[TimingAnalyzer, TimingReport, TimingSummary, PowerReport]:
-    """A flow's analyzer and begin timing and power.
+) -> Tuple[TimingAnalyzer, TimingReport, TimingSummary]:
+    """A flow's analyzer and begin timing.
 
     Served by copies of the snapshot's begin bundle when it may serve this
     flow (module docstring); otherwise compiled and analyzed from scratch,
@@ -226,15 +225,14 @@ def _begin_sta(
         obs.incr("flow.begin_copies")
         analyzer = begin.analyzer(netlist)
         if inc.check_enabled():
-            _check_begin(netlist, begin, analyzer.compiled, clock)
+            _check_begin(netlist, analyzer.compiled)
         _check_finite_slack(netlist, begin.report, "begin")
-        return analyzer, begin.report, begin.summary, begin.power
+        return analyzer, begin.report, begin.summary
 
     analyzer = TimingAnalyzer(netlist, incremental=config.incremental_sta)
     report = analyzer.analyze(clock)
     _check_finite_slack(netlist, report, "begin")
     summary = summarize(report)
-    power = report_power(netlist, clock, analyzer.compiled.load_cap)
     if snapshot is not None:
         # Copy before notify_resize patches the live view.
         compiled = analyzer.compiled.copy()
@@ -246,9 +244,8 @@ def _begin_sta(
             state=analyzer.state.copy(compiled),
             report=report,
             summary=summary,
-            power=power,
         )
-    return analyzer, report, summary, power
+    return analyzer, report, summary
 
 
 def run_flow(
@@ -277,7 +274,7 @@ def run_flow(
         clock = ClockModel.for_netlist(netlist, config.clock_period)
 
         with obs.span("flow.begin_sta") as sp_begin:
-            analyzer, begin_report, begin_summary, begin_power = _begin_sta(
+            analyzer, begin_report, begin_summary = _begin_sta(
                 netlist, config, clock
             )
 
@@ -291,25 +288,23 @@ def run_flow(
 
         # --- clock-path optimization: useful skew --------------------- #
         with obs.span("flow.skew") as sp_skew:
-            skew_result = optimize_useful_skew(analyzer, clock, margins, config.skew)
+            skew_result = optimize_useful_skew(analyzer, clock, margins)
 
         # --- margins removed (Algorithm 1 line 16) -------------------- #
         margins = remove_margins(margins)
 
         # --- remaining placement optimization: data-path fixing ------- #
         with obs.span("flow.datapath") as sp_datapath:
-            datapath_result = optimize_datapath(analyzer, clock, config.datapath)
+            datapath_result = optimize_datapath(analyzer, clock, config.datapath_effort)
 
         # --- final skew cleanup (CCD interleaving continues in tail) -- #
         with obs.span("flow.final_skew") as sp_final_skew:
-            if config.final_skew_pass:
-                optimize_useful_skew(analyzer, clock, margins, config.skew)
+            optimize_useful_skew(analyzer, clock, margins)
 
         with obs.span("flow.final_sta") as sp_final:
             final_report = analyzer.analyze(clock)
             _check_finite_slack(netlist, final_report, "final")
             final_summary = summarize(final_report)
-            final_power = report_power(netlist, clock, analyzer.compiled.load_cap)
     runtime = watch.elapsed
 
     if obs.records_active():
@@ -340,15 +335,12 @@ def run_flow(
     return FlowResult(
         begin=begin_summary,
         final=final_summary,
-        begin_power=begin_power,
-        final_power=final_power,
         clock=clock,
         report=final_report,
         prioritized=prioritized,
         skew_result=skew_result,
         datapath_result=datapath_result,
         runtime_seconds=runtime,
-        arrival_adjustments=dict(clock.adjustments()),
     )
 
 
@@ -388,16 +380,13 @@ def _fresh_summary(netlist: Netlist, clock_period: float) -> TimingSummary:
 def flow_config_digest(config: FlowConfig) -> str:
     """Stable content digest of one flow recipe (reward-cache key half).
 
-    Built from the ``repr`` of every reward-affecting field — the nested
-    configs are frozen dataclasses whose reprs are deterministic — so two
-    configs digest equal iff they run the same optimization.
+    Built from the ``repr`` of every field, so two configs digest equal
+    iff they run the same optimization.
     """
     payload = repr(
         (
             config.clock_period,
-            config.skew,
-            config.datapath,
-            config.final_skew_pass,
+            config.datapath_effort,
             config.margin_mode,
             config.incremental_sta,
         )

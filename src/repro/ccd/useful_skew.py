@@ -44,35 +44,21 @@ import numpy as np
 from repro import obs
 from repro.timing.clock import ClockModel
 from repro.timing.sta import TimingAnalyzer, TimingReport
-from repro.utils.validation import check_positive
 
 
-@dataclass(frozen=True)
-class UsefulSkewConfig:
-    """Engine knobs; defaults tuned for the benchmark designs."""
-
-    passes: int = 3  # sequential sweeps over not-yet-committed flops
-    reanalyze_every: int = 12  # commits between STA refreshes within a sweep
-    enable_recovery: bool = True  # launch-deficit recovery phase
-    # Attention window: per pass the engine only *processes* the worst
-    # ``attention_fraction`` of currently violating endpoints (at least
-    # ``min_attention``).  Production skew engines are runtime-bounded in
-    # exactly this worst-first way — and this cap is what endpoint margining
-    # exploits: an endpoint worsened to WNS jumps to the head of the window
-    # and is guaranteed clock-path attention it would otherwise never get.
-    attention_fraction: float = 0.25
-    min_attention: int = 8
-    epsilon: float = 1e-9
-
-    def __post_init__(self) -> None:
-        check_positive("passes", self.passes)
-        check_positive("reanalyze_every", self.reanalyze_every)
-        if not 0.0 < self.attention_fraction <= 1.0:
-            raise ValueError(
-                f"attention_fraction must be in (0, 1], got {self.attention_fraction}"
-            )
-        if self.min_attention < 1:
-            raise ValueError("min_attention must be at least 1")
+#: Sequential sweeps over not-yet-committed flops.
+PASSES = 3
+#: Commits between STA refreshes within a sweep.
+REANALYZE_EVERY = 12
+#: Attention window: per pass the engine only *processes* the worst
+#: ``ATTENTION_FRACTION`` of currently violating endpoints (at least
+#: ``MIN_ATTENTION``).  Production skew engines are runtime-bounded in
+#: exactly this worst-first way — and this cap is what endpoint margining
+#: exploits: an endpoint worsened to WNS jumps to the head of the window
+#: and is guaranteed clock-path attention it would otherwise never get.
+ATTENTION_FRACTION = 0.25
+MIN_ATTENTION = 8
+EPSILON = 1e-9
 
 
 @dataclass
@@ -89,11 +75,10 @@ def optimize_useful_skew(
     analyzer: TimingAnalyzer,
     clock: ClockModel,
     margins: Optional[Mapping[int, float]] = None,
-    config: UsefulSkewConfig = UsefulSkewConfig(),
 ) -> UsefulSkewResult:
     """Sequential priority skew optimization; mutates ``clock`` in place."""
     with obs.span("ccd.useful_skew"):
-        result = _optimize_useful_skew(analyzer, clock, margins, config)
+        result = _optimize_useful_skew(analyzer, clock, margins)
     obs.incr("skew.commits", result.commits)
     obs.incr("skew.recovery_commits", result.recovery_commits)
     obs.incr("skew.passes", result.passes_run)
@@ -104,13 +89,12 @@ def _optimize_useful_skew(
     analyzer: TimingAnalyzer,
     clock: ClockModel,
     margins: Optional[Mapping[int, float]],
-    config: UsefulSkewConfig,
 ) -> UsefulSkewResult:
     result = UsefulSkewResult()
     committed: Set[int] = set()
-    eps = config.epsilon
+    eps = EPSILON
 
-    for _pass in range(config.passes):
+    for _pass in range(PASSES):
         report = analyzer.analyze(clock, margins)
         apparent = _apparent_slack(report)
         progressed = False
@@ -120,10 +104,7 @@ def _optimize_useful_skew(
         violating = sorted(
             (e for e, s in apparent.items() if s < -eps), key=lambda e: apparent[e]
         )
-        window = max(
-            config.min_attention,
-            int(round(config.attention_fraction * len(violating))),
-        )
+        window = max(MIN_ATTENTION, int(round(ATTENTION_FRACTION * len(violating))))
         worklist = violating[:window]
         commits_since_sta = 0
         for endpoint in worklist:
@@ -147,29 +128,28 @@ def _optimize_useful_skew(
             result.commits += 1
             progressed = True
             commits_since_sta += 1
-            if commits_since_sta >= config.reanalyze_every:
+            if commits_since_sta >= REANALYZE_EVERY:
                 report = analyzer.analyze(clock, margins)
                 apparent = _apparent_slack(report)
                 commits_since_sta = 0
 
         # ---- recovery phase: launch side worse than capture side ------ #
-        if config.enable_recovery:
-            report = analyzer.analyze(clock, margins)
-            apparent = _apparent_slack(report)
-            for launch, flop in _recovery_worklist(analyzer, report, committed, window):
-                if not math.isfinite(launch) or launch >= -eps:
-                    continue
-                cap_slack = apparent.get(flop, math.inf)
-                room = max(0.0, cap_slack) if math.isfinite(cap_slack) else math.inf
-                bound_left = clock.bound(flop) + clock.arrival(flop)
-                delta = min(-launch, room, bound_left)
-                if delta <= eps:
-                    continue
-                clock.adjust_arrival(flop, -delta)
-                analyzer.notify_skew((flop,))
-                committed.add(flop)
-                result.recovery_commits += 1
-                progressed = True
+        report = analyzer.analyze(clock, margins)
+        apparent = _apparent_slack(report)
+        for launch, flop in _recovery_worklist(analyzer, report, committed, window):
+            if not math.isfinite(launch) or launch >= -eps:
+                continue
+            cap_slack = apparent.get(flop, math.inf)
+            room = max(0.0, cap_slack) if math.isfinite(cap_slack) else math.inf
+            bound_left = clock.bound(flop) + clock.arrival(flop)
+            delta = min(-launch, room, bound_left)
+            if delta <= eps:
+                continue
+            clock.adjust_arrival(flop, -delta)
+            analyzer.notify_skew((flop,))
+            committed.add(flop)
+            result.recovery_commits += 1
+            progressed = True
 
         if not progressed:
             break

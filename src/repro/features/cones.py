@@ -21,6 +21,7 @@ import numpy as np
 
 from repro import obs
 from repro.netlist.core import Netlist
+from repro.timing.sta import CompiledTiming
 from repro.utils.validation import check_probability
 
 
@@ -43,34 +44,22 @@ def fanin_cone(netlist: Netlist, endpoint: int) -> FrozenSet[int]:
     return frozenset(cone)
 
 
-def _cone_pairs(netlist: Netlist, endpoints: np.ndarray):
+def _cone_pairs(compiled: CompiledTiming, endpoints: np.ndarray):
     """Every endpoint's :func:`fanin_cone` at once, as ``(owner, members)``
     pairs sorted by endpoint position, then by cell.
 
     One level-by-level walk backwards over all (endpoint position, cell)
     pairs: each level steps from the pairs found last to their cells'
-    drivers that are no startpoint and not yet in that endpoint's cone.
-    The pairs are keyed ``position · num_cells + cell``, so the sorted
-    keys are the CSR rows in ascending cell order.
+    drivers (``compiled.fanin_idx``) that are no startpoint
+    (``compiled.is_src``) and not yet in that endpoint's cone.  The pairs
+    are keyed ``position · num_cells + cell``, so the sorted keys are the
+    CSR rows in ascending cell order.
     """
-    n = netlist.num_cells
-    net_driver = [net.driver for net in netlist.nets]
-    counts: list = []
-    flat: list = []
-    starts: list = []
-    for cell in netlist.cells:  # cells are stored in index order
-        row = [net_driver[i] for i in cell.fanin_nets if i is not None]
-        counts.append(len(row))
-        flat.extend(row)
-        starts.append(cell.is_startpoint)
-    # Drivers padded to a table, with −1 for no pin and for startpoints,
-    # where a walk stops.
-    counts = np.array(counts, dtype=np.int64)
-    flat = np.array(flat, dtype=np.int64)
-    flat[np.array(starts, dtype=bool)[flat]] = -1
-    owner = np.repeat(np.arange(n), counts)
-    drivers = np.full((n, int(counts.max(initial=0))), -1, dtype=np.int64)
-    drivers[owner, np.arange(flat.size) - (np.cumsum(counts) - counts)[owner]] = flat
+    fanin = compiled.fanin_idx
+    n = fanin.shape[0]
+    # −1 for no pin and for startpoints, where a walk stops (a −1 pin reads
+    # the last cell's flag, and stays −1 either way).
+    drivers = np.where(compiled.is_src[fanin], -1, fanin)
 
     base = np.arange(endpoints.size, dtype=np.int64) * n  # position · n
     cells = np.asarray(endpoints, dtype=np.int64)
@@ -92,7 +81,8 @@ def _cone_pairs(netlist: Netlist, endpoints: np.ndarray):
 
 
 class ConeIndex:
-    """The endpoints' fan-in cones as one endpoint × cell incidence matrix.
+    """The endpoints' fan-in cones as one endpoint × cell incidence matrix,
+    read from a timing compile of the netlist's current state.
 
     Membership is held once, as a CSR over endpoint positions and its
     transpose over cells; every cone query reads these arrays:
@@ -110,12 +100,12 @@ class ConeIndex:
     rows, so they are bitwise equal to set intersections of the cones.
     """
 
-    def __init__(self, netlist: Netlist, endpoints: Sequence[int]):
-        self.netlist = netlist
+    def __init__(self, compiled: CompiledTiming, endpoints: Sequence[int]):
+        self.netlist = compiled.netlist
         self.endpoints = np.array(endpoints, dtype=np.int64)
-        num_cells = netlist.num_cells
+        num_cells = compiled.fanin_idx.shape[0]
         with obs.span("features.cone_extraction"):
-            owner, members = _cone_pairs(netlist, self.endpoints)
+            owner, members = _cone_pairs(compiled, self.endpoints)
             self.cone_members = members
             self.cone_owner = owner
             self.cone_sizes = np.bincount(owner, minlength=self.endpoints.size)

@@ -50,10 +50,6 @@ class CellSize:
             + self.slew_sensitivity * input_slew
         )
 
-    def output_slew(self, load_cap: float) -> float:
-        """Output transition time for the given load."""
-        return self.slew_intrinsic + self.slew_load_factor * load_cap
-
 
 @dataclass(frozen=True)
 class CellType:

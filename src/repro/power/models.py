@@ -19,9 +19,6 @@ the paper can claim RL-CCD improves timing without degrading power.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
 
 from repro.netlist.core import Netlist
 from repro.timing.clock import ClockModel
@@ -74,37 +71,20 @@ def net_switching_power(netlist: Netlist, net_index: int, frequency_ghz: float) 
     return switching_power(driver.toggle_rate, netlist.net_load_cap(net_index), frequency_ghz)
 
 
-def report_power(
-    netlist: Netlist,
-    clock: ClockModel,
-    load_cap: Optional[Sequence[float]] = None,
-) -> PowerReport:
+def report_power(netlist: Netlist, clock: ClockModel) -> PowerReport:
     """Total design power under ``clock`` (frequency = 1/period GHz).
 
-    ``load_cap`` gives each cell's fan-out net load, indexed by cell: the
-    flow passes its analyzer's current ``compiled.load_cap``, which holds
-    ``net_load_cap`` of every driven net, so no net's HPWL or sink caps are
-    summed here.  Without it (a netlist with no analyzer) each net's load is
-    computed by :func:`net_switching_power`.  The result is the same either
-    way, bit for bit.  Each cell's size is read from its type's size table
-    directly: a netlist's size indices are in range by construction.
+    Each cell's size is read from its type's size table directly: a
+    netlist's size indices are in range by construction.
     """
     frequency = 1.0 / clock.period
     internal = 0.0
     leakage = 0.0
-    cells = netlist.cells
-    for cell in cells:
+    for cell in netlist.cells:
         size = cell.cell_type.sizes[cell.size_index]
         internal += size.internal_power * cell.toggle_rate
         leakage += size.leakage_power
-    if load_cap is None:
-        switching = sum(
-            net_switching_power(netlist, i, frequency) for i in range(netlist.num_nets)
-        )
-    else:
-        loads = np.asarray(load_cap, dtype=np.float64).tolist()
-        switching = sum(
-            _SWITCHING_COEFF * cells[net.driver].toggle_rate * loads[net.driver] * frequency
-            for net in netlist.nets
-        )
+    switching = sum(
+        net_switching_power(netlist, i, frequency) for i in range(netlist.num_nets)
+    )
     return PowerReport(internal=internal, leakage=leakage, switching=switching)

@@ -79,10 +79,6 @@ class ClockModel:
             period=self.period, bounds=dict(self.bounds), arrivals=dict(self.arrivals)
         )
 
-    def arrival_vector(self, flop_indices) -> np.ndarray:
-        """Arrival offsets for the given flops as an array."""
-        return np.array([self.arrival(f) for f in flop_indices], dtype=np.float64)
-
     def total_adjustment(self) -> float:
         """Sum of absolute skew applied (a clock-network-perturbation proxy)."""
         return float(sum(abs(v) for v in self.arrivals.values()))

@@ -7,6 +7,8 @@ net) through the netlist's scalar queries.  Every compile buffer and every
 feature column must match the oracle's bytes on:
 
 * perfbench's smoke design and a 2K design;
+* the fan-in cones of :class:`ConeIndex`, row by row against
+  :func:`fanin_cone`'s breadth-first walk;
 * a netlist a flow left unrestored: resized cells, buffers inserted by
   the datapath optimizer's net splits, and output-port sinks;
 * a parasitic scale other than 1;
@@ -22,8 +24,9 @@ import numpy as np
 import pytest
 
 from repro.agent.env import EndpointSelectionEnv
-from repro.ccd.datapath_opt import DatapathConfig
+from repro.ccd import datapath_opt
 from repro.ccd.flow import FlowConfig, run_flow
+from repro.features.cones import ConeIndex, fanin_cone
 from repro.features.table1 import FEATURE_NAMES, FeatureExtractor
 from repro.netlist.generator import GeneratorConfig, generate_design
 from repro.placement.global_place import PlacementConfig, place_design
@@ -192,11 +195,9 @@ def _flowed_design():
     report = _context(netlist, period)[2]
     selection = report.endpoints[np.argsort(report.slack)[:8]].tolist()
     nets_before = netlist.num_nets
-    config = FlowConfig(
-        clock_period=period,
-        datapath=DatapathConfig(buffer_fanout_threshold=1, effort_per_violation=8.0),
-    )
-    result = run_flow(netlist, config, selection)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(datapath_opt, "BUFFER_FANOUT_THRESHOLD", 1)
+        result = run_flow(netlist, FlowConfig(clock_period=period, datapath_effort=8.0), selection)
     assert result.datapath_result.sizing_moves > 0
     assert result.datapath_result.buffer_moves > 0
     assert netlist.num_nets > nets_before
@@ -324,3 +325,36 @@ class TestFeatureOracle:
         env.reset()
         oracle = loop_features(env.extractor, env.begin_report, env._clock)
         assert env.features().tobytes() == oracle.tobytes()
+
+
+class TestConeOracle:
+    """Every ``ConeIndex`` row, read from a compile, is :func:`fanin_cone`
+    in ascending cell order, and the transpose lists the same pairs."""
+
+    @pytest.mark.parametrize("fixture", ["smoke", "design_2k"])
+    def test_designs(self, fixture, request):
+        netlist, _period = request.getfixturevalue(fixture)
+        assert_cones_match_walk(netlist)
+
+    def test_after_an_unrestored_flow(self):
+        netlist, _period = _flowed_design()
+        assert_cones_match_walk(netlist)
+
+
+def assert_cones_match_walk(netlist):
+    endpoints = netlist.endpoints()
+    cones = ConeIndex(compile_timing(netlist), endpoints[::-1])
+    assert cones.netlist is netlist
+    pairs = set()
+    indptr, cell_indptr = cones.cone_indptr, cones.cell_indptr
+    for position, endpoint in enumerate(endpoints[::-1]):
+        row = cones.cone_members[indptr[position] : indptr[position + 1]].tolist()
+        assert row == sorted(fanin_cone(netlist, endpoint)), endpoint
+        pairs.update((position, cell) for cell in row)
+    assert pairs
+    transpose = {
+        (position, cell)
+        for cell in range(netlist.num_cells)
+        for position in cones.cell_cones[cell_indptr[cell] : cell_indptr[cell + 1]].tolist()
+    }
+    assert transpose == pairs

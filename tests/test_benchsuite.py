@@ -30,6 +30,9 @@ from repro.benchsuite.table2 import (
     run_table2_row,
     summarize_improvements,
 )
+from repro.ccd.flow import restore_netlist_state, run_flow, snapshot_netlist_state
+from repro.power.models import report_power
+from repro.timing.clock import ClockModel
 
 FAST = Table2Config(max_episodes=2, plateau_patience=5, seed=0)
 
@@ -90,14 +93,30 @@ class TestSpecs:
         assert abs(frac - small_spec.violating_fraction) < 0.1
 
 
+T2ROW = DesignSpec(
+    name="t2row", paper_cells=90_000, library="tech7", seed=78, violating_fraction=0.35
+)
+
+
 class TestTable2Harness:
     @pytest.fixture(scope="class")
-    def row(self, small_spec=None):
-        spec = DesignSpec(
-            name="t2row", paper_cells=90_000, library="tech7", seed=78,
-            violating_fraction=0.35,
-        )
-        return run_table2_row(spec, FAST)
+    def row(self):
+        return run_table2_row(T2ROW, FAST)
+
+    def test_power_reports_are_report_power_on_each_final_state(self, row):
+        """The begin power is the begin netlist's, and each flow's power is
+        its final netlist state's, before the restore."""
+        design = build_design(T2ROW)
+        netlist, period = design.netlist, design.clock_period
+        flow_config = FAST.flow_config(period)
+        snapshot = snapshot_netlist_state(netlist)
+        assert row.begin_power == report_power(netlist, ClockModel.for_netlist(netlist, period))
+        for result, power in ((row.default, row.default_power), (row.rlccd, row.rlccd_power)):
+            restore_netlist_state(netlist, snapshot)
+            replay = run_flow(netlist, flow_config, prioritized_endpoints=result.prioritized)
+            assert replay.final == result.final
+            assert power == report_power(netlist, replay.clock)
+        assert row.default_power != row.begin_power  # the data-path moves cost power
 
     def test_row_fields(self, row):
         assert row.begin.tns <= row.default.final.tns

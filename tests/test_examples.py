@@ -1,8 +1,9 @@
-"""Every script under ``examples/`` still imports against the public API.
+"""Every script under ``examples/`` runs end to end against the public API.
 
 Each example guards its work behind ``if __name__ == "__main__"``, so
-importing one by path only resolves its imports and defines ``main``: a
-deleted or renamed public name fails here instead of in a user's hands.
+importing one by path resolves its imports and defines ``main``; calling
+``main()`` then runs the whole script.  A deleted or renamed public name or
+result attribute fails here instead of in a user's hands.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ def test_examples_found():
 @pytest.mark.parametrize(
     "path", EXAMPLES, ids=[os.path.splitext(os.path.basename(p))[0] for p in EXAMPLES]
 )
-def test_example_imports_and_defines_main(path):
+def test_example_imports_and_defines_main(path, capsys):
     name = "example_" + os.path.splitext(os.path.basename(path))[0]
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+    module.main()
+    assert capsys.readouterr().out.strip()

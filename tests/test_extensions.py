@@ -17,7 +17,7 @@ from repro.ccd.fullflow import (
 from repro.features.adaptive_masking import DecayingRho, FixedRho, SizeAdaptiveRho
 from repro.features.cones import ConeIndex
 from repro.timing.clock import ClockModel
-from repro.timing.sta import TimingAnalyzer
+from repro.timing.sta import TimingAnalyzer, compile_timing
 
 
 class TestArea:
@@ -121,7 +121,7 @@ class TestAdaptiveMasking:
     @pytest.fixture
     def cones(self, small_design):
         nl, _ = small_design
-        return ConeIndex(nl, nl.endpoints())
+        return ConeIndex(compile_timing(nl), nl.endpoints())
 
     def test_fixed_matches_cone_index(self, cones):
         strategy = FixedRho(0.3)

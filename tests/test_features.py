@@ -11,7 +11,7 @@ from repro.features.cones import ConeIndex, fanin_cone
 from repro.features.table1 import FEATURE_NAMES, NUM_FEATURES, FeatureExtractor
 from repro.netlist.generator import quick_design
 from repro.timing.clock import ClockModel
-from repro.timing.sta import TimingAnalyzer
+from repro.timing.sta import TimingAnalyzer, compile_timing
 
 
 class TestFaninCone:
@@ -52,7 +52,7 @@ class TestConeIndex:
     @pytest.fixture
     def index(self, small_design):
         nl, _ = small_design
-        return nl, ConeIndex(nl, nl.endpoints())
+        return nl, ConeIndex(compile_timing(nl), nl.endpoints())
 
     def test_self_overlap_is_one(self, index):
         nl, idx = index
@@ -89,7 +89,7 @@ class TestConeIndex:
         fixture design and on a seeded design with heavy cone reuse."""
         seeded = quick_design(n_cells=500, seed=17, reuse_probability=0.6)
         for nl in (index[0], seeded):
-            idx = ConeIndex(nl, nl.endpoints())
+            idx = ConeIndex(compile_timing(nl), nl.endpoints())
             cones = [fanin_cone(nl, e) for e in idx.endpoints]
             assert any(len(c) > 0 for c in cones)
             for a, cone_a in zip(idx.endpoints, cones):
@@ -103,8 +103,8 @@ class TestConeIndex:
         and sizes name its rows: on the fixture design, on a seeded design
         with heavy cone reuse, and for endpoints listed out of cell order."""
         seeded = quick_design(n_cells=500, seed=17, reuse_probability=0.6)
-        cases = [index, (seeded, ConeIndex(seeded, seeded.endpoints()))]
-        cases.append((seeded, ConeIndex(seeded, seeded.endpoints()[::-3])))
+        cases = [index, (seeded, ConeIndex(compile_timing(seeded), seeded.endpoints()))]
+        cases.append((seeded, ConeIndex(compile_timing(seeded), seeded.endpoints()[::-3])))
         for nl, idx in cases:
             for pos, e in enumerate(idx.endpoints):
                 start, stop = idx.cone_indptr[pos], idx.cone_indptr[pos + 1]
@@ -206,7 +206,7 @@ def test_property_masking_loop_terminates(seed, rho):
     and selected cones pairwise overlap at most rho (w.r.t. later cones)."""
     nl = quick_design(n_cells=250, seed=seed)
     endpoints = nl.endpoints()
-    idx = ConeIndex(nl, endpoints)
+    idx = ConeIndex(compile_timing(nl), endpoints)
     valid = np.ones(len(idx), bool)
     selected = []
     for _ in range(len(idx) + 1):

@@ -1,13 +1,13 @@
 """The flow's per-move bookkeeping reads the compiled timing arrays.
 
 The data-path optimizer's sizing gain and buffer candidate, the useful-skew
-worklists, the resize load patch and the power report read the analyzer's
-compiled buffers or the library size table instead of per-cell Python
-properties.  This module keeps the property-chain implementations they
-replaced as oracles and pins:
+worklists and the resize load patch read the analyzer's compiled buffers
+or the library size table instead of per-cell Python properties.  This
+module keeps the property-chain implementations they replaced as oracles
+and pins:
 
 * ``run_flow`` is byte-equal to a run with every oracle patched in (every
-  ``TimingReport`` array, the skew schedule, both stage results, power);
+  ``TimingReport`` array, the skew schedule, both stage results);
 * the gain equals the oracle's bit for bit on every sizable cell after
   random resizes and splits, and a tie goes to the first path cell;
 * the recovery worklist and the buffer candidate equal the oracles' when
@@ -26,9 +26,8 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.ccd import datapath_opt, flow, useful_skew
+from repro.ccd import datapath_opt, useful_skew
 from repro.ccd.datapath_opt import (
-    DatapathConfig,
     DatapathResult,
     _buffer_net,
     _fix_endpoint,
@@ -44,7 +43,6 @@ from repro.ccd.flow import (
 from repro.ccd.useful_skew import _apparent_slack, _recovery_worklist
 from repro.netlist.generator import GeneratorConfig, generate_design
 from repro.placement import PlacementConfig, place_design
-from repro.power.models import _SWITCHING_COEFF, PowerReport, net_switching_power
 from repro.timing import incremental as inc
 from repro.timing.clock import ClockModel
 from repro.timing.metrics import choose_clock_period, tns
@@ -148,27 +146,6 @@ def oracle_notify_resize(self, cell_index):
     self._expected_version = netlist.mutation_version
 
 
-def oracle_report_power(netlist, clock, load_cap=None):
-    frequency = 1.0 / clock.period
-    internal = 0.0
-    leakage = 0.0
-    cells = netlist.cells
-    for cell in cells:
-        internal += cell.size.internal_power * cell.toggle_rate
-        leakage += cell.size.leakage_power
-    if load_cap is None:
-        switching = sum(
-            net_switching_power(netlist, i, frequency) for i in range(netlist.num_nets)
-        )
-    else:
-        loads = np.asarray(load_cap, dtype=np.float64).tolist()
-        switching = sum(
-            _SWITCHING_COEFF * cells[net.driver].toggle_rate * loads[net.driver] * frequency
-            for net in netlist.nets
-        )
-    return PowerReport(internal=internal, leakage=leakage, switching=switching)
-
-
 def patch_oracles(patch):
     """Patch every oracle in for the implementation it was replaced by."""
     patch.setattr(
@@ -186,7 +163,6 @@ def patch_oracles(patch):
     patch.setattr(useful_skew, "_apparent_slack", oracle_apparent_slack)
     patch.setattr(useful_skew, "_recovery_worklist", oracle_recovery_worklist)
     patch.setattr(TimingAnalyzer, "notify_resize", oracle_notify_resize)
-    patch.setattr(flow, "report_power", oracle_report_power)
 
 
 # ---------------------------------------------------------------------- #
@@ -281,14 +257,11 @@ def test_flow_byte_equal_to_oracle_bookkeeping(cells, saturate, monkeypatch):
         for name in REPORT_FIELDS:
             ours_bytes = getattr(ours.report, name).tobytes()
             assert ours_bytes == getattr(theirs.report, name).tobytes(), name
-        assert ours.arrival_adjustments == theirs.arrival_adjustments
         assert ours.clock.arrivals == theirs.clock.arrivals
         assert ours.skew_result == theirs.skew_result
         assert ours.datapath_result == theirs.datapath_result
         assert ours.begin == theirs.begin
         assert ours.final == theirs.final
-        assert ours.begin_power == theirs.begin_power
-        assert ours.final_power == theirs.final_power
 
 
 # ---------------------------------------------------------------------- #
@@ -327,8 +300,7 @@ def test_gain_tie_goes_to_the_first_path_cell(monkeypatch):
         lambda cell, size, _resize=netlist.resize_cell: resized.append(cell) or _resize(cell, size),
     )
     _fix_endpoint(
-        analyzer, clock, endpoint, DatapathConfig(), report, tns(report.slack),
-        DatapathResult(), set(),
+        analyzer, clock, endpoint, report, tns(report.slack), DatapathResult(), set(),
     )
     assert resized[0] == candidates[0]
 

@@ -10,7 +10,7 @@ from repro.features.table1 import NUM_FEATURES, FeatureExtractor
 from repro.gnn.epgnn import EMBED_DIM, HIDDEN_DIM, EPGNN, GraphConvLayer
 from repro.netlist.transform import to_message_passing_graph
 from repro.timing.clock import ClockModel
-from repro.timing.sta import TimingAnalyzer
+from repro.timing.sta import TimingAnalyzer, compile_timing
 
 
 @pytest.fixture
@@ -20,7 +20,7 @@ def gnn_context(small_design):
     clock = ClockModel.for_netlist(nl, period)
     report = analyzer.analyze(clock)
     graph = to_message_passing_graph(nl)
-    cones = ConeIndex(nl, nl.endpoints())
+    cones = ConeIndex(compile_timing(nl), nl.endpoints())
     features = FeatureExtractor(nl).extract(report, clock)
     return nl, graph, cones, features
 

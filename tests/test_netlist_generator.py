@@ -99,11 +99,12 @@ class TestGeneratedStructure:
 
     def test_reuse_probability_drives_cone_overlap(self):
         from repro.features.cones import ConeIndex
+        from repro.timing.sta import compile_timing
 
         def mean_overlap(reuse):
             nl = quick_design(n_cells=500, seed=10, reuse_probability=reuse)
             eps = nl.endpoints()[:20]
-            cones = ConeIndex(nl, eps)
+            cones = ConeIndex(compile_timing(nl), eps)
             vals = []
             for i, e in enumerate(eps):
                 ratios = cones.overlap_ratios(e)

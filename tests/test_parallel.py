@@ -140,7 +140,7 @@ class TestRewardCache:
         snapshot = snapshot_netlist_state(nl)
         one = RewardCache.for_context(snapshot, FlowConfig(clock_period=period))
         two = RewardCache.for_context(
-            snapshot, FlowConfig(clock_period=period, final_skew_pass=False)
+            snapshot, FlowConfig(clock_period=period, datapath_effort=1.5)
         )
         selection = select_worst_slack(env, 2)
         assert one.key(selection) != two.key(selection)

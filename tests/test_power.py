@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ccd.datapath_opt import _split_net
-from repro.ccd.flow import FlowConfig, run_flow
-from repro.netlist.generator import quick_design
+from repro.agent.env import EndpointSelectionEnv
+from repro.agent.policy import RLCCDPolicy
+from repro.agent.reinforce import TrainConfig, train_rlccd
+from repro.ccd import flow
+from repro.ccd.flow import FlowConfig, restore_netlist_state, run_flow, snapshot_netlist_state
+from repro.features.table1 import NUM_FEATURES
+from repro.netlist.generator import GeneratorConfig, generate_design, quick_design
 from repro.placement.global_place import PlacementConfig, place_design
+from repro.power import models
 from repro.power.models import (
     cell_internal_power,
     cell_leakage_power,
@@ -92,32 +97,41 @@ class TestReport:
         after = report_power(placed, clock)
         assert after.total == pytest.approx(before.total)
 
-    def test_flow_power_from_compiled_loads_is_bitwise_exact(self, placed):
-        """run_flow reports power from the analyzer's compiled loads; after
-        the flow's resizes, and after a buffer split, that must equal the
-        per-net recomputation of ``report_power(netlist, clock)`` bit for bit."""
-        nominal = placed.library.default_clock_period
-        report = TimingAnalyzer(placed).analyze(ClockModel.for_netlist(placed, nominal))
-        period = choose_clock_period(report, nominal, 0.35)
-        begin = report_power(placed, ClockModel.for_netlist(placed, period))
-        result = run_flow(
-            placed, FlowConfig(clock_period=period), prioritized_endpoints=placed.endpoints()[:4]
-        )
-        assert result.datapath_result.sizing_moves > 0
-        final = report_power(placed, result.clock)
 
-        analyzer = TimingAnalyzer(placed)
-        analyzer.analyze(result.clock)
-        net = max(placed.nets, key=lambda n: n.fanout)
-        _split_net(placed, net.index, keep_on_path=set())
-        analyzer.invalidate()
-        analyzer.analyze(result.clock)
-        split = report_power(placed, result.clock, analyzer.compiled.load_cap)
-        pairs = (
-            (result.begin_power, begin),
-            (result.final_power, final),
-            (split, report_power(placed, result.clock)),
+def _smoke_design():
+    """perfbench's smoke design: 320 generated cells, 40% violating."""
+    netlist = generate_design(
+        GeneratorConfig(
+            name="power_smoke", library="tech7", n_cells=320, n_inputs=8, n_outputs=6, seed=0
         )
-        for fast, old_path in pairs:
-            for name in ("internal", "leakage", "switching"):
-                assert getattr(fast, name).hex() == getattr(old_path, name).hex(), name
+    )
+    place_design(netlist, PlacementConfig(seed=0))
+    nominal = netlist.library.default_clock_period
+    report = TimingAnalyzer(netlist).analyze(ClockModel.for_netlist(netlist, nominal))
+    return netlist, choose_clock_period(report, nominal, 0.4)
+
+
+def test_reward_path_computes_no_power(monkeypatch):
+    """The reward is the final TNS: neither a flow nor a training run
+    computes power."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("power computed on the reward path")
+
+    monkeypatch.setattr(models, "report_power", refuse)
+    monkeypatch.setattr(flow, "report_power", refuse, raising=False)
+    netlist, period = _smoke_design()
+    config = FlowConfig(clock_period=period)
+    snapshot = snapshot_netlist_state(netlist)
+    result = run_flow(netlist, config, prioritized_endpoints=netlist.endpoints()[:4])
+    restore_netlist_state(netlist, snapshot)
+    assert result.datapath_result.total_moves > 0
+
+    env = EndpointSelectionEnv(netlist, period)
+    training = train_rlccd(
+        RLCCDPolicy(NUM_FEATURES, rng=0),
+        env,
+        config,
+        TrainConfig(max_episodes=3, plateau_patience=3, seed=0),
+    )
+    assert training.episodes_run == 3

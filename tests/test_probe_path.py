@@ -35,7 +35,7 @@ import numpy as np
 import pytest
 
 from repro.ccd import datapath_opt
-from repro.ccd.datapath_opt import DatapathConfig, DatapathResult, _fix_endpoint, _split_net
+from repro.ccd.datapath_opt import DatapathResult, _fix_endpoint, _split_net
 from repro.ccd.flow import (
     FlowConfig,
     restore_netlist_state,
@@ -412,14 +412,11 @@ def _assert_flows_equal(ours_all, theirs_all):
         for name in REPORT_FIELDS:
             ours_bytes = getattr(ours.report, name).tobytes()
             assert ours_bytes == getattr(theirs.report, name).tobytes(), name
-        assert ours.arrival_adjustments == theirs.arrival_adjustments
         assert ours.clock.arrivals == theirs.clock.arrivals
         assert ours.skew_result == theirs.skew_result
         assert ours.datapath_result == theirs.datapath_result
         assert ours.begin == theirs.begin
         assert ours.final == theirs.final
-        assert ours.begin_power == theirs.begin_power
-        assert ours.final_power == theirs.final_power
 
 
 # ---------------------------------------------------------------------- #
@@ -491,7 +488,7 @@ def test_memo_changes_nothing_but_the_probe_count(cells, seed, monkeypatch):
     assert 0 < probes[0] < probes_without[0]
 
 
-def _rejecting_endpoint(analyzer, clock, config, result, rejected):
+def _rejecting_endpoint(analyzer, clock, result, rejected):
     """Serve violating endpoints until one's best sizing move is rejected;
     returns that endpoint with the report and TNS it was served on."""
     report = analyzer.analyze(clock)
@@ -499,7 +496,7 @@ def _rejecting_endpoint(analyzer, clock, config, result, rejected):
     for endpoint in report.endpoints[np.argsort(report.slack)].tolist():
         served = (report, report_tns)
         _moved, _cost, report, report_tns = _fix_endpoint(
-            analyzer, clock, endpoint, config, report, report_tns, result, rejected
+            analyzer, clock, endpoint, report, report_tns, result, rejected
         )
         if rejected:
             return endpoint, served
@@ -510,12 +507,9 @@ def test_forced_repeat_of_a_rejected_move_makes_no_probe(monkeypatch):
     netlist, period = _design(320, seed=3)
     clock = ClockModel.for_netlist(netlist, period)
     analyzer = TimingAnalyzer(netlist)
-    config = DatapathConfig()
     result = DatapathResult()
     rejected = set()
-    endpoint, (report, report_tns) = _rejecting_endpoint(
-        analyzer, clock, config, result, rejected
-    )
+    endpoint, (report, report_tns) = _rejecting_endpoint(analyzer, clock, result, rejected)
     (move,) = rejected
     rolled_back = result.rolled_back
     version = netlist.mutation_version
@@ -523,11 +517,11 @@ def test_forced_repeat_of_a_rejected_move_makes_no_probe(monkeypatch):
     with monkeypatch.context() as patch:
         probes = count_probes(patch)
         repeat = _fix_endpoint(
-            analyzer, clock, endpoint, config, report, report_tns, result, rejected
+            analyzer, clock, endpoint, report, report_tns, result, rejected
         )
     assert probes[0] == 0
     assert netlist.mutation_version == version  # no resize either
-    assert repeat[0] is False and repeat[1] == config.failed_move_cost
+    assert repeat[0] is False and repeat[1] == datapath_opt.FAILED_MOVE_COST
     assert repeat[2] is report and repeat[3] == report_tns
     assert result.rolled_back == rolled_back + 1
     assert rejected == {move}
@@ -536,26 +530,26 @@ def test_forced_repeat_of_a_rejected_move_makes_no_probe(monkeypatch):
     with monkeypatch.context() as patch:
         probes = count_probes(patch)
         probed = _fix_endpoint(
-            analyzer, clock, endpoint, config, report, report_tns, result, set()
+            analyzer, clock, endpoint, report, report_tns, result, set()
         )
     assert probes[0] == 1
     assert probed == repeat
 
 
 @pytest.mark.parametrize("saturate", (False, True), ids=("commit", "buffer"))
-def test_memo_is_cleared_when_the_timing_changes(saturate):
+def test_memo_is_cleared_when_the_timing_changes(saturate, monkeypatch):
     netlist, period = _design(320, seed=3, saturate=saturate)
     clock = ClockModel.for_netlist(netlist, period)
     analyzer = TimingAnalyzer(netlist)
     report = analyzer.analyze(clock)
     # A fanout threshold of 1 makes every unsizable path bufferable.
-    config = DatapathConfig(buffer_fanout_threshold=1)
+    monkeypatch.setattr(datapath_opt, "BUFFER_FANOUT_THRESHOLD", 1)
     result = DatapathResult()
     rejected = {(-1, 1)}  # stands for a move rejected on the old timing
     report_tns = tns(report.slack)
     for endpoint in report.endpoints[np.argsort(report.slack)].tolist():
         moved, _cost, report, report_tns = _fix_endpoint(
-            analyzer, clock, endpoint, config, report, report_tns, result, rejected
+            analyzer, clock, endpoint, report, report_tns, result, rejected
         )
         if moved:
             break
@@ -569,14 +563,13 @@ def test_memo_is_cleared_when_the_rollback_is_not_exact(monkeypatch):
     analyzer = TimingAnalyzer(netlist)
     rejected = set()
     endpoint, (report, report_tns) = _rejecting_endpoint(
-        analyzer, clock, DatapathConfig(), DatapathResult(), rejected
+        analyzer, clock, DatapathResult(), rejected
     )
     rejected.clear()
     rollback = TimingAnalyzer.rollback_probe
     monkeypatch.setattr(TimingAnalyzer, "rollback_probe", lambda self: rollback(self) and False)
     _fix_endpoint(
-        analyzer, clock, endpoint, DatapathConfig(), report, report_tns,
-        DatapathResult(), rejected,
+        analyzer, clock, endpoint, report, report_tns, DatapathResult(), rejected
     )
     assert rejected == set()
 

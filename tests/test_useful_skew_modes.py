@@ -6,8 +6,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.ccd import useful_skew
 from repro.ccd.margins import margins_to_wns
-from repro.ccd.useful_skew import UsefulSkewConfig, optimize_useful_skew
+from repro.ccd.useful_skew import optimize_useful_skew
 from repro.timing.clock import ClockModel
 from repro.timing.metrics import tns, violating_endpoints
 from repro.timing.sta import TimingAnalyzer
@@ -21,45 +22,34 @@ def _context(design):
     return nl, analyzer, clock, report
 
 
+def _one_pass_window(monkeypatch, fraction: float) -> None:
+    """One capture pass over a window of ``fraction`` of the violating
+    endpoints (at least one), with no recovery candidates."""
+    monkeypatch.setattr(useful_skew, "PASSES", 1)
+    monkeypatch.setattr(useful_skew, "ATTENTION_FRACTION", fraction)
+    monkeypatch.setattr(useful_skew, "MIN_ATTENTION", 1)
+    monkeypatch.setattr(useful_skew, "_recovery_worklist", lambda *args: [])
+
+
 class TestAttentionWindow:
-    def test_smaller_window_fewer_commits(self, fresh_design):
+    def test_smaller_window_fewer_commits(self, fresh_design, monkeypatch):
         nl, analyzer, clock, report = _context(fresh_design)
-        narrow_clock = clock.copy()
-        narrow = optimize_useful_skew(
-            analyzer,
-            narrow_clock,
-            config=UsefulSkewConfig(
-                attention_fraction=0.1, min_attention=1, passes=1,
-                enable_recovery=False,
-            ),
-        )
-        wide_clock = clock.copy()
-        wide = optimize_useful_skew(
-            analyzer,
-            wide_clock,
-            config=UsefulSkewConfig(
-                attention_fraction=1.0, min_attention=1, passes=1,
-                enable_recovery=False,
-            ),
-        )
+        _one_pass_window(monkeypatch, 0.1)
+        narrow = optimize_useful_skew(analyzer, clock.copy())
+        _one_pass_window(monkeypatch, 1.0)
+        wide = optimize_useful_skew(analyzer, clock.copy())
         assert narrow.commits <= wide.commits
 
-    def test_window_head_is_worst_endpoint(self, fresh_design):
+    def test_window_head_is_worst_endpoint(self, fresh_design, monkeypatch):
         """With a one-endpoint window, only the worst endpoint's flop moves."""
         nl, analyzer, clock, report = _context(fresh_design)
         worst = int(violating_endpoints(report)[0])
-        optimize_useful_skew(
-            analyzer,
-            clock,
-            config=UsefulSkewConfig(
-                attention_fraction=1e-9, min_attention=1, passes=1,
-                enable_recovery=False,
-            ),
-        )
+        _one_pass_window(monkeypatch, 1e-9)
+        optimize_useful_skew(analyzer, clock)
         moved = set(clock.adjustments())
         assert moved <= {worst}
 
-    def test_margins_buy_attention(self, fresh_design):
+    def test_margins_buy_attention(self, fresh_design, monkeypatch):
         """A margined mid-pack endpoint enters a window it otherwise misses."""
         nl, analyzer, clock, report = _context(fresh_design)
         viol = violating_endpoints(report)
@@ -72,17 +62,14 @@ class TestAttentionWindow:
                 break
         if target is None:
             pytest.skip("no flexible mid-pack endpoint in fixture")
-        config = UsefulSkewConfig(
-            attention_fraction=1e-9, min_attention=1, passes=1,
-            enable_recovery=False,
-        )
+        _one_pass_window(monkeypatch, 1e-9)
         plain_clock = clock.copy()
-        optimize_useful_skew(analyzer, plain_clock, config=config)
+        optimize_useful_skew(analyzer, plain_clock)
         assert plain_clock.arrival(target) == 0.0
 
         margin_clock = clock.copy()
         margins = margins_to_wns(report, [target])
-        optimize_useful_skew(analyzer, margin_clock, margins, config=config)
+        optimize_useful_skew(analyzer, margin_clock, margins)
         # The margined endpoint is now (tied-)worst apparent: it is in the
         # window; whether it moves depends on its launch budget, but no
         # OTHER endpoint may consume the slot.
@@ -101,14 +88,16 @@ class TestModes:
         still_healthy = set(after.endpoints[after.slack >= -1e-9].tolist())
         assert healthy <= still_healthy
 
-    def test_commit_locking_within_run(self, fresh_design):
+    def test_commit_locking_within_run(self, fresh_design, monkeypatch):
         """A flop adjusted in pass 1 is never re-adjusted in later passes."""
         nl, analyzer, clock, report = _context(fresh_design)
         # Track arrivals after each pass by running with increasing passes.
         one = clock.copy()
-        optimize_useful_skew(analyzer, one, config=UsefulSkewConfig(passes=1))
+        monkeypatch.setattr(useful_skew, "PASSES", 1)
+        optimize_useful_skew(analyzer, one)
         three = clock.copy()
-        optimize_useful_skew(analyzer, three, config=UsefulSkewConfig(passes=3))
+        monkeypatch.setattr(useful_skew, "PASSES", 3)
+        optimize_useful_skew(analyzer, three)
         for f, v in one.adjustments().items():
             assert three.arrival(f) == pytest.approx(v)
 
