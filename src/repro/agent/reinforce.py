@@ -27,17 +27,23 @@ Practicalities the paper leaves implicit, implemented the standard way:
   trajectories without re-running the flow — see
   :mod:`repro.agent.parallel` and ``docs/rollout.md``.  A batch streams
   through one loop: each selection is submitted as soon as it is
-  sampled, and with ``max(1, workers)`` trajectories waiting, the oldest
-  reward is awaited and backpropagated, so rollouts and backwards overlap
-  the workers' flows and at most that many autograd tapes are alive.
+  sampled.  A trajectory's reward enters Eq. 7 only through its scalar
+  advantage, so its backward runs before the reward arrives: once the
+  next trajectory is sampled and submitted (the last right after its own
+  submit), a unit-seeded reverse walk stores ∇Σ_t log π (and a second,
+  with an entropy term, ∇Σ_t H) and the tape is dropped.  Rewards are
+  then awaited in submission order and each stored gradient is added in,
+  scaled by its advantage.  Rollouts and backwards overlap the workers'
+  flows, at most two autograd tapes are alive, and none lives through a
+  flow.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -60,6 +66,7 @@ from repro.ccd.flow import (
 )
 from repro.nn.functional import clip_gradient_norm
 from repro.nn.optim import Adam
+from repro.nn.tensor import Tensor, clear_grads
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_non_negative, check_positive
 
@@ -75,7 +82,9 @@ class TrainConfig:
     parallel processes (the paper's 8-process farm training, §IV-A); it is
     numerically identical to sequential evaluation because flows are
     deterministic.  Where ``fork`` is missing, the pool starts its workers
-    with ``spawn``.
+    with ``spawn``.  Every worker count runs one loop: each trajectory is
+    backpropagated before its reward is awaited (module docstring), so
+    ``workers`` sets how many flows run at once, not how many tapes live.
     """
 
     max_episodes: int = 40
@@ -86,7 +95,7 @@ class TrainConfig:
     workers: int = 1
     # Cap on selections per trajectory.  Each step keeps O(dirty region)
     # EP-GNN state for the episode's reverse pass (not an n-row tape), plus
-    # its LSTM and decoder nodes, until the update; 48 comfortably covers
+    # its LSTM and decoder nodes, until its backward; 48 comfortably covers
     # the selection sizes the paper reports (e.g. 74 endpoints on a
     # 180K-cell block maps to far fewer at our design scale).  Set to 0 for
     # uncapped paper-exact loops.
@@ -169,6 +178,36 @@ class _RunningNorm:
         return (value - self.mean) / self.std
 
 
+@dataclass
+class _Backpropagated:
+    """A sampled trajectory after its backward, its tape dropped: the
+    selection, its telemetry, and per parameter ∇Σ_t log π and (with an
+    entropy term) ∇Σ_t H, ``None`` where the walk left no gradient."""
+
+    selection: List[int]
+    telemetry: Optional[obs_telemetry.EpisodeTelemetry]
+    log_prob_grads: List[Optional[np.ndarray]]
+    entropy_grads: Optional[List[Optional[np.ndarray]]]
+
+
+def _walk(root: Tensor, params: Sequence[Tensor]) -> List[Optional[np.ndarray]]:
+    """Unit-seeded backward from ``root``; takes the parameters' gradients
+    (which must be ``None`` beforehand) and leaves them ``None``."""
+    root.backward()
+    grads = [param.grad for param in params]
+    for param in params:
+        param.grad = None
+    return grads
+
+
+def _add_scaled(
+    params: Sequence[Tensor], grads: List[Optional[np.ndarray]], scale: float
+) -> None:
+    for param, grad in zip(params, grads):
+        if grad is not None:
+            param._accumulate_owned(grad * scale)
+
+
 def train_rlccd(
     policy: RLCCDPolicy,
     env: EndpointSelectionEnv,
@@ -183,7 +222,8 @@ def train_rlccd(
     state, matching the paper's same-seed, apples-to-apples protocol.
     """
     rng = as_rng(config.seed)
-    optimizer = Adam(policy.parameters(), lr=config.learning_rate)
+    params = policy.parameters()
+    optimizer = Adam(params, lr=config.learning_rate)
     snapshot = snapshot_netlist_state(
         env.netlist, verify_clock_period=flow_config.clock_period
     )
@@ -207,10 +247,26 @@ def train_rlccd(
     selection_counts: Counter = Counter()
     pending_records: List[Dict[str, Any]] = []
 
-    def process(trajectory: Trajectory, flow_reward, batch_size: int) -> bool:
-        """Norm update, REINFORCE backward, bookkeeping; returns improved."""
+    def backpropagate(trajectory: Trajectory, index: int) -> _Backpropagated:
+        """The reward-independent gradients of one trajectory, whose tape
+        the caller then drops."""
+        with obs.span("agent.backward", attrs={"episode": index}):
+            log_prob = trajectory.total_log_prob()
+            log_prob_grads = _walk(log_prob, params)
+            entropy_grads = None
+            if config.entropy_coefficient > 0:
+                # The second walk shares the tape: it must start from no
+                # interior gradient.
+                clear_grads(log_prob)
+                entropy_grads = _walk(trajectory.total_entropy(), params)
+        return _Backpropagated(
+            trajectory.action_cells, trajectory.telemetry, log_prob_grads, entropy_grads
+        )
+
+    def process(sample: _Backpropagated, flow_reward, batch_size: int) -> bool:
+        """Norm update, REINFORCE gradient, bookkeeping; returns improved."""
         nonlocal episode, best_tns, best_selection
-        selection = trajectory.action_cells
+        selection = sample.selection
         reward = flow_reward.tns  # negative; maximization = improvement
         # One NaN would poison the running mean for every later advantage.
         if not np.isfinite(reward):
@@ -222,12 +278,11 @@ def train_rlccd(
         advantage = norm.advantage(reward)
         # Eq. 7: ∇ Σ_t R·log π — we minimize the negated, advantage-
         # weighted log-likelihood, averaged over the update batch.
-        loss = trajectory.total_log_prob() * (-advantage / batch_size)
-        if config.entropy_coefficient > 0:
-            loss = loss + trajectory.total_entropy() * (
-                -config.entropy_coefficient / batch_size
+        _add_scaled(params, sample.log_prob_grads, -advantage / batch_size)
+        if sample.entropy_grads is not None:
+            _add_scaled(
+                params, sample.entropy_grads, -config.entropy_coefficient / batch_size
             )
-        loss.backward()
         record = EpisodeRecord(
             episode=episode,
             tns=flow_reward.tns,
@@ -262,7 +317,7 @@ def train_rlccd(
                         "num_selected": record.num_selected,
                         "advantage": record.advantage,
                     },
-                    trajectory.telemetry,
+                    sample.telemetry,
                     baseline={
                         "mean": norm.mean,
                         "std": norm.std,
@@ -301,11 +356,6 @@ def train_rlccd(
             env.netlist, flow_config, [selection], snapshot=snapshot, cache=cache
         )[0]
 
-    # Up to ``inflight_cap`` sampled trajectories (and their autograd tapes)
-    # wait for their rewards: the next rollout and the oldest backward run
-    # while the pool's workers run flows.  Weights are fixed within a batch
-    # and ``process`` draws no RNG, so the history does not depend on it.
-    inflight_cap = max(1, config.workers)
     # The rollout record's ``tasks`` (episodes) and ``batches`` (updates).
     counts: Counter = Counter()
 
@@ -315,9 +365,17 @@ def train_rlccd(
             batch_improved = False
             batch_size = min(config.episodes_per_update, config.max_episodes - episode)
             counts["batches"] += 1
-            inflight: deque = deque()
+            # Each trajectory is backpropagated once the next one is sampled
+            # and submitted, while the workers run flows, and its tape dies
+            # with that backward: at most two are alive, and none while a
+            # reward is awaited.  Every walk of a batch runs before its first
+            # ``process``, so the parameters' gradients are ``None`` for
+            # each.  Weights are fixed within a batch and nothing here draws
+            # from ``rng``.
+            sampled: List[_Backpropagated] = []
+            previous: Optional[Trajectory] = None
             for index in range(batch_size):
-                with obs.span("agent.rollout", attrs={"episode": episode + len(inflight)}):
+                with obs.span("agent.rollout", attrs={"episode": episode + index}):
                     trajectory = policy.rollout(
                         env,
                         rng=rng,
@@ -327,16 +385,18 @@ def train_rlccd(
                     if pool is not None:
                         pool.submit(trajectory.action_cells)
                 counts["tasks"] += 1
-                inflight.append(trajectory)
+                if previous is not None:
+                    sampled.append(backpropagate(previous, episode + index - 1))
+                previous = trajectory
                 del trajectory
-                # At the cap, and once the batch is sampled, wait for the
-                # oldest reward and backpropagate it (its tape dies here).
-                while len(inflight) >= inflight_cap or (inflight and index == batch_size - 1):
-                    oldest = inflight.popleft()
-                    with obs.span("agent.flow_eval", attrs={"episode": episode}):
-                        flow_reward = evaluate(oldest.action_cells)
-                    batch_improved = process(oldest, flow_reward, batch_size) or batch_improved
-                    del oldest
+            sampled.append(backpropagate(previous, episode + batch_size - 1))
+            previous = None
+            # Rewards in submission order: ``process`` adds each stored
+            # gradient, scaled by its advantage, in episode order.
+            for sample in sampled:
+                with obs.span("agent.flow_eval", attrs={"episode": episode}):
+                    flow_reward = evaluate(sample.selection)
+                batch_improved = process(sample, flow_reward, batch_size) or batch_improved
 
             with obs.span("agent.update", attrs={"episode": episode}):
                 grad_norm = clip_gradient_norm(

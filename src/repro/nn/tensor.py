@@ -403,7 +403,14 @@ class Tensor:
                 raise RuntimeError("backward() without an explicit gradient requires a scalar tensor")
             grad = np.ones_like(self.data)
         grad = np.asarray(grad, dtype=np.float64)
+        self._accumulate(grad)
+        for node in reversed(self._tape()):
+            if node._backward_fn is not None and node.grad is not None:
+                node._backward_fn(node.grad)
 
+    def _tape(self) -> List["Tensor"]:
+        """Every tensor this one was computed from, itself included, each
+        after all of its parents."""
         order: List[Tensor] = []
         visited: Set[int] = set()
         stack: List[Tuple[Tensor, bool]] = [(self, False)]
@@ -419,11 +426,19 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
+        return order
 
-        self._accumulate(grad)
-        for node in reversed(order):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+
+def clear_grads(root: Tensor) -> None:
+    """Reset ``grad`` to ``None`` on every tensor of ``root``'s tape, the
+    leaves included.
+
+    :meth:`Tensor.backward` leaves each interior node's gradient in place,
+    so a second walk over a shared tape (from another root) would add to
+    the first walk's; clear it in between.
+    """
+    for node in root._tape():
+        node.grad = None
 
 
 def sigmoid_data(x: np.ndarray) -> np.ndarray:

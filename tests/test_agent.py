@@ -278,9 +278,12 @@ class TestTrainer:
     def test_streamed_batch_overlaps_rollouts_with_flows(
         self, small_design, monkeypatch
     ):
-        """With ``workers=2`` at most two trajectories wait for a reward: the
-        next rollout is sampled and submitted before the oldest reward is
-        awaited, and each backward follows its own reward, in order."""
+        """Each trajectory is backpropagated once the next one is sampled
+        and submitted (the last right after its own submit), and every
+        backward of the batch runs before its first reward is awaited.
+        At most two trajectories, and so two tapes, are alive at once."""
+        import weakref
+
         from repro.agent import reinforce
         from repro.agent.parallel import evaluate_selections
         from repro.nn.tensor import Tensor
@@ -290,17 +293,23 @@ class TestTrainer:
         policy = RLCCDPolicy(NUM_FEATURES, rng=0)
         events = []
         index = {}  # id of a trajectory's selection list -> rollout number
+        alive = []  # weak references to every sampled trajectory
+        most_alive = []
+
+        def record(event):
+            events.append(event)
+            most_alive.append(sum(ref() is not None for ref in alive))
 
         class RecordingPool:
             def __init__(self, netlist, flow_config, workers, snapshot, **kwargs):
                 self.args = (netlist, flow_config, snapshot)
 
             def submit(self, selection):
-                events.append(f"submit{index[id(selection)]}")
+                record(f"submit{index[id(selection)]}")
 
             def evaluate(self, selections):
                 (selection,) = selections
-                events.append(f"evaluate{index[id(selection)]}")
+                record(f"evaluate{index[id(selection)]}")
                 netlist, flow_config, snapshot = self.args
                 return evaluate_selections(
                     netlist, flow_config, selections, snapshot=snapshot
@@ -314,7 +323,8 @@ class TestTrainer:
         def recording_rollout(*args, **kwargs):
             trajectory = rollout(*args, **kwargs)
             index[id(trajectory.action_cells)] = len(index)
-            events.append(f"rollout{len(index) - 1}")
+            alive.append(weakref.ref(trajectory))
+            record(f"rollout{len(index) - 1}")
             return trajectory
 
         backward = Tensor.backward
@@ -322,7 +332,7 @@ class TestTrainer:
 
         def recording_backward(self, *args, **kwargs):
             if not depth:
-                events.append(f"backward{sum(e.startswith('backward') for e in events)}")
+                record(f"backward{sum(e.startswith('backward') for e in events)}")
             depth.append(None)
             try:
                 return backward(self, *args, **kwargs)
@@ -346,9 +356,11 @@ class TestTrainer:
         )
         assert events == [
             "rollout0", "submit0", "rollout1", "submit1",
-            "evaluate0", "backward0", "rollout2", "submit2",
-            "evaluate1", "backward1", "evaluate2", "backward2",
+            "backward0", "rollout2", "submit2", "backward1", "backward2",
+            "evaluate0", "evaluate1", "evaluate2",
         ]
+        assert max(most_alive) == 2
+        assert most_alive[-3:] == [0, 0, 0]  # no tape lives through a flow
 
     def test_plateau_stops_early(self, small_design):
         nl, period = small_design

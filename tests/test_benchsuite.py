@@ -7,8 +7,11 @@ benchmarks measure.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.benchsuite import table2
 from repro.benchsuite.ablations import overfix_vs_underfix, rho_sweep, selection_baselines
 from repro.benchsuite.designs import (
     BLOCKS,
@@ -123,6 +126,27 @@ class TestTable2Harness:
         assert row.begin.tns <= row.rlccd.final.tns
         assert row.default_runtime > 0
         assert row.rlccd_runtime > row.default_runtime  # training costs more
+
+    def test_default_runtime_is_the_median_of_five_replays(self, row, monkeypatch):
+        """``default_runtime`` is the median of the five timed replays, the
+        training is timed once, and no other field reads the clock."""
+        ticks = iter([0.0, 1.0, 10.0, 13.0, 20.0, 20.5, 30.0, 32.0, 40.0, 47.0, 100.0, 150.0])
+        monkeypatch.setattr(table2, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        timed = run_table2_row(T2ROW, FAST)
+        assert next(ticks, None) is None
+        assert timed.default_runtime == 2.0  # the intervals 1, 3, 0.5, 2, 7
+        assert timed.rlccd_runtime == 50.0
+
+        def fields(r):
+            return (
+                r.design, r.num_cells, r.begin, r.begin_power, r.default_power,
+                r.rlccd_power, r.rlccd_selected,
+                r.default.final, r.default.prioritized, r.rlccd.final, r.rlccd.prioritized,
+                r.training.history, r.training.best_tns, r.training.best_selection,
+                r.training.episodes_run, r.training.converged,
+            )
+
+        assert fields(timed) == fields(row)
 
     def test_begin_state_shared(self, row):
         assert row.default.begin.tns == pytest.approx(row.rlccd.begin.tns)

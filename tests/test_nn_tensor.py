@@ -19,6 +19,7 @@ from repro.ccd.flow import FlowConfig
 from repro.features.table1 import NUM_FEATURES
 from repro.nn.tensor import (
     Tensor,
+    clear_grads,
     concat,
     row_sums,
     segment_sum,
@@ -459,6 +460,32 @@ class TestGradientOwnership:
         first = w.grad.copy()
         (x @ w).sum().backward()
         np.testing.assert_array_equal(w.grad, first + first)
+
+    def test_clear_grads_lets_a_second_root_walk_a_shared_tape(self, rng):
+        """A second walk over a shared tape adds to the first walk's
+        interior gradients unless ``clear_grads`` resets them, leaves
+        included; after it the walk equals one on a fresh tape."""
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        x = Tensor(rng.normal(size=(4, 3)))
+
+        def roots():
+            h = (x @ w).tanh()
+            return h.sum(), (h * h).sum()
+
+        first, second = roots()
+        first.backward()
+        clear_grads(first)
+        assert w.grad is None
+        second.backward()
+        w.grad, walked = None, w.grad
+        roots()[1].backward()
+        np.testing.assert_array_equal(walked, w.grad)
+
+        first, second = roots()
+        first.backward()
+        w.grad = None
+        second.backward()  # the shared ``h`` still holds the first walk's gradient
+        assert not np.array_equal(w.grad, walked)
 
 
 def _add_at_row_sums(index, values, num_rows):

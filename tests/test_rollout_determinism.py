@@ -112,8 +112,9 @@ def test_training_identical_sequential_vs_pooled(
 ):
     """A fixed seed trains to the same per-episode reward sequence and the
     same parameters with workers=1 and a pool (the paper's farm is
-    numerically invisible) — also with the in-flight cap below the batch
-    size, a short last batch, and the entropy term."""
+    numerically invisible): both backpropagate every trajectory before its
+    reward arrives, in one loop — also with more episodes per update than
+    workers, a short last batch, and the entropy term."""
     nl, period = fresh_design
     _miss_every_lookup(monkeypatch)
     runs = [
