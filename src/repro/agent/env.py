@@ -56,7 +56,6 @@ class EndpointSelectionEnv:
         netlist: Netlist,
         clock_period: float,
         rho: float = 0.3,
-        include_clock_flexibility: bool = True,
         masking=None,
     ):
         """``masking`` (optional) is a
@@ -83,9 +82,7 @@ class EndpointSelectionEnv:
             )
         self.cones = ConeIndex(self._analyzer.compiled, self.endpoints)
         self.graph: MessagePassingGraph = to_message_passing_graph(netlist)
-        self.extractor = FeatureExtractor(
-            netlist, include_clock_flexibility=include_clock_flexibility
-        )
+        self.extractor = FeatureExtractor(netlist)
         # Static feature columns never change during selection; only the
         # "RL masked" column is per-step.  The net columns come from the
         # begin STA's compile.

@@ -8,9 +8,12 @@ One RL time step:
    endpoint, updating its hidden state; ``h_t`` becomes the query ``q_t``;
 3. the pointer-attention decoder scores every endpoint against ``q_t``,
    masked softmax turns scores into the selection distribution ``P_t``;
-4. an endpoint is sampled (training) or argmaxed (greedy evaluation), the
-   environment applies overlap masking, and the loop continues until every
-   endpoint is selected or masked.
+4. an endpoint is sampled from ``P_t``, the environment applies overlap
+   masking, and the loop continues until every endpoint is selected or
+   masked (or the caller's step cap is reached).
+
+The LSTM state and the decoder's hidden layer are as wide as the EP-GNN
+endpoint embedding (16, :data:`repro.gnn.epgnn.EMBED_DIM`).
 
 The log-probabilities of the taken actions stay connected to the autograd
 tape across the whole trajectory, so one ``backward()`` on the REINFORCE
@@ -27,7 +30,7 @@ import numpy as np
 from repro import obs
 from repro.agent.env import EndpointSelectionEnv
 from repro.gnn import incremental as gnn_incremental
-from repro.gnn.epgnn import EMBED_DIM, EPGNN
+from repro.gnn.epgnn import EPGNN
 from repro.nn.attention import PointerAttention, logit_stats
 from repro.nn.functional import entropy, masked_log_prob, masked_softmax
 from repro.nn.layers import Module
@@ -75,24 +78,15 @@ class Trajectory:
 class RLCCDPolicy(Module):
     """The full agent: {θ_gnn, θ_LSTM, θ_attn} under one parameter tree."""
 
-    def __init__(
-        self,
-        in_features: int,
-        embed_dim: int = EMBED_DIM,
-        lstm_hidden: int = EMBED_DIM,
-        attn_hidden: int = EMBED_DIM,
-        rng: SeedLike = None,
-    ):
+    def __init__(self, in_features: int, rng: SeedLike = None):
         super().__init__()
         rng = as_rng(rng)
         self.in_features = in_features
-        self.embed_dim = embed_dim
-        self.epgnn = self.register_module("epgnn", EPGNN(in_features, embed_dim=embed_dim, rng=rng))
-        self.encoder = self.register_module(
-            "encoder", LSTMCell(embed_dim, lstm_hidden, rng=rng)
-        )
+        self.epgnn = self.register_module("epgnn", EPGNN(in_features, rng=rng))
+        self.embed_dim = width = self.epgnn.embed_dim
+        self.encoder = self.register_module("encoder", LSTMCell(width, width, rng=rng))
         self.decoder = self.register_module(
-            "decoder", PointerAttention(embed_dim, lstm_hidden, attn_hidden, rng=rng)
+            "decoder", PointerAttention(width, width, width, rng=rng)
         )
         # Incremental EP-GNN session, lazily built per environment and
         # reused across rollouts (the reverse adjacency and endpoint lookup
@@ -121,7 +115,6 @@ class RLCCDPolicy(Module):
         self,
         env: EndpointSelectionEnv,
         rng: SeedLike = None,
-        greedy: bool = False,
         max_steps: Optional[int] = None,
         with_entropy: bool = False,
         incremental: bool = True,
@@ -157,10 +150,7 @@ class RLCCDPolicy(Module):
                 h, c = self.encoder(prev_embedding, (h, c))
                 scores = self.decoder.scores(embeddings, h)
                 probs = _masked_probabilities(scores.data, state.valid)
-            if greedy:
-                action = int(np.argmax(np.where(state.valid, probs, -1.0)))
-            else:
-                action = int(rng.choice(len(probs), p=probs))
+            action = int(rng.choice(len(probs), p=probs))
             log_prob = masked_log_prob(scores, state.valid, action)
 
             step = len(trajectory)

@@ -68,10 +68,23 @@ from repro.nn.functional import clip_gradient_norm
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor, clear_grads
 from repro.utils.rng import as_rng
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_positive
 
 #: Smallest reward gain that counts as an improvement for early stopping.
 PLATEAU_TOLERANCE = 1e-6
+
+#: Adam step size.
+LEARNING_RATE = 2e-3
+
+#: Global gradient-norm clip applied before each optimizer step.
+GRADIENT_CLIP = 5.0
+
+#: Cap on selections per trajectory.  Each step keeps O(dirty region)
+#: EP-GNN state for the episode's reverse pass (not an n-row tape), plus
+#: its LSTM and decoder nodes, until its backward; 48 comfortably covers
+#: the selection sizes the paper reports (e.g. 74 endpoints on a
+#: 180K-cell block maps to far fewer at our design scale).
+MAX_SELECTION_STEPS = 48
 
 
 @dataclass(frozen=True)
@@ -85,21 +98,16 @@ class TrainConfig:
     with ``spawn``.  Every worker count runs one loop: each trajectory is
     backpropagated before its reward is awaited (module docstring), so
     ``workers`` sets how many flows run at once, not how many tapes live.
+
+    The step size, the gradient clip and the per-trajectory selection cap
+    are the module constants :data:`LEARNING_RATE`, :data:`GRADIENT_CLIP`
+    and :data:`MAX_SELECTION_STEPS`, read when training starts.
     """
 
     max_episodes: int = 40
     episodes_per_update: int = 1
-    learning_rate: float = 2e-3
-    gradient_clip: float = 5.0
     plateau_patience: int = 3  # paper: stop after 3 non-improving iterations
     workers: int = 1
-    # Cap on selections per trajectory.  Each step keeps O(dirty region)
-    # EP-GNN state for the episode's reverse pass (not an n-row tape), plus
-    # its LSTM and decoder nodes, until its backward; 48 comfortably covers
-    # the selection sizes the paper reports (e.g. 74 endpoints on a
-    # 180K-cell block maps to far fewer at our design scale).  Set to 0 for
-    # uncapped paper-exact loops.
-    max_selection_steps: int = 48
     # Entropy regularization: adds −coef·Σ_t H(P_t) to the loss, pushing
     # the policy to keep exploring when rewards are flat.  0 disables (the
     # paper does not mention one; useful on hard designs).
@@ -112,12 +120,9 @@ class TrainConfig:
     def __post_init__(self) -> None:
         check_positive("max_episodes", self.max_episodes)
         check_positive("episodes_per_update", self.episodes_per_update)
-        check_positive("learning_rate", self.learning_rate)
-        check_positive("gradient_clip", self.gradient_clip)
         check_positive("plateau_patience", self.plateau_patience)
         check_positive("workers", self.workers)
         check_positive("rollout_timeout", self.rollout_timeout)
-        check_non_negative("max_selection_steps", self.max_selection_steps)
         if self.entropy_coefficient < 0:
             raise ValueError("entropy_coefficient must be non-negative")
 
@@ -223,7 +228,7 @@ def train_rlccd(
     """
     rng = as_rng(config.seed)
     params = policy.parameters()
-    optimizer = Adam(params, lr=config.learning_rate)
+    optimizer = Adam(params, lr=LEARNING_RATE)
     snapshot = snapshot_netlist_state(
         env.netlist, verify_clock_period=flow_config.clock_period
     )
@@ -237,8 +242,6 @@ def train_rlccd(
     plateau = 0
     converged = False
     episode = 0
-
-    max_steps = config.max_selection_steps if config.max_selection_steps > 0 else None
 
     # Run-record bookkeeping (only populated while tracing): cumulative
     # per-endpoint selection counts, and the episode payloads of the update
@@ -379,7 +382,7 @@ def train_rlccd(
                     trajectory = policy.rollout(
                         env,
                         rng=rng,
-                        max_steps=max_steps,
+                        max_steps=MAX_SELECTION_STEPS,
                         with_entropy=config.entropy_coefficient > 0,
                     )
                     if pool is not None:
@@ -399,16 +402,14 @@ def train_rlccd(
                 batch_improved = process(sample, flow_reward, batch_size) or batch_improved
 
             with obs.span("agent.update", attrs={"episode": episode}):
-                grad_norm = clip_gradient_norm(
-                    policy.parameters(), config.gradient_clip
-                )
+                grad_norm = clip_gradient_norm(policy.parameters(), GRADIENT_CLIP)
                 optimizer.step()
 
             if pending_records:
                 # The whole batch shared one gradient step; every staged
                 # episode record gets that update's pre/post-clip norms,
                 # then ships.
-                postclip = min(grad_norm, config.gradient_clip)
+                postclip = min(grad_norm, GRADIENT_CLIP)
                 for payload in pending_records:
                     tele = payload.get("telemetry") or {}
                     tele["grad_norm_preclip"] = grad_norm

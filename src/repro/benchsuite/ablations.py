@@ -66,7 +66,7 @@ def overfix_vs_underfix(
     spec = spec if spec is not None else get_block("block17")
     design = build_design(spec)
     netlist = design.netlist
-    env = EndpointSelectionEnv(netlist, design.clock_period, rho=config.rho)
+    env = EndpointSelectionEnv(netlist, design.clock_period)
     snapshot = snapshot_netlist_state(netlist)
 
     policy = RLCCDPolicy(NUM_FEATURES, rng=config.seed)
@@ -144,7 +144,7 @@ def selection_baselines(
     spec = spec if spec is not None else get_block("block5")
     design = build_design(spec)
     netlist = design.netlist
-    env = EndpointSelectionEnv(netlist, design.clock_period, rho=config.rho)
+    env = EndpointSelectionEnv(netlist, design.clock_period)
     snapshot = snapshot_netlist_state(netlist)
     flow_cfg = config.flow_config(design.clock_period)
 
@@ -157,7 +157,7 @@ def selection_baselines(
     default_tns = run_flow(netlist, flow_cfg).final.tns
     restore_netlist_state(netlist, snapshot)
     rl_selection = training.best_selection
-    if config.fallback_to_default and training.best_tns < default_tns:
+    if training.best_tns < default_tns:
         rl_selection = []
 
     k = max(1, len(training.best_selection))
@@ -218,8 +218,8 @@ def masking_strategies(
     flow_cfg = config.flow_config(design.clock_period)
 
     strategies = (
-        FixedRho(config.rho),
-        SizeAdaptiveRho(base_rho=config.rho),
+        FixedRho(),
+        SizeAdaptiveRho(),
         DecayingRho(),
     )
     points: List[PpaPoint] = []

@@ -53,7 +53,7 @@ def fig5_arrival_histogram(
     design = build_design(spec)
     netlist = design.netlist
     flow_config = config.flow_config(design.clock_period)
-    env = EndpointSelectionEnv(netlist, design.clock_period, rho=config.rho)
+    env = EndpointSelectionEnv(netlist, design.clock_period)
     snapshot = snapshot_netlist_state(netlist)
 
     default_result = run_flow(netlist, flow_config)
@@ -139,7 +139,7 @@ def fig6_transfer(
     tasks = []
     for spec in pretrain_specs:
         design = build_design(spec)
-        env = EndpointSelectionEnv(design.netlist, design.clock_period, rho=config.rho)
+        env = EndpointSelectionEnv(design.netlist, design.clock_period)
         tasks.append((env, config.flow_config(design.clock_period)))
     pretrained, _ = pretrain_on_designs(
         tasks, NUM_FEATURES, config.train_config(), rng=config.seed
@@ -149,7 +149,7 @@ def fig6_transfer(
     design = build_design(target)
     flow_config = config.flow_config(design.clock_period)
 
-    env = EndpointSelectionEnv(design.netlist, design.clock_period, rho=config.rho)
+    env = EndpointSelectionEnv(design.netlist, design.clock_period)
     scratch_policy = RLCCDPolicy(NUM_FEATURES, rng=config.seed)
     scratch = train_rlccd(scratch_policy, env, flow_config, config.train_config())
 

@@ -20,7 +20,7 @@ netlist almost entirely in NumPy:
   because a comb cell that drives nothing would fail
   :func:`~repro.netlist.validate.validate_netlist`;
 * placement is inlined (boundary ports, uniform scatter at the same
-  ``area_per_cell`` as :class:`~repro.placement.PlacementConfig`) — the
+  :data:`~repro.placement.global_place.AREA_PER_CELL` as the placer) — the
   force-directed refinement sweeps are Python-loop-bound and contribute
   nothing the STA scale measurements care about.
 
@@ -42,6 +42,7 @@ from repro.netlist.core import Cell, Net, Netlist
 from repro.netlist.generator import _TYPE_WEIGHTS, GeneratorConfig
 from repro.netlist.library import get_library
 from repro.netlist.validate import validate_netlist
+from repro.placement.global_place import AREA_PER_CELL
 
 #: Above this cell count ``fast_design`` skips :func:`validate_netlist`
 #: (an O(cells·pins) Python DFS): construction is acyclic and fully
@@ -156,7 +157,7 @@ def fast_design(config: GeneratorConfig, validate: bool | None = None) -> Netlis
     outport = library.cell_type("OUTPORT")
     dff = library.cell_type("DFF")
 
-    side = float(np.sqrt(max(1, n) * 4.0))  # PlacementConfig.area_per_cell
+    side = float(np.sqrt(max(1, n) * AREA_PER_CELL))
     xs = rng.uniform(0.0, side, size=n)
     ys = rng.uniform(0.0, side, size=n)
     toggles = rng.beta(2.0, 5.0, size=n)

@@ -12,7 +12,7 @@ confidence interval of the TNS improvement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Sequence
 
 import numpy as np
@@ -100,16 +100,7 @@ def seed_sweep(
     prepared = build_design(spec)
     rows: List[Table2Row] = []
     for seed in seeds:
-        seeded = Table2Config(
-            rho=config.rho,
-            max_episodes=config.max_episodes,
-            episodes_per_update=config.episodes_per_update,
-            learning_rate=config.learning_rate,
-            plateau_patience=config.plateau_patience,
-            datapath_effort=config.datapath_effort,
-            seed=int(seed),
-            fallback_to_default=config.fallback_to_default,
-        )
+        seeded = replace(config, seed=int(seed))
         rows.append(run_table2_row(spec, seeded, prepared=prepared))
     return SweepResult(design=spec.name, seeds=list(seeds), rows=rows)
 

@@ -41,38 +41,47 @@ from repro.features.table1 import NUM_FEATURES
 from repro.power.models import PowerReport, report_power
 from repro.timing.clock import ClockModel
 from repro.timing.metrics import TimingSummary
+from repro.utils.validation import check_positive
 
 #: Timed replays of the default flow behind ``Table2Row.default_runtime``.
 DEFAULT_FLOW_REPLAYS = 5
 
+#: Rollouts per REINFORCE update in every harness run.
+EPISODES_PER_UPDATE = 2
+
+#: Datapath-fixing effort of the harnesses' flows.
+DATAPATH_EFFORT = 1.5
+
 
 @dataclass(frozen=True)
 class Table2Config:
-    """Harness knobs: how hard to train per block."""
+    """Harness knobs: how long to train per block, and the training seed.
 
-    rho: float = 0.3
+    The rest of the recipe is fixed: ρ = 0.3 (the env's default), the
+    trainer's learning rate and plateau patience, and the module constants
+    :data:`EPISODES_PER_UPDATE` and :data:`DATAPATH_EFFORT`.
+
+    Every harness keeps a deployment guard: if no trained selection beat
+    the default flow, it ships the empty prioritization (which IS the
+    native flow — "note that V' is an empty set in the native
+    implementation", §III).  The paper's integration would equally never
+    apply a selection its own training showed to be harmful.  Rows that
+    fall back report 0% improvement.
+    """
+
     max_episodes: int = 24
-    episodes_per_update: int = 2
-    learning_rate: float = 2e-3
-    plateau_patience: int = 3
-    datapath_effort: float = 1.5
     seed: int = 0
-    # Deployment guard: if no trained selection beat the default flow, ship
-    # the empty prioritization (which IS the native flow — "note that V' is
-    # an empty set in the native implementation", §III).  The paper's
-    # integration would equally never apply a selection its own training
-    # showed to be harmful.  Rows that fall back report 0% improvement.
-    fallback_to_default: bool = True
+
+    def __post_init__(self) -> None:
+        check_positive("max_episodes", self.max_episodes)
 
     def flow_config(self, clock_period: float) -> FlowConfig:
-        return FlowConfig(clock_period=clock_period, datapath_effort=self.datapath_effort)
+        return FlowConfig(clock_period=clock_period, datapath_effort=DATAPATH_EFFORT)
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(
             max_episodes=self.max_episodes,
-            episodes_per_update=self.episodes_per_update,
-            learning_rate=self.learning_rate,
-            plateau_patience=self.plateau_patience,
+            episodes_per_update=EPISODES_PER_UPDATE,
             seed=self.seed,
         )
 
@@ -136,7 +145,7 @@ def run_table2_row(
     netlist = design.netlist
     flow_config = config.flow_config(design.clock_period)
 
-    env = EndpointSelectionEnv(netlist, design.clock_period, rho=config.rho)
+    env = EndpointSelectionEnv(netlist, design.clock_period)
     snapshot = snapshot_netlist_state(
         netlist, verify_clock_period=design.clock_period
     )
@@ -168,7 +177,7 @@ def run_table2_row(
     rlccd_runtime = time.perf_counter() - t0
 
     selection = training.best_selection
-    if config.fallback_to_default and training.best_tns < default_result.final.tns:
+    if training.best_tns < default_result.final.tns:
         selection = []  # the native flow's (empty) prioritization
 
     restore_netlist_state(netlist, snapshot)

@@ -31,10 +31,11 @@ Global observability flags (before the subcommand):
 Trace consumers: ``python -m repro trace export|validate`` and
 ``python -m repro watch`` (the live view); see ``docs/observability.md``.
 
-A bad argument to ``train`` or ``bench`` (a non-positive episode count,
-worker count or timeout, a design under the workload's cell floor, an
-unreadable ``--history``) is one ``error:`` line and exit status 2,
-before any design is built.
+A bad argument to ``train``, ``bench``, ``table2``, ``fig5`` or ``fig6``
+(a non-positive episode count, worker count or timeout, a design under
+the workload's cell floor, an unreadable ``--history``, an unknown
+``--blocks`` name) is one ``error:`` line and exit status 2, before any
+design is built.
 """
 
 from __future__ import annotations
@@ -137,13 +138,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "costs land under the payload's 'scale' key and enter the "
         "median+MAD gate as section.scale.* pseudo-phases",
     )
-    bench.add_argument(
-        "--scale-cells",
-        default="10000,50000,200000",
-        metavar="N,N,...",
-        help="comma-separated design sizes for --scale-sweep "
-        "(default 10000,50000,200000)",
-    )
 
     train = sub.add_parser(
         "train",
@@ -187,12 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="a BENCH_*.json run or a directory of them; adds history median "
         "and status columns to the flow phase table",
-    )
-    report.add_argument(
-        "--last",
-        type=int,
-        default=10,
-        help="history window: last N runs for the median+MAD baselines",
     )
     report.add_argument(
         "--out",
@@ -358,17 +346,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 )
                 return 2
 
-        scale_config = None
-        if args.scale_sweep:
-            try:
-                sizes = tuple(
-                    int(field) for field in args.scale_cells.split(",") if field.strip()
-                )
-                scale_config = ScaleSweepConfig(seed=args.seed, cells=sizes)
-            except ValueError as exc:
-                print(f"error: bad --scale-cells: {exc}", file=sys.stderr)
-                return 2
-
+        scale_config = ScaleSweepConfig(seed=args.seed) if args.scale_sweep else None
         payload = run_bench(config, scale_config=scale_config)
         if args.update_baseline:
             out = args.out or "BENCH_baseline.json"
@@ -384,7 +362,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         if history is not None:
             from repro.obs.history import candidate_phases
 
-            failures = history.check(candidate_phases(payload), last_n=10)
+            failures = history.check(candidate_phases(payload))
             # GitHub Actions turns `::warning ::` / `::error ::` lines into
             # annotations; locally they read fine as plain stderr output.
             severity = "error" if args.enforce else "warning"
@@ -466,12 +444,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             history = _load_history(args.history)
             if history is None:
                 return 2
-        text = render_report(
-            trace_records,
-            history=history,
-            last_n=args.last,
-            source=os.path.basename(args.trace),
-        )
+        text = render_report(trace_records, history=history, source=os.path.basename(args.trace))
         print(text)
         if args.out:
             with open(args.out, "w") as handle:
@@ -480,19 +453,24 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     # ``ablations`` has no --episodes/--seed flags; fall back to defaults.
-    config = Table2Config(
-        max_episodes=getattr(args, "episodes", 12), seed=getattr(args, "seed", 0)
-    )
+    # Both are checked, and ``table2``'s blocks resolved, before any work.
+    try:
+        config = Table2Config(
+            max_episodes=getattr(args, "episodes", 12), seed=getattr(args, "seed", 0)
+        )
+        if args.command == "table2":
+            specs = (
+                [get_block(n.strip()) for n in args.blocks.split(",") if n.strip()]
+                if args.blocks
+                else list(BLOCKS)
+            )
+    except (KeyError, ValueError) as exc:
+        return _bad_argument(exc)
 
     if args.command == "table2":
         from repro.benchsuite.report import format_table2
         from repro.benchsuite.table2 import run_table2_row
 
-        specs = (
-            [get_block(n.strip()) for n in args.blocks.split(",") if n.strip()]
-            if args.blocks
-            else list(BLOCKS)
-        )
         rows = []
         for spec in specs:
             watch = obs.Stopwatch()
@@ -537,9 +515,11 @@ def _dispatch(args: argparse.Namespace) -> int:
     return 1
 
 
-def _bad_argument(exc: ValueError) -> int:
+def _bad_argument(exc: Exception) -> int:
     """A rejected command-line value: one ``error:`` line, exit status 2."""
-    print(f"error: {exc}", file=sys.stderr)
+    # A KeyError's str() is the repr of its message.
+    message = exc.args[0] if isinstance(exc, KeyError) else exc
+    print(f"error: {message}", file=sys.stderr)
     return 2
 
 

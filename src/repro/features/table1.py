@@ -8,8 +8,7 @@ useful-skew bound as a fraction of the clock period): in ICC2 the useful
 skew engine sees clock-tree flexibility internally, whereas in our substrate
 that information exists only in ``netlist.skew_bounds`` — surfacing it as a
 node feature gives the agent the same observability the paper's tool stack
-has.  Set ``include_clock_flexibility=False`` to reproduce the strict
-13-feature Table I (the F-ablation bench measures the difference).
+has.  Every command and benchmark trains on all 14 columns.
 
 ==================  ====  =======================================================
 name                dims  description
@@ -73,19 +72,11 @@ class FeatureExtractor:
     All columns are scaled to O(1) ranges so the GNN trains stably.
     """
 
-    def __init__(
-        self,
-        netlist: Netlist,
-        die_side: Optional[float] = None,
-        include_clock_flexibility: bool = True,
-    ):
+    def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        if die_side is None:
-            xs = column(netlist.cells, "x")
-            ys = column(netlist.cells, "y")
-            die_side = max(xs.max() - xs.min(), ys.max() - ys.min(), 1e-9)
-        self.die_side = float(die_side)
-        self.include_clock_flexibility = include_clock_flexibility
+        xs = column(netlist.cells, "x")
+        ys = column(netlist.cells, "y")
+        self.die_side = float(max(xs.max() - xs.min(), ys.max() - ys.min(), 1e-9))
 
     def extract(
         self,
@@ -151,9 +142,8 @@ class FeatureExtractor:
         # Substrate extension: per-flop useful-skew flexibility (see module
         # docstring).  Zero for combinational cells and ports.
         bounds = netlist.skew_bounds
-        if self.include_clock_flexibility and bounds:
-            flops = np.fromiter(bounds.keys(), np.int64, len(bounds))
-            features[flops, 13] = np.fromiter(bounds.values(), np.float64, len(bounds)) * time_scale
+        flops = np.fromiter(bounds.keys(), np.int64, len(bounds))
+        features[flops, 13] = np.fromiter(bounds.values(), np.float64, len(bounds)) * time_scale
         return features
 
     def update_mask_column(

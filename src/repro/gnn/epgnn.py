@@ -84,26 +84,19 @@ class EPGNN(Module):
 
     ``forward`` returns the (num_endpoints × 16) embedding matrix
     ``F_EP`` in the canonical endpoint order of the supplied
-    :class:`~repro.features.cones.ConeIndex`.
+    :class:`~repro.features.cones.ConeIndex`.  Depth and widths are the
+    module constants :data:`NUM_LAYERS`, :data:`HIDDEN_DIM` and
+    :data:`EMBED_DIM` (the paper's 3, 32 and 16), read at construction.
     """
 
-    def __init__(
-        self,
-        in_features: int,
-        hidden_dim: int = HIDDEN_DIM,
-        embed_dim: int = EMBED_DIM,
-        num_layers: int = NUM_LAYERS,
-        rng: SeedLike = None,
-    ):
+    def __init__(self, in_features: int, rng: SeedLike = None):
         super().__init__()
-        if num_layers < 1:
-            raise ValueError("EPGNN needs at least one graph-conv layer")
         rng = as_rng(rng)
         self.in_features = in_features
-        self.hidden_dim = hidden_dim
-        self.embed_dim = embed_dim
+        self.hidden_dim = hidden_dim = HIDDEN_DIM
+        self.embed_dim = embed_dim = EMBED_DIM
         self.layers: List[GraphConvLayer] = []
-        dims = [in_features] + [hidden_dim] * num_layers
+        dims = [in_features] + [hidden_dim] * NUM_LAYERS
         for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
             layer = GraphConvLayer(d_in, d_out, rng=rng)
             self.register_module(f"conv{i}", layer)

@@ -35,7 +35,7 @@ import os
 import platform
 import statistics
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -47,6 +47,19 @@ BENCH_SCHEMA = "repro-bench/v1"
 #: The smallest design the smoke workload builds, for ``bench`` and
 #: ``train`` alike.
 MIN_CELLS = 50
+
+#: Share of endpoints violating at the chosen clock period, in the smoke
+#: workload and at every scale-sweep size.
+VIOLATING_FRACTION = 0.4
+
+#: Design sizes of the STA scale sweep (``--scale-sweep``).
+SCALE_CELLS = (10_000, 50_000, 200_000)
+
+#: Mutation rounds per scale-sweep size; each round resizes
+#: :data:`SCALE_RESIZES_PER_ROUND` cells and moves ``max(32, n // 100)``
+#: flops.
+SCALE_ROUNDS = 3
+SCALE_RESIZES_PER_ROUND = 64
 
 
 def check_cells(cells: int) -> None:
@@ -65,7 +78,6 @@ class BenchConfig:
     seed: int = 0
     episodes: int = 4
     cells: int = 320
-    violating_fraction: float = 0.4
 
     def __post_init__(self) -> None:
         if self.episodes < 1:
@@ -75,35 +87,16 @@ class BenchConfig:
 
 @dataclass(frozen=True)
 class ScaleSweepConfig:
-    """Knobs for the 10K–200K-cell STA scale sweep (``--scale-sweep``).
+    """The seed of the 10K–200K-cell STA scale sweep (``--scale-sweep``).
 
-    Each size builds a vectorized synthetic design
+    Each size of :data:`SCALE_CELLS` builds a vectorized synthetic design
     (:func:`repro.benchsuite.scale.fast_design`), times compile and full
-    analysis, then drives ``rounds`` of CCD-style mutation batches (cell
-    resizes plus useful-skew moves) through the default incremental
-    engine, timing only the ``analyze()`` calls.
+    analysis, then drives :data:`SCALE_ROUNDS` of CCD-style mutation
+    batches (cell resizes plus useful-skew moves) through the default
+    incremental engine, timing only the ``analyze()`` calls.
     """
 
     seed: int = 0
-    cells: Tuple[int, ...] = (10_000, 50_000, 200_000)
-    #: Mutation rounds; each round resizes
-    #: ``resizes_per_round`` cells and moves ``max(32, n // 100)`` flops.
-    rounds: int = 3
-    resizes_per_round: int = 64
-    violating_fraction: float = 0.4
-
-    def __post_init__(self) -> None:
-        if not self.cells:
-            raise ValueError("scale sweep needs at least one design size")
-        bad = [n for n in self.cells if n < 1_000]
-        if bad:
-            raise ValueError(
-                f"scale-sweep sizes must be >= 1000 cells, got {bad}"
-            )
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if self.resizes_per_round < 1:
-            raise ValueError("resizes_per_round must be >= 1")
 
 
 def scale_label(n_cells: int) -> str:
@@ -136,7 +129,7 @@ def run_scale_sweep(config: ScaleSweepConfig = ScaleSweepConfig()) -> Dict[str, 
 
     watch = obs.Stopwatch()
     designs: Dict[str, Any] = {}
-    for n in config.cells:
+    for n in SCALE_CELLS:
         label = scale_label(n)
         gen = GeneratorConfig(
             name=f"scale_{label}",
@@ -159,7 +152,7 @@ def run_scale_sweep(config: ScaleSweepConfig = ScaleSweepConfig()) -> Dict[str, 
         watch.restart()
         report = analyzer.analyze(ClockModel.for_netlist(netlist, nominal))
         full_analyze_s = watch.elapsed
-        period = choose_clock_period(report, nominal, config.violating_fraction)
+        period = choose_clock_period(report, nominal, VIOLATING_FRACTION)
 
         # Seeded mutation rounds; only the ``analyze()`` calls are timed.
         rng = np.random.default_rng(config.seed + n)
@@ -173,9 +166,9 @@ def run_scale_sweep(config: ScaleSweepConfig = ScaleSweepConfig()) -> Dict[str, 
         ]
         flops = netlist.sequential_cells()
         incremental_s = 0.0
-        for _ in range(config.rounds):
+        for _ in range(SCALE_ROUNDS):
             resized = rng.choice(
-                comb, size=min(config.resizes_per_round, len(comb)),
+                comb, size=min(SCALE_RESIZES_PER_ROUND, len(comb)),
                 replace=False,
             )
             for c in resized:
@@ -217,7 +210,7 @@ def run_scale_sweep(config: ScaleSweepConfig = ScaleSweepConfig()) -> Dict[str, 
         }
     return {
         "seed": config.seed,
-        "rounds": config.rounds,
+        "rounds": SCALE_ROUNDS,
         "designs": designs,
     }
 
@@ -239,9 +232,7 @@ class Workload:
     name: str
 
 
-def build_workload(
-    seed: int = 0, cells: int = 320, violating_fraction: float = 0.4
-) -> Workload:
+def build_workload(seed: int = 0, cells: int = 320) -> Workload:
     """Generate, place and constrain the fixed smoke design (deterministic;
     independent of ``REPRO_BENCH_SCALE``) and wrap it in the selection env
     plus a fresh policy; below :data:`MIN_CELLS` it raises before building."""
@@ -271,7 +262,7 @@ def build_workload(
     analyzer = TimingAnalyzer(netlist)
     nominal = netlist.library.default_clock_period
     report = analyzer.analyze(ClockModel.for_netlist(netlist, nominal))
-    period = choose_clock_period(report, nominal, violating_fraction)
+    period = choose_clock_period(report, nominal, VIOLATING_FRACTION)
 
     flow_config = FlowConfig(clock_period=period)
     snapshot = snapshot_netlist_state(netlist, verify_clock_period=period)
@@ -309,11 +300,7 @@ def run_bench(
     obs.enable()
     watch = obs.Stopwatch()
     try:
-        workload = build_workload(
-            seed=config.seed,
-            cells=config.cells,
-            violating_fraction=config.violating_fraction,
-        )
+        workload = build_workload(seed=config.seed, cells=config.cells)
         netlist = workload.netlist
 
         default_result = run_flow(netlist, workload.flow_config)

@@ -3,10 +3,10 @@
 A *run* is a ``BENCH_*.json`` payload (:mod:`repro.obs.bench`), indexed
 by ``(git_sha, created_at, seed)``.  The store answers two questions:
 
-* **What is normal?** — per-phase baselines over the last *N* runs as
-  *median + MAD* (median absolute deviation), the standard robust
-  location/scale pair: one outlier run cannot shift the baseline the way
-  it would shift a mean/stddev pair.
+* **What is normal?** — per-phase baselines over the last
+  :data:`HISTORY_WINDOW` runs as *median + MAD* (median absolute
+  deviation), the standard robust location/scale pair: one outlier run
+  cannot shift the baseline the way it would shift a mean/stddev pair.
 * **Is this a regression or noise?** — :meth:`RunHistory.check` flags a
   candidate phase only when its median exceeds the history median by more
   than ``k×MAD`` (default ``k=3``) *and* a relative noise floor.  That is
@@ -56,6 +56,10 @@ FALLBACK_TOLERANCE = 1.5
 
 #: Minimum number of historical runs for the MAD threshold to be trusted.
 MIN_RUNS_FOR_MAD = 3
+
+#: History window: baselines come from the last this-many runs, for the
+#: bench gate and the report alike.
+HISTORY_WINDOW = 10
 
 
 def median(values: Sequence[float]) -> float:
@@ -250,15 +254,15 @@ class RunHistory:
         return cls(benches)
 
     # ---- baselines and the regression check -------------------------- #
-    def phase_baselines(self, last_n: int = 10) -> Dict[str, PhaseBaseline]:
-        """Median + MAD of each phase's per-run medians, last ``last_n`` runs.
+    def phase_baselines(self) -> Dict[str, PhaseBaseline]:
+        """Median + MAD of each phase's per-run medians over the last
+        :data:`HISTORY_WINDOW` runs.
 
         A phase contributes only from runs that recorded it, so adding a
         new instrumented phase does not poison the existing baselines.
         """
-        window = self.benches[-last_n:] if last_n > 0 else list(self.benches)
         series: Dict[str, List[float]] = {}
-        for run in window:
+        for run in self.benches[-HISTORY_WINDOW:]:
             for phase, value in run.phase_medians.items():
                 series.setdefault(phase, []).append(value)
         return {
@@ -272,7 +276,6 @@ class RunHistory:
         self,
         candidate_phases: Mapping[str, Mapping[str, float]],
         k: float = DEFAULT_MAD_K,
-        last_n: int = 10,
         min_runs: int = MIN_RUNS_FOR_MAD,
         fallback_tolerance: float = FALLBACK_TOLERANCE,
         min_seconds: float = MIN_COMPARABLE_SECONDS,
@@ -285,7 +288,7 @@ class RunHistory:
         """
         if k <= 0:
             raise ValueError("k must be positive")
-        baselines = self.phase_baselines(last_n=last_n)
+        baselines = self.phase_baselines()
         failures: List[Regression] = []
         for phase, stats in sorted(candidate_phases.items()):
             base = baselines.get(phase)

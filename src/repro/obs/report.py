@@ -58,7 +58,6 @@ def _bar(count: float, peak: float) -> str:
 def render_report(
     records: Sequence[Mapping[str, Any]],
     history: Optional[RunHistory] = None,
-    last_n: int = 10,
     source: str = "trace",
 ) -> str:
     """The full dashboard as one markdown string (no trailing newline)."""
@@ -100,7 +99,7 @@ def render_report(
     if rollouts:
         lines.extend(_render_rollout(rollouts))
     if flows:
-        lines.extend(_render_flow_phases(flows, history, last_n))
+        lines.extend(_render_flow_phases(flows, history))
         lines.extend(_render_sta_frontier(flows))
     if spans:
         lines.extend(_render_slowest_spans(spans))
@@ -269,7 +268,6 @@ def _render_rollout(rollouts: Sequence[Mapping[str, Any]]) -> List[str]:
 def _render_flow_phases(
     flows: Sequence[Mapping[str, Any]],
     history: Optional[RunHistory],
-    last_n: int,
 ) -> List[str]:
     lines = ["## Flow phase timings", ""]
     series: Dict[str, List[float]] = {}
@@ -281,7 +279,7 @@ def _render_flow_phases(
         return lines
     lines.append(f"- flow runs in trace: {len(flows)}")
     lines.append("")
-    baselines = history.phase_baselines(last_n=last_n) if history is not None else {}
+    baselines = history.phase_baselines() if history is not None else {}
     header = "| phase | runs | median | trend |"
     divider = "|:---|---:|---:|:---|"
     if baselines:

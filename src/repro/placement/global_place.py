@@ -25,37 +25,36 @@ import numpy as np
 from repro.netlist.core import Netlist
 from repro.netlist.transform import to_message_passing_graph
 from repro.utils.rng import as_rng
-from repro.utils.validation import check_positive
+
+#: µm² of die area budgeted per cell.
+AREA_PER_CELL = 4.0
+
+#: Centroid-refinement sweeps after the scatter.
+REFINEMENT_SWEEPS = 3
+
+#: Share of the way each sweep moves a cell toward its neighbors' centroid
+#: (0 = pure scatter, 1 = full centroid snap).
+NEIGHBOR_PULL = 0.5
 
 
 @dataclass(frozen=True)
 class PlacementConfig:
-    """Placement knobs; defaults match the benchmark suite."""
+    """Placement seed; the die area and the refinement are the module
+    constants :data:`AREA_PER_CELL`, :data:`REFINEMENT_SWEEPS` and
+    :data:`NEIGHBOR_PULL`."""
 
-    area_per_cell: float = 4.0  # µm² of die area budgeted per cell
-    refinement_sweeps: int = 3
-    neighbor_pull: float = 0.5  # 0 = pure scatter, 1 = full centroid snap
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        check_positive("area_per_cell", self.area_per_cell)
-        if not 0.0 <= self.neighbor_pull <= 1.0:
-            raise ValueError(
-                f"neighbor_pull must be in [0, 1], got {self.neighbor_pull}"
-            )
-        if self.refinement_sweeps < 0:
-            raise ValueError("refinement_sweeps must be non-negative")
 
-
-def die_size(netlist: Netlist, config: PlacementConfig) -> float:
+def die_size(netlist: Netlist) -> float:
     """Side length (µm) of the square die for this design."""
-    return float(np.sqrt(max(1, netlist.num_cells) * config.area_per_cell))
+    return float(np.sqrt(max(1, netlist.num_cells) * AREA_PER_CELL))
 
 
 def place_design(netlist: Netlist, config: PlacementConfig = PlacementConfig()) -> None:
     """Assign ``x``/``y`` to every cell in-place; deterministic per seed."""
     rng = as_rng(config.seed)
-    side = die_size(netlist, config)
+    side = die_size(netlist)
     clusters = sorted({cell.cluster for cell in netlist.cells})
     regions = _cluster_regions(clusters, side)
 
@@ -77,7 +76,7 @@ def place_design(netlist: Netlist, config: PlacementConfig = PlacementConfig()) 
         cell.x = float(rng.uniform(x0, x1))
         cell.y = float(rng.uniform(y0, y1))
 
-    if not movable or config.refinement_sweeps == 0:
+    if not movable or REFINEMENT_SWEEPS == 0:
         return
 
     graph = to_message_passing_graph(netlist)
@@ -86,16 +85,13 @@ def place_design(netlist: Netlist, config: PlacementConfig = PlacementConfig()) 
     lows = np.array([regions[c.cluster][:2] for c in movable])
     highs = np.array([regions[c.cluster][2:] for c in movable])
 
-    for _ in range(config.refinement_sweeps):
+    for _ in range(REFINEMENT_SWEEPS):
         centroids = graph.mean_aggregate(coords)
         deg = graph.degree()[movable_idx]
         target = coords[movable_idx].copy()
         connected = deg > 0
         target[connected] = centroids[movable_idx][connected]
-        blended = (
-            (1.0 - config.neighbor_pull) * coords[movable_idx]
-            + config.neighbor_pull * target
-        )
+        blended = (1.0 - NEIGHBOR_PULL) * coords[movable_idx] + NEIGHBOR_PULL * target
         coords[movable_idx] = np.clip(blended, lows, highs)
 
     for cell, (x, y) in zip(movable, coords[movable_idx]):

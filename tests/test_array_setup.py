@@ -151,9 +151,8 @@ def loop_features(extractor, report, clock, masked_or_selected=()):
     apparent = report.slack_with_margins
     for k, e in enumerate(report.endpoints):
         features[e, 10] = float(np.clip(apparent[k] * time_scale, -10.0, 1.0))
-    if extractor.include_clock_flexibility:
-        for flop, bound in netlist.skew_bounds.items():
-            features[flop, 13] = bound * time_scale
+    for flop, bound in netlist.skew_bounds.items():
+        features[flop, 13] = bound * time_scale
     return features
 
 
@@ -303,12 +302,6 @@ class TestFeatureOracle:
             assert_features_match_loop(extractor, report, clock, analyzer.compiled)
         finally:
             netlist.parasitic_scale = 1.0
-
-    def test_without_clock_flexibility(self, smoke):
-        netlist, period = smoke
-        analyzer, clock, report = _context(netlist, period)
-        extractor = FeatureExtractor(netlist, include_clock_flexibility=False)
-        assert_features_match_loop(extractor, report, clock, analyzer.compiled)
 
     def test_margined_report(self, smoke):
         netlist, period = smoke

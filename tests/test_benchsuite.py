@@ -37,7 +37,7 @@ from repro.ccd.flow import restore_netlist_state, run_flow, snapshot_netlist_sta
 from repro.power.models import report_power
 from repro.timing.clock import ClockModel
 
-FAST = Table2Config(max_episodes=2, plateau_patience=5, seed=0)
+FAST = Table2Config(max_episodes=2, seed=0)
 
 
 @pytest.fixture(scope="module")

@@ -84,8 +84,8 @@ class TestTrainRolloutWorkers:
 
 
 class TestBadArguments:
-    """A bad ``train``/``bench`` value is one ``error:`` line and exit 2,
-    before any design is built."""
+    """A bad ``train``/``bench``/``table2``/``fig5``/``fig6`` value is one
+    ``error:`` line and exit 2, before any design is built."""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -96,17 +96,28 @@ class TestBadArguments:
             (["train", "--cells", "10"], "cells=10 is below the minimum of 50"),
             (["bench", "--episodes", "0"], "episodes must be >= 1"),
             (["bench", "--cells", "10"], "cells=10 is below the minimum of 50"),
+            (
+                ["table2", "--episodes", "0", "--blocks", "block9"],
+                "max_episodes must be positive",
+            ),
+            (["table2", "--blocks", "nope"], "unknown block 'nope'"),
+            (["fig5", "--episodes", "0"], "max_episodes must be positive"),
+            (["fig6", "--episodes", "-1"], "max_episodes must be positive"),
         ],
         ids=["train-workers", "train-episodes", "train-rollout-timeout",
-             "train-cells", "bench-episodes", "bench-cells"],
+             "train-cells", "bench-episodes", "bench-cells", "table2-episodes",
+             "table2-blocks", "fig5-episodes", "fig6-episodes"],
     )
     def test_rejected_before_the_workload(self, argv, message, capsys, monkeypatch):
+        from repro.benchsuite import designs, figures, table2
         from repro.obs import bench
 
         def no_workload(*args, **kwargs):
             raise AssertionError("the workload was built")
 
         monkeypatch.setattr(bench, "build_workload", no_workload)
+        for module in (designs, figures, table2):
+            monkeypatch.setattr(module, "build_design", no_workload)
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err

@@ -288,14 +288,6 @@ class TestFeatureExtractor:
         )
         assert feats[comb, 13] == 0.0
 
-    def test_clock_flexibility_can_be_disabled(self, small_design):
-        nl, period = small_design
-        analyzer = TimingAnalyzer(nl)
-        clock = ClockModel.for_netlist(nl, period)
-        fx = FeatureExtractor(nl, include_clock_flexibility=False)
-        feats = fx.extract(analyzer.analyze(clock), clock)
-        assert feats[:, 13].sum() == 0.0
-
     def test_toggle_feature_passthrough(self, context):
         nl, clock, report, fx = context
         feats = fx.extract(report, clock)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.features.cones import ConeIndex, fanin_cone
 from repro.features.table1 import NUM_FEATURES, FeatureExtractor
+from repro.gnn import epgnn
 from repro.gnn.epgnn import EMBED_DIM, HIDDEN_DIM, EPGNN, GraphConvLayer
 from repro.netlist.transform import to_message_passing_graph
 from repro.timing.clock import ClockModel
@@ -69,10 +70,6 @@ class TestEPGNN:
         with pytest.raises(ValueError):
             gnn(features[:, :5], graph, cones)
 
-    def test_zero_layers_raises(self):
-        with pytest.raises(ValueError):
-            EPGNN(NUM_FEATURES, num_layers=0)
-
     def test_deterministic_per_seed(self, gnn_context):
         nl, graph, cones, features = gnn_context
         a = EPGNN(NUM_FEATURES, rng=3)(features, graph, cones)
@@ -89,11 +86,12 @@ class TestEPGNN:
         after = gnn(flipped, graph, cones).data
         assert not np.allclose(base, after)
 
-    def test_cone_aggregation_matters(self, gnn_context):
+    def test_cone_aggregation_matters(self, gnn_context, monkeypatch):
         """Eq. 3: perturbing a cone cell's features changes only endpoints
         whose receptive field contains it."""
         nl, graph, cones, features = gnn_context
-        gnn = EPGNN(NUM_FEATURES, num_layers=1, rng=0)
+        monkeypatch.setattr(epgnn, "NUM_LAYERS", 1)
+        gnn = EPGNN(NUM_FEATURES, rng=0)
         target = None
         for i, endpoint in enumerate(cones.endpoints):
             cone = fanin_cone(nl, endpoint)

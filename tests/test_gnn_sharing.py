@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.agent import reinforce
 from repro.agent.env import EndpointSelectionEnv
 from repro.agent.policy import RLCCDPolicy
 from repro.agent.reinforce import TrainConfig, train_rlccd
@@ -181,7 +182,7 @@ class TestFullStepSharing:
         assert session._shared is session._episode.steps[0]
 
     def test_one_episode_per_update_computes_when_weights_move(
-        self, small_design, recorder
+        self, small_design, recorder, monkeypatch
     ):
         """``episodes_per_update=1``: an episode shares only when the update
         before it left every weight as it was (the first update's advantage
@@ -199,11 +200,11 @@ class TestFullStepSharing:
             shared.append(_count(recorder, "gnn.shared_full_step"))
 
         episodes = 5
+        monkeypatch.setattr(reinforce, "MAX_SELECTION_STEPS", 6)
         config = TrainConfig(
             max_episodes=episodes,
             episodes_per_update=1,
             plateau_patience=episodes,
-            max_selection_steps=6,
             seed=2,
         )
         train_rlccd(policy, env, FlowConfig(clock_period=period), config, progress)
@@ -218,18 +219,13 @@ class TestFullStepSharing:
         assert increments[2:] == [0.0] * (episodes - 2)
 
     def test_two_episodes_per_update_compute_one_full_step_each(
-        self, small_design, recorder
+        self, small_design, recorder, monkeypatch
     ):
         netlist, period = small_design
         env = EndpointSelectionEnv(netlist, period, rho=0.3)
         policy = RLCCDPolicy(NUM_FEATURES, rng=5)
-        config = TrainConfig(
-            max_episodes=6,
-            episodes_per_update=2,
-            plateau_patience=6,
-            max_selection_steps=6,
-            seed=2,
-        )
+        monkeypatch.setattr(reinforce, "MAX_SELECTION_STEPS", 6)
+        config = TrainConfig(max_episodes=6, episodes_per_update=2, plateau_patience=6, seed=2)
         train_rlccd(policy, env, FlowConfig(clock_period=period), config)
         # Each batch's second episode shares its first one's step.
         assert _count(recorder, "gnn.shared_full_step") >= 3

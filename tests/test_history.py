@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.obs import history as history_module
 from repro.obs.bench import BENCH_SCHEMA
 from repro.obs.history import (
     FALLBACK_TOLERANCE,
@@ -118,9 +119,10 @@ class TestPhaseBaselines:
         baseline = history.phase_baselines()["a"]
         assert baseline == PhaseBaseline(median_s=2.0, mad_s=1.0, runs=3)
 
-    def test_last_n_window(self):
+    def test_last_n_window(self, monkeypatch):
+        monkeypatch.setattr(history_module, "HISTORY_WINDOW", 5)
         history = _history([{"a": 100.0}] + [{"a": 1.0}] * 5)
-        baseline = history.phase_baselines(last_n=5)["a"]
+        baseline = history.phase_baselines()["a"]
         assert baseline.median_s == 1.0
         assert baseline.runs == 5
 

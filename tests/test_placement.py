@@ -6,17 +6,8 @@ import numpy as np
 import pytest
 
 from repro.netlist.generator import quick_design
+from repro.placement import global_place
 from repro.placement.global_place import PlacementConfig, die_size, place_design
-
-
-class TestPlacementConfig:
-    def test_invalid_values_rejected(self):
-        with pytest.raises(ValueError):
-            PlacementConfig(area_per_cell=0.0)
-        with pytest.raises(ValueError):
-            PlacementConfig(neighbor_pull=1.5)
-        with pytest.raises(ValueError):
-            PlacementConfig(refinement_sweeps=-1)
 
 
 class TestPlacement:
@@ -30,9 +21,8 @@ class TestPlacement:
 
     def test_all_cells_inside_die(self):
         nl = quick_design(n_cells=400, seed=2)
-        cfg = PlacementConfig(seed=1)
-        place_design(nl, cfg)
-        side = die_size(nl, cfg)
+        place_design(nl, PlacementConfig(seed=1))
+        side = die_size(nl)
         for c in nl.cells:
             assert -1e-9 <= c.x <= side + 1e-9
             assert -1e-9 <= c.y <= side + 1e-9
@@ -46,9 +36,8 @@ class TestPlacement:
 
     def test_output_ports_on_east_edge(self):
         nl = quick_design(n_cells=300, seed=3)
-        cfg = PlacementConfig(seed=1)
-        place_design(nl, cfg)
-        side = die_size(nl, cfg)
+        place_design(nl, PlacementConfig(seed=1))
+        side = die_size(nl)
         for c in nl.cells:
             if c.is_output_port:
                 assert c.x == pytest.approx(side)
@@ -69,17 +58,18 @@ class TestPlacement:
             for i, a in enumerate(keys)
             for b in keys[i + 1 :]
         ]
-        assert max(dists) > 0.2 * die_size(nl, PlacementConfig())
+        assert max(dists) > 0.2 * die_size(nl)
 
-    def test_refinement_reduces_wirelength(self):
+    def test_refinement_reduces_wirelength(self, monkeypatch):
         nl_scatter = quick_design(n_cells=500, seed=5)
         nl_refined = quick_design(n_cells=500, seed=5)
-        place_design(nl_scatter, PlacementConfig(seed=1, refinement_sweeps=0))
-        place_design(nl_refined, PlacementConfig(seed=1, refinement_sweeps=4))
+        monkeypatch.setattr(global_place, "REFINEMENT_SWEEPS", 0)
+        place_design(nl_scatter, PlacementConfig(seed=1))
+        monkeypatch.setattr(global_place, "REFINEMENT_SWEEPS", 4)
+        place_design(nl_refined, PlacementConfig(seed=1))
         assert nl_refined.total_hpwl() < nl_scatter.total_hpwl()
 
     def test_die_scales_with_cells(self):
         small = quick_design(n_cells=200, seed=6)
         large = quick_design(n_cells=800, seed=6)
-        cfg = PlacementConfig()
-        assert die_size(large, cfg) > die_size(small, cfg)
+        assert die_size(large) > die_size(small)

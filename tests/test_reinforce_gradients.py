@@ -113,6 +113,7 @@ def test_batch_gradient_equals_the_scaled_loss_backward(
 
     monkeypatch.setattr(policy, "rollout", keeping_rollout)
     monkeypatch.setattr(reinforce, "clip_gradient_norm", checking_clip)
+    monkeypatch.setattr(reinforce, "MAX_SELECTION_STEPS", 8)
     result = train_rlccd(
         policy,
         env,
@@ -123,7 +124,6 @@ def test_batch_gradient_equals_the_scaled_loss_backward(
             workers=workers,
             entropy_coefficient=beta,
             plateau_patience=10,
-            max_selection_steps=8,
             seed=1,
         ),
         progress=records.append,

@@ -106,9 +106,8 @@ class TestNonFiniteReward:
         nl, period = small_design
         env = EndpointSelectionEnv(nl, period, rho=0.3)
         policy = RLCCDPolicy(NUM_FEATURES, rng=17)
-        config = reinforce.TrainConfig(
-            max_episodes=3, seed=6, max_selection_steps=5, plateau_patience=5
-        )
+        monkeypatch.setattr(reinforce, "MAX_SELECTION_STEPS", 5)
+        config = reinforce.TrainConfig(max_episodes=3, seed=6, plateau_patience=5)
         with pytest.raises(ValueError, match="episode 1: non-finite reward") as err:
             reinforce.train_rlccd(
                 policy, env, FlowConfig(clock_period=period), config

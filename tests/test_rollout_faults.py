@@ -167,7 +167,6 @@ class TestFaultInjection:
                     max_episodes=4,
                     episodes_per_update=2,
                     workers=workers,
-                    max_selection_steps=6,
                     seed=4,
                 ),
             )
@@ -176,6 +175,7 @@ class TestFaultInjection:
 
         # Every episode is a task, so tasks 0-2 exist for the faults.
         monkeypatch.setattr(parallel.RewardCache, "get", lambda self, selection: None)
+        monkeypatch.setattr(reinforce, "MAX_SELECTION_STEPS", 6)
         sequential = train(1)
         monkeypatch.setattr(reinforce, "RolloutPool", faulty_pool)
         streamed = train(2)

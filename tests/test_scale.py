@@ -20,6 +20,7 @@ from repro.benchsuite.designs import (
 from repro.benchsuite.scale import fast_design
 from repro.netlist.generator import GeneratorConfig
 from repro.netlist.validate import validate_netlist
+from repro.obs import bench
 from repro.obs.bench import BenchConfig, ScaleSweepConfig, run_scale_sweep, scale_label
 from repro.obs.history import section_medians
 from repro.timing.clock import ClockModel
@@ -83,18 +84,6 @@ class TestBuildDesignFastPath:
 
 
 class TestScaleSweepConfig:
-    def test_rejects_empty_cells(self):
-        with pytest.raises(ValueError, match="at least one"):
-            ScaleSweepConfig(cells=())
-
-    def test_rejects_tiny_sizes(self):
-        with pytest.raises(ValueError, match=">= 1000"):
-            ScaleSweepConfig(cells=(500,))
-
-    def test_rejects_zero_rounds(self):
-        with pytest.raises(ValueError):
-            ScaleSweepConfig(rounds=0)
-
     def test_labels(self):
         assert scale_label(10_000) == "10k"
         assert scale_label(200_000) == "200k"
@@ -110,9 +99,12 @@ class TestBenchConfigMessage:
 
 
 class TestRunScaleSweep:
-    def test_sweep_section_shape_and_medians(self):
-        config = ScaleSweepConfig(seed=3, cells=(1_000,), rounds=1, resizes_per_round=8)
-        section = run_scale_sweep(config)
+    def test_sweep_section_shape_and_medians(self, monkeypatch):
+        monkeypatch.setattr(bench, "SCALE_CELLS", (1_000,))
+        monkeypatch.setattr(bench, "SCALE_ROUNDS", 1)
+        monkeypatch.setattr(bench, "SCALE_RESIZES_PER_ROUND", 8)
+        section = run_scale_sweep(ScaleSweepConfig(seed=3))
+        assert section["rounds"] == 1
         assert set(section["designs"]) == {"1k"}
         entry = section["designs"]["1k"]
         assert entry["cells"] == 1_000
