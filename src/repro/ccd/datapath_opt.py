@@ -21,19 +21,22 @@ to improve TNS are rolled back and charged a small probe cost, mimicking
 the trial-based inner loops of production optimizers.  Margins are removed
 before this stage (Algorithm 1 l.16), so it sees true slack only.  A sizing
 move is a *probe* of the analyzer: its analysis re-times only the forward
-cone (a probe reads no required time), and a rejected one is restored from
-the probe's journal without re-timing.
+cone (a probe reads no required time), and a rejected one, once resized
+back in the netlist, is restored from the probe's journal — compiled
+coefficients and loads, then timing — with no second patch and no
+re-timing.  The gain scan reads the compiled view and its size tables,
+not per-cell objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.netlist.core import Cell, Netlist
+from repro.netlist.core import Netlist
 from repro.timing.clock import ClockModel
 from repro.timing.metrics import tns
 from repro.timing.paths import trace_critical_path
@@ -159,15 +162,11 @@ def _fix_endpoint(
     compiled = analyzer.compiled
     path = trace_critical_path(compiled, report, endpoint)
 
-    # Candidate 1: sizing — pick the path cell with the best estimated gain.
+    # Candidate 1: sizing — pick the path cell with the best estimated gain
+    # (the first on a tie).
     best_cell = None
     best_gain = 0.0
-    for cell_index in path.cells:
-        cell = cells[cell_index]
-        cell_type = cell.cell_type
-        if cell_type.is_port or cell.size_index >= cell_type.max_size_index:
-            continue
-        gain = _sizing_gain(compiled, cell)
+    for cell_index, gain in _upsize_gains(compiled, path.cells):
         if gain > best_gain:
             best_gain = gain
             best_cell = cell_index
@@ -175,7 +174,8 @@ def _fix_endpoint(
     # A sizing move is a probe (docs/timing.md, "Probes"): its analysis
     # re-times only the forward cones of the re-coefficiented cells, and a
     # rejected move, once resized back, is restored from the probe's journal
-    # with no re-propagation.
+    # — compiled coefficients and timing alike — with no second patch and no
+    # re-propagation.
     if best_cell is not None:
         move = (best_cell, cells[best_cell].size_index + 1)
         if move in rejected:
@@ -188,7 +188,6 @@ def _fix_endpoint(
         fresh_tns = tns(fresh.slack)
         if fresh_tns < report_tns - 1e-12:
             netlist.resize_cell(best_cell, previous)
-            analyzer.notify_resize(best_cell)
             if analyzer.rollback_probe():
                 rejected.add(move)
             else:
@@ -223,33 +222,48 @@ def _fix_endpoint(
     return (False, FAILED_MOVE_COST, report, report_tns)
 
 
-def _sizing_gain(compiled: CompiledTiming, cell: Cell) -> float:
-    """Estimated delay gain of one upsize step on ``cell``.
+def _upsize_gains(
+    compiled: CompiledTiming, cell_indices: Iterable[int]
+) -> Iterator[Tuple[int, float]]:
+    """``(cell, estimated delay gain)`` of one upsize step, in order, for
+    each of ``cell_indices`` with a larger size left (ports have none).
 
     Gain = drive-resistance reduction × driven load, minus the penalty of
     presenting a larger input capacitance to the upstream drivers.  The
     load and the drivers' coefficients are read from ``compiled`` (current
     for the netlist: :meth:`TimingAnalyzer.notify_resize` keeps them so),
-    the two sizes from the cell type's size table; ``cell`` must have a
-    larger size left.
+    the two sizes from its ``size_*`` tables, at the cell's current size
+    row and the next.
     """
+    cells = compiled.netlist.cells
     buffers = compiled.buffers
-    sizes = cell.cell_type.sizes
-    current = sizes[cell.size_index]
-    upsized = sizes[cell.size_index + 1]
-    load = buffers["load_cap"][cell.index]
-    gain = (current.drive_resistance - upsized.drive_resistance) * load
-    gain += current.intrinsic_delay - upsized.intrinsic_delay
-    # Larger input pins slow every upstream driver (drive delay) and degrade
-    # the driver's output slew, which feeds back into this cell's own delay
-    # and its siblings' — count both first-order terms.  Drivers in pin order.
-    cap_increase = upsized.input_cap - current.input_cap
+    size_base = buffers["size_base"]
+    size_last = buffers["size_last"]
+    size_drive_res = buffers["size_drive_res"]
+    size_intrinsic = buffers["size_intrinsic"]
+    size_input_cap = buffers["size_input_cap"]
+    size_slew_sens = buffers["size_slew_sens"]
+    load_cap = buffers["load_cap"]
     drive_res = buffers["drive_res"]
     slew_load = buffers["slew_load"]
-    for driver, _pin in compiled.topology.fanin[cell.index]:
-        gain -= drive_res[driver] * cap_increase
-        gain -= slew_load[driver] * cap_increase * current.slew_sensitivity
-    return gain
+    fanin = compiled.topology.fanin
+    for cell_index in cell_indices:
+        current = size_base[cell_index] + cells[cell_index].size_index
+        if current >= size_last[current]:
+            continue
+        upsized = current + 1
+        gain = (size_drive_res[current] - size_drive_res[upsized]) * load_cap[cell_index]
+        gain += size_intrinsic[current] - size_intrinsic[upsized]
+        # Larger input pins slow every upstream driver (drive delay) and
+        # degrade the driver's output slew, which feeds back into this
+        # cell's own delay and its siblings' — count both first-order
+        # terms.  Drivers in pin order.
+        cap_increase = size_input_cap[upsized] - size_input_cap[current]
+        slew_sensitivity = size_slew_sens[current]
+        for driver, _pin in fanin[cell_index]:
+            gain -= drive_res[driver] * cap_increase
+            gain -= slew_load[driver] * cap_increase * slew_sensitivity
+        yield cell_index, gain
 
 
 def _buffer_net(

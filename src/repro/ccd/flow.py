@@ -23,12 +23,12 @@ starting point (every RL episode!) snapshot state with
 orders of magnitude cheaper than re-generating or deep-copying the design.
 
 **Begin-state timing is compiled once per snapshot.**  Every flow after a
-restore starts from the same timing state, so the first one keeps a
-pristine copy of its compiled view, its begin incremental state and its
-begin report (a *begin bundle*).  A later flow that starts at the same
-restore, with incremental STA and the same clock period, runs on buffer
-copies of that bundle instead of recompiling the netlist and re-running
-begin STA.  Anything else — a mutation after the restore
+snapshot or a restore starts from the same timing state, so the first one
+keeps a pristine copy of its compiled view, its begin incremental state
+and its begin report (a *begin bundle*).  A later flow that starts at the
+same snapshot, with incremental STA and the same clock period, runs on
+buffer copies of that bundle instead of recompiling the netlist and
+re-running begin STA.  Anything else — a mutation after the restore
 (``mutation_version`` moved), another snapshot, another period,
 ``incremental_sta=False`` — takes the from-scratch path.  Bundles live in
 a module-level weak-key map, never on the netlist, so pickling a netlist
@@ -179,8 +179,8 @@ class _BeginTiming:
         )
 
 
-#: Per netlist: the snapshot it was last restored to and the
-#: ``mutation_version`` that restore left.
+#: Per netlist: the snapshot it was last taken at or restored to and the
+#: ``mutation_version`` it was left at.
 _restored: "weakref.WeakKeyDictionary[Netlist, Tuple[NetlistState, int]]" = (
     weakref.WeakKeyDictionary()
 )
@@ -422,14 +422,16 @@ def snapshot_netlist_state(
 
     ``verify_clock_period`` arms the verify-mode integrity check (see
     :class:`NetlistState`); it costs one extra STA run per snapshot and per
-    restore, so it is only honoured when verify mode is enabled.
+    restore, so it is only honoured when verify mode is enabled.  Like a
+    restore, it records that the netlist sits at the new snapshot, so the
+    first flow from it keeps the begin bundle (module docstring).
     """
     verify_summary = None
     if verify_clock_period is not None and obs.verify_enabled():
         verify_summary = _fresh_summary(netlist, verify_clock_period)
     else:
         verify_clock_period = None
-    return NetlistState(
+    state = NetlistState(
         num_cells=netlist.num_cells,
         num_nets=netlist.num_nets,
         size_indices=tuple(c.size_index for c in netlist.cells),
@@ -440,6 +442,10 @@ def snapshot_netlist_state(
         verify_clock_period=verify_clock_period,
         verify_summary=verify_summary,
     )
+    # The netlist sits at its snapshot, as after a restore: the first flow
+    # from it keeps the begin bundle.
+    _restored[netlist] = (state, netlist.mutation_version)
+    return state
 
 
 def restore_netlist_state(netlist: Netlist, state: NetlistState) -> None:

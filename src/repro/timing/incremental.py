@@ -15,8 +15,10 @@ times per flow run.  This module keeps the *last* analysis alive as an
   an un-notified skew edit can never be read stale;
 * the **forward pass** seeds a frontier from the dirty cells and walks the
   topological levels in order, recomputing only frontier cells and pruning
-  any cell whose ``(arrival, slew)`` pair is unchanged within
-  :data:`PRUNE_TOL`;
+  any cell whose arrival is unchanged within :data:`PRUNE_TOL`.  A cell's
+  slew depends on its own coefficients and load only, which only
+  ``notify_resize`` changes, so only the dirty cells recompute a slew (up
+  front); every frontier cell runs an arrival-only body;
 * the **backward pass** is symmetric: endpoints whose required time or
   margin changed, cells whose slew changed and the fan-in of re-coefficiented
   cells seed a reverse frontier that walks the levels backwards with the
@@ -29,8 +31,9 @@ times per flow run.  This module keeps the *last* analysis alive as an
   ``commit_probe``/``rollback_probe``) runs the forward pass only and
   returns a :class:`~repro.timing.sta.ProbeReport`; the backward pass'
   seeds wait in the state until the next ordinary analysis sweeps them in
-  one pass, and a rollback restores the probe's :class:`Journal` instead
-  of re-propagating the undo.
+  one pass, and a rollback restores the probe's :class:`Journal` — the
+  compiled values its resizes patched and the timing values its analyses
+  wrote — instead of patching and re-propagating the undo.
 
 Every recomputation mirrors the full pass' arithmetic *expression by
 expression*, so a recomputed value from unchanged inputs is bitwise equal
@@ -47,9 +50,9 @@ reduction, a vectorized ``|Δ| > ε`` prune and a CSR frontier expansion).
 Both paths evaluate the *same* IEEE-754 expression trees — max/min
 reductions over non-NaN doubles are exact and order-independent — so the
 switch is bitwise invisible, which the differential fuzz suite asserts
-byte-for-byte.  Scratch (the seen mask, level buckets) is preallocated in
-the state and reset in O(frontier), so repeated ``analyze()`` calls allocate
-O(frontier), not O(n).
+byte-for-byte.  Scratch (the stamped seen vector, level buckets) is
+preallocated in the state and a new pass only takes a new stamp, so
+repeated ``analyze()`` calls allocate O(frontier), not O(n).
 
 **One storage, two access paths.**  Every vector the scalar loop touches —
 the compiled coefficients, flags and adjacency, the cached arrivals, slews,
@@ -72,9 +75,10 @@ Shadow-check mode (``REPRO_STA_CHECK=1``) re-runs the full engine after
 every incremental analysis and asserts the two reports agree within
 :data:`CHECK_ATOL` (a probe report on the fields it carries), and asserts
 every journaled rollback leaves the buffers byte-equal to a copy taken
-when the probe opened; ``TimingAnalyzer.notify_resize`` asserts every
-driver load it patched equals ``Netlist.net_load_cap`` — the differential
-harness CI runs the fuzz suite under.
+when the probe opened; ``TimingAnalyzer.notify_resize`` and every
+rollback assert the patched (or restored) coefficients equal the cell's
+size and every driver load equals ``Netlist.net_load_cap`` — the
+differential harness CI runs the fuzz suite under.
 """
 
 from __future__ import annotations
@@ -91,6 +95,7 @@ from repro import obs
 from repro.timing.clock import ClockModel
 from repro.timing.sta import (
     _NO_DRIVER,
+    RESIZED_FIELDS,
     CompiledTiming,
     ProbeReport,
     TimingReport,
@@ -185,39 +190,33 @@ def set_vector_threshold(value: int) -> int:
 
 
 class _Frontier:
-    """Preallocated frontier scratch: seen mask + per-level buckets.
+    """Preallocated frontier scratch: a stamped seen mask + per-level buckets.
 
     Slot ``k < num_levels`` holds level ``k``'s frontier; one extra last
     slot holds launch points (flops, input ports), which levelization puts
     at level 0 beside the combinational cells they drive — the forward
     sweep runs the source slot before level 0, the backward sweep after it.
     Scalar pushes append plain ints to ``buckets``, vectorized pushes int64
-    arrays to ``chunks``.  The seen mask is one buffer-backed vector:
-    ``seen_buf`` for the scalar loops, ``seen`` for the kernels.
-    ``reset()`` clears only what was touched, so the per-analysis cost is
-    O(frontier) even though the mask is O(n); the buckets need no clearing
-    because every sweep drains each slot it visits, and it visits them all.
+    arrays to ``chunks``.  A cell is seen in the current pass when its
+    ``seen`` entry equals ``stamp`` (``seen_buf`` for the scalar loops,
+    ``seen`` for the kernels); ``reset()`` starts a new pass by bumping the
+    stamp, so it costs nothing however large the last frontier was.  The
+    buckets need no clearing because every sweep drains each slot it
+    visits, and it visits them all.
     """
 
-    __slots__ = ("seen_buf", "seen", "buckets", "chunks", "touched", "touched_chunks")
+    __slots__ = ("seen_buf", "seen", "stamp", "buckets", "chunks")
 
     def __init__(self, num_levels: int, n: int) -> None:
-        self.seen_buf, self.seen = buffer_backed(np.zeros(n, dtype=bool))
+        self.seen_buf, self.seen = buffer_backed(np.zeros(n, dtype=np.int64))
+        self.stamp = 0
         self.buckets: List[List[int]] = [[] for _ in range(num_levels + 1)]
         self.chunks: List[List[np.ndarray]] = [[] for _ in range(num_levels + 1)]
-        self.touched: List[int] = []
-        self.touched_chunks: List[np.ndarray] = []
 
-    def reset(self) -> None:
-        seen_buf = self.seen_buf
-        for c in self.touched:
-            seen_buf[c] = 0
-        self.touched.clear()
-        if self.touched_chunks:
-            seen = self.seen
-            for chunk in self.touched_chunks:
-                seen[chunk] = False
-            self.touched_chunks.clear()
+    def reset(self) -> int:
+        """Start a new pass; returns its stamp."""
+        self.stamp += 1
+        return self.stamp
 
 
 def _batch_array(cells: List[int], chunks: List[np.ndarray]) -> np.ndarray:
@@ -282,9 +281,8 @@ class IncrementalState:
     #: Cells dirtied by notify_* since the last analysis.
     pending: Set[int] = field(default_factory=set)
     #: Backward-pass seeds that forward-only probe analyses left for the
-    #: next ordinary analysis: cells, int64 cell chunks, endpoint positions.
+    #: next ordinary analysis: cells and endpoint positions.
     deferred_cells: List[int] = field(default_factory=list)
-    deferred_chunks: List[np.ndarray] = field(default_factory=list)
     deferred_eps: List[int] = field(default_factory=list)
     #: The open probe's undo log (``None`` outside a probe).
     journal: Optional["Journal"] = None
@@ -329,7 +327,6 @@ class IncrementalState:
             margined=set(self.margined),
             pending=set(self.pending),
             deferred_cells=list(self.deferred_cells),
-            deferred_chunks=list(self.deferred_chunks),
             deferred_eps=list(self.deferred_eps),
             buffers=buffers,
             **views,
@@ -392,25 +389,33 @@ def build_state(
 class Journal:
     """Undo log of one open probe (:meth:`TimingAnalyzer.open_probe`).
 
-    While it is open, the forward sweep logs each cell before overwriting
-    it — ``(cell, old arrival, old slew)`` from the scalar loop, three
-    arrays per vectorized chunk — and the endpoint-arrival update logs
-    ``(positions, old values)``.  The pending set and the deferred-seed
-    list lengths and the state's generation at open are kept too, so
-    :func:`rollback` restores the state in O(touched cells) with no
-    re-propagation.
+    While it is open, :meth:`TimingAnalyzer.notify_resize` logs the compiled
+    values each resize patch overwrites (:meth:`log_resize`), and each
+    analysis logs the timing values it overwrites: ``(cell, old arrival)``
+    from the scalar loop and two arrays per vectorized chunk in
+    ``arrivals``, ``(cell, old slew)`` per re-slewed cell in ``slews``, and
+    ``(position, old arrival)`` per endpoint in ``eps``.  The
+    pending set, the deferred-seed list lengths and the state's generation
+    at open are kept too.  Once the caller has undone the move in the
+    netlist, :meth:`undo_resizes` puts the compiled values back and
+    :func:`rollback` the timing state, in O(touched cells), with no second
+    patch and no re-propagation.
 
     ``exact`` drops to ``False`` once the probe changes something the log
     does not cover: a clock or margin change, or an analysis that took
     the full path (or opened on no state).  Rolling such a probe back
-    restores nothing; the undo move's notification re-propagates instead.
-    Under shadow check, ``snapshot`` holds copies of the state's and the
-    compiled view's buffers at open, for :func:`rollback` to compare.
+    restores the compiled values only; the cells the undone resizes
+    dirtied re-propagate on the next analysis instead.  Under shadow
+    check, ``snapshot`` holds copies of the state's and the compiled
+    view's buffers at open, for :func:`rollback` to compare.
     """
 
     __slots__ = (
         "state",
-        "cells",
+        "compiled",
+        "resizes",
+        "arrivals",
+        "slews",
         "eps",
         "pending",
         "deferred",
@@ -419,27 +424,71 @@ class Journal:
         "snapshot",
     )
 
-    def __init__(self, state: Optional[IncrementalState]) -> None:
+    def __init__(
+        self, state: Optional[IncrementalState], compiled: Optional[CompiledTiming]
+    ) -> None:
         self.state = state
-        self.cells: List[tuple] = []
-        self.eps: List[Tuple[List[int], List[float]]] = []
+        #: The compiled view the probe opened on; a resize of any other one
+        #: logs its cell only (see ``TimingAnalyzer.rollback_probe``).
+        self.compiled = compiled
+        self.resizes: List[tuple] = []
+        self.arrivals: List[tuple] = []
+        self.slews: List[Tuple[int, float]] = []
+        self.eps: List[Tuple[int, float]] = []
         self.exact = state is not None
         self.snapshot: Optional[Tuple[Dict[str, array.array], ...]] = None
         if state is None:
             return
         self.pending = set(state.pending)
         self.generation = state.generation
-        self.deferred = (
-            len(state.deferred_cells),
-            len(state.deferred_chunks),
-            len(state.deferred_eps),
-        )
+        self.deferred = (len(state.deferred_cells), len(state.deferred_eps))
         if _check:
             self.snapshot = tuple(
                 {name: buf[:] for name, buf in owner.buffers.items()}
                 for owner in (state, state.compiled)
             )
         state.journal = self
+
+    def log_resize(
+        self, compiled: CompiledTiming, cell: int, drivers: Sequence[Tuple[int, int]]
+    ) -> None:
+        """Log the values a resize patch of ``cell`` is about to overwrite in
+        ``compiled``: its :data:`~repro.timing.sta.RESIZED_FIELDS` and each
+        driver's ``sink_cap`` and ``load_cap`` (``drivers`` as in
+        ``Topology.fanin``).  Of a view the probe did not open on, only the
+        cell is logged."""
+        if compiled is not self.compiled:
+            self.resizes.append((cell, None, None))
+            return
+        cb = compiled.buffers
+        sink_cap = cb["sink_cap"]
+        load_cap = cb["load_cap"]
+        self.resizes.append(
+            (
+                cell,
+                [cb[name][cell] for name in RESIZED_FIELDS],
+                [(d, sink_cap[d], load_cap[d]) for d, _p in drivers],
+            )
+        )
+
+    def undo_resizes(self) -> Set[int]:
+        """Put back every compiled value the logged resizes overwrote in the
+        view the probe opened on, newest first; returns the cells those
+        resizes dirtied."""
+        cb = self.compiled.buffers
+        fields = [cb[name] for name in RESIZED_FIELDS]
+        sink_cap = cb["sink_cap"]
+        load_cap = cb["load_cap"]
+        dirtied: Set[int] = set()
+        for cell, old, loads in reversed(self.resizes):
+            for buf, value in zip(fields, old):
+                buf[cell] = value
+            for d, old_sink, old_load in reversed(loads):
+                sink_cap[d] = old_sink
+                load_cap[d] = old_load
+                dirtied.add(d)
+            dirtied.add(cell)
+        return dirtied
 
     def close(self) -> None:
         """Detach from the state: later analyses log nothing."""
@@ -450,32 +499,30 @@ class Journal:
 def rollback(journal: Journal) -> None:
     """Undo an exact probe's analyses from its closed ``journal``.
 
-    The caller has already undone the move itself (``resize_cell`` back,
-    ``notify_resize``, which re-patches the coefficients), so restoring
-    the log in reverse, the pending set, the deferred seeds and the
-    generation returns the state to the probe's opening, byte for byte,
-    and makes the reports of that opening readable again.
+    The caller has already undone the move (``resize_cell`` back, then
+    :meth:`Journal.undo_resizes`), so restoring the logs in reverse, the
+    pending set, the deferred seeds and the generation returns the state
+    to the probe's opening, byte for byte, and makes the reports of that
+    opening readable again.
     """
     state = journal.state
     sb = state.buffers
     arrival = sb["arrival"]
+    for cells, old in reversed(journal.arrivals):
+        try:
+            arrival[cells] = old
+        except TypeError:  # a vectorized chunk: index and value arrays
+            state.arrival[cells] = old
     slew = sb["slew"]
-    for cells, old_arrival, old_slew in reversed(journal.cells):
-        if isinstance(cells, np.ndarray):
-            state.arrival[cells] = old_arrival
-            state.slew[cells] = old_slew
-        else:
-            arrival[cells] = old_arrival
-            slew[cells] = old_slew
+    for cell, old in reversed(journal.slews):
+        slew[cell] = old
     ep_arrival = sb["ep_arrival"]
-    for positions, old in reversed(journal.eps):
-        for pos, value in zip(positions, old):
-            ep_arrival[pos] = value
+    for pos, old in reversed(journal.eps):
+        ep_arrival[pos] = old
     state.pending = journal.pending
     state.generation = journal.generation
-    n_cells, n_chunks, n_eps = journal.deferred
+    n_cells, n_eps = journal.deferred
     del state.deferred_cells[n_cells:]
-    del state.deferred_chunks[n_chunks:]
     del state.deferred_eps[n_eps:]
     if journal.snapshot is not None:
         opened_state, opened_compiled = journal.snapshot
@@ -487,8 +534,7 @@ def rollback(journal: Journal) -> None:
         if drift:
             raise RuntimeError(
                 f"probe rollback drift: {', '.join(drift)} differ from the "
-                "buffers at probe open — the journal missed a write or the "
-                "undo move did not restore the coefficients"
+                "buffers at probe open — the journal missed a write"
             )
 
 
@@ -549,21 +595,17 @@ def incremental_analyze(
     fr = state.scratch
     if fr is None:
         fr = state.scratch = _Frontier(state.num_levels, state.arrival.shape[0])
-    else:
-        fr.reset()  # clear the previous analysis' backward-pass residue
+    stamp = fr.reset()
     counters = _Counters()
 
     # Frontier cells are bucketed by topological level (sources in their
     # own slot); the sweep touches only slots that hold work and each cell
-    # is recomputed at most once.
+    # is recomputed at most once.  ``dirty`` is a set: no cell twice.
     seen = fr.seen_buf
     buckets = fr.buckets
-    touched = fr.touched
     for c in dirty:
-        if not seen[c]:
-            seen[c] = 1
-            touched.append(c)
-            buckets[src_slot if is_src[c] else level_of[c]].append(c)
+        seen[c] = stamp
+        buckets[src_slot if is_src[c] else level_of[c]].append(c)
     ep_arr_dirty: Set[int] = set()
     ep_req_dirty: List[int] = []
 
@@ -588,16 +630,13 @@ def incremental_analyze(
             if value != ca[f]:
                 ca[f] = value
                 ep_req_dirty.append(ep_pos[f])
-                if not seen[f]:
-                    seen[f] = 1
-                    touched.append(f)
+                if seen[f] != stamp:
+                    seen[f] = stamp
                     buckets[src_slot].append(f)
         state.clock_synced = dict(arrivals)
 
     # ---- forward re-propagation -------------------------------------- #
-    slew_cells: List[int] = []
-    slew_chunks: List[np.ndarray] = []
-    _forward_sweep(state, fr, counters, slew_cells, slew_chunks, ep_arr_dirty)
+    slew_cells = _forward_sweep(state, fr, counters, dirty, ep_arr_dirty)
 
     # ---- endpoint checks --------------------------------------------- #
     ep_required = sb["ep_required"]
@@ -605,7 +644,7 @@ def incremental_analyze(
         dirty_eps = list(ep_arr_dirty)
         if state.journal is not None:
             ep_arrival = sb["ep_arrival"]
-            state.journal.eps.append((dirty_eps, [ep_arrival[p] for p in dirty_eps]))
+            state.journal.eps.extend([(pos, ep_arrival[pos]) for pos in dirty_eps])
         _recompute_ep_arrival(state, dirty_eps)
 
     ep_req_changed: List[int] = []
@@ -637,7 +676,6 @@ def incremental_analyze(
         # A probe reads no required time: leave the seeds for the next
         # ordinary analysis, which sweeps them all in one backward pass.
         state.deferred_cells.extend(cell_seeds)
-        state.deferred_chunks.extend(slew_chunks)
         state.deferred_eps.extend(ep_req_changed)
         _flush_counters(counters)
         ep_arr = state.ep_arrival.copy()
@@ -653,12 +691,10 @@ def incremental_analyze(
             state=state,
         )
         return report, counters.frontier
-    if state.deferred_cells or state.deferred_chunks or state.deferred_eps:
+    if state.deferred_cells or state.deferred_eps:
         cell_seeds.extend(state.deferred_cells)
-        slew_chunks.extend(state.deferred_chunks)
         ep_req_changed.extend(state.deferred_eps)
         state.deferred_cells = []
-        state.deferred_chunks = []
         state.deferred_eps = []
 
     # ---- margins diff (a view: reseeds only the eff backward pass) ---- #
@@ -695,7 +731,6 @@ def incremental_analyze(
         "required_true",
         (ep_required, state.ep_required),
         cell_seeds,
-        slew_chunks,
         ep_req_changed,
     )
 
@@ -709,9 +744,8 @@ def incremental_analyze(
             # only the freshly margined endpoints need re-seeding.
             state.set_required_eff(state.required_true)
             eff_cells: List[int] = []
-            eff_chunks: List[np.ndarray] = []
         else:
-            eff_cells, eff_chunks = cell_seeds, slew_chunks
+            eff_cells = cell_seeds
         _backward_incremental(
             state,
             fr,
@@ -719,7 +753,6 @@ def incremental_analyze(
             "required_eff",
             buffer_backed(state.ep_required - state.margin_vec),
             eff_cells,
-            eff_chunks,
             ep_eff_dirty,
         )
 
@@ -762,11 +795,20 @@ def _forward_sweep(
     state: IncrementalState,
     fr: _Frontier,
     counters: _Counters,
-    slew_cells: List[int],
-    slew_chunks: List[np.ndarray],
+    dirty: Set[int],
     ep_arr_dirty: Set[int],
-) -> None:
-    """Level-ordered forward re-propagation of the seeded frontier.
+) -> List[int]:
+    """Level-ordered forward re-propagation of the seeded frontier; returns
+    the cells whose slew moved.
+
+    A cell's output slew is ``slew_intr + slew_load·load_cap`` of the cell
+    itself, and only :meth:`~repro.timing.sta.TimingAnalyzer.notify_resize`
+    patches those coefficients, each time dirtying the cell.  So only the
+    ``dirty`` cells recompute, compare and journal a slew, up front (their
+    sinks, which read it, sit in later slots); every frontier cell then
+    recomputes its arrival only.  A cell whose slew moved rewrites its
+    arrival and pushes its fan-out even when the arrival moved by no more
+    than :data:`PRUNE_TOL`, as one ``(arrival, slew)`` prune of both would.
 
     The source slot runs first, then levels 0, 1, ...  A slot's batch at or
     above the density threshold takes the vectorized kernels; a smaller one
@@ -794,13 +836,32 @@ def _forward_sweep(
     is_flop = cb["is_flop"]
     is_outport = cb["is_outport"]
     seen = fr.seen_buf
+    stamp = fr.stamp
     buckets = fr.buckets
     chunks = fr.chunks
-    touched = fr.touched
     threshold = _vec_threshold
     tol = PRUNE_TOL
+    neg_inf = _NEG_INF
     src_slot = state.num_levels
-    log = state.journal.cells if state.journal is not None else None
+    ep_arrival = sb["ep_arrival"]
+    journal = state.journal
+    log = ep_log = None
+    if journal is not None:
+        log = journal.arrivals
+        ep_log = journal.eps
+
+    slewed: List[int] = []
+    for c in dirty:
+        new_slew = slew_intr[c] + slew_load[c] * load_cap[c]
+        old_slew = slew[c]
+        ds = new_slew - old_slew
+        if ds > tol or ds < -tol:
+            if journal is not None:
+                journal.slews.append((c, old_slew))
+            slew[c] = new_slew
+            slewed.append(c)
+    forced = set(slewed)
+
     for k in (src_slot, *range(src_slot)):
         cells = buckets[k]
         level_chunks = chunks[k]
@@ -818,26 +879,23 @@ def _forward_sweep(
             counters.vectorized += 1
             batch = _batch_array(cells, level_chunks)
             if sources:
-                new_arr, new_slew = _forward_src_vec(state, batch)
+                new_arr = _forward_src_vec(state, batch)
             else:
-                new_arr, new_slew = _forward_comb_vec(state, batch)
-            _forward_commit_vec(
-                state, fr, batch, new_arr, new_slew, slew_chunks, ep_arr_dirty
-            )
+                new_arr = _forward_comb_vec(state, batch)
+            _forward_commit_vec(state, fr, batch, new_arr, forced, ep_arr_dirty)
             continue
         counters.scalar += 1
         for chunk in level_chunks:
             cells.extend(chunk.tolist())
         for c in cells:
-            load = load_cap[c]
             if sources:
-                self_delay = drive_res[c] * load
+                self_delay = drive_res[c] * load_cap[c]
                 if is_flop[c]:
                     new_arr = ca[c] + clk_to_q[c] + self_delay
                 else:
                     new_arr = self_delay
             else:
-                best = _NEG_INF
+                best = neg_inf
                 if is_outport[c]:
                     # Output ports consume only: no gate delay, no drive.
                     for u, p in fanin[c]:
@@ -852,32 +910,30 @@ def _forward_sweep(
                         v = (arrival[u] + fanin_wire[p]) + (ic + ss * slew[u])
                         if v > best:
                             best = v
-                    new_arr = best + drive_res[c] * load
-            new_slew = slew_intr[c] + slew_load[c] * load
+                    new_arr = best + drive_res[c] * load_cap[c]
             old_arr = arrival[c]
-            old_slew = slew[c]
             da = new_arr - old_arr
-            ds = new_slew - old_slew
-            slew_moved = ds > tol or ds < -tol
-            if not (slew_moved or da > tol or da < -tol):
+            if not (da > tol or da < -tol) and c not in forced:
                 continue
             if log is not None:
-                log.append((c, old_arr, old_slew))
+                log.append((c, old_arr))
             arrival[c] = new_arr
-            slew[c] = new_slew
-            if slew_moved:
-                slew_cells.append(c)
-            positions = ep_sinks[c]
-            if positions:
-                ep_arr_dirty.update(positions)
+            for pos, p in ep_sinks[c]:
+                if p < 0:  # several pins: their max is taken after the sweep
+                    ep_arr_dirty.add(pos)
+                    continue
+                # The endpoint's only pin: its arrival is the endpoint's.
+                if log is not None:
+                    ep_log.append((pos, ep_arrival[pos]))
+                ep_arrival[pos] = new_arr + fanin_wire[p]
             # Flop sinks capture only (their Q arrival never depends on D),
             # so the topology leaves them out; every other sink — comb
             # cells and output ports — re-propagates.
             for s, level in fanout[c]:
-                if not seen[s]:
-                    seen[s] = 1
-                    touched.append(s)
+                if seen[s] != stamp:
+                    seen[s] = stamp
                     buckets[level].append(s)
+    return slewed
 
 
 def _forward_push_vec(
@@ -898,34 +954,25 @@ def _forward_push_vec(
     push = sinks[~compiled.is_flop[sinks]]
     if push.size == 0:
         return
-    fresh = push[~fr.seen[push]]
+    fresh = push[fr.seen[push] != fr.stamp]
     if fresh.size == 0:
         return
     fresh = np.unique(fresh)
-    fr.seen[fresh] = True
-    fr.touched_chunks.append(fresh)
+    fr.seen[fresh] = fr.stamp
     _bucket_by_level(compiled.level_of, fresh, fr.chunks)
 
 
-def _forward_src_vec(
-    state: IncrementalState, srcs: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
+def _forward_src_vec(state: IncrementalState, srcs: np.ndarray) -> np.ndarray:
     compiled = state.compiled
     self_delay = compiled.drive_res[srcs] * compiled.load_cap[srcs]
-    new_arr = np.where(
+    return np.where(
         compiled.is_flop[srcs],
         state.clock_arrival[srcs] + compiled.clk_to_q[srcs] + self_delay,
         self_delay,
     )
-    new_slew = (
-        compiled.slew_intr[srcs] + compiled.slew_load[srcs] * compiled.load_cap[srcs]
-    )
-    return new_arr, new_slew
 
 
-def _forward_comb_vec(
-    state: IncrementalState, combs: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
+def _forward_comb_vec(state: IncrementalState, combs: np.ndarray) -> np.ndarray:
     compiled = state.compiled
     arrival = state.arrival
     slew = state.slew
@@ -943,14 +990,9 @@ def _forward_comb_vec(
         valid, np.where(outport[:, None], in_arr, in_arr + gate), -np.inf
     )
     best = per_pin.max(axis=1)
-    new_arr = best + np.where(
+    return best + np.where(
         outport, 0.0, compiled.drive_res[combs] * compiled.load_cap[combs]
     )
-    new_slew = (
-        compiled.slew_intr[combs]
-        + compiled.slew_load[combs] * compiled.load_cap[combs]
-    )
-    return new_arr, new_slew
 
 
 def _forward_commit_vec(
@@ -958,27 +1000,20 @@ def _forward_commit_vec(
     fr: _Frontier,
     cells: np.ndarray,
     new_arr: np.ndarray,
-    new_slew: np.ndarray,
-    slew_chunks: List[np.ndarray],
+    forced: Set[int],
     ep_arr_dirty: Set[int],
 ) -> None:
     arrival = state.arrival
-    slew = state.slew
     da = new_arr - arrival[cells]
-    ds = new_slew - slew[cells]
-    arr_moved = (da > PRUNE_TOL) | (da < -PRUNE_TOL)
-    slew_moved = (ds > PRUNE_TOL) | (ds < -PRUNE_TOL)
-    moved = arr_moved | slew_moved
+    moved = (da > PRUNE_TOL) | (da < -PRUNE_TOL)
+    if forced:
+        moved |= np.isin(cells, list(forced))
     if not moved.any():
         return
     changed = cells[moved]
     if state.journal is not None:
-        state.journal.cells.append((changed, arrival[changed], slew[changed]))
+        state.journal.arrivals.append((changed, arrival[changed]))
     arrival[changed] = new_arr[moved]
-    slew[changed] = new_slew[moved]
-    slewed = cells[slew_moved]
-    if slewed.size:
-        slew_chunks.append(slewed)
     _forward_push_vec(state, fr, changed, ep_arr_dirty)
 
 
@@ -1030,16 +1065,15 @@ def _backward_incremental(
     name: str,
     ep_seed: Tuple[array.array, np.ndarray],
     seed_cells: List[int],
-    seed_chunks: List[np.ndarray],
     ep_dirty_pos: Iterable[int],
 ) -> None:
     """Pruned reverse-level sweep updating the required view ``name`` in place.
 
     ``ep_seed`` is the ``(buffer, view)`` pair of this view's per-endpoint
     required seed (true: ``ep_required``; margin-aware: ``ep_required −
-    margins``); ``seed_cells`` (ints) and ``seed_chunks`` (int64 arrays)
-    are cells to recompute up front, duplicates fine, and ``ep_dirty_pos``
-    endpoint positions whose seed moved (their fan-in joins the frontier).
+    margins``); ``seed_cells`` are cells to recompute up front, duplicates
+    fine, and ``ep_dirty_pos`` endpoint positions whose seed moved (their
+    fan-in joins the frontier).
     """
     compiled = state.compiled
     cb = compiled.buffers
@@ -1062,12 +1096,11 @@ def _backward_incremental(
     sinks = cb["fanout_indices"]
     fanout_wire = cb["fanout_wire_delay"]
     is_src_view = compiled.is_src
-    fr.reset()
+    stamp = fr.reset()
     seen = fr.seen_buf
     seen_view = fr.seen
     buckets = fr.buckets
     chunks = fr.chunks
-    touched = fr.touched
     threshold = _vec_threshold
     src_slot = state.num_levels
 
@@ -1076,12 +1109,11 @@ def _backward_incremental(
     # never push further, they wait in the source slot, swept last (mirror
     # of the forward pass' source-first order).
     def push_chunk(cells: np.ndarray) -> None:
-        fresh = cells[~seen_view[cells]]
+        fresh = cells[seen_view[cells] != stamp]
         if fresh.size == 0:
             return
         fresh = np.unique(fresh)
-        seen_view[fresh] = True
-        fr.touched_chunks.append(fresh)
+        seen_view[fresh] = stamp
         src_mask = is_src_view[fresh]
         if src_mask.any():
             chunks[src_slot].append(fresh[src_mask])
@@ -1091,18 +1123,14 @@ def _backward_incremental(
         _bucket_by_level(compiled.level_of, fresh, chunks)
 
     for u in seed_cells:
-        if not seen[u]:
-            seen[u] = 1
-            touched.append(u)
+        if seen[u] != stamp:
+            seen[u] = stamp
             buckets[src_slot if is_src[u] else level_of[u]].append(u)
-    for chunk in seed_chunks:
-        push_chunk(chunk)
     for pos in ep_dirty_pos:
         for v, _p in fanin[eps[pos]]:
-            if seen[v]:
+            if seen[v] == stamp:
                 continue
-            seen[v] = 1
-            touched.append(v)
+            seen[v] = stamp
             buckets[src_slot if is_src[v] else level_of[v]].append(v)
 
     for k in (*range(src_slot - 1, -1, -1), src_slot):
@@ -1164,10 +1192,9 @@ def _backward_incremental(
             # them out of the reverse sweep the same way).
             if is_comb[u]:
                 for v, _p in fanin[u]:
-                    if seen[v]:
+                    if seen[v] == stamp:
                         continue
-                    seen[v] = 1
-                    touched.append(v)
+                    seen[v] = stamp
                     if is_src[v]:
                         buckets[src_slot].append(v)
                     else:
@@ -1246,7 +1273,7 @@ def _backward_commit_vec(
 _TOPOLOGY_SOURCES = {
     "fanin": "fanin_idx",
     "fanout": "fanout_indptr/fanout_indices, is_flop, level_of",
-    "ep_sinks": "fanout_indptr/fanout_indices, is_ep, ep_pos",
+    "ep_sinks": "fanout_indptr/fanout_indices/fanout_pins, fanin_idx, is_ep, ep_pos",
 }
 
 

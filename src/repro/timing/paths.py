@@ -55,20 +55,22 @@ def trace_critical_path(
     wire = cb["fanin_wire_delay"]
     is_src = cb["is_src"]
     arrival = memoryview(report.cell_arrival)
+    no_driver = _NO_DRIVER
+    neg_inf = -math.inf
 
     chain = [endpoint_cell]
     current = endpoint_cell
     # Guard against pathological loops (cannot occur in a valid netlist, but
     # a wrong compile would otherwise hang).
     for _ in range(len(ep_pos) + 1):
-        best_driver = _NO_DRIVER
-        best_time = -math.inf
+        best_driver = no_driver
+        best_time = neg_inf
         for driver, p in fanin[current]:
             t = arrival[driver] + wire[p]
             if t > best_time:
                 best_time = t
                 best_driver = driver
-        if best_driver == _NO_DRIVER:
+        if best_driver == no_driver:
             break
         chain.append(best_driver)
         if is_src[best_driver]:

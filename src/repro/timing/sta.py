@@ -41,6 +41,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 
 _NO_DRIVER = -1
 
+#: The compiled fields :meth:`TimingAnalyzer.notify_resize` writes at the
+#: resized cell itself (its drivers' ``sink_cap``/``load_cap`` besides).
+RESIZED_FIELDS = ("intrinsic", "drive_res", "slew_sens", "slew_intr", "slew_load", "pin_cap")
+
 #: ``array`` typecode of each dtype a buffer-backed timing vector may have.
 _TYPECODES = {
     np.dtype(np.float64): "d",
@@ -113,9 +117,12 @@ class Topology:
     cell ``c``, in pin order, where ``p`` is the pin's flat offset
     ``c × max_pins + pin`` into ``fanin_idx``/``fanin_wire_delay``.
     ``fanout[c]`` is a tuple of ``(sink, level_of[sink])`` per non-flop
-    sink edge of ``c`` and ``ep_sinks[c]`` a tuple of ``ep_pos[sink]`` per
-    endpoint sink edge, both in CSR edge order.  Unconnected pins and
-    absent sinks are simply not there, so a walk needs no pad test.
+    sink edge of ``c`` and ``ep_sinks[c]`` a tuple of ``(ep_pos[sink], p)``
+    per endpoint sink edge, both in CSR edge order; ``p`` is the flat
+    offset of the endpoint's pin on that edge when it is the endpoint's
+    only connected pin (the endpoint's arrival is that pin's), else ``-1``.
+    Unconnected pins and absent sinks are simply not there, so a walk
+    needs no pad test.
 
     Nothing in it is a float: wire delays and coefficients are read from
     the walking copy's own buffers, which a copy may patch.  A resize moves
@@ -150,7 +157,13 @@ class Topology:
         levels = compiled.level_of[pushed].tolist()
         self.fanout = _split(list(zip(sink_ids, levels)), owners[push], n)
         ep = compiled.is_ep[sinks]
-        self.ep_sinks = _split(compiled.ep_pos[sinks[ep]].tolist(), owners[ep], n)
+        one_pin = np.count_nonzero(fanin_idx != _NO_DRIVER, axis=1) == 1
+        ep_edge_pins = np.where(one_pin[sinks[ep]], compiled.fanout_pins[ep], -1)
+        self.ep_sinks = _split(
+            list(zip(compiled.ep_pos[sinks[ep]].tolist(), ep_edge_pins.tolist())),
+            owners[ep],
+            n,
+        )
         return self
 
 
@@ -173,7 +186,11 @@ class CompiledTiming:
     topology or wire lengths, so :meth:`TimingAnalyzer.notify_resize` leaves
     all of these untouched, and ``wire_cap`` too: a driver's new load is its
     re-summed sink pin caps (``sink_cap``, patched) plus that stored wire
-    term.
+    term.  The re-sum reads ``pin_cap`` (patched at the resized cell) over
+    the driver's ``load_sinks`` row: its fanout CSR row (``fanout_indptr``)
+    with the sinks in its net's order.  The ``size_*`` tables hold every
+    size of every cell type in the netlist, one row per size; a cell's
+    current row is ``size_base`` plus its size index.
 
     Every array field is a :func:`buffer_view` of the ``array.array`` stored
     under the same name in ``buffers`` (``fanin_idx``/``fanin_wire_delay``
@@ -190,6 +207,14 @@ class CompiledTiming:
     load_cap: np.ndarray  # (n,) fan-out net load: sink pin caps + wire cap
     sink_cap: np.ndarray  # (n,) sink-pin term of load_cap (notify_resize patches it)
     wire_cap: np.ndarray  # (n,) wire-cap term of load_cap (resizes never move it)
+    pin_cap: np.ndarray  # (n,) cap each cell presents as a sink (notify_resize patches it)
+    load_sinks: np.ndarray  # (E,) fanout CSR rows, each in its net's sink order
+    size_base: np.ndarray  # (n,) size_* row of the cell type's smallest size
+    size_last: np.ndarray  # per size row: its type's largest size row, -1 for ports
+    size_drive_res: np.ndarray  # per size row: drive resistance
+    size_intrinsic: np.ndarray  # per size row: intrinsic delay
+    size_input_cap: np.ndarray  # per size row: input pin cap
+    size_slew_sens: np.ndarray  # per size row: input-slew sensitivity
     intrinsic: np.ndarray
     drive_res: np.ndarray
     slew_sens: np.ndarray
@@ -208,6 +233,7 @@ class CompiledTiming:
     ep_pos: np.ndarray  # (n,) endpoint position per cell, -1 elsewhere
     fanout_indptr: np.ndarray  # (n+1,) CSR row pointers over fanout edges
     fanout_indices: np.ndarray  # (E,) sink cell per fanout edge
+    fanout_pins: np.ndarray  # (E,) the sink pin's flat fanin_idx offset per edge
     fanout_wire_delay: np.ndarray  # (E,) wire delay at the sink's pin
     buffers: Dict[str, array.array] = field(default_factory=dict, repr=False)
     #: This compile's :class:`Topology`, empty until first read; shared with
@@ -444,61 +470,103 @@ class TimingAnalyzer:
         """Incrementally update the compiled view after one resize.
 
         A size change touches only (a) the cell's own delay/slew
-        coefficients and (b) the load capacitance of every driver feeding
-        it (its input pin capacitance changed).  Topology, levels and
-        endpoints are untouched, so a full recompile — a gather over every
-        cell and net — is wasted work the data-path optimizer would
-        otherwise pay on every probe move.  A driver's new load is its net's
-        sink pin caps, re-summed into ``sink_cap``, plus the wire-cap term
-        the compile stored: a resize moves no pin, so the net's wirelength
-        is not recomputed.
+        coefficients and pin cap and (b) the load capacitance of every
+        driver feeding it (its input pin capacitance changed).  Topology,
+        levels and endpoints are untouched, so a full recompile — a gather
+        over every cell and net — is wasted work the data-path optimizer
+        would otherwise pay on every probe move.  A driver's new load is
+        its net's sink pin caps, re-summed from ``pin_cap`` over its
+        ``load_sinks`` row, in net order (the sum
+        :meth:`Netlist.net_sink_cap` does, bit for bit) into ``sink_cap``,
+        plus the wire-cap term the compile stored: a resize moves no pin,
+        so the net's wirelength is not recomputed.  Inside an open probe
+        the values overwritten are journaled first, so
+        :meth:`rollback_probe` undoes the patch without a second one.
         """
-        from repro.timing import incremental as inc
-
         obs.incr("sta.incremental_update")
+        compiled = self._compiled
+        if compiled is not None:
+            i = cell_index
+            cell = self.netlist.cells[i]
+            size = cell.cell_type.sizes[cell.size_index]
+            drivers = compiled.topology.fanin[i]
+            probe = self._probe
+            if probe is not None:
+                probe.log_resize(compiled, i, drivers)
+            cb = compiled.buffers
+            cb["intrinsic"][i] = size.intrinsic_delay
+            cb["drive_res"][i] = size.drive_resistance
+            cb["slew_sens"][i] = size.slew_sensitivity
+            cb["slew_intr"][i] = size.slew_intrinsic
+            cb["slew_load"][i] = size.slew_load_factor
+            pin_cap = cb["pin_cap"]
+            if not cb["is_outport"][i]:
+                pin_cap[i] = size.input_cap
+            indptr = cb["fanout_indptr"]
+            sinks = cb["load_sinks"]
+            sink_cap = cb["sink_cap"]
+            load_cap = cb["load_cap"]
+            wire_cap = cb["wire_cap"]
+            for driver, _p in drivers:
+                total = 0.0
+                for j in range(indptr[driver], indptr[driver + 1]):
+                    total += pin_cap[sinks[j]]
+                sink_cap[driver] = total
+                load_cap[driver] = total + wire_cap[driver]
+            if inc.check_enabled():
+                self._check_resize(i)
+            # The resize is now fully reflected in the compiled view: mark
+            # the touched cells timing-stale so the next analyze()
+            # re-propagates them.
+            state = self._state
+            if state is not None:
+                pending = state.pending
+                pending.add(i)
+                for driver, _p in drivers:
+                    pending.add(driver)
+        # Acknowledge the netlist mutation so the version guard does not
+        # force a needless recompile.
+        self._expected_version = self.netlist.mutation_version
+
+    def _check_resize(self, cell_index: int) -> None:
+        """Shadow check: the compiled values a resize patch (or its undo)
+        wrote for ``cell_index`` equal what the netlist gives."""
         netlist = self.netlist
         cell = netlist.cells[cell_index]
         size = cell.cell_type.sizes[cell.size_index]
-        i = cell_index
+        cb = self._compiled.buffers
+        expected = {
+            "intrinsic": size.intrinsic_delay,
+            "drive_res": size.drive_resistance,
+            "slew_sens": size.slew_sensitivity,
+            "slew_intr": size.slew_intrinsic,
+            "slew_load": size.slew_load_factor,
+            "pin_cap": (
+                netlist.library.default_port_cap if cell.is_output_port else size.input_cap
+            ),
+        }
+        for name, value in expected.items():
+            if cb[name][cell_index] != value:
+                raise RuntimeError(
+                    f"resize patch of {cell.name!r}: compiled {name} is "
+                    f"{cb[name][cell_index]!r}, its size gives {value!r}"
+                )
         nets = netlist.nets
-        drivers = [
-            (net_index, nets[net_index].driver)
-            for net_index in cell.fanin_nets
-            if net_index is not None
-        ]
-        dirty = {i}
-        dirty.update(driver for _net, driver in drivers)
-        compiled = self._compiled
-        if compiled is not None:
-            buffers = compiled.buffers
-            buffers["intrinsic"][i] = size.intrinsic_delay
-            buffers["drive_res"][i] = size.drive_resistance
-            buffers["slew_sens"][i] = size.slew_sensitivity
-            buffers["slew_intr"][i] = size.slew_intrinsic
-            buffers["slew_load"][i] = size.slew_load_factor
-            load_cap = buffers["load_cap"]
-            sink_cap = buffers["sink_cap"]
-            wire_cap = buffers["wire_cap"]
-            for net_index, driver in drivers:
-                sink_cap[driver] = netlist.net_sink_cap(net_index)
-                load_cap[driver] = sink_cap[driver] + wire_cap[driver]
-            if inc.check_enabled():
-                for net_index, driver in drivers:
-                    expected = netlist.net_load_cap(net_index)
-                    if load_cap[driver] != expected:
-                        raise RuntimeError(
-                            f"notify_resize({cell.name!r}): patched load_cap of "
-                            f"driver {netlist.cells[driver].name!r} on net "
-                            f"{nets[net_index].name!r} is {load_cap[driver]!r}, "
-                            f"net_load_cap gives {expected!r}"
-                        )
-        # The resize is now fully reflected in the compiled view: mark the
-        # touched cells timing-stale so the next analyze() re-propagates
-        # them, and acknowledge the netlist mutation so the version guard
-        # does not force a needless recompile.
-        if self._state is not None:
-            self._state.pending.update(dirty)
-        self._expected_version = netlist.mutation_version
+        for net_index in cell.fanin_nets:
+            if net_index is None:
+                continue
+            driver = nets[net_index].driver
+            for name, value in (
+                ("sink_cap", netlist.net_sink_cap(net_index)),
+                ("load_cap", netlist.net_load_cap(net_index)),
+            ):
+                if cb[name][driver] != value:
+                    raise RuntimeError(
+                        f"resize patch of {cell.name!r}: patched {name} of "
+                        f"driver {netlist.cells[driver].name!r} on net "
+                        f"{nets[net_index].name!r} is {cb[name][driver]!r}, "
+                        f"net_{name} gives {value!r}"
+                    )
 
     def notify_skew(self, flop_indices: Iterable[int]) -> None:
         """Mark flops whose clock arrival moved as timing-stale.
@@ -518,13 +586,13 @@ class TimingAnalyzer:
         Until :meth:`commit_probe` or :meth:`rollback_probe`, ``analyze()``
         is forward-only (without margins; with them, and with the
         incremental engine off, it stays an ordinary analysis) and journals
-        what it overwrites.
+        what it overwrites, as :meth:`notify_resize` does.
         """
-        from repro.timing import incremental as inc
-
         if self._probe is not None:
             raise RuntimeError("a probe is already open")
-        self._probe = inc.Journal(self._state if self.incremental else None)
+        self._probe = inc.Journal(
+            self._state if self.incremental else None, self._compiled
+        )
 
     def commit_probe(self) -> None:
         """Keep the probed move; the next ordinary ``analyze()`` sweeps its
@@ -532,23 +600,40 @@ class TimingAnalyzer:
         self._close_probe()
 
     def rollback_probe(self) -> bool:
-        """Drop the probed move's timing; call after undoing the move
-        (``resize_cell`` back and :meth:`notify_resize`).
+        """Drop the probed move; call after undoing it in the netlist
+        (``resize_cell`` back), with no :meth:`notify_resize`.
 
-        Restores the journal in reverse, the pending set, the deferred
-        seeds and the state's generation, so nothing re-propagates, and
-        returns ``True``: the timing state is byte for byte the one the
-        probe opened on.  A probe the journal does not cover (a clock or
-        margin change, a full-path analysis) restores nothing and returns
-        ``False``: the undo's notification re-propagates on the next
-        ``analyze()``, as an ordinary undo would.
+        The compiled values the probe's resizes patched come back from its
+        journal.  Then the journal's timing log is restored in reverse,
+        with the pending set, the deferred seeds and the state's
+        generation, so nothing re-propagates, and it returns ``True``: the
+        timing state is byte for byte the one the probe opened on.  A
+        probe the journal does not cover (a clock or margin change, a
+        full-path analysis) gets its compiled values back only and returns
+        ``False``: the cells its resizes dirtied re-propagate on the next
+        ``analyze()``.  If the view was recompiled inside the probe, with
+        the moves in it, they are undone as ordinary resizes: each cell is
+        notified again.
         """
-        from repro.timing import incremental as inc
-
         journal = self._close_probe()
-        if journal.exact and journal.state is self._state:
+        compiled = self._compiled
+        if compiled is None:
+            return False
+        if journal.compiled is not compiled:
+            for cell, _old, _loads in journal.resizes:
+                self.notify_resize(cell)
+            return False
+        dirtied = journal.undo_resizes()
+        self._expected_version = self.netlist.mutation_version
+        if inc.check_enabled():
+            for cell, _old, _loads in journal.resizes:
+                self._check_resize(cell)
+        state = self._state
+        if journal.exact and journal.state is state:
             inc.rollback(journal)
             return True
+        if state is not None:
+            state.pending.update(dirtied)
         return False
 
     def _close_probe(self) -> "Journal":
@@ -586,8 +671,6 @@ class TimingAnalyzer:
         an incremental analysis without margins is forward-only and
         returns a :class:`ProbeReport`.
         """
-        from repro.timing import incremental as inc
-
         if self.netlist.mutation_version != self._expected_version:
             # The netlist mutated without notify_resize()/invalidate():
             # every cached view is untrustworthy.  Recompiling here makes a
@@ -656,7 +739,11 @@ def compile_timing(netlist: Netlist) -> CompiledTiming:
     * its HPWL is ``np.maximum.reduceat`` and ``np.minimum.reduceat`` over
       segments of driver-then-sinks coordinates (max and min are exact);
     * wire caps and wire delays are elementwise, in the scalar formulas'
-      operation order.
+      operation order;
+    * a driver's ``load_sinks`` row is its net's sinks in sink order (one
+      per sink pin, as its fanout CSR row), so
+      :meth:`TimingAnalyzer.notify_resize` re-sums ``pin_cap`` over it in
+      the same order.
     """
     cells = netlist.cells
     nets = netlist.nets
@@ -703,6 +790,29 @@ def compile_timing(netlist: Netlist) -> CompiledTiming:
     sink_cap[drivers] = net_sink_cap[fanout[drivers]]
     wire_cap[drivers] = net_wire_cap[fanout[drivers]]
     load_cap[drivers] = sink_cap[drivers] + wire_cap[drivers]
+    # Each driver's net sinks in net order, drivers ascending: the rows of
+    # the fanout CSR (one entry per sink pin either way), in net order.
+    net_indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(sink_counts, out=net_indptr[1:])
+    load_sinks = sink_cells[csr_edge_indices(net_indptr, fanout[drivers])]
+
+    # Size tables: every size of every cell type present (types in order of
+    # first appearance), one row each.
+    _ids, first, type_code = np.unique(
+        np.fromiter(map(id, types), np.int64, n), return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    size_rows: List = []
+    bases = np.zeros(order.size, dtype=np.int64)
+    lasts: List[int] = []
+    for code, index in enumerate(first[order].tolist()):
+        cell_type = types[index]
+        bases[code] = len(size_rows)
+        size_rows.extend(cell_type.sizes)
+        last = -1 if cell_type.is_port else len(size_rows) - 1
+        lasts.extend([last] * len(cell_type.sizes))
 
     # Dense fanin: the driver of every connected pin and its wire delay.
     pin_lists = [cell.fanin_nets for cell in cells]
@@ -731,6 +841,14 @@ def compile_timing(netlist: Netlist) -> CompiledTiming:
         "load_cap": load_cap,
         "sink_cap": sink_cap,
         "wire_cap": wire_cap,
+        "pin_cap": pin_cap,
+        "load_sinks": load_sinks,
+        "size_base": bases[rank[type_code]],
+        "size_last": np.array(lasts, dtype=np.int64),
+        "size_drive_res": column(size_rows, "drive_resistance"),
+        "size_intrinsic": column(size_rows, "intrinsic_delay"),
+        "size_input_cap": column(size_rows, "input_cap"),
+        "size_slew_sens": column(size_rows, "slew_sensitivity"),
         "intrinsic": column(sizes, "intrinsic_delay"),
         "drive_res": column(sizes, "drive_resistance"),
         "slew_sens": column(sizes, "slew_sensitivity"),
@@ -816,6 +934,9 @@ def assemble_compiled(netlist: Netlist, columns: Mapping[str, np.ndarray]) -> Co
         "ep_pos": ep_pos,
         "fanout_indptr": fanout_indptr,
         "fanout_indices": sink_rows[order].astype(np.int64, copy=False),
+        "fanout_pins": (sink_rows * fanin_idx.shape[1] + sink_pins)[order].astype(
+            np.int64, copy=False
+        ),
         "fanout_wire_delay": views["fanin_wire_delay"][sink_rows, sink_pins][order],
     }
     for name, values in derived.items():
@@ -1037,3 +1158,8 @@ def _backward_required(
         req = required[c][:, None] - gate_delay - compiled.fanin_wire_delay[c]
         np.minimum.at(required, drivers[valid], req[valid])
     return required
+
+
+# incremental.py imports from this module, so it comes last: by then every
+# name it imports is defined.
+from repro.timing import incremental as inc  # noqa: E402

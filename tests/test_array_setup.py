@@ -48,9 +48,15 @@ from repro.timing.sta import (
 # ---------------------------------------------------------------------- #
 #: The per-cell columns besides the dense fanin pair.
 FLOAT_COLUMNS = (
-    "load_cap", "sink_cap", "wire_cap", "intrinsic", "drive_res", "slew_sens",
+    "load_cap", "sink_cap", "wire_cap", "pin_cap", "intrinsic", "drive_res", "slew_sens",
     "slew_intr", "slew_load", "clk_to_q", "setup",
 )
+SIZE_COLUMNS = {
+    "size_drive_res": "drive_resistance",
+    "size_intrinsic": "intrinsic_delay",
+    "size_input_cap": "input_cap",
+    "size_slew_sens": "slew_sensitivity",
+}
 FLAG_COLUMNS = ("is_flop", "is_inport", "is_outport")
 
 
@@ -70,6 +76,12 @@ def loop_compile(netlist):
         buffers[name] = cells_buffer("d")
     for name in FLAG_COLUMNS:
         buffers[name] = cells_buffer("b")
+    buffers["size_base"] = cells_buffer("q")
+    buffers["size_last"] = array.array("q")
+    load_sinks = array.array("q")
+    ladders = {}  # id of a cell type -> its first size row, in first-seen order
+    for name in SIZE_COLUMNS:
+        buffers[name] = array.array("d")
 
     wire_coeff = netlist.parasitic_scale * netlist.library.wire_res_delay_per_um
     cells = netlist.cells
@@ -85,6 +97,18 @@ def loop_compile(netlist):
         buffers["is_flop"][i] = cell.is_sequential
         buffers["is_inport"][i] = cell.is_input_port
         buffers["is_outport"][i] = cell.is_output_port
+        if cell.is_output_port:
+            buffers["pin_cap"][i] = netlist.library.default_port_cap
+        else:
+            buffers["pin_cap"][i] = size.input_cap
+        cell_type = cell.cell_type
+        if id(cell_type) not in ladders:
+            ladders[id(cell_type)] = first = len(buffers["size_drive_res"])
+            for name, attribute in SIZE_COLUMNS.items():
+                buffers[name].extend(getattr(s, attribute) for s in cell_type.sizes)
+            last = -1 if cell_type.is_port else first + cell_type.max_size_index
+            buffers["size_last"].extend([last] * len(cell_type.sizes))
+        buffers["size_base"][i] = ladders[id(cell_type)]
         if cell.is_sequential:
             buffers["clk_to_q"][i] = cell.cell_type.clk_to_q
             buffers["setup"][i] = cell.cell_type.setup_time
@@ -101,6 +125,8 @@ def loop_compile(netlist):
             buffers["wire_cap"][i] = netlist.net_wire_cap(cell.fanout_net)
             buffers["sink_cap"][i] = netlist.net_sink_cap(cell.fanout_net)
             buffers["load_cap"][i] = buffers["sink_cap"][i] + buffers["wire_cap"][i]
+            load_sinks.extend(sink for sink, _pin in nets[cell.fanout_net].sinks)
+    buffers["load_sinks"] = load_sinks
 
     columns = {name: buffer_view(buf) for name, buf in buffers.items()}
     for name in ("fanin_idx", "fanin_wire_delay"):

@@ -170,6 +170,22 @@ class TestBundleContract:
             restore_netlist_state(netlist, snapshot)
             assert _outcome(reused) == _outcome(_fresh_flow(netlist, config, sel))
 
+    def test_first_flow_after_a_snapshot_keeps_the_bundle(self, design, recorder):
+        """A snapshot registers the netlist as a restore does: snapshot →
+        flow → restore → flow compiles and runs begin STA once."""
+        netlist, config, selection = design
+        snapshot = snapshot_netlist_state(netlist)
+        counters = recorder.counters
+        full_before = counters.get("sta.full_analyze", 0.0)
+        copies_before = _copies(recorder)
+        first = run_flow(netlist, config, prioritized_endpoints=selection)
+        restore_netlist_state(netlist, snapshot)
+        second = run_flow(netlist, config, prioritized_endpoints=selection)
+        restore_netlist_state(netlist, snapshot)
+        assert counters.get("sta.full_analyze", 0.0) - full_before == 1
+        assert _copies(recorder) - copies_before == 1
+        assert _outcome(first) == _outcome(second)
+
 
 class TestBundleNotUsed:
     """Each case skips the bundle and matches a from-scratch flow."""

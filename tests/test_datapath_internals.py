@@ -6,8 +6,8 @@ import numpy as np
 
 from repro.ccd import datapath_opt
 from repro.ccd.datapath_opt import (
-    _sizing_gain,
     _split_net,
+    _upsize_gains,
     optimize_datapath,
 )
 from repro.ccd.flow import FlowConfig, run_flow, snapshot_netlist_state, restore_netlist_state
@@ -41,7 +41,8 @@ def _chain_with_fanout():
 
 def _gain(nl, cell):
     """The optimizer's gain estimate, on a fresh compile of ``nl``."""
-    return _sizing_gain(TimingAnalyzer(nl).compiled, cell)
+    ((_cell, gain),) = _upsize_gains(TimingAnalyzer(nl).compiled, [cell.index])
+    return gain
 
 
 class TestSizingGain:

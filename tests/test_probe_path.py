@@ -11,12 +11,16 @@ and pins:
 
 * ``run_flow`` is byte-equal to a run with every oracle patched in, on a
   320-cell, a 2K-cell and an all-max-size 1000-cell design (the last one
-  buffers, so it recompiles mid-flow);
+  buffers, so it recompiles mid-flow), and does the same work: the same
+  frontier cells, level dispatches, analyses, moves and rollbacks (the
+  oracle forward loop recomputes every frontier cell's slew, the engine
+  only the notified cells');
 * the memo is exact: the same flow results with it patched out, the same
   ``rolled_back``, fewer probes; a forced repeat makes no probe;
 * the topology equals the padded rows, is built lazily, is shared by
   ``copy()`` (which still reads its own wire delays) and is fresh after a
-  structural edit;
+  structural edit; an endpoint with two pins is recomputed after the
+  sweep, not written inline;
 * a probe report's arrival and slew views go stale after a later
   analysis and are readable again after a rollback;
 * under ``REPRO_STA_CHECK`` a topology that disagrees with the buffers is
@@ -34,6 +38,7 @@ import math
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.ccd import datapath_opt
 from repro.ccd.datapath_opt import DatapathResult, _fix_endpoint, _split_net
 from repro.ccd.flow import (
@@ -42,7 +47,9 @@ from repro.ccd.flow import (
     run_flow,
     snapshot_netlist_state,
 )
+from repro.netlist.core import Netlist
 from repro.netlist.generator import GeneratorConfig, generate_design
+from repro.netlist.library import get_library
 from repro.placement import PlacementConfig, place_design
 from repro.timing import incremental as inc
 from repro.timing import sta
@@ -68,20 +75,41 @@ def oracle_topology(compiled):
     is_ep = cb["is_ep"]
     ep_pos = cb["ep_pos"]
     level_of = cb["level_of"]
+    n = compiled.fanin_idx.shape[0]
     pins, out, eps = [], [], []
-    for c in range(compiled.fanin_idx.shape[0]):
+    for c in range(n):
         row = c * max_pins
         pins.append(
             tuple((fanin[p], p) for p in range(row, row + max_pins) if fanin[p] != _NO_DRIVER)
         )
+    for c in range(n):
         edges = sinks[indptr[c] : indptr[c + 1]]
         out.append(tuple((s, level_of[s]) for s in edges if not is_flop[s]))
-        eps.append(tuple(ep_pos[s] for s in edges if is_ep[s]))
+        # An endpoint sink's own pins driven by c, in pin order: the CSR
+        # lists a driver's edges into one sink in pin order too.
+        driven = {s: [p for u, p in pins[s] if u == c] for s in edges if is_ep[s]}
+        eps.append(
+            tuple(
+                (ep_pos[s], driven[s].pop(0) if len(pins[s]) == 1 else -1)
+                for s in edges
+                if is_ep[s]
+            )
+        )
     return pins, out, eps
 
 
-def oracle_forward_sweep(state, fr, counters, slew_cells, slew_chunks, ep_arr_dirty):
-    """The padded-row scalar forward loop, run on every slot."""
+def _count_dispatch(counters, size):
+    """Tally a slot as the engine does: by the density threshold."""
+    if size >= inc.vector_threshold():
+        counters.vectorized += 1
+    else:
+        counters.scalar += 1
+
+
+def oracle_forward_sweep(state, fr, counters, dirty, ep_arr_dirty):
+    """The padded-row scalar forward loop, run on every slot; it recomputes
+    every frontier cell's slew beside its arrival (``dirty`` unread) and
+    returns the cells whose slew moved."""
     compiled = state.compiled
     cb = compiled.buffers
     sb = state.buffers
@@ -93,8 +121,9 @@ def oracle_forward_sweep(state, fr, counters, slew_cells, slew_chunks, ep_arr_di
     max_pins = compiled.fanin_idx.shape[1]
     indptr = cb["fanout_indptr"]
     sinks = cb["fanout_indices"]
-    log = state.journal.cells if state.journal is not None else None
+    journal = state.journal
     src_slot = state.num_levels
+    slew_cells = []
     for k in (src_slot, *range(src_slot)):
         cells = fr.buckets[k]
         level_chunks = fr.chunks[k]
@@ -105,7 +134,7 @@ def oracle_forward_sweep(state, fr, counters, slew_cells, slew_chunks, ep_arr_di
         for chunk in level_chunks:
             cells.extend(chunk.tolist())
         counters.frontier += len(cells)
-        counters.scalar += 1
+        _count_dispatch(counters, len(cells))
         for c in cells:
             if k == src_slot:
                 self_delay = cb["drive_res"][c] * cb["load_cap"][c]
@@ -142,8 +171,9 @@ def oracle_forward_sweep(state, fr, counters, slew_cells, slew_chunks, ep_arr_di
             slew_moved = ds > inc.PRUNE_TOL or ds < -inc.PRUNE_TOL
             if not (slew_moved or da > inc.PRUNE_TOL or da < -inc.PRUNE_TOL):
                 continue
-            if log is not None:
-                log.append((c, arrival[c], slew[c]))
+            if journal is not None:
+                journal.arrivals.append((c, arrival[c]))
+                journal.slews.append((c, slew[c]))
             arrival[c] = new_arr
             slew[c] = new_slew
             if slew_moved:
@@ -151,10 +181,10 @@ def oracle_forward_sweep(state, fr, counters, slew_cells, slew_chunks, ep_arr_di
             for s in sinks[indptr[c] : indptr[c + 1]]:
                 if cb["is_ep"][s]:
                     ep_arr_dirty.add(cb["ep_pos"][s])
-                if not cb["is_flop"][s] and not fr.seen_buf[s]:
-                    fr.seen_buf[s] = 1
-                    fr.touched.append(s)
+                if not cb["is_flop"][s] and fr.seen_buf[s] != fr.stamp:
+                    fr.seen_buf[s] = fr.stamp
                     fr.buckets[cb["level_of"][s]].append(s)
+    return slew_cells
 
 
 def oracle_recompute_ep_arrival(state, positions):
@@ -181,9 +211,7 @@ def oracle_recompute_ep_arrival(state, positions):
         ep_arrival[pos] = best if hit else 0.0
 
 
-def oracle_backward_incremental(
-    state, fr, counters, name, ep_seed, seed_cells, seed_chunks, ep_dirty_pos
-):
+def oracle_backward_incremental(state, fr, counters, name, ep_seed, seed_cells, ep_dirty_pos):
     """The padded-row scalar backward loop, run on every slot."""
     compiled = state.compiled
     cb = compiled.buffers
@@ -196,19 +224,15 @@ def oracle_backward_incremental(
     sinks = cb["fanout_indices"]
     fanout_wire = cb["fanout_wire_delay"]
     src_slot = state.num_levels
-    fr.reset()
+    stamp = fr.reset()
 
     def push(v):
-        if not fr.seen_buf[v]:
-            fr.seen_buf[v] = 1
-            fr.touched.append(v)
+        if fr.seen_buf[v] != stamp:
+            fr.seen_buf[v] = stamp
             fr.buckets[src_slot if cb["is_src"][v] else cb["level_of"][v]].append(v)
 
     for u in seed_cells:
         push(u)
-    for chunk in seed_chunks:
-        for u in chunk.tolist():
-            push(u)
     for pos in ep_dirty_pos:
         row = cb["endpoint_cells"][pos] * max_pins
         for v in fanin[row : row + max_pins]:
@@ -225,7 +249,7 @@ def oracle_backward_incremental(
         for chunk in level_chunks:
             cells.extend(chunk.tolist())
         counters.frontier += len(cells)
-        counters.scalar += 1
+        _count_dispatch(counters, len(cells))
         for u in cells:
             best = math.inf
             su = slew[u]
@@ -302,18 +326,20 @@ def oracle_trace_critical_path(compiled, report, endpoint_cell):
     )
 
 
-def oracle_sizing_gain(compiled, cell):
-    """The padded-row sizing gain (drivers from the cell's pin slots)."""
+def oracle_sizing_gain(compiled, cell_index):
+    """The padded-row sizing gain: drivers from the cell's pin slots, both
+    sizes from its cell type's size ladder."""
     buffers = compiled.buffers
+    cell = compiled.netlist.cells[cell_index]
     current = cell.cell_type.sizes[cell.size_index]
     upsized = cell.cell_type.sizes[cell.size_index + 1]
     gain = (current.drive_resistance - upsized.drive_resistance) * buffers["load_cap"][
-        cell.index
+        cell_index
     ]
     gain += current.intrinsic_delay - upsized.intrinsic_delay
     cap_increase = upsized.input_cap - current.input_cap
     fanin = buffers["fanin_idx"]
-    row = cell.index * compiled.fanin_idx.shape[1]
+    row = cell_index * compiled.fanin_idx.shape[1]
     for pin in range(row, row + cell.cell_type.num_inputs):
         driver = fanin[pin]
         if driver == _NO_DRIVER:
@@ -323,13 +349,22 @@ def oracle_sizing_gain(compiled, cell):
     return gain
 
 
+def oracle_upsize_gains(compiled, cell_indices):
+    """The scan's candidates and gains from the cells' types and sizes."""
+    for cell_index in cell_indices:
+        cell = compiled.netlist.cells[cell_index]
+        if cell.cell_type.is_port or cell.size_index >= cell.cell_type.max_size_index:
+            continue
+        yield cell_index, oracle_sizing_gain(compiled, cell_index)
+
+
 def patch_oracles(patch):
     """Patch every padded-row oracle in for the topology walk it became."""
     patch.setattr(inc, "_forward_sweep", oracle_forward_sweep)
     patch.setattr(inc, "_recompute_ep_arrival", oracle_recompute_ep_arrival)
     patch.setattr(inc, "_backward_incremental", oracle_backward_incremental)
     patch.setattr(datapath_opt, "trace_critical_path", oracle_trace_critical_path)
-    patch.setattr(datapath_opt, "_sizing_gain", oracle_sizing_gain)
+    patch.setattr(datapath_opt, "_upsize_gains", oracle_upsize_gains)
 
 
 def patch_memo_out(patch):
@@ -406,6 +441,33 @@ def _selections(netlist, count, seed):
     ]
 
 
+#: The recorder counters an oracle-patched run must match exactly.
+WORK_COUNTERS = (
+    "sta.frontier_cells",
+    "sta.scalar_levels",
+    "sta.vectorized_levels",
+    "sta.incremental_analyze",
+    "datapath.sizing_moves",
+    "datapath.rolled_back",
+)
+
+
+def _counted(run):
+    """``run()`` with a clean, enabled recorder; returns its result and
+    the :data:`WORK_COUNTERS`."""
+    was_enabled = obs.enabled()
+    obs.reset()
+    obs.enable()
+    try:
+        result = run()
+        counters = obs.get_recorder().counters
+        return result, {name: counters.get(name, 0.0) for name in WORK_COUNTERS}
+    finally:
+        obs.reset()
+        if not was_enabled:
+            obs.disable()
+
+
 def _assert_flows_equal(ours_all, theirs_all):
     assert len(ours_all) == len(theirs_all)
     for ours, theirs in zip(ours_all, theirs_all):
@@ -431,11 +493,13 @@ def test_flow_byte_equal_to_padded_row_walks(cells, saturate, count, monkeypatch
     netlist, period = _design(cells, seed=3, saturate=saturate)
     selections = _selections(netlist, count, seed=cells)
 
-    ours_all = _run_all(netlist, period, selections)
+    ours_all, ours_work = _counted(lambda: _run_all(netlist, period, selections))
     with monkeypatch.context() as patch:
         patch_oracles(patch)
-        oracle_all = _run_all(netlist, period, selections)
+        oracle_all, oracle_work = _counted(lambda: _run_all(netlist, period, selections))
 
+    assert ours_work == oracle_work
+    assert ours_work["sta.frontier_cells"] > 0 and ours_work["sta.scalar_levels"] > 0
     if saturate:
         assert sum(r.datapath_result.buffer_moves for r in ours_all) > 0
     else:
@@ -670,6 +734,54 @@ def test_structural_edit_gets_a_fresh_topology(fresh_design):
     topology = compiled.topology
     assert len(topology.fanin) == netlist.num_cells > len(before.fanin)
     assert (topology.fanin, topology.fanout, topology.ep_sinks) == oracle_topology(compiled)
+
+
+@pytest.mark.parametrize("threshold", (1 << 30, 0), ids=("scalar", "vector"))
+def test_endpoint_with_two_pins_takes_the_max_after_the_sweep(threshold):
+    """The bundled libraries' endpoints have one pin each, whose arrival the
+    forward loop writes inline; a flop with two data pins is collected
+    instead and recomputed as the max over its pins, on either kernel."""
+    library = get_library("tech7")
+    dff2 = dataclasses.replace(library.cell_type("DFF"), name="DFF2", num_inputs=2)
+    library = dataclasses.replace(library, cell_types={**library.cell_types, "DFF2": dff2})
+    netlist = Netlist("twopin", library)
+    cells = {
+        name: netlist.add_cell(name, library.cell_type(kind))
+        for name, kind in (
+            ("a", "INPORT"), ("b", "INPORT"), ("inv", "INV"), ("buf", "BUF"),
+            ("ff", "DFF2"), ("out", "OUTPORT"),
+        )
+    }
+    for i, cell in enumerate(cells.values()):
+        cell.x, cell.y = 7.0 * i, 3.0 * (i % 2)
+    netlist.add_net("na", cells["a"].index, [(cells["inv"].index, 0)])
+    netlist.add_net("nb", cells["b"].index, [(cells["buf"].index, 0)])
+    netlist.add_net("ni", cells["inv"].index, [(cells["ff"].index, 0)])
+    netlist.add_net("nf", cells["buf"].index, [(cells["ff"].index, 1)])
+    netlist.add_net("nq", cells["ff"].index, [(cells["out"].index, 0)])
+    clock = ClockModel(period=1.0)
+    previous = inc.set_vector_threshold(threshold)
+    try:
+        analyzer = TimingAnalyzer(netlist)
+        analyzer.analyze(clock)
+        compiled = analyzer.compiled
+        ff_pos = int(compiled.ep_pos[cells["ff"].index])
+        out = cells["out"].index
+        topology = compiled.topology
+        assert topology.ep_sinks[cells["inv"].index] == ((ff_pos, -1),)
+        assert topology.ep_sinks[cells["ff"].index] == (
+            (int(compiled.ep_pos[out]), out * compiled.fanin_idx.shape[1]),
+        )
+        for name in ("inv", "buf", "inv"):
+            cell = cells[name]
+            netlist.resize_cell(cell.index, cell.size_index + 1)
+            analyzer.notify_resize(cell.index)
+            report = analyzer.analyze(clock)
+            full = sta.analyze(compiled, clock)
+            for field in REPORT_FIELDS:
+                assert getattr(report, field).tobytes() == getattr(full, field).tobytes(), field
+    finally:
+        inc.set_vector_threshold(previous)
 
 
 # ---------------------------------------------------------------------- #

@@ -116,8 +116,8 @@ def _probe(netlist, analyzer, clock, cell):
 
 
 def _reject(netlist, analyzer, cell, previous):
+    """Undo the move in the netlist; the rollback restores the rest."""
     netlist.resize_cell(cell, previous)
-    analyzer.notify_resize(cell)
     analyzer.rollback_probe()
 
 
@@ -136,17 +136,13 @@ def test_rejected_probe_restores_state_byte_for_byte(design, threshold):
     _probe(netlist, analyzer, clock, cells[0])
     analyzer.commit_probe()
     state = analyzer.state
-    assert state.deferred_cells or state.deferred_chunks
+    assert state.deferred_cells
 
     moved = 0
     for cell in rng.choice(cells[1:], size=12, replace=False).tolist():
         state_before = _copy_buffers(state)
         compiled_before = _copy_buffers(analyzer.compiled)
-        deferred = (
-            list(state.deferred_cells),
-            [chunk.tolist() for chunk in state.deferred_chunks],
-            list(state.deferred_eps),
-        )
+        deferred = (list(state.deferred_cells), list(state.deferred_eps))
         previous = _probe(netlist, analyzer, clock, cell)
         moved += buffer_mismatches(state.buffers, state_before) != []
         _reject(netlist, analyzer, cell, previous)
@@ -156,18 +152,54 @@ def test_rejected_probe_restores_state_byte_for_byte(design, threshold):
         assert buffer_mismatches(analyzer.compiled.buffers, compiled_before) == []
         assert state.pending == set()
         assert state.journal is None
-        assert deferred == (
-            list(state.deferred_cells),
-            [chunk.tolist() for chunk in state.deferred_chunks],
-            list(state.deferred_eps),
-        )
+        assert deferred == (list(state.deferred_cells), list(state.deferred_eps))
 
     assert moved > 0
     # The next ordinary analysis sweeps the committed probe's seeds.
     report = analyzer.analyze(clock)
     assert not isinstance(report, ProbeReport)
     _assert_matches_full(netlist, report, clock)
-    assert not (state.deferred_cells or state.deferred_chunks or state.deferred_eps)
+    assert not (state.deferred_cells or state.deferred_eps)
+
+
+def test_undo_restores_the_compiled_view_with_the_shadow_check_off(design):
+    """A rejected probe right after a kept one, on a cell whose input net
+    has several sinks, one an output port (its pin cap is the library's
+    ``default_port_cap``): the rollback puts back the cell's coefficients
+    and pin cap and its drivers' sink and load caps from the journal,
+    byte for byte, with no shadow snapshot to compare against."""
+    netlist, clock = design
+    cells = netlist.cells
+
+    def feeds_a_port(cell):
+        return any(
+            len(netlist.nets[n].sinks) >= 2
+            and any(cells[s].is_output_port for s, _pin in netlist.nets[n].sinks)
+            for n in cells[cell].fanin_nets
+            if n is not None
+        )
+
+    previous_check = inc.set_check(False)
+    try:
+        analyzer = TimingAnalyzer(netlist)
+        analyzer.analyze(clock)
+        sizable = _sizable(netlist)
+        target = next(c for c in sizable if feeds_a_port(c))
+        kept = next(c for c in sizable if c != target)
+        _probe(netlist, analyzer, clock, kept)
+        analyzer.commit_probe()
+        state = analyzer.state
+        state_before = _copy_buffers(state)
+        compiled_before = _copy_buffers(analyzer.compiled)
+
+        previous = _probe(netlist, analyzer, clock, target)
+        moved = buffer_mismatches(analyzer.compiled.buffers, compiled_before)
+        assert {"pin_cap", "sink_cap", "load_cap", "drive_res"} <= set(moved)
+        _reject(netlist, analyzer, target, previous)
+        assert buffer_mismatches(analyzer.compiled.buffers, compiled_before) == []
+        assert buffer_mismatches(state.buffers, state_before) == []
+    finally:
+        inc.set_check(previous_check)
 
 
 def test_rollback_keeps_notifications_made_before_the_probe(design):
@@ -262,8 +294,8 @@ def test_shadow_check_names_buffers_a_rollback_missed(design):
     try:
         previous = _probe(netlist, analyzer, clock, cell)
         journal = analyzer.state.journal
-        assert journal.cells
-        del journal.cells[0]  # lose one logged write
+        assert journal.arrivals
+        del journal.arrivals[0]  # lose one logged write
         with pytest.raises(RuntimeError, match="probe rollback drift: state.arrival"):
             _reject(netlist, analyzer, cell, previous)
     finally:
@@ -313,8 +345,24 @@ def test_flow_byte_equal_to_ordinary_probe_analyses(cells, monkeypatch):
 
     probes = run_all()
     with monkeypatch.context() as patch:
-        for name in ("open_probe", "commit_probe", "rollback_probe"):
-            patch.setattr(TimingAnalyzer, name, lambda self: None)
+        # No journal: a rejected move's undo is notified as an ordinary
+        # resize of every cell resized since the last commit or undo.
+        resized = []
+        notify = TimingAnalyzer.notify_resize
+
+        def notify_and_note(self, cell):
+            resized.append(cell)
+            notify(self, cell)
+
+        def ordinary_undo(self):
+            for cell in resized:
+                notify(self, cell)
+            resized.clear()
+
+        patch.setattr(TimingAnalyzer, "notify_resize", notify_and_note)
+        patch.setattr(TimingAnalyzer, "open_probe", lambda self: resized.clear())
+        patch.setattr(TimingAnalyzer, "commit_probe", lambda self: resized.clear())
+        patch.setattr(TimingAnalyzer, "rollback_probe", ordinary_undo)
         ordinary = run_all()
 
     assert sum(r.datapath_result.rolled_back for r in probes) > 0
